@@ -428,18 +428,17 @@ void alto_kernel_ablation(bool smoke, htb::JsonReport& report) {
 // so machine drift hits all three alike; best of `reps` after a warm-up
 // sweep that pays one-time setup (leaf value gathers, buffer growth).
 std::vector<double> time_ttmc_sweeps(
-    const ht::tensor::CooTensor& x, const ht::core::SymbolicTtmc& sym,
-    const ht::core::DimTreePlan* tree,
-    const std::vector<ht::la::Matrix>& factors,
+    const ht::tensor::CooTensor& x, const std::vector<ht::la::Matrix>& factors,
     const std::vector<ht::tensor::index_t>& ranks,
     const std::vector<ht::core::TtmcStrategy>& strategies, int reps) {
+  std::vector<ht::core::TtmcPlan> plans;
+  plans.reserve(strategies.size());  // schedulers point into it
   std::vector<ht::core::TtmcScheduler> schedulers;
   schedulers.reserve(strategies.size());
   ht::la::Matrix y;
   for (const auto strategy : strategies) {
-    ht::core::TtmcOptions opts;
-    opts.strategy = strategy;
-    schedulers.emplace_back(x, sym, tree, ranks, opts);
+    plans.push_back(ht::core::TtmcPlan::build(x, {.strategy = strategy}));
+    schedulers.emplace_back(x, plans.back(), ranks);
     for (std::size_t n = 0; n < x.order(); ++n) {
       schedulers.back().compute(factors, n, y);
     }
@@ -488,19 +487,17 @@ void tree_scheduler_ablation(bool smoke, htb::JsonReport& report) {
   for (const Arm& arm : arms) {
     const auto x = tensor::random_uniform(arm.shape, arm.nnz, 111);
     const std::vector<tensor::index_t> ranks(x.order(), arm.rank);
-    const core::SymbolicTtmc sym = core::SymbolicTtmc::build(x);
-    const core::DimTreePlan tree = core::DimTreePlan::build(x);
     const auto factors = core::random_orthonormal_factors(x.shape(), ranks, 7);
 
     const std::vector<double> times = time_ttmc_sweeps(
-        x, sym, &tree, factors, ranks,
+        x, factors, ranks,
         {core::TtmcStrategy::kDirect, core::TtmcStrategy::kTree,
          core::TtmcStrategy::kAuto},
         reps);
     const double t_direct = times[0], t_tree = times[1], t_auto = times[2];
 
-    core::TtmcOptions auto_opts;
-    const core::TtmcScheduler chooser(x, sym, &tree, ranks, auto_opts);
+    const core::TtmcPlan auto_plan = core::TtmcPlan::build(x);
+    const core::TtmcScheduler chooser(x, auto_plan, ranks);
     std::string picks;
     for (std::size_t n = 0; n < x.order(); ++n) {
       picks += chooser.selected(n) == core::TtmcStrategy::kTree ? 't' : 'd';
@@ -638,11 +635,10 @@ void model_store_ablation(bool smoke, htb::JsonReport& report) {
   options.ranks = ranks;
   options.max_iterations = 3;
   options.fit_tolerance = 0.0;
-  const core::SymbolicTtmc symbolic = core::SymbolicTtmc::build(x);
-  auto result = core::hooi(x, options, symbolic, nullptr);
-  auto model = core::TuckerModel::from_hooi(x, std::move(result));
-  model.csf =
-      std::make_shared<tensor::CsfTensor>(tensor::CsfTensor::build(x));
+  options.ttmc.kernel = core::TtmcKernel::kCsf;  // the trees ride along
+  const core::TtmcPlan plan = core::TtmcPlan::build(x, options.ttmc);
+  auto model = core::TuckerModel::from_hooi(x, core::hooi(x, options, plan));
+  model.csf = plan.csf;
 
   const std::string path = "bench_model_store.htb";
   storage::save_bundle(model, path);
@@ -1003,20 +999,20 @@ int main(int argc, char** argv) {
 
   // ---- 1. symbolic reuse --------------------------------------------------
   std::printf("=== Ablation 1: symbolic TTMc reuse ===\n");
-  // The reusable preprocessing is the symbolic update lists *and* the
-  // dimension-tree plan (both pattern-only); the reuse arms below pass both
-  // to the 4-arg hooi so no per-call plan rebuild pollutes the numbers.
-  WallTimer t_sym;
-  const core::SymbolicTtmc symbolic = core::SymbolicTtmc::build(x);
-  const core::DimTreePlan tree = core::DimTreePlan::build(x);
-  const double sym_s = t_sym.seconds();
+  // The reusable preprocessing is the whole TTMc plan (symbolic update
+  // lists, dimension-tree plan, CSF/ALTO structures — all pattern-only); the
+  // reuse arms below pass it to hooi so no per-call rebuild pollutes the
+  // numbers.
+  const core::TtmcPlan plan = core::TtmcPlan::build(x);
+  const core::SymbolicTtmc& symbolic = plan.symbolic;
+  const double sym_s = plan.build_seconds;
 
   core::HooiOptions options;
   options.ranks = ranks;
   options.max_iterations = htb::bench_iters();
   options.fit_tolerance = 0.0;
   WallTimer t_iters;
-  const auto run = core::hooi(x, options, symbolic, &tree);
+  const auto run = core::hooi(x, options, plan);
   const double per_iter = t_iters.seconds() / run.iterations;
   std::printf("symbolic build: %.3fs; numeric iteration: %.3fs "
               "(symbolic pays for itself after %.1f iterations)\n",
@@ -1034,7 +1030,7 @@ int main(int argc, char** argv) {
     core::HooiOptions o = options;
     o.ranks.assign(x.order(), r);
     o.max_iterations = 2;
-    (void)core::hooi(x, o, symbolic, &tree);
+    (void)core::hooi(x, o, plan);
   }
   const double reuse_s = t_reuse.seconds();
   WallTimer t_rebuild;
@@ -1042,7 +1038,7 @@ int main(int argc, char** argv) {
     core::HooiOptions o = options;
     o.ranks.assign(x.order(), r);
     o.max_iterations = 2;
-    (void)core::hooi(x, o);  // rebuilds symbolic internally
+    (void)core::hooi(x, o);  // rebuilds the plan internally
   }
   const double rebuild_s = t_rebuild.seconds();
   std::printf("3 rank sweeps: reuse %.2fs vs rebuild %.2fs (%.2fx)\n\n",
@@ -1059,7 +1055,7 @@ int main(int argc, char** argv) {
   {
     core::HooiOptions o = options;
     o.max_iterations = 1;
-    factors = core::hooi(x, o, symbolic, &tree).decomposition.factors;
+    factors = core::hooi(x, o, plan).decomposition.factors;
   }
   for (const auto schedule :
        {core::Schedule::kDynamic, core::Schedule::kStatic}) {

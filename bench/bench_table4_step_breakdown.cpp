@@ -15,7 +15,6 @@
 #include <cstring>
 
 #include "bench_common.hpp"
-#include "core/symbolic.hpp"
 #include "dist/dist_hooi.hpp"
 
 int main(int argc, char** argv) {
@@ -69,16 +68,10 @@ int main(int argc, char** argv) {
     const auto rplans =
         dist::build_rank_plans(bt.tensor, gplan, options.ranks, options.seed);
 
-    // Symbolic cost: the slowest rank's symbolic pass over its local tensor
-    // (performed once, before the iterations).
-    double symbolic_max = 0.0;
-    for (const auto& rp : rplans) {
-      WallTimer t;
-      const auto sym = core::SymbolicTtmc::build(rp.local);
-      symbolic_max = std::max(symbolic_max, t.seconds());
-    }
-
     const auto result = dist::dist_hooi(bt.tensor, options, gplan, rplans);
+    // Symbolic cost: the slowest rank's TTMc plan build over its local
+    // tensor (performed once, before the iterations).
+    const double symbolic_max = result.timers.symbolic;
     const double iter_total = result.timers.iteration_total();
     row_ttmc.push_back(fmt_fixed(100.0 * result.timers.ttmc / iter_total, 1));
     row_trsvd.push_back(

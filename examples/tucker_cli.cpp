@@ -19,7 +19,7 @@
 //   ./tucker_cli --version
 //
 // With --sweep, the ranks argument is treated as the *maximum* per mode and
-// HOOI is run for a ladder of candidate ranks (reusing one symbolic TTMc),
+// HOOI is run for a ladder of candidate ranks (reusing one TTMc plan),
 // reporting the fit of each — the rank-selection workflow from the paper
 // (--save-model then stores the sweep's best model).
 //
@@ -43,7 +43,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,6 +52,7 @@
 #include "core/rank_sweep.hpp"
 #include "core/split.hpp"
 #include "core/tucker_model.hpp"
+#include "parallel/thread_info.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "storage/bundle.hpp"
@@ -334,31 +334,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--ttmc-kernel") {
       const std::string v = next();
       if (v == "auto") {
-        options.ttmc_kernel = ht::core::TtmcKernel::kAuto;
+        options.ttmc.kernel = ht::core::TtmcKernel::kAuto;
       } else if (v == "nnz") {
-        options.ttmc_kernel = ht::core::TtmcKernel::kPerNnz;
+        options.ttmc.kernel = ht::core::TtmcKernel::kPerNnz;
       } else if (v == "fiber") {
-        options.ttmc_kernel = ht::core::TtmcKernel::kFiberFactored;
+        options.ttmc.kernel = ht::core::TtmcKernel::kFiberFactored;
       } else if (v == "csf") {
-        options.ttmc_kernel = ht::core::TtmcKernel::kCsf;
+        options.ttmc.kernel = ht::core::TtmcKernel::kCsf;
       } else if (v == "alto") {
-        options.ttmc_kernel = ht::core::TtmcKernel::kAlto;
+        options.ttmc.kernel = ht::core::TtmcKernel::kAlto;
       } else {
         return usage();
       }
     } else if (arg == "--structure-budget") {
-      options.ttmc_structure_budget = std::atof(next());
-      if (options.ttmc_structure_budget < 0) return usage();
+      options.ttmc.structure_budget_bytes = std::atof(next());
+      if (options.ttmc.structure_budget_bytes < 0) return usage();
     } else if (arg == "--fiber-threshold") {
-      options.ttmc_fiber_threshold = std::atof(next());
+      options.ttmc.fiber_threshold = std::atof(next());
     } else if (arg == "--ttmc-strategy") {
       const std::string v = next();
       if (v == "auto") {
-        options.ttmc_strategy = ht::core::TtmcStrategy::kAuto;
+        options.ttmc.strategy = ht::core::TtmcStrategy::kAuto;
       } else if (v == "direct") {
-        options.ttmc_strategy = ht::core::TtmcStrategy::kDirect;
+        options.ttmc.strategy = ht::core::TtmcStrategy::kDirect;
       } else if (v == "tree") {
-        options.ttmc_strategy = ht::core::TtmcStrategy::kTree;
+        options.ttmc.strategy = ht::core::TtmcStrategy::kTree;
       } else {
         return usage();
       }
@@ -431,7 +431,7 @@ int main(int argc, char** argv) {
                             save_model_path);
     }
     if (sweep) {
-      // Ladder of candidates up to the requested maximum, shared symbolic.
+      // Ladder of candidates up to the requested maximum, shared plan.
       std::vector<std::vector<ht::tensor::index_t>> candidates;
       for (double frac : {0.25, 0.5, 0.75, 1.0}) {
         std::vector<ht::tensor::index_t> r;
@@ -454,7 +454,7 @@ int main(int argc, char** argv) {
         table.add_row({rs, ht::fmt_fixed(e.fit, 5), std::to_string(e.iterations),
                        ht::fmt_time_s(e.seconds)});
       }
-      std::printf("%s(symbolic built once: %.3fs)\n",
+      std::printf("%s(TTMc plan built once: %.3fs)\n",
                   table.to_string().c_str(), sweep_result.symbolic_seconds);
       if (!save_model_path.empty() && sweep_result.best_model) {
         ht::storage::save_bundle(*sweep_result.best_model, save_model_path);
@@ -464,53 +464,24 @@ int main(int argc, char** argv) {
     }
 
     options.ranks = max_ranks;
-    ht::core::HooiResult result;
-    std::shared_ptr<const ht::tensor::CsfTensor> csf;
-    std::shared_ptr<const ht::tensor::AltoTensor> alto;
-    if (save_model_path.empty()) {
-      result = ht::core::hooi(x, options);
-    } else {
-      // Saving a model: run the preprocessing here (the same structures
-      // hooi would build internally) so the CSF trees / ALTO arrays can
-      // ride along in the bundle instead of being discarded with the
-      // solver state.
-      const bool with_fibers =
-          options.ttmc_kernel == ht::core::TtmcKernel::kAuto ||
-          options.ttmc_kernel == ht::core::TtmcKernel::kFiberFactored;
-      const auto symbolic = ht::core::SymbolicTtmc::build(x, with_fibers);
-      std::optional<ht::core::DimTreePlan> tree;
-      if (options.ttmc_strategy != ht::core::TtmcStrategy::kDirect &&
-          x.order() >= 2) {
-        tree.emplace(ht::core::DimTreePlan::build(x));
-      }
-      const ht::core::TtmcOptions ttmc_options{
-          options.ttmc_schedule, options.ttmc_kernel,
-          options.ttmc_fiber_threshold, options.ttmc_strategy,
-          options.ttmc_structure_budget};
-      if (ht::core::ttmc_wants_csf(symbolic, ttmc_options)) {
-        csf = std::make_shared<ht::tensor::CsfTensor>(
-            ht::tensor::CsfTensor::build(x));
-      }
-      if (ht::core::ttmc_wants_alto(symbolic, x.shape(), ttmc_options)) {
-        alto = std::make_shared<ht::tensor::AltoTensor>(
-            ht::tensor::AltoTensor::build(x));
-      }
-      result = ht::core::hooi(x, options, symbolic,
-                              tree ? &*tree : nullptr, csf.get(), alto.get());
-    }
+    // Build the preprocessing here rather than inside hooi so its CSF trees
+    // / ALTO arrays can ride along into a saved bundle.
+    ht::parallel::ThreadScope threads(options.num_threads);
+    const auto plan = ht::core::TtmcPlan::build(x, options.ttmc);
+    ht::core::HooiResult result = ht::core::hooi(x, options, plan);
     std::printf("fit %.6f after %d sweeps (converged=%s)\n",
                 result.final_fit(), result.iterations,
                 result.converged ? "yes" : "no");
     std::printf("timers: symbolic %.3fs ttmc %.3fs trsvd %.3fs core %.3fs\n",
-                result.timers.symbolic, result.timers.ttmc,
-                result.timers.trsvd, result.timers.core);
+                plan.build_seconds, result.timers.ttmc, result.timers.trsvd,
+                result.timers.core);
     if (!export_prefix.empty()) {
       export_factors(result.decomposition, export_prefix);
     }
     if (!save_model_path.empty()) {
       auto model = ht::core::TuckerModel::from_hooi(x, std::move(result));
-      model.csf = std::move(csf);
-      model.alto = std::move(alto);
+      model.csf = plan.csf;
+      model.alto = plan.alto;
       ht::storage::save_bundle(model, save_model_path);
       std::printf("saved model to %s\n", save_model_path.c_str());
     }

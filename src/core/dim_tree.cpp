@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/ttmc_plan.hpp"
 #include "util/error.hpp"
 
 namespace ht::core {
@@ -215,31 +216,26 @@ double direct_mode_cost(const ModeSymbolic& sym, std::size_t order,
 
 }  // namespace
 
-TtmcScheduler::TtmcScheduler(const CooTensor& x, const SymbolicTtmc& symbolic,
-                             const DimTreePlan* tree,
-                             std::span<const index_t> ranks,
-                             const TtmcOptions& options,
-                             const tensor::CsfTensor* csf,
-                             const tensor::AltoTensor* alto)
+TtmcScheduler::TtmcScheduler(const CooTensor& x, const TtmcPlan& plan,
+                             std::span<const index_t> ranks)
     : x_(&x),
-      symbolic_(&symbolic),
-      tree_(tree),
-      csf_(csf),
-      alto_(alto),
-      ranks_(ranks.begin(), ranks.end()),
-      options_(options) {
+      plan_(&plan),
+      tree_(plan.tree ? &*plan.tree : nullptr),
+      ranks_(ranks.begin(), ranks.end()) {
   const std::size_t order = x.order();
-  HT_CHECK_MSG(symbolic.modes.size() == order,
-               "symbolic structure does not match tensor");
+  HT_CHECK_MSG(plan.symbolic.modes.size() == order &&
+                   (order == 0 ||
+                    plan.symbolic.modes[0].nnz_order.size() == x.nnz()),
+               "TTMc plan was built for another tensor");
   HT_CHECK_MSG(ranks_.size() == order, "need one rank per mode");
-  HT_CHECK_MSG(csf_ == nullptr || csf_->order() == order,
+  HT_CHECK_MSG(plan.csf == nullptr || plan.csf->order() == order,
                "CSF trees built for another tensor order");
-  HT_CHECK_MSG(alto_ == nullptr || alto_->shape == x.shape(),
+  HT_CHECK_MSG(plan.alto == nullptr || plan.alto->shape == x.shape(),
                "ALTO structure built for another shape");
   if (tree_ != nullptr) {
     HT_CHECK_MSG(tree_->order() == order, "tree plan built for another order");
     for (std::size_t n = 0; n < order; ++n) {
-      HT_CHECK_MSG(tree_->serve_rows(n) == symbolic.modes[n].num_rows(),
+      HT_CHECK_MSG(tree_->serve_rows(n) == plan.symbolic.modes[n].num_rows(),
                    "tree plan row count disagrees with symbolic for mode "
                        << n);
     }
@@ -248,24 +244,26 @@ TtmcScheduler::TtmcScheduler(const CooTensor& x, const SymbolicTtmc& symbolic,
 }
 
 void TtmcScheduler::select_strategies() {
-  const std::size_t order = symbolic_->modes.size();
+  const std::size_t order = plan_->symbolic.modes.size();
+  const TtmcOptions& options = plan_->options;
   selected_.assign(order, TtmcStrategy::kDirect);
   direct_cost_.assign(order, 0.0);
   serve_cost_.assign(order, 0.0);
   for (std::size_t n = 0; n < order; ++n) {
-    direct_cost_[n] = direct_mode_cost(symbolic_->modes[n], order, n, ranks_,
-                                       options_, csf_tree(n), alto_);
+    direct_cost_[n] =
+        direct_mode_cost(plan_->symbolic.modes[n], order, n, ranks_, options,
+                         plan_->csf_tree(n), plan_->alto.get());
   }
   if (tree_ == nullptr) {
-    HT_CHECK_MSG(options_.strategy != TtmcStrategy::kTree,
+    HT_CHECK_MSG(options.strategy != TtmcStrategy::kTree,
                  "TtmcStrategy::kTree requires a DimTreePlan");
     return;
   }
   for (std::size_t n = 0; n < order; ++n) {
     serve_cost_[n] = tree_->serve_cost(n, ranks_);
   }
-  if (options_.strategy == TtmcStrategy::kDirect) return;
-  if (options_.strategy == TtmcStrategy::kTree) {
+  if (options.strategy == TtmcStrategy::kDirect) return;
+  if (options.strategy == TtmcStrategy::kTree) {
     selected_.assign(order, TtmcStrategy::kTree);
     return;
   }
@@ -324,7 +322,7 @@ void TtmcScheduler::refresh_partial(std::size_t side,
     }
   }
 
-  const bool dyn = options_.schedule == Schedule::kDynamic;
+  const bool dyn = plan_->options.schedule == Schedule::kDynamic;
   std::size_t in_block = 1;
   const std::vector<double>* cur = &leaf;
   bool gathered = true;
@@ -355,7 +353,7 @@ void TtmcScheduler::serve(const std::vector<la::Matrix>& factors,
   if (!partial_[side].valid) refresh_partial(side, factors);
   const Partial& p = partial_[side];
 
-  const bool dyn = options_.schedule == Schedule::kDynamic;
+  const bool dyn = plan_->options.schedule == Schedule::kDynamic;
   const std::size_t width = ttmc_row_width(factors, mode);
   const std::size_t rows =
       positions != nullptr ? npos : tree_->serve_rows(mode);
@@ -415,8 +413,8 @@ void TtmcScheduler::compute(const std::vector<la::Matrix>& factors,
   if (selected_[mode] == TtmcStrategy::kTree) {
     serve(factors, mode, nullptr, 0, y);
   } else {
-    ttmc_mode(*x_, factors, mode, symbolic_->modes[mode], y, options_,
-              csf_tree(mode), alto_);
+    ttmc_mode(*x_, factors, mode, plan_->symbolic.modes[mode], y,
+              plan_->options, plan_->csf_tree(mode), plan_->alto.get());
   }
   // The caller updates factors[mode] next (HOOI's contract): the partial
   // contracted over mode's own group goes stale. Conservative for callers
@@ -433,8 +431,9 @@ void TtmcScheduler::compute_subset(const std::vector<la::Matrix>& factors,
   if (selected_[mode] == TtmcStrategy::kTree) {
     serve(factors, mode, positions.data(), positions.size(), y);
   } else {
-    ttmc_mode_subset(*x_, factors, mode, symbolic_->modes[mode], positions, y,
-                     options_, csf_tree(mode), alto_);
+    ttmc_mode_subset(*x_, factors, mode, plan_->symbolic.modes[mode],
+                     positions, y, plan_->options, plan_->csf_tree(mode),
+                     plan_->alto.get());
   }
   if (tree_ != nullptr) {
     partial_[tree_->in_left(mode) ? 0 : 1].valid = false;

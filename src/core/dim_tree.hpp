@@ -53,6 +53,8 @@
 
 namespace ht::core {
 
+struct TtmcPlan;
+
 /// Symbolic dimension-tree plan for one tensor. Immutable after build();
 /// shared by any number of concurrent TtmcScheduler instances.
 class DimTreePlan {
@@ -123,18 +125,12 @@ class DimTreePlan {
 /// factors outside this pattern must call invalidate().
 class TtmcScheduler {
  public:
-  /// `tree` may be null: every mode is then evaluated directly. `csf` and
-  /// `alto` may be null: the direct path then never uses the CSF (resp.
-  /// ALTO) kernel (callers that want them — hooi, rank_sweep, dist_hooi —
-  /// consult ttmc_wants_csf/ttmc_wants_alto and build the structure up
-  /// front so its cost lands in the symbolic timers and is reused across
-  /// runs). `symbolic`, `tree`, `csf`, `alto`, and `x` must outlive the
+  /// Runs TTMc over `plan`'s structures with `plan.options`: modes resolve
+  /// to tree serving only when the plan holds a DimTreePlan. `x` must be
+  /// the tensor the plan was built from; `x` and `plan` must outlive the
   /// scheduler.
-  TtmcScheduler(const CooTensor& x, const SymbolicTtmc& symbolic,
-                const DimTreePlan* tree, std::span<const index_t> ranks,
-                const TtmcOptions& options,
-                const tensor::CsfTensor* csf = nullptr,
-                const tensor::AltoTensor* alto = nullptr);
+  TtmcScheduler(const CooTensor& x, const TtmcPlan& plan,
+                std::span<const index_t> ranks);
 
   /// Strategy the cost model (or an explicit request) resolved for a mode.
   [[nodiscard]] TtmcStrategy selected(std::size_t mode) const {
@@ -180,17 +176,10 @@ class TtmcScheduler {
              const std::uint32_t* positions, std::size_t npos, la::Matrix& y);
   void select_strategies();
 
-  [[nodiscard]] const tensor::CsfTree* csf_tree(std::size_t mode) const {
-    return csf_ == nullptr ? nullptr : &csf_->modes[mode];
-  }
-
   const CooTensor* x_;
-  const SymbolicTtmc* symbolic_;
-  const DimTreePlan* tree_;
-  const tensor::CsfTensor* csf_ = nullptr;
-  const tensor::AltoTensor* alto_ = nullptr;
+  const TtmcPlan* plan_;
+  const DimTreePlan* tree_;  // plan_->tree, or null
   std::vector<index_t> ranks_;
-  TtmcOptions options_;
   std::vector<TtmcStrategy> selected_;
   std::vector<double> direct_cost_;
   std::vector<double> serve_cost_;

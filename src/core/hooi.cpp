@@ -1,7 +1,6 @@
 #include "core/hooi.hpp"
 
 #include <cmath>
-#include <optional>
 
 #include "core/hosvd.hpp"
 #include "la/blas.hpp"
@@ -29,53 +28,18 @@ void validate_hooi_options(const CooTensor& x, const HooiOptions& options) {
 HooiResult hooi(const CooTensor& x, const HooiOptions& options) {
   validate_hooi_options(x, options);
   parallel::ThreadScope threads(options.num_threads);
-
-  WallTimer timer;
-  // Only kAuto and an explicit fiber request consult the fiber index; skip
-  // the per-row sorts it would cost otherwise (kCsf walks its own trees).
-  const bool with_fibers = options.ttmc_kernel == TtmcKernel::kAuto ||
-                           options.ttmc_kernel == TtmcKernel::kFiberFactored;
-  const SymbolicTtmc symbolic = SymbolicTtmc::build(x, with_fibers);
-  const double symbolic_seconds = timer.seconds();
-
-  HooiResult result = hooi(x, options, symbolic);
-  result.timers.symbolic += symbolic_seconds;
+  const TtmcPlan plan = TtmcPlan::build(x, options.ttmc);
+  HooiResult result = hooi(x, options, plan);
+  result.timers.symbolic = plan.build_seconds;
   return result;
 }
 
 HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic) {
+                const TtmcPlan& plan) {
   validate_hooi_options(x, options);
-  if (options.ttmc_strategy == TtmcStrategy::kDirect || x.order() < 2) {
-    return hooi(x, options, symbolic, nullptr);
+  if (plan.options != options.ttmc) {
+    throw InvalidArgument("TTMc plan was built for other TTMc options");
   }
-  WallTimer timer;
-  const DimTreePlan tree = DimTreePlan::build(x);
-  const double tree_seconds = timer.seconds();
-  HooiResult result = hooi(x, options, symbolic, &tree);
-  // Plan construction is preprocessing, like the symbolic pass: paid once,
-  // amortized over iterations (and sweeps, when the caller reuses it).
-  result.timers.symbolic += tree_seconds;
-  return result;
-}
-
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree) {
-  return hooi(x, options, symbolic, tree, nullptr);
-}
-
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree,
-                const tensor::CsfTensor* csf) {
-  return hooi(x, options, symbolic, tree, csf, nullptr);
-}
-
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree,
-                const tensor::CsfTensor* csf, const tensor::AltoTensor* alto) {
-  validate_hooi_options(x, options);
-  HT_CHECK_MSG(symbolic.modes.size() == x.order(),
-               "symbolic structure does not match tensor");
   parallel::ThreadScope threads(options.num_threads);
 
   const std::size_t order = x.order();
@@ -87,32 +51,7 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
           : randomized_range_factors(x, options.ranks, options.seed);
 
   const double x_norm2 = x.norm2_squared();
-  const TtmcOptions ttmc_options{options.ttmc_schedule, options.ttmc_kernel,
-                                 options.ttmc_fiber_threshold,
-                                 options.ttmc_strategy,
-                                 options.ttmc_structure_budget};
-
-  // CSF trees are preprocessing like the symbolic pass and the tree plan:
-  // pattern-only, built once, reused across iterations (and, when the
-  // caller passes them in, across runs and rank grids).
-  std::optional<tensor::CsfTensor> owned_csf;
-  if (csf == nullptr && ttmc_wants_csf(symbolic, ttmc_options)) {
-    WallTimer t_csf;
-    owned_csf.emplace(tensor::CsfTensor::build(x));
-    csf = &*owned_csf;
-    result.timers.symbolic += t_csf.seconds();
-  }
-  // Same contract for the linearized structure: one sorted key array serves
-  // every mode, so its (sort-dominated) build cost amortizes identically.
-  std::optional<tensor::AltoTensor> owned_alto;
-  if (alto == nullptr && ttmc_wants_alto(symbolic, x.shape(), ttmc_options)) {
-    WallTimer t_alto;
-    owned_alto.emplace(tensor::AltoTensor::build(x));
-    alto = &*owned_alto;
-    result.timers.symbolic += t_alto.seconds();
-  }
-  TtmcScheduler scheduler(x, symbolic, tree, options.ranks, ttmc_options,
-                          csf, alto);
+  TtmcScheduler scheduler(x, plan, options.ranks);
 
   la::Matrix y;  // compact Y(n), reused across modes/iterations
   la::Matrix last_compact_u;
@@ -126,8 +65,8 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
 
       WallTimer t_trsvd;
       FactorTrsvd svd =
-          trsvd_factor(y, symbolic.modes[n].rows, x.dim(n), options.ranks[n],
-                       options.trsvd_method, options.trsvd);
+          trsvd_factor(y, plan.symbolic.modes[n].rows, x.dim(n),
+                       options.ranks[n], options.trsvd_method, options.trsvd);
       result.timers.trsvd += t_trsvd.seconds();
 
       factors[n] = std::move(svd.factor);

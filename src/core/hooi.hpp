@@ -1,6 +1,7 @@
 // Shared-memory parallel HOOI (paper Algorithm 3).
 //
-// Symbolic TTMc runs once; each ALS sweep then performs, per mode,
+// TTMc preprocessing (core::TtmcPlan) runs once; each ALS sweep then
+// performs, per mode,
 //   (i)  numeric TTMc into the compact Y(n)            [lock-free parfor]
 //   (ii) TRSVD of Y(n) -> U_n                          [matrix-free Lanczos]
 // and forms the core G = Y x_N U_N^T after the last mode (one GEMM, since
@@ -11,10 +12,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/dim_tree.hpp"
-#include "core/symbolic.hpp"
 #include "core/trsvd.hpp"
-#include "core/ttmc.hpp"
+#include "core/ttmc_plan.hpp"
 #include "core/tucker.hpp"
 #include "tensor/coo_tensor.hpp"
 
@@ -33,18 +32,9 @@ struct HooiOptions {
   /// model to each mode's compact problem (block-size/oversample/power
   /// knobs live in `trsvd` below).
   TrsvdMethod trsvd_method = TrsvdMethod::kLanczos;
-  Schedule ttmc_schedule = Schedule::kDynamic;
-  /// Kernel family per TTMc mode; kAuto applies the fiber-length heuristic.
-  TtmcKernel ttmc_kernel = TtmcKernel::kAuto;
-  /// Average-fiber-length threshold used by TtmcKernel::kAuto.
-  double ttmc_fiber_threshold = TtmcOptions{}.fiber_threshold;
-  /// Cross-mode evaluation strategy: direct kernels per mode, dimension-tree
-  /// serving from shared partials, or the per-mode flop model (kAuto).
-  TtmcStrategy ttmc_strategy = TtmcStrategy::kAuto;
-  /// Soft memory budget (bytes) for per-kernel index structures under
-  /// kAuto: when the CSF forest estimate exceeds it but the single ALTO
-  /// array fits, kAuto builds ALTO instead. 0 = unlimited (no trade).
-  double ttmc_structure_budget = 0.0;
+  /// TTMc kernel family, cross-mode strategy, schedule and structure budget
+  /// (TtmcOptions documents each; docs/TUNING.md their kAuto rules).
+  TtmcOptions ttmc;
   /// OpenMP threads (0 = runtime default). Paper Table V sweeps this.
   int num_threads = 0;
   std::uint64_t seed = 42;
@@ -75,40 +65,17 @@ struct HooiResult {
   }
 };
 
-/// Run HOOI; builds the symbolic structure internally.
+/// Run HOOI; builds the TTMc plan for options.ttmc internally (its build
+/// time lands in timers.symbolic).
 HooiResult hooi(const CooTensor& x, const HooiOptions& options);
 
-/// Run HOOI reusing a prebuilt symbolic structure (the paper reuses it
-/// across runs with different ranks); builds a dimension-tree plan
-/// internally unless options.ttmc_strategy is kDirect.
+/// Run HOOI over a prebuilt plan (the paper reuses the symbolic structure
+/// across runs with different ranks; rank_sweep shares one plan across its
+/// grid). `plan` must be built from `x` with options.ttmc; a plan for other
+/// TTMc options throws ht::InvalidArgument. timers.symbolic stays 0: the
+/// caller paid the build.
 HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic);
-
-/// Run HOOI reusing both a prebuilt symbolic structure and a prebuilt
-/// dimension-tree plan (nullable: no tree => every mode evaluated
-/// directly). rank_sweep shares one plan across its whole rank grid.
-/// Builds CSF trees internally when ttmc_wants_csf says the kernel options
-/// ask for them (time charged to timers.symbolic).
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree);
-
-/// Fully preprocessed variant: additionally reuses prebuilt CSF trees
-/// (nullable: the direct TTMc path then uses the flat-index kernels, or
-/// builds nothing if none are wanted). rank_sweep builds the trees once for
-/// its whole grid; every structure is pattern-only and rank-independent.
-/// Builds an ALTO structure internally when ttmc_wants_alto says the
-/// kernel options ask for one (time charged to timers.symbolic).
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree,
-                const tensor::CsfTensor* csf);
-
-/// Fully preprocessed variant with a prebuilt ALTO structure as well
-/// (nullable: the direct TTMc path then never uses the kAlto kernel).
-/// Unlike the CSF trees, ALTO carries its own value array, so a prebuilt
-/// one must have values attached.
-HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const SymbolicTtmc& symbolic, const DimTreePlan* tree,
-                const tensor::CsfTensor* csf, const tensor::AltoTensor* alto);
+                const TtmcPlan& plan);
 
 /// Validate options against the tensor; throws ht::InvalidArgument.
 void validate_hooi_options(const CooTensor& x, const HooiOptions& options);

@@ -16,8 +16,8 @@
 namespace ht::core {
 
 /// HOOI with TTM-chain (materialized) TTMc. Same options/result contract as
-/// hooi(); ttmc_schedule/kernel/strategy are ignored (the chain
-/// parallelizes per merge group).
+/// hooi(); options.ttmc is ignored (the chain parallelizes per merge
+/// group).
 HooiResult hooi_met_baseline(const CooTensor& x, const HooiOptions& options);
 
 }  // namespace ht::core

@@ -1,8 +1,6 @@
 #include "core/rank_sweep.hpp"
 
-#include <memory>
 #include <numeric>
-#include <optional>
 
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -36,40 +34,17 @@ RankSweepResult rank_sweep(const CooTensor& x,
   HT_CHECK_MSG(!candidates.empty(), "need at least one rank candidate");
 
   RankSweepResult result;
-  WallTimer t_sym;
-  const bool with_fibers = base.ttmc_kernel == TtmcKernel::kAuto ||
-                           base.ttmc_kernel == TtmcKernel::kFiberFactored;
-  const SymbolicTtmc symbolic = SymbolicTtmc::build(x, with_fibers);
-  // The dimension-tree plan is symbolic too (it depends on the nonzero
-  // pattern only, not the ranks): one plan serves the whole rank grid.
-  std::optional<DimTreePlan> tree;
-  if (base.ttmc_strategy != TtmcStrategy::kDirect && x.order() >= 2) {
-    tree.emplace(DimTreePlan::build(x));
-  }
-  // CSF trees are pattern-only as well: one build serves every rank choice.
-  const TtmcOptions ttmc_options{base.ttmc_schedule, base.ttmc_kernel,
-                                 base.ttmc_fiber_threshold,
-                                 base.ttmc_strategy,
-                                 base.ttmc_structure_budget};
-  std::optional<tensor::CsfTensor> csf;
-  if (ttmc_wants_csf(symbolic, ttmc_options)) {
-    csf.emplace(tensor::CsfTensor::build(x));
-  }
-  // Likewise the ALTO structure: the key sort is rank-independent.
-  std::optional<tensor::AltoTensor> alto;
-  if (ttmc_wants_alto(symbolic, x.shape(), ttmc_options)) {
-    alto.emplace(tensor::AltoTensor::build(x));
-  }
-  result.symbolic_seconds = t_sym.seconds();
+  // Every preprocessing structure is pattern-only and rank-independent:
+  // one plan serves the whole rank grid.
+  const TtmcPlan plan = TtmcPlan::build(x, base.ttmc);
+  result.symbolic_seconds = plan.build_seconds;
 
   double best_fit = -1.0;
   for (const auto& ranks : candidates) {
     HooiOptions options = base;
     options.ranks = ranks;
     WallTimer t;
-    HooiResult run = hooi(x, options, symbolic,
-                          tree ? &*tree : nullptr, csf ? &*csf : nullptr,
-                          alto ? &*alto : nullptr);
+    HooiResult run = hooi(x, options, plan);
     RankSweepEntry entry;
     entry.ranks = ranks;
     entry.fit = run.final_fit();
@@ -81,18 +56,12 @@ RankSweepResult rank_sweep(const CooTensor& x,
     }
     result.entries.push_back(std::move(entry));
   }
-  // The sweep's CSF trees are pattern-only and rank-independent, so the
-  // winning model can carry them into a bundle: a serve/restart process
-  // then runs kCsf TTMc without re-sorting the tensor.
-  if (result.best_model && csf) {
-    result.best_model->csf =
-        std::make_shared<tensor::CsfTensor>(std::move(*csf));
-  }
-  // Same for the ALTO structure — it carries its own sorted value array,
-  // so a serve process can run kAlto TTMc straight from the bundle.
-  if (result.best_model && alto) {
-    result.best_model->alto =
-        std::make_shared<tensor::AltoTensor>(std::move(*alto));
+  // The winning model carries the plan's CSF trees / ALTO structure into a
+  // bundle: a serve/restart process then runs kCsf or kAlto TTMc without
+  // re-sorting the tensor.
+  if (result.best_model) {
+    result.best_model->csf = plan.csf;
+    result.best_model->alto = plan.alto;
   }
   return result;
 }

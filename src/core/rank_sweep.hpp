@@ -23,7 +23,7 @@ struct RankSweepEntry {
 
 struct RankSweepResult {
   std::vector<RankSweepEntry> entries;
-  /// Seconds spent building the shared symbolic structure (paid once).
+  /// Seconds spent building the shared TTMc plan (paid once).
   double symbolic_seconds = 0.0;
   /// The best-fit run packaged as a first-class model (provenance stamped,
   /// shared CSF trees / ALTO structure attached when the sweep built them),
@@ -36,7 +36,7 @@ struct RankSweepResult {
   [[nodiscard]] const RankSweepEntry& pick(double fit_fraction = 0.95) const;
 };
 
-/// Run HOOI for every candidate rank vector, reusing one symbolic TTMc.
+/// Run HOOI for every candidate rank vector, reusing one TtmcPlan.
 /// `base` supplies everything except the ranks.
 RankSweepResult rank_sweep(const CooTensor& x,
                            const std::vector<std::vector<index_t>>& candidates,

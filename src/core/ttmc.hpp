@@ -90,6 +90,8 @@ struct TtmcOptions {
   /// serve/out-of-core regime where N trees may not fit at all. Explicit
   /// kernel requests are honored regardless of the budget.
   double structure_budget_bytes = 0.0;
+
+  bool operator==(const TtmcOptions&) const = default;
 };
 
 /// The kernel kAuto (or an explicit request) resolves to for this mode,
@@ -106,9 +108,8 @@ TtmcKernel ttmc_selected_kernel(const ModeSymbolic& sym, std::size_t order,
 /// kernel (any 3/4-mode with avg fiber length past the threshold, or order
 /// >= 5 where CSF is the only factored family) — unless the forest's
 /// estimated footprint blows TtmcOptions::structure_budget_bytes, in which
-/// case ttmc_wants_alto takes over. Callers that own the preprocessing
-/// (hooi, rank_sweep, dist_hooi) use this to decide whether building a
-/// tensor::CsfTensor will pay for itself.
+/// case ttmc_wants_alto takes over. TtmcPlan::build uses this to decide
+/// whether building a tensor::CsfTensor will pay for itself.
 bool ttmc_wants_csf(const SymbolicTtmc& symbolic, const TtmcOptions& options);
 
 /// Whether the options ask for an ALTO structure: an explicit kAlto

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <utility>
 
-#include "core/dim_tree.hpp"
-#include "core/symbolic.hpp"
 #include "core/trsvd.hpp"
-#include "core/ttmc.hpp"
+#include "core/ttmc_plan.hpp"
 #include "core/tucker_model.hpp"
 #include "la/blas.hpp"
 #include "storage/bundle.hpp"
@@ -425,10 +422,6 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
   }
 
   const double x_norm2 = x.norm2_squared();
-  const core::TtmcOptions ttmc_options{
-      options.ttmc_schedule, options.ttmc_kernel,
-      options.ttmc_fiber_threshold, options.ttmc_strategy,
-      options.ttmc_structure_budget};
   const tensor::Shape core_shape(options.ranks.begin(), options.ranks.end());
 
   smp::run_spmd(p, [&](smp::Communicator& comm) {
@@ -436,38 +429,11 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     const RankPlan& rp = rplans[static_cast<std::size_t>(rank)];
     parallel::ThreadScope threads(options.threads_per_rank);
 
-    WallTimer t_symbolic;
-    const bool with_fibers =
-        options.ttmc_kernel == core::TtmcKernel::kAuto ||
-        options.ttmc_kernel == core::TtmcKernel::kFiberFactored;
-    const core::SymbolicTtmc symbolic =
-        core::SymbolicTtmc::build(rp.local, with_fibers);
-    // Each rank plans its dimension tree over its own local tensor: the
-    // merge structure of local nonzeros has nothing to do with the other
-    // ranks', and the cost model resolves kAuto per rank.
-    std::optional<core::DimTreePlan> tree;
-    if (options.ttmc_strategy != core::TtmcStrategy::kDirect &&
-        rp.local.order() >= 2) {
-      tree.emplace(core::DimTreePlan::build(rp.local));
-    }
-    // CSF trees over the rank-local tensor, when the kernel options want
-    // them: the coarse grain then serves its owned rows through the CSF
-    // subset path, the fine grain its local partial rows. Preprocessing,
-    // like the symbolic pass — reused across all iterations.
-    std::optional<tensor::CsfTensor> csf;
-    if (core::ttmc_wants_csf(symbolic, ttmc_options) &&
-        rp.local.nnz() > 0) {
-      csf.emplace(tensor::CsfTensor::build(rp.local));
-    }
-    // ALTO over the rank-local tensor under the same contract: one sorted
-    // key/value array per rank serves every mode of its local TTMc.
-    std::optional<tensor::AltoTensor> alto;
-    if (core::ttmc_wants_alto(symbolic, rp.local.shape(), ttmc_options) &&
-        rp.local.nnz() > 0) {
-      alto.emplace(tensor::AltoTensor::build(rp.local));
-    }
+    // Each rank preprocesses its own local tensor: kAuto resolves the
+    // kernel, the structures to build, and the dimension tree per rank.
+    const core::TtmcPlan plan = core::TtmcPlan::build(rp.local, options.ttmc);
     core::HooiTimers timers;
-    timers.symbolic = t_symbolic.seconds();
+    timers.symbolic = plan.build_seconds;
 
     // Positions of owned rows inside the local row set (== local compact Y
     // rows: every local row is non-empty by construction), plus the
@@ -478,7 +444,8 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     std::vector<std::vector<std::uint32_t>> owned_pos(order);
     std::vector<std::vector<std::uint32_t>> op_owned_pos(order);
     for (std::size_t n = 0; n < order; ++n) {
-      HT_CHECK(symbolic.modes[n].rows.size() == rp.modes[n].local_rows.size());
+      HT_CHECK(plan.symbolic.modes[n].rows.size() ==
+               rp.modes[n].local_rows.size());
       owned_pos[n].reserve(rp.modes[n].owned_rows.size());
       for (index_t g : rp.modes[n].owned_rows) {
         owned_pos[n].push_back(local_row_position(rp.modes[n].local_rows, g));
@@ -491,10 +458,7 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
       }
     }
 
-    core::TtmcScheduler scheduler(rp.local, symbolic,
-                                  tree ? &*tree : nullptr, options.ranks,
-                                  ttmc_options, csf ? &*csf : nullptr,
-                                  alto ? &*alto : nullptr);
+    core::TtmcScheduler scheduler(rp.local, plan, options.ranks);
 
     std::vector<la::Matrix> factors = rp.initial_factors;  // local slices
     // Warm restart: adopt this rank's factor slices from a previous run's

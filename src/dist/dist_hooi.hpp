@@ -48,24 +48,13 @@ struct DistHooiOptions {
   /// models the paper's hybrid MPI+OpenMP configurations.
   int threads_per_rank = 0;
   std::uint64_t seed = 42;
-  core::Schedule ttmc_schedule = core::Schedule::kDynamic;
-  /// TTMc kernel family for the per-rank local kernels (both grains);
-  /// kAuto applies the fiber-length heuristic to each rank's local tensor.
-  /// kCsf (and kAuto, when the local statistics favor it) builds CSF trees
-  /// over the rank-local tensor: the coarse grain computes its owned rows
-  /// through the CSF subset path, the fine grain its local partial rows.
-  /// kAlto likewise builds a rank-local linearized (ALTO) structure and
-  /// serves both grains through the kAlto kernel's row maps.
-  core::TtmcKernel ttmc_kernel = core::TtmcKernel::kAuto;
-  double ttmc_fiber_threshold = core::TtmcOptions{}.fiber_threshold;
-  /// Per-rank structure-memory budget in bytes for kAuto's CSF-vs-ALTO
-  /// footprint trade (core::TtmcOptions::structure_budget_bytes); 0 = off.
-  double ttmc_structure_budget = 0.0;
-  /// Cross-mode TTMc strategy, resolved per rank against its local tensor.
-  /// Under the coarse grain the owned-row subsets are served straight from
-  /// the rank's partials; under the fine grain the partials hold the
-  /// rank-local partial sums the fold later combines.
-  core::TtmcStrategy ttmc_strategy = core::TtmcStrategy::kAuto;
+  /// TTMc options for the per-rank local kernels (both grains). Each rank
+  /// builds its own core::TtmcPlan over its local tensor, so kAuto resolves
+  /// the kernel, the CSF/ALTO structures (structure_budget_bytes applies
+  /// per rank) and the dimension tree against local statistics. The coarse
+  /// grain serves its owned rows through the subset paths; the fine grain
+  /// computes local partial rows, which the fold later combines.
+  core::TtmcOptions ttmc;
   /// TRSVD backend, resolved per mode (kAuto) against the global compact
   /// problem size. The blocked backends batch the fold/expand exchange into
   /// one message round per block apply instead of one per Lanczos vector.

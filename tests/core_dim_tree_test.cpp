@@ -10,7 +10,7 @@
 #include "core/hooi.hpp"
 #include "core/rank_sweep.hpp"
 #include "core/symbolic.hpp"
-#include "core/ttmc.hpp"
+#include "core/ttmc_plan.hpp"
 #include "dist/dist_hooi.hpp"
 #include "la/matrix.hpp"
 #include "tensor/generators.hpp"
@@ -22,6 +22,7 @@ using ht::core::DimTreePlan;
 using ht::core::Schedule;
 using ht::core::SymbolicTtmc;
 using ht::core::TtmcOptions;
+using ht::core::TtmcPlan;
 using ht::core::TtmcScheduler;
 using ht::core::TtmcStrategy;
 using ht::la::Matrix;
@@ -106,16 +107,16 @@ TEST(DimTreeTtmcTest, TreeServedMatchesDirectFullMode) {
   for (const auto& c : equivalence_cases()) {
     const auto& x = c.tensor;
     const auto factors = random_factors(x.shape(), c.ranks, 31);
-    const SymbolicTtmc sym = SymbolicTtmc::build(x);
-    const DimTreePlan tree = DimTreePlan::build(x);
     for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
       TtmcOptions direct_opts;
       direct_opts.schedule = s;
       direct_opts.strategy = TtmcStrategy::kDirect;
       TtmcOptions tree_opts = direct_opts;
       tree_opts.strategy = TtmcStrategy::kTree;
-      TtmcScheduler direct(x, sym, nullptr, c.ranks, direct_opts);
-      TtmcScheduler served(x, sym, &tree, c.ranks, tree_opts);
+      const TtmcPlan direct_plan = TtmcPlan::build(x, direct_opts);
+      const TtmcPlan tree_plan = TtmcPlan::build(x, tree_opts);
+      TtmcScheduler direct(x, direct_plan, c.ranks);
+      TtmcScheduler served(x, tree_plan, c.ranks);
       for (std::size_t n = 0; n < x.order(); ++n) {
         ASSERT_EQ(served.selected(n), TtmcStrategy::kTree);
         Matrix y_direct, y_tree;
@@ -135,13 +136,13 @@ TEST(DimTreeTtmcTest, TreeServedMatchesDirectSubset) {
   for (const auto& c : equivalence_cases()) {
     const auto& x = c.tensor;
     const auto factors = random_factors(x.shape(), c.ranks, 37);
-    const SymbolicTtmc sym = SymbolicTtmc::build(x);
-    const DimTreePlan tree = DimTreePlan::build(x);
     for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
       TtmcOptions tree_opts;
       tree_opts.schedule = s;
       tree_opts.strategy = TtmcStrategy::kTree;
-      TtmcScheduler served(x, sym, &tree, c.ranks, tree_opts);
+      const TtmcPlan plan = TtmcPlan::build(x, tree_opts);
+      const SymbolicTtmc& sym = plan.symbolic;
+      TtmcScheduler served(x, plan, c.ranks);
       for (std::size_t n = 0; n < x.order(); ++n) {
         // Every other compact row, as the coarse-grain owners request.
         std::vector<std::uint32_t> positions;
@@ -169,9 +170,9 @@ TEST(DimTreeTtmcTest, HooiFitsMatchDirectAllOrders) {
     base.fit_tolerance = 0.0;
 
     ht::core::HooiOptions direct = base;
-    direct.ttmc_strategy = TtmcStrategy::kDirect;
+    direct.ttmc.strategy = TtmcStrategy::kDirect;
     ht::core::HooiOptions tree = base;
-    tree.ttmc_strategy = TtmcStrategy::kTree;
+    tree.ttmc.strategy = TtmcStrategy::kTree;
 
     const auto a = ht::core::hooi(c.tensor, direct);
     const auto b = ht::core::hooi(c.tensor, tree);
@@ -191,9 +192,9 @@ TEST(DimTreeTtmcTest, DistCoarseFitsMatchDirect) {
   base.grain = ht::dist::Grain::kCoarse;  // exercises subset serving
 
   ht::dist::DistHooiOptions direct = base;
-  direct.ttmc_strategy = TtmcStrategy::kDirect;
+  direct.ttmc.strategy = TtmcStrategy::kDirect;
   ht::dist::DistHooiOptions tree = base;
-  tree.ttmc_strategy = TtmcStrategy::kTree;
+  tree.ttmc.strategy = TtmcStrategy::kTree;
 
   const auto a = ht::dist::dist_hooi(x, direct);
   const auto b = ht::dist::dist_hooi(x, tree);
@@ -212,9 +213,9 @@ TEST(DimTreeTtmcTest, DistFineFitsMatchDirect) {
   base.grain = ht::dist::Grain::kFine;
 
   ht::dist::DistHooiOptions direct = base;
-  direct.ttmc_strategy = TtmcStrategy::kDirect;
+  direct.ttmc.strategy = TtmcStrategy::kDirect;
   ht::dist::DistHooiOptions tree = base;
-  tree.ttmc_strategy = TtmcStrategy::kTree;
+  tree.ttmc.strategy = TtmcStrategy::kTree;
 
   const auto a = ht::dist::dist_hooi(x, direct);
   const auto b = ht::dist::dist_hooi(x, tree);
@@ -232,9 +233,9 @@ TEST(DimTreeTtmcTest, RankSweepSharesOnePlan) {
   const std::vector<std::vector<index_t>> candidates = {{2, 2, 2}, {3, 3, 3}};
 
   ht::core::HooiOptions tree_base = base;
-  tree_base.ttmc_strategy = TtmcStrategy::kTree;
+  tree_base.ttmc.strategy = TtmcStrategy::kTree;
   ht::core::HooiOptions direct_base = base;
-  direct_base.ttmc_strategy = TtmcStrategy::kDirect;
+  direct_base.ttmc.strategy = TtmcStrategy::kDirect;
 
   const auto swept_tree = ht::core::rank_sweep(x, candidates, tree_base);
   const auto swept_direct = ht::core::rank_sweep(x, candidates, direct_base);
@@ -246,12 +247,12 @@ TEST(DimTreeTtmcTest, RankSweepSharesOnePlan) {
 
 // ---- cost model ------------------------------------------------------------
 
-TtmcScheduler make_auto_scheduler(const CooTensor& x, const SymbolicTtmc& sym,
-                                  const DimTreePlan& tree,
-                                  const std::vector<index_t>& ranks) {
-  TtmcOptions opts;
-  opts.strategy = TtmcStrategy::kAuto;
-  return TtmcScheduler(x, sym, &tree, ranks, opts);
+// Symbolic structure and dimension tree only: the cost model weighs tree
+// serving against the flat direct kernels (no CSF/ALTO structure in hand).
+TtmcPlan tree_plan(const CooTensor& x, const TtmcOptions& opts = {}) {
+  return {.options = opts,
+          .symbolic = SymbolicTtmc::build(x),
+          .tree = DimTreePlan::build(x)};
 }
 
 TEST(TtmcCostModelTest, SingletonFibersStayDirect) {
@@ -259,10 +260,9 @@ TEST(TtmcCostModelTest, SingletonFibersStayDirect) {
   // so every merge group is a singleton and the tree cannot amortize its
   // two extra nonzero passes.
   const CooTensor x = ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 71);
-  const SymbolicTtmc sym = SymbolicTtmc::build(x);
-  const DimTreePlan tree = DimTreePlan::build(x);
+  const TtmcPlan plan = tree_plan(x);
   const std::vector<index_t> ranks = {4, 4, 4};
-  const TtmcScheduler s = make_auto_scheduler(x, sym, tree, ranks);
+  const TtmcScheduler s(x, plan, ranks);
   for (std::size_t n = 0; n < 3; ++n) {
     EXPECT_EQ(s.selected(n), TtmcStrategy::kDirect) << "mode " << n;
   }
@@ -275,10 +275,9 @@ TEST(TtmcCostModelTest, HeavyMergingGoesTree) {
   // *streaming* nonzero pass, cheaper than the indirected direct kernel it
   // replaces — all three modes go tree-served.
   const CooTensor x = ht::tensor::random_uniform(Shape{30, 30, 30}, 20000, 73);
-  const SymbolicTtmc sym = SymbolicTtmc::build(x);
-  const DimTreePlan tree = DimTreePlan::build(x);
+  const TtmcPlan plan = tree_plan(x);
   const std::vector<index_t> ranks = {5, 5, 5};
-  const TtmcScheduler s = make_auto_scheduler(x, sym, tree, ranks);
+  const TtmcScheduler s(x, plan, ranks);
   for (std::size_t n = 0; n < 3; ++n) {
     EXPECT_EQ(s.selected(n), TtmcStrategy::kTree) << "mode " << n;
     EXPECT_LT(s.serve_cost(n), s.direct_cost(n)) << "mode " << n;
@@ -290,19 +289,17 @@ TEST(TtmcCostModelTest, RankOneFollowsMerging) {
   // nonzero passes vs merge-group passes — tree on the merge-saturated
   // tensor, direct when every group is a singleton.
   const CooTensor merged = ht::tensor::random_uniform(Shape{30, 30, 30}, 20000, 79);
-  const SymbolicTtmc sym_m = SymbolicTtmc::build(merged);
-  const DimTreePlan tree_m = DimTreePlan::build(merged);
+  const TtmcPlan plan_m = tree_plan(merged);
   const std::vector<index_t> ones = {1, 1, 1};
-  const TtmcScheduler sm = make_auto_scheduler(merged, sym_m, tree_m, ones);
+  const TtmcScheduler sm(merged, plan_m, ones);
   for (std::size_t n = 0; n < 3; ++n) {
     EXPECT_EQ(sm.selected(n), TtmcStrategy::kTree) << "mode " << n;
   }
 
   const CooTensor scattered =
       ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 83);
-  const SymbolicTtmc sym_s = SymbolicTtmc::build(scattered);
-  const DimTreePlan tree_s = DimTreePlan::build(scattered);
-  const TtmcScheduler ss = make_auto_scheduler(scattered, sym_s, tree_s, ones);
+  const TtmcPlan plan_s = tree_plan(scattered);
+  const TtmcScheduler ss(scattered, plan_s, ones);
   for (std::size_t n = 0; n < 3; ++n) {
     EXPECT_EQ(ss.selected(n), TtmcStrategy::kDirect) << "mode " << n;
   }
@@ -315,10 +312,9 @@ TEST(TtmcCostModelTest, HugeModeServesOnlyTheCheapGroup) {
   // served from the tree while 0 and 1 stay direct.
   const CooTensor x =
       ht::tensor::random_uniform(Shape{50000, 6, 6}, 20000, 89);
-  const SymbolicTtmc sym = SymbolicTtmc::build(x);
-  const DimTreePlan tree = DimTreePlan::build(x);
+  const TtmcPlan plan = tree_plan(x);
   const std::vector<index_t> ranks = {4, 3, 3};
-  const TtmcScheduler s = make_auto_scheduler(x, sym, tree, ranks);
+  const TtmcScheduler s(x, plan, ranks);
   EXPECT_EQ(s.selected(0), TtmcStrategy::kDirect);
   EXPECT_EQ(s.selected(1), TtmcStrategy::kDirect);
   EXPECT_EQ(s.selected(2), TtmcStrategy::kTree);
@@ -326,15 +322,12 @@ TEST(TtmcCostModelTest, HugeModeServesOnlyTheCheapGroup) {
 
 TEST(TtmcCostModelTest, ExplicitStrategyOverridesModel) {
   const CooTensor x = ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 97);
-  const SymbolicTtmc sym = SymbolicTtmc::build(x);
-  const DimTreePlan tree = DimTreePlan::build(x);
   const std::vector<index_t> ranks = {3, 3, 3};
-  TtmcOptions force_tree;
-  force_tree.strategy = TtmcStrategy::kTree;
-  const TtmcScheduler st(x, sym, &tree, ranks, force_tree);
-  TtmcOptions force_direct;
-  force_direct.strategy = TtmcStrategy::kDirect;
-  const TtmcScheduler sd(x, sym, &tree, ranks, force_direct);
+  const TtmcPlan force_tree = tree_plan(x, {.strategy = TtmcStrategy::kTree});
+  const TtmcScheduler st(x, force_tree, ranks);
+  const TtmcPlan force_direct =
+      tree_plan(x, {.strategy = TtmcStrategy::kDirect});
+  const TtmcScheduler sd(x, force_direct, ranks);
   for (std::size_t n = 0; n < 3; ++n) {
     EXPECT_EQ(st.selected(n), TtmcStrategy::kTree);
     EXPECT_EQ(sd.selected(n), TtmcStrategy::kDirect);
@@ -346,14 +339,12 @@ TEST(TtmcCostModelTest, ExplicitStrategyOverridesModel) {
 // recomputation would (HOOI's correctness depends on this).
 TEST(DimTreeTtmcTest, PartialsRefreshAfterFactorUpdates) {
   const CooTensor x = ht::tensor::random_uniform(Shape{18, 16, 20}, 600, 101);
-  const SymbolicTtmc sym = SymbolicTtmc::build(x);
-  const DimTreePlan tree = DimTreePlan::build(x);
   const std::vector<index_t> ranks = {3, 3, 3};
   auto factors = random_factors(x.shape(), ranks, 103);
 
-  TtmcOptions tree_opts;
-  tree_opts.strategy = TtmcStrategy::kTree;
-  TtmcScheduler served(x, sym, &tree, ranks, tree_opts);
+  const TtmcPlan plan = tree_plan(x, {.strategy = TtmcStrategy::kTree});
+  const SymbolicTtmc& sym = plan.symbolic;
+  TtmcScheduler served(x, plan, ranks);
 
   // Two HOOI-like sweeps replacing each factor right after its mode.
   for (int sweep = 0; sweep < 2; ++sweep) {

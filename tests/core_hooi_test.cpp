@@ -16,6 +16,7 @@ namespace {
 
 using ht::core::HooiOptions;
 using ht::core::HooiResult;
+using ht::core::TtmcPlan;
 using ht::core::TuckerDecomposition;
 using ht::la::Matrix;
 using ht::tensor::CooTensor;
@@ -177,12 +178,61 @@ TEST(HooiTest, ConvergedFlagSetWhenFitStalls) {
   EXPECT_LT(r.iterations, 50);
 }
 
-TEST(HooiTest, SymbolicReuseAcrossRankChoices) {
+TEST(HooiTest, PlanReuseAcrossRankChoices) {
   CooTensor x = ht::tensor::random_uniform(Shape{30, 30, 30}, 900, 17);
-  const ht::core::SymbolicTtmc sym = ht::core::SymbolicTtmc::build(x);
-  const HooiResult r2 = ht::core::hooi(x, basic_options({2, 2, 2}, 2), sym);
-  const HooiResult r5 = ht::core::hooi(x, basic_options({5, 5, 5}, 2), sym);
+  const TtmcPlan plan = TtmcPlan::build(x);
+  const HooiResult r2 = ht::core::hooi(x, basic_options({2, 2, 2}, 2), plan);
+  const HooiResult r5 = ht::core::hooi(x, basic_options({5, 5, 5}, 2), plan);
   EXPECT_GE(r5.final_fit(), r2.final_fit() - 1e-9);  // more rank, better fit
+  EXPECT_EQ(r5.timers.symbolic, 0.0);  // the caller paid the build
+}
+
+// A prebuilt plan runs exactly the computation hooi(x, options) runs.
+TEST(HooiTest, PrebuiltPlanMatchesInternalPlanBitwise) {
+  for (const ht::core::TtmcKernel kernel :
+       {ht::core::TtmcKernel::kAuto, ht::core::TtmcKernel::kCsf,
+        ht::core::TtmcKernel::kAlto}) {
+    CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 5, 23);
+    HooiOptions opt = basic_options({3, 3, 3}, 3);
+    opt.ttmc.kernel = kernel;
+    const HooiResult internal = ht::core::hooi(x, opt);
+    const HooiResult external =
+        ht::core::hooi(x, opt, TtmcPlan::build(x, opt.ttmc));
+    ASSERT_EQ(internal.fits, external.fits);
+    for (std::size_t n = 0; n < x.order(); ++n) {
+      EXPECT_TRUE(internal.decomposition.factors[n].approx_equal(
+          external.decomposition.factors[n], 0.0));
+    }
+  }
+}
+
+TEST(HooiTest, PlanRecordsPreprocessingDecisions) {
+  const CooTensor fibered =
+      ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 6, 29);
+  const TtmcPlan plan = TtmcPlan::build(fibered);
+  ASSERT_NE(plan.csf, nullptr);  // long fibers: kAuto wants the CSF forest
+  EXPECT_EQ(plan.alto, nullptr);
+  ASSERT_TRUE(plan.tree.has_value());
+  EXPECT_GT(plan.build_seconds, 0.0);
+  for (std::size_t n = 0; n < fibered.order(); ++n) {
+    EXPECT_EQ(plan.kernel(n), ht::core::TtmcKernel::kCsf) << "mode " << n;
+  }
+
+  const TtmcPlan direct = TtmcPlan::build(
+      fibered, {.kernel = ht::core::TtmcKernel::kPerNnz,
+                .strategy = ht::core::TtmcStrategy::kDirect});
+  EXPECT_FALSE(direct.tree.has_value());
+  EXPECT_EQ(direct.csf, nullptr);
+  EXPECT_EQ(direct.kernel(0), ht::core::TtmcKernel::kPerNnz);
+  EXPECT_FALSE(direct.symbolic.modes[0].has_fibers());
+}
+
+TEST(HooiTest, PlanForOtherOptionsIsRejected) {
+  const CooTensor x = ht::tensor::random_uniform(Shape{10, 10, 10}, 200, 31);
+  const TtmcPlan plan = TtmcPlan::build(x);
+  HooiOptions opt = basic_options({2, 2, 2}, 1);
+  opt.ttmc.kernel = ht::core::TtmcKernel::kPerNnz;
+  EXPECT_THROW(ht::core::hooi(x, opt, plan), ht::InvalidArgument);
 }
 
 TEST(HooiTest, TimersArePopulated) {

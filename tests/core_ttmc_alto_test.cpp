@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "core/hooi.hpp"
@@ -253,9 +254,9 @@ TEST(AltoTtmcTest, HooiConvergesIdenticallyUnderAltoKernel) {
     base.fit_tolerance = 0.0;
 
     ht::core::HooiOptions per_nnz = base;
-    per_nnz.ttmc_kernel = TtmcKernel::kPerNnz;
+    per_nnz.ttmc.kernel = TtmcKernel::kPerNnz;
     ht::core::HooiOptions with_alto = base;
-    with_alto.ttmc_kernel = TtmcKernel::kAlto;
+    with_alto.ttmc.kernel = TtmcKernel::kAlto;
 
     const auto a = ht::core::hooi(x, per_nnz);
     const auto b = ht::core::hooi(x, with_alto);
@@ -264,11 +265,12 @@ TEST(AltoTtmcTest, HooiConvergesIdenticallyUnderAltoKernel) {
       EXPECT_NEAR(a.fits[i], b.fits[i], 1e-8) << "sweep " << i;
     }
 
-    // Prebuilt structure through the fully-preprocessed overload: same run.
-    const SymbolicTtmc sym = SymbolicTtmc::build(x, /*with_fibers=*/false);
-    const AltoTensor alto = AltoTensor::build(x);
-    const auto c =
-        ht::core::hooi(x, with_alto, sym, nullptr, nullptr, &alto);
+    // A hand-assembled plan (no dimension tree) through the plan overload.
+    const ht::core::TtmcPlan plan{
+        .options = with_alto.ttmc,
+        .symbolic = SymbolicTtmc::build(x, /*with_fibers=*/false),
+        .alto = std::make_shared<const AltoTensor>(AltoTensor::build(x))};
+    const auto c = ht::core::hooi(x, with_alto, plan);
     ASSERT_EQ(b.fits.size(), c.fits.size());
     for (std::size_t i = 0; i < b.fits.size(); ++i) {
       EXPECT_NEAR(b.fits[i], c.fits[i], 1e-8) << "sweep " << i;
@@ -280,7 +282,7 @@ TEST(AltoTtmcTest, RankSweepReusesStructureAcrossGrid) {
   const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 300, 5, 71);
   ht::core::HooiOptions base;
   base.max_iterations = 2;
-  base.ttmc_kernel = TtmcKernel::kAlto;
+  base.ttmc.kernel = TtmcKernel::kAlto;
   const std::vector<std::vector<index_t>> grid = {{2, 2, 2}, {3, 3, 3}};
   const auto swept = ht::core::rank_sweep(x, grid, base);
   ASSERT_EQ(swept.entries.size(), grid.size());
@@ -306,9 +308,9 @@ TEST(AltoTtmcTest, DistHooiMatchesUnderAltoKernelBothGrains) {
     base.grain = grain;  // coarse exercises the ALTO subset path
 
     ht::dist::DistHooiOptions per_nnz = base;
-    per_nnz.ttmc_kernel = TtmcKernel::kPerNnz;
+    per_nnz.ttmc.kernel = TtmcKernel::kPerNnz;
     ht::dist::DistHooiOptions with_alto = base;
-    with_alto.ttmc_kernel = TtmcKernel::kAlto;
+    with_alto.ttmc.kernel = TtmcKernel::kAlto;
 
     const auto a = ht::dist::dist_hooi(x, per_nnz);
     const auto b = ht::dist::dist_hooi(x, with_alto);

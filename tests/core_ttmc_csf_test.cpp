@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "core/hooi.hpp"
@@ -308,9 +309,9 @@ TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
     base.fit_tolerance = 0.0;
 
     ht::core::HooiOptions per_nnz = base;
-    per_nnz.ttmc_kernel = TtmcKernel::kPerNnz;
+    per_nnz.ttmc.kernel = TtmcKernel::kPerNnz;
     ht::core::HooiOptions with_csf = base;
-    with_csf.ttmc_kernel = TtmcKernel::kCsf;
+    with_csf.ttmc.kernel = TtmcKernel::kCsf;
 
     const auto a = ht::core::hooi(x, per_nnz);
     const auto b = ht::core::hooi(x, with_csf);
@@ -319,10 +320,12 @@ TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
       EXPECT_NEAR(a.fits[i], b.fits[i], 1e-8) << "sweep " << i;
     }
 
-    // Prebuilt trees through the fully-preprocessed overload: same run.
-    const SymbolicTtmc sym = SymbolicTtmc::build(x, /*with_fibers=*/false);
-    const CsfTensor csf = CsfTensor::build(x);
-    const auto c = ht::core::hooi(x, with_csf, sym, nullptr, &csf);
+    // A hand-assembled plan (no dimension tree) through the plan overload.
+    const ht::core::TtmcPlan plan{
+        .options = with_csf.ttmc,
+        .symbolic = SymbolicTtmc::build(x, /*with_fibers=*/false),
+        .csf = std::make_shared<const CsfTensor>(CsfTensor::build(x))};
+    const auto c = ht::core::hooi(x, with_csf, plan);
     ASSERT_EQ(b.fits.size(), c.fits.size());
     for (std::size_t i = 0; i < b.fits.size(); ++i) {
       // Strategy kAuto may resolve differently with/without a dim tree;
@@ -336,7 +339,7 @@ TEST(CsfTtmcTest, RankSweepReusesTreesAcrossGrid) {
   const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 300, 5, 71);
   ht::core::HooiOptions base;
   base.max_iterations = 2;
-  base.ttmc_kernel = TtmcKernel::kCsf;
+  base.ttmc.kernel = TtmcKernel::kCsf;
   const std::vector<std::vector<index_t>> grid = {{2, 2, 2}, {3, 3, 3}};
   const auto swept = ht::core::rank_sweep(x, grid, base);
   ASSERT_EQ(swept.entries.size(), grid.size());
@@ -358,9 +361,9 @@ TEST(CsfTtmcTest, DistHooiMatchesUnderCsfKernelBothGrains) {
     base.grain = grain;  // coarse exercises the CSF subset path
 
     ht::dist::DistHooiOptions per_nnz = base;
-    per_nnz.ttmc_kernel = TtmcKernel::kPerNnz;
+    per_nnz.ttmc.kernel = TtmcKernel::kPerNnz;
     ht::dist::DistHooiOptions with_csf = base;
-    with_csf.ttmc_kernel = TtmcKernel::kCsf;
+    with_csf.ttmc.kernel = TtmcKernel::kCsf;
 
     const auto a = ht::dist::dist_hooi(x, per_nnz);
     const auto b = ht::dist::dist_hooi(x, with_csf);

@@ -246,9 +246,9 @@ TEST(FiberTtmcTest, HooiConvergesIdenticallyUnderBothKernels) {
   base.fit_tolerance = 0.0;
 
   ht::core::HooiOptions per_nnz = base;
-  per_nnz.ttmc_kernel = TtmcKernel::kPerNnz;
+  per_nnz.ttmc.kernel = TtmcKernel::kPerNnz;
   ht::core::HooiOptions fiber = base;
-  fiber.ttmc_kernel = TtmcKernel::kFiberFactored;
+  fiber.ttmc.kernel = TtmcKernel::kFiberFactored;
 
   const auto a = ht::core::hooi(x, per_nnz);
   const auto b = ht::core::hooi(x, fiber);
@@ -267,9 +267,9 @@ TEST(FiberTtmcTest, DistHooiMatchesUnderBothKernels) {
   base.grain = ht::dist::Grain::kCoarse;  // exercises ttmc_mode_subset
 
   ht::dist::DistHooiOptions per_nnz = base;
-  per_nnz.ttmc_kernel = TtmcKernel::kPerNnz;
+  per_nnz.ttmc.kernel = TtmcKernel::kPerNnz;
   ht::dist::DistHooiOptions fiber = base;
-  fiber.ttmc_kernel = TtmcKernel::kFiberFactored;
+  fiber.ttmc.kernel = TtmcKernel::kFiberFactored;
 
   const auto a = ht::dist::dist_hooi(x, per_nnz);
   const auto b = ht::dist::dist_hooi(x, fiber);
