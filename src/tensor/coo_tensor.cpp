@@ -14,9 +14,9 @@ CooTensor::CooTensor(Shape shape) : shape_(std::move(shape)) {
   indices_.resize(shape_.size());
 }
 
-CooTensor CooTensor::from_views(Shape shape,
-                                std::vector<storage::Span<index_t>> indices,
-                                storage::Span<value_t> values) {
+CooTensor CooTensor::from_columns(Shape shape,
+                                  std::vector<storage::Span<index_t>> indices,
+                                  storage::Span<value_t> values) {
   CooTensor x(std::move(shape));
   HT_CHECK_MSG(indices.size() == x.order(),
                "need one index array per mode");

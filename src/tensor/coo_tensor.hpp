@@ -7,7 +7,8 @@
 //
 // The arrays are held through storage::Span: heap-owned by default (fully
 // mutable, the train-time state), or read-only views into a shared
-// storage::Arena (from_views — the mmap-backed serve/out-of-core state).
+// storage::Arena (the mmap-backed serve/out-of-core state; see
+// from_columns).
 // All read paths work identically in both states; the mutating entry points
 // (push_back, sort_lexicographic, sum_duplicates, non-const indices()/
 // values()) throw ht::Error on a view instead of writing through a
@@ -32,12 +33,13 @@ class CooTensor {
   /// Empty tensor with the given shape.
   explicit CooTensor(Shape shape);
 
-  /// Zero-copy tensor over externally backed index/value arrays (one index
-  /// span per mode, all of equal length). The spans' arenas are kept alive
-  /// for the tensor's lifetime.
-  static CooTensor from_views(Shape shape,
-                              std::vector<storage::Span<index_t>> indices,
-                              storage::Span<value_t> values);
+  /// Tensor over prebuilt index/value arrays (one index span per mode, all
+  /// of equal length), taken over without copying: owned vectors (the file
+  /// readers) or views into a shared arena, whose arenas are kept alive for
+  /// the tensor's lifetime.
+  static CooTensor from_columns(Shape shape,
+                                std::vector<storage::Span<index_t>> indices,
+                                storage::Span<value_t> values);
 
   [[nodiscard]] std::size_t order() const { return shape_.size(); }
   [[nodiscard]] const Shape& shape() const { return shape_; }
