@@ -197,7 +197,8 @@ FactorTrsvd scatter_trsvd_solution(const la::TrsvdResult& solved,
   // O(|J_n|*R) per mode per HOOI iteration; rows are distinct by the
   // compact-row-map contract, so the scatter is race-free.
   const std::size_t nrows = rows.size();
-  const bool par = la::blas_threading() && nrows * rank >= (std::size_t{1} << 14);
+  [[maybe_unused]] const bool par =
+      la::blas_threading() && nrows * rank >= (std::size_t{1} << 14);
   out.factor.resize_zero(dim, rank);
 #pragma omp parallel for schedule(static) if (par)
   for (std::size_t r = 0; r < nrows; ++r) {

@@ -91,7 +91,8 @@ void gemv(const Matrix& a, std::span<const double> x, std::span<double> y) {
   HT_CHECK(x.size() == a.cols());
   HT_CHECK(y.size() == a.rows());
   const std::size_t m = a.rows();
-  const bool par = g_threaded.load() && m >= kParallelRowThreshold;
+  [[maybe_unused]] const bool par =
+      g_threaded.load() && m >= kParallelRowThreshold;
 #pragma omp parallel for schedule(static) if (par)
   for (std::size_t i = 0; i < m; ++i) {
     const auto row = a.row(i);
@@ -170,7 +171,8 @@ void gemm_into(const Matrix& a, const Matrix& b, Matrix& c) {
                                        << b.cols());
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   c.resize(m, n);
-  const bool par = g_threaded.load() && m >= kParallelRowThreshold;
+  [[maybe_unused]] const bool par =
+      g_threaded.load() && m >= kParallelRowThreshold;
 #pragma omp parallel for schedule(static) if (par)
   for (std::size_t i = 0; i < m; ++i) {
     double* ci = c.data() + i * n;
@@ -234,7 +236,8 @@ Matrix gemm_nt(const Matrix& a, const Matrix& b) {
   HT_CHECK_MSG(a.cols() == b.cols(), "gemm_nt shape mismatch");
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   Matrix c(m, n);
-  const bool par = g_threaded.load() && m >= kParallelRowThreshold;
+  [[maybe_unused]] const bool par =
+      g_threaded.load() && m >= kParallelRowThreshold;
 #pragma omp parallel for schedule(static) if (par)
   for (std::size_t i = 0; i < m; ++i) {
     const double* ai = a.data() + i * k;

@@ -5,14 +5,20 @@
 #include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
+#include <limits>
+#include <string_view>
+#include <system_error>
 
+#include "serve/protocol.hpp"
 #include "util/error.hpp"
 
 #ifndef MSG_NOSIGNAL
@@ -23,48 +29,33 @@ namespace ht::serve {
 
 namespace {
 
-void send_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
+// Bytes a connection asks recv() for at a time.
+constexpr std::size_t kRecvBytes = 16 << 10;
+// How long shutdown() lets workers flush their last replies before it
+// cuts the connections that are still open.
+constexpr auto kShutdownGrace = std::chrono::seconds(1);
+
+/// False when the peer is gone.
+bool send_all(int fd, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t w = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
-      HT_CHECK_MSG(false, "socket send failed: " << std::strerror(errno));
+      return false;
     }
-    data += w;
-    n -= static_cast<std::size_t>(w);
+    data.remove_prefix(static_cast<std::size_t>(w));
   }
+  return true;
 }
 
-void send_line(int fd, const std::string& line) {
-  std::string framed = line;
-  framed += '\n';
-  send_all(fd, framed.data(), framed.size());
-}
-
-/// Pull one newline-terminated line out of (fd, carry). Returns false on
-/// clean EOF with no buffered data.
-bool recv_line(int fd, std::string& carry, std::string& line) {
+/// One recv() straight into the framer's buffer, retried on EINTR: the
+/// byte count, 0 at EOF, negative on error.
+ssize_t recv_into(int fd, LineFramer& in) {
   for (;;) {
-    const std::size_t pos = carry.find('\n');
-    if (pos != std::string::npos) {
-      line.assign(carry, 0, pos);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      carry.erase(0, pos + 1);
-      return true;
-    }
-    char buf[4096];
-    const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;  // connection reset: treat as EOF
-    }
-    if (r == 0) {
-      if (carry.empty()) return false;
-      line = std::move(carry);  // final unterminated line
-      carry.clear();
-      return true;
-    }
-    carry.append(buf, static_cast<std::size_t>(r));
+    const std::span<char> space = in.prepare(kRecvBytes);
+    const ssize_t r = ::recv(fd, space.data(), space.size(), 0);
+    if (r > 0) in.commit(static_cast<std::size_t>(r));
+    if (r >= 0 || errno != EINTR) return r;
   }
 }
 
@@ -186,45 +177,118 @@ void SocketServer::accept_loop() {
   // Snapshot the fd: shutdown() closes it (which unblocks accept) but only
   // clears the member after this thread is joined, so no racy member read.
   const int listen_fd = listen_fd_;
+  const bool tcp = unix_path_.empty();
   while (running_.load(std::memory_order_acquire)) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listen socket closed by shutdown()
     }
+    if (tcp) {
+      // Replies must not wait for the client's next segment to ACK the
+      // previous one; batching happens per read instead (serve_connection).
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!running_.load(std::memory_order_acquire)) {
+      ::close(fd);
+      break;
+    }
     reap_finished();
-    std::lock_guard<std::mutex> lock(workers_mutex_);
-    workers_.emplace_back([this, fd] { handle_connection(fd); });
+    if (live_ >= kMaxConnections) {
+      const std::string_view busy = "ERR too many connections\n";
+      ::send(fd, busy.data(), busy.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+      ::close(fd);
+      continue;
+    }
+    Connection& conn = connections_.emplace_back();
+    conn.fd = fd;
+    try {
+      conn.worker = std::thread(&SocketServer::serve_connection, this,
+                                std::ref(conn));
+    } catch (const std::system_error&) {
+      connections_.pop_back();  // out of threads: drop this client
+      ::close(fd);
+      continue;
+    }
+    ++live_;  // the worker needs mutex_ to count itself out
   }
 }
 
-void SocketServer::handle_connection(int fd) {
-  std::string carry, line;
-  while (recv_line(fd, carry, line)) {
-    std::string response;
-    try {
-      response = handler_(line);
-    } catch (const std::exception& e) {
-      response = std::string("ERR ") + e.what();
+void SocketServer::serve_connection(Connection& conn) {
+  const int fd = conn.fd;
+  try {
+    LineFramer in;
+    std::string request, out;
+    // Appends the reply to `line` to `out`; false once the reply closes the
+    // connection (QUIT/SHUTDOWN answer "OK bye").
+    const auto answer = [&](std::string_view line) {
+      request.assign(line);
+      std::string response;
+      try {
+        response = handler_(request);
+      } catch (const std::exception& e) {
+        response = std::string("ERR ") + e.what();
+      }
+      out += response;
+      out += '\n';
+      return response != "OK bye";
+    };
+
+    bool open = true;
+    for (;;) {
+      // Answer every complete line already received, then send the replies
+      // in one go before blocking in recv() again.
+      std::string_view line;
+      auto status = LineFramer::Status::kPartial;
+      while (open && (status = in.next(line)) == LineFramer::Status::kLine) {
+        open = answer(line);
+      }
+      if (status == LineFramer::Status::kTooLong) {
+        out += "ERR request line too long\n";
+        open = false;
+      }
+      if (!send_all(fd, out)) break;  // peer went away mid-response
+      out.clear();
+      if (!open || !running_.load(std::memory_order_acquire)) break;
+      const ssize_t r = recv_into(fd, in);
+      if (r <= 0) {
+        // EOF still answers a final unterminated line; a reset does not,
+        // nor does the EOF shutdown() causes.
+        if (r == 0 && running_.load(std::memory_order_acquire) &&
+            in.finish(line)) {
+          answer(line);
+        }
+        open = false;
+      }
     }
-    try {
-      send_line(fd, response);
-    } catch (const std::exception&) {
-      break;  // peer went away mid-response
-    }
-    // Protocol-level close: QUIT/SHUTDOWN answer "OK bye" then hang up.
-    if (response == "OK bye") break;
+  } catch (const std::exception&) {
+    // Out of memory for this client's buffers: closing the connection is
+    // the answer, and the other connections keep being served.
   }
+
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    conn.done = true;
+    --live_;
+  }
+  drained_.notify_all();
   ::close(fd);
 }
 
 void SocketServer::reap_finished() {
-  // Joining here keeps the worker list from growing without bound on a
-  // long-lived daemon; finished threads join instantly.
-  std::lock_guard<std::mutex> lock(workers_mutex_);
-  if (workers_.size() < 64) return;
-  for (auto& w : workers_) w.join();
-  workers_.clear();
+  // Joining here keeps the list from growing without bound on a long-lived
+  // daemon; a finished worker is past its last use of the mutex, so the
+  // join returns at once.
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (!it->done) {
+      ++it;
+      continue;
+    }
+    it->worker.join();
+    it = connections_.erase(it);
+  }
 }
 
 void SocketServer::shutdown() {
@@ -241,9 +305,24 @@ void SocketServer::shutdown() {
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   listen_fd_ = -1;
-  std::lock_guard<std::mutex> lock(workers_mutex_);
-  for (auto& w : workers_) w.join();
-  workers_.clear();
+  {
+    // The accept loop adds no connection once running_ is false (it checks
+    // under this lock). Ending the read side wakes every worker blocked in
+    // recv() while letting one in the middle of a batch send its replies;
+    // a worker still stuck in send() after the grace period is cut off.
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (const Connection& c : connections_) {
+      if (!c.done) ::shutdown(c.fd, SHUT_RD);
+    }
+    if (!drained_.wait_for(lock, kShutdownGrace,
+                           [this] { return live_ == 0; })) {
+      for (const Connection& c : connections_) {
+        if (!c.done) ::shutdown(c.fd, SHUT_RDWR);
+      }
+    }
+  }
+  for (Connection& c : connections_) c.worker.join();
+  connections_.clear();
 }
 
 std::vector<std::string> query_lines(const std::string& target,
@@ -254,13 +333,22 @@ std::vector<std::string> query_lines(const std::string& target,
   const int fd = connect_target(target);
   std::vector<std::string> responses;
   responses.reserve(lines.size());
-  std::string carry, line;
+  // Replies are not capped: a SCOREB or TOPK answer can be far longer than
+  // its request.
+  LineFramer in(std::numeric_limits<std::size_t>::max());
   try {
     for (const std::string& req : lines) {
-      send_line(fd, req);
-      HT_CHECK_MSG(recv_line(fd, carry, line),
-                   "server closed the connection before responding");
-      responses.push_back(line);
+      HT_CHECK_MSG(send_all(fd, req + '\n'),
+                   "socket send failed: " << std::strerror(errno));
+      std::string_view line;
+      while (in.next(line) != LineFramer::Status::kLine) {
+        if (recv_into(fd, in) <= 0) {  // a reset counts as EOF
+          HT_CHECK_MSG(in.finish(line),
+                       "server closed the connection before responding");
+          break;
+        }
+      }
+      responses.emplace_back(line);
     }
   } catch (...) {
     ::close(fd);

@@ -4,11 +4,15 @@
 // socket path, otherwise it is host:port (client) or a bare port was
 // already resolved by the caller (server).
 //
-// The server runs one accept loop and a bounded pool of connection
-// threads; each connection reads newline-delimited requests and writes
-// one response line per request via a caller-supplied handler. shutdown()
-// closes the listen socket, unblocks accept(), and joins every worker —
-// safe to call from a handler thread through a deferred hook.
+// The server runs one accept loop and one thread per connection, at most
+// kMaxConnections at a time; each connection reads newline-delimited
+// requests (LineFramer, at most kMaxLineBytes each) and writes one response
+// line per request via a caller-supplied handler. Every complete request
+// already received is answered before the replies go out in one send, and
+// TCP connections set TCP_NODELAY, so a lone request never waits on
+// Nagle's algorithm. shutdown() closes the listen socket, closes the live
+// connections, and joins every worker — safe to call from a handler thread
+// through a deferred hook.
 #pragma once
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -20,7 +24,10 @@
 #if HT_HAVE_SOCKETS
 
 #include <atomic>
+#include <condition_variable>
+#include <cstddef>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -32,6 +39,10 @@ class SocketServer {
  public:
   /// Handler: one request line in (no newline), one response line out.
   using Handler = std::function<std::string(const std::string&)>;
+
+  /// Live connections served at once; one more is sent
+  /// "ERR too many connections" and closed.
+  static constexpr std::size_t kMaxConnections = 128;
 
   SocketServer() = default;
   ~SocketServer();
@@ -51,7 +62,10 @@ class SocketServer {
   /// Run serve() on a background thread.
   void serve_async(Handler handler);
 
-  /// Stop accepting, close the listen socket, join all workers.
+  /// Stop accepting, close the listen socket and the live connections,
+  /// join all workers. A worker in the middle of a batch still sends its
+  /// replies (SHUTDOWN's own "OK bye" among them) unless its client has
+  /// stopped reading for a grace period.
   void shutdown();
 
   [[nodiscard]] bool running() const {
@@ -59,18 +73,26 @@ class SocketServer {
   }
 
  private:
+  struct Connection {
+    int fd = -1;
+    bool done = false;  // set by its worker, under mutex_, before closing fd
+    std::thread worker;
+  };
+
   void accept_loop();
-  void handle_connection(int fd);
-  void reap_finished();
+  void serve_connection(Connection& conn);
+  void reap_finished();  // caller holds mutex_
 
   Handler handler_;
   int listen_fd_ = -1;
   int port_ = 0;
   std::string unix_path_;
   std::atomic<bool> running_{false};
+  std::mutex mutex_;  // guards connections_, live_ and Connection::done
+  std::condition_variable drained_;  // a worker finished
+  std::list<Connection> connections_;
+  std::size_t live_ = 0;  // connections whose worker is not done
   std::thread accept_thread_;
-  std::mutex workers_mutex_;
-  std::vector<std::thread> workers_;
 };
 
 /// Client: connect to `target`, send each line, collect one response line

@@ -16,7 +16,7 @@
 //   SHUTDOWN                     -> OK bye               (daemon exits)
 //   QUIT                         -> OK bye               (connection closes)
 //
-// Parsing and formatting are plain functions so the daemon, the
+// Framing, parsing and formatting are plain code so the daemon, the
 // tucker_cli client mode, and the unit tests share one implementation
 // without touching sockets.
 #pragma once
@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/query_engine.hpp"
@@ -55,8 +56,9 @@ struct Request {
 };
 
 /// Parse one request line (leading/trailing whitespace ignored). Never
-/// throws; malformed input yields kInvalid with `error` set.
-[[nodiscard]] Request parse_request(const std::string& line);
+/// throws; malformed input yields kInvalid with `error` set. Coordinates
+/// are plain decimal digits (no sign, no embedded NUL) up to 2^32 - 1.
+[[nodiscard]] Request parse_request(std::string_view line);
 
 [[nodiscard]] std::string format_value(double v);
 [[nodiscard]] std::string format_scores(std::span<const double> values);
@@ -65,5 +67,44 @@ struct Request {
 
 /// True when a response line indicates success.
 [[nodiscard]] bool response_ok(const std::string& response);
+
+/// Longest request line a server accepts: bytes before the '\n'. A longer
+/// line, or that many bytes with no newline, is answered with one
+/// "ERR request line too long" and the connection closes. This also bounds
+/// a SCOREB batch.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// Newline framing of a byte stream, behind both the server's connection
+/// loop and the query_lines client. Bytes are read straight into the buffer
+/// (prepare, then commit); next() hands out each complete line once,
+/// without its '\n' and one trailing '\r'. Each byte is scanned for '\n'
+/// once, and consumed lines are dropped by one move in prepare() rather than
+/// erased one at a time. A returned line stays valid until prepare().
+class LineFramer {
+ public:
+  enum class Status { kLine, kPartial, kTooLong };
+
+  explicit LineFramer(std::size_t max_line = kMaxLineBytes)
+      : max_line_(max_line) {}
+
+  /// Writable space of at least `n` bytes after the buffered data.
+  [[nodiscard]] std::span<char> prepare(std::size_t n);
+  /// The first `n` bytes of the last prepare() span hold new data.
+  void commit(std::size_t n);
+
+  /// kLine with the next complete line; kPartial when no complete line is
+  /// buffered; kTooLong once the pending line exceeds max_line bytes.
+  Status next(std::string_view& line);
+  /// At end of stream, after next() returned kPartial: the unterminated
+  /// rest as a final line; false when nothing is buffered.
+  bool finish(std::string_view& line);
+
+ private:
+  std::string buf_;          // [0, size_) holds received bytes
+  std::size_t size_ = 0;
+  std::size_t begin_ = 0;    // start of the first unconsumed line
+  std::size_t scanned_ = 0;  // [begin_, scanned_) holds no '\n'
+  std::size_t max_line_;
+};
 
 }  // namespace ht::serve

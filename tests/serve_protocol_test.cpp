@@ -83,6 +83,35 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
   }
 }
 
+// A string literal with its embedded NULs.
+template <std::size_t N>
+std::string bytes(const char (&literal)[N]) {
+  return std::string(literal, N - 1);
+}
+
+TEST(ProtocolTest, CoordinatesArePlainDecimalDigits) {
+  // A strtoull-style parse stops at an embedded NUL (reading this as
+  // SCORE 1 2 3), takes a sign, and wraps a negative number.
+  const std::string nul = bytes("SCORE 1\0junk 2 3");
+  for (const std::string& bad :
+       {nul, bytes("TOPK 3 2\0 1"), bytes("SCOREB 1,2\0,3"),
+        std::string("SCORE +5 2 3"), std::string("SCORE -0 2 3"),
+        std::string("SCORE 1 2 -18446744073709551615"),
+        std::string("SCOREB 1,+2,3"), std::string("TOPK -0 3 1"),
+        std::string("TOPK 3 +2 1")}) {
+    const Request r = ht::serve::parse_request(bad);
+    EXPECT_EQ(r.type, RequestType::kInvalid)
+        << "input: '" << bad << "' (" << bad.size() << " bytes)";
+  }
+  EXPECT_EQ(ht::serve::parse_request(nul).error,
+            bytes("bad coordinate '1\0junk'"));
+
+  // Leading zeros and the index_t maximum still parse.
+  const Request zeros = ht::serve::parse_request("SCORE 007 0 4294967295");
+  ASSERT_EQ(zeros.type, RequestType::kScore);
+  EXPECT_EQ(zeros.queries[0], (std::vector<index_t>{7, 0, 4294967295u}));
+}
+
 TEST(ProtocolTest, DoubleRoundTripsTheWireBitExactly) {
   for (const double v : {0.0, -0.0, 1.0 / 3.0, -2.718281828459045e-12,
                          123456789.123456789}) {
@@ -124,6 +153,16 @@ TEST(DispatcherTest, AnswersQueriesAndErrors) {
   EXPECT_FALSE(ht::serve::response_ok(dispatcher.handle_line("RELOAD")));
   EXPECT_FALSE(ht::serve::response_ok(dispatcher.handle_line("TOPK 0 3")));
   EXPECT_TRUE(ht::serve::response_ok(dispatcher.handle_line("TOPK 0 3 1")));
+}
+
+TEST(DispatcherTest, TopkKIsClampedToTheItemCount) {
+  ModelHandle handle;
+  handle.publish(tiny_model());
+  Dispatcher dispatcher(handle, QueryOptions{});
+  const std::string items = std::to_string(tiny_model()->dims()[1]);
+  const std::string all = dispatcher.handle_line("TOPK 3 " + items + " 1");
+  ASSERT_TRUE(ht::serve::response_ok(all)) << all;
+  EXPECT_EQ(dispatcher.handle_line("TOPK 3 4294967295 1"), all);
 }
 
 TEST(DispatcherTest, NoModelPublishedIsAnError) {
