@@ -6,10 +6,10 @@
 //   2. dynamic vs static OpenMP scheduling of the TTMc row loop on a skewed
 //      tensor (the paper chooses dynamic);
 //   3. Lanczos vs Gram-matrix TRSVD (the matrix-free choice);
-//   4. per-nnz vs fiber-factored TTMc kernels across fiber-length regimes,
-//      and what the kAuto heuristic picks in each (the perf-trajectory
-//      entry: fiber factoring must win on fiber-dense tensors and kAuto
-//      must not regress fiber-sparse ones);
+//   4. per-nnz vs CSF TTMc kernels across fiber-length regimes, and what
+//      a kAuto plan runs in each (the perf-trajectory entry: the CSF walk
+//      must win on fiber-dense tensors and must not lose to per-nnz on
+//      singleton fibers, where kAuto still runs it);
 //   5. direct vs dimension-tree-served TTMc per HOOI iteration, and what
 //      the TtmcStrategy::kAuto cost model picks (perf-trajectory entry:
 //      tree-serving must win on merge-heavy tensors and kAuto must stay
@@ -21,9 +21,9 @@
 //      (perf-trajectory entry: a blocked backend must beat scalar Lanczos
 //      on the huge mode, kAuto must match the winner there and stay on
 //      Lanczos for small modes);
-//   7. CSF-tree TTMc against the flat-index kernels across prefix-sharing
-//      regimes (perf-trajectory entry: CSF must beat the best flat kernel
-//      on prefix-heavy tensors and kAuto must stay within noise of the
+//   7. CSF-tree TTMc against the flat per-nnz kernel across prefix-sharing
+//      regimes (perf-trajectory entry: CSF must beat per-nnz on
+//      prefix-heavy tensors and kAuto must stay within noise of the
 //      per-tensor winner everywhere);
 //   8. model-store load path — heap (kCopy, checksummed owned buffers) vs
 //      mmap (kMap, zero-copy views) bundle loads, cold and warm, plus the
@@ -41,7 +41,7 @@
 //      masked training must reach held-out RMSE within 1.15x the noise
 //      floor while unmasked HOOI — fitting the zeros — must not, matching
 //      the core_completion_test acceptance pin);
-//  10. ALTO bit-interleaved linearized kernel against the other three
+//  10. ALTO bit-interleaved linearized kernel against the other two
 //      families, plus the structure-memory comparison: one sorted key/value
 //      array serving every mode vs the CSF forest's N trees
 //      (perf-trajectory entry: ALTO structure memory must stay <= 0.5x the
@@ -76,10 +76,9 @@
 
 namespace {
 
-// Time the mode-`n` TTMc, best of `reps`. Per-mode timing is the unit the
-// kernel heuristic decides on: a tensor's modes can sit in different fiber
-// regimes (the generator's last mode sees singleton fibers), and kAuto
-// picks per mode.
+// Time the mode-`n` TTMc, best of `reps`. Per-mode timing shows where a
+// kernel wins: a tensor's modes can sit in different fiber regimes (the
+// generator's last mode sees singleton fibers).
 double time_ttmc_mode(const ht::tensor::CooTensor& x,
                       const std::vector<ht::la::Matrix>& factors,
                       const ht::core::SymbolicTtmc& sym, std::size_t n,
@@ -96,70 +95,57 @@ double time_ttmc_mode(const ht::tensor::CooTensor& x,
   return best;
 }
 
-void fiber_kernel_ablation(bool smoke, htb::JsonReport& report) {
+void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
   using namespace ht;
-  std::printf("=== Ablation 4: per-nnz vs fiber-factored TTMc ===\n");
+  std::printf("=== Ablation 4: per-nnz vs CSF TTMc by fiber length ===\n");
   const tensor::nnz_t target_nnz = smoke ? 20000 : 2000000;
   const tensor::Shape shape = smoke ? tensor::Shape{200, 200, 400}
                                     : tensor::Shape{3000, 3000, 5000};
   const std::vector<tensor::index_t> ranks(3, 10);
   const int reps = smoke ? 1 : 5;
 
-  // Mode 0 of the fibered generator sees ~fiber_len-long fibers; the last
-  // mode (fibers run along it) sees singletons, where kAuto must fall back.
+  // Mode 0's tree has the last mode at its leaf level, so its leaf runs are
+  // the generator's ~fiber_len-long fibers; fiber_len 1 is prefix-free.
   std::printf("%-10s %10s %12s %12s %9s %6s\n", "fiber_len", "avg_len",
-              "per-nnz(s)", "fiber(s)", "speedup", "auto");
+              "per-nnz(s)", "csf(s)", "speedup", "auto");
   for (const tensor::index_t fiber_len : {1, 2, 4, 8, 16}) {
     const auto x = tensor::random_fibered(shape, target_nnz / fiber_len,
                                           fiber_len, 97);
     const core::SymbolicTtmc sym = core::SymbolicTtmc::build(x);
+    const tensor::CsfTensor csf = tensor::CsfTensor::build(x);
     const auto factors =
         core::random_orthonormal_factors(x.shape(), ranks, 7);
 
     core::TtmcOptions per_nnz;
     per_nnz.kernel = core::TtmcKernel::kPerNnz;
-    core::TtmcOptions fiber;
-    fiber.kernel = core::TtmcKernel::kFiberFactored;
+    core::TtmcOptions use_csf;
+    use_csf.kernel = core::TtmcKernel::kCsf;
 
-    const double t_nnz = time_ttmc_mode(x, factors, sym, 0, per_nnz, reps);
-    const double t_fib = time_ttmc_mode(x, factors, sym, 0, fiber, reps);
-    const auto picked =
-        core::ttmc_selected_kernel(sym.modes[0], x.order(), {});
-    std::printf("%-10u %10.2f %12.4f %12.4f %8.2fx %6s\n", fiber_len,
-                sym.modes[0].avg_fiber_length(), t_nnz, t_fib, t_nnz / t_fib,
-                picked == core::TtmcKernel::kFiberFactored ? "fiber" : "nnz");
+    // Interleaved best-of-reps so drift hits both kernels alike.
+    double t_nnz = 1e300, t_csf = 1e300;
+    for (int rep = 0; rep < reps; ++rep) {
+      t_nnz = std::min(t_nnz, time_ttmc_mode(x, factors, sym, 0, per_nnz, 1));
+      t_csf = std::min(t_csf, time_ttmc_mode(x, factors, sym, 0, use_csf, 1,
+                                             &csf.modes[0]));
+    }
+    // What HOOI's kAuto plan runs: whatever structure it built.
+    const bool plan_csf =
+        core::ttmc_wants_csf(x.nnz(), x.order(), core::TtmcOptions{});
+    const char* pick = plan_csf ? "csf" : "nnz";
+    const double avg_len = csf.modes[0].avg_leaf_fiber_length();
+    std::printf("%-10u %10.2f %12.4f %12.4f %8.2fx %6s\n", fiber_len, avg_len,
+                t_nnz, t_csf, t_nnz / t_csf, pick);
     report.add()
-        .str("arm", "fiber_kernel")
+        .str("arm", "fiber_length")
         .num("fiber_len", fiber_len)
         .num("nnz", static_cast<double>(x.nnz()))
-        .num("avg_fiber_length", sym.modes[0].avg_fiber_length())
+        .num("avg_leaf_fiber_length", avg_len)
         .num("t_per_nnz_s", t_nnz)
-        .num("t_fiber_s", t_fib)
-        .num("speedup", t_nnz / t_fib)
-        .str("auto_pick",
-             picked == core::TtmcKernel::kFiberFactored ? "fiber" : "nnz");
+        .num("t_csf_s", t_csf)
+        .num("speedup", t_nnz / t_csf)
+        .str("auto_pick", pick);
   }
-
-  // kAuto on the singleton-fiber mode: must match per-nnz within noise.
-  {
-    const auto x = tensor::random_fibered(shape, target_nnz, 1, 97);
-    const core::SymbolicTtmc sym = core::SymbolicTtmc::build(x);
-    const auto factors =
-        core::random_orthonormal_factors(x.shape(), ranks, 7);
-    core::TtmcOptions per_nnz;
-    per_nnz.kernel = core::TtmcKernel::kPerNnz;
-    const double t_nnz =
-        time_ttmc_mode(x, factors, sym, 0, per_nnz, reps);
-    const double t_auto = time_ttmc_mode(x, factors, sym, 0, {}, reps);
-    std::printf("fiber-sparse kAuto fallback: per-nnz %.4fs vs auto %.4fs "
-                "(%.2fx)\n\n",
-                t_nnz, t_auto, t_nnz / t_auto);
-    report.add()
-        .str("arm", "fiber_kernel_auto_fallback")
-        .num("t_per_nnz_s", t_nnz)
-        .num("t_auto_s", t_auto)
-        .num("auto_vs_direct", t_nnz / t_auto);
-  }
+  std::printf("\n");
 }
 
 // Ablation 7: the CSF kernel against the flat-index kernels across prefix
@@ -170,20 +156,20 @@ void fiber_kernel_ablation(bool smoke, htb::JsonReport& report) {
 // values/idx — two random reads per nonzero. The input nonzero order can
 // match at most one mode's iteration order, so even when the flat kernels
 // stream one mode they scatter on the rest; CSF's per-mode trees stream
-// all of them. The prefix-free control pins the kAuto streaming rule: CSF
-// only for out-of-cache tensors, flat kernels in cache.
+// all of them. The prefix-free control is the regime with no shared prefix
+// to amortize; kAuto runs the walk there too, and it must hold its own.
 void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
   using namespace ht;
-  std::printf("=== Ablation 7: CSF vs flat-index TTMc kernels ===\n");
+  std::printf("=== Ablation 7: CSF vs per-nnz TTMc kernels ===\n");
   const tensor::nnz_t target_nnz = smoke ? 20000 : 2000000;
   const tensor::Shape shape = smoke ? tensor::Shape{200, 200, 400}
                                     : tensor::Shape{3000, 3000, 5000};
   const std::vector<tensor::index_t> ranks(3, 10);
   const int reps = smoke ? 1 : 5;
 
-  std::printf("%-14s %6s %8s %12s %12s %12s %12s %9s %9s %s\n", "tensor",
-              "mode", "avg_len", "per-nnz(s)", "fiber(s)", "csf(s)",
-              "auto(s)", "vs_best", "auto_spd", "auto");
+  std::printf("%-14s %6s %8s %12s %12s %12s %9s %9s %s\n", "tensor",
+              "mode", "avg_len", "per-nnz(s)", "csf(s)", "auto(s)",
+              "vs_nnz", "auto_spd", "auto");
   struct Arm {
     std::string name;
     tensor::CooTensor tensor;
@@ -205,39 +191,33 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
     const double csf_build_s = t_build.seconds();
     const auto factors = core::random_orthonormal_factors(x.shape(), ranks, 7);
 
-    core::TtmcOptions per_nnz, fiber, use_csf, use_auto;
+    core::TtmcOptions per_nnz, use_csf, use_auto;
     per_nnz.kernel = core::TtmcKernel::kPerNnz;
-    fiber.kernel = core::TtmcKernel::kFiberFactored;
     use_csf.kernel = core::TtmcKernel::kCsf;
 
-    // Per mode: interleaved best-of-reps so drift hits all four alike;
+    // Per mode: interleaved best-of-reps so drift hits all three alike;
     // sweep totals are the per-iteration numbers HOOI sees.
-    double s_nnz = 0, s_fib = 0, s_csf = 0, s_auto = 0;
+    double s_nnz = 0, s_csf = 0, s_auto = 0;
     std::string picks;
     for (std::size_t n = 0; n < x.order(); ++n) {
-      double t_nnz = 1e300, t_fib = 1e300, t_csf = 1e300, t_auto = 1e300;
+      double t_nnz = 1e300, t_csf = 1e300, t_auto = 1e300;
       for (int rep = 0; rep < reps; ++rep) {
         t_nnz =
             std::min(t_nnz, time_ttmc_mode(x, factors, sym, n, per_nnz, 1));
-        t_fib = std::min(t_fib, time_ttmc_mode(x, factors, sym, n, fiber, 1));
         t_csf = std::min(t_csf, time_ttmc_mode(x, factors, sym, n, use_csf, 1,
                                                &csf.modes[n]));
         t_auto = std::min(t_auto, time_ttmc_mode(x, factors, sym, n, use_auto,
                                                  1, &csf.modes[n]));
       }
-      const auto picked = core::ttmc_selected_kernel(sym.modes[n], x.order(),
-                                                     {}, &csf.modes[n]);
-      const char* pick_name = picked == core::TtmcKernel::kCsf ? "csf"
-                              : picked == core::TtmcKernel::kFiberFactored
-                                  ? "fiber"
-                                  : "nnz";
+      const auto picked =
+          core::ttmc_selected_kernel(x.order(), {}, &csf.modes[n]);
+      const char* pick_name = picked == core::TtmcKernel::kCsf ? "csf" : "nnz";
       picks += pick_name[0];
-      const double t_best = std::min({t_nnz, t_fib, t_csf});
-      std::printf("%-14s %6zu %8.2f %12.4f %12.4f %12.4f %12.4f %8.2fx "
-                  "%8.2fx %s\n",
+      const double t_best = std::min(t_nnz, t_csf);
+      std::printf("%-14s %6zu %8.2f %12.4f %12.4f %12.4f %8.2fx %8.2fx %s\n",
                   arm.name.c_str(), n, csf.modes[n].avg_leaf_fiber_length(),
-                  t_nnz, t_fib, t_csf, t_auto, std::min(t_nnz, t_fib) / t_csf,
-                  t_best / t_auto, pick_name);
+                  t_nnz, t_csf, t_auto, t_nnz / t_csf, t_best / t_auto,
+                  pick_name);
       report.add()
           .str("arm", "csf_kernel")
           .str("tensor", arm.name)
@@ -246,41 +226,36 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
           .num("avg_leaf_fiber_length", csf.modes[n].avg_leaf_fiber_length())
           .num("prefix_sharing_ratio", csf.modes[n].prefix_sharing_ratio())
           .num("t_per_nnz_s", t_nnz)
-          .num("t_fiber_s", t_fib)
           .num("t_csf_s", t_csf)
           .num("t_auto_s", t_auto)
-          .num("csf_vs_best_flat", std::min(t_nnz, t_fib) / t_csf)
+          .num("csf_vs_per_nnz", t_nnz / t_csf)
           .num("auto_vs_winner", t_best / t_auto)
           .str("auto_pick", pick_name);
       s_nnz += t_nnz;
-      s_fib += t_fib;
       s_csf += t_csf;
       s_auto += t_auto;
     }
-    const double s_best_flat = std::min(s_nnz, s_fib);
-    const double s_winner = std::min(s_best_flat, s_csf);
-    std::printf("%-14s  sweep          %12.4f %12.4f %12.4f %12.4f %8.2fx "
-                "%8.2fx %s (csf build %.2fs)\n",
-                arm.name.c_str(), s_nnz, s_fib, s_csf, s_auto,
-                s_best_flat / s_csf, s_winner / s_auto, picks.c_str(),
-                csf_build_s);
+    const double s_winner = std::min(s_nnz, s_csf);
+    std::printf("%-14s  sweep          %12.4f %12.4f %12.4f %8.2fx %8.2fx %s "
+                "(csf build %.2fs)\n",
+                arm.name.c_str(), s_nnz, s_csf, s_auto, s_nnz / s_csf,
+                s_winner / s_auto, picks.c_str(), csf_build_s);
     report.add()
         .str("arm", "csf_kernel_sweep")
         .str("tensor", arm.name)
         .num("nnz", static_cast<double>(x.nnz()))
         .num("t_per_nnz_s", s_nnz)
-        .num("t_fiber_s", s_fib)
         .num("t_csf_s", s_csf)
         .num("t_auto_s", s_auto)
         .num("csf_build_s", csf_build_s)
-        .num("csf_vs_best_flat", s_best_flat / s_csf)
+        .num("csf_vs_per_nnz", s_nnz / s_csf)
         .num("auto_vs_winner", s_winner / s_auto)
         .str("auto_picks", picks);
   }
   std::printf("\n");
 }
 
-// Arm 10: the ALTO linearized kernel against all three established
+// Arm 10: the ALTO linearized kernel against the two established
 // families, per mode and as a full sweep, plus the structure-memory
 // headline. The memory comparison is the format's reason to exist: the CSF
 // forest keeps one tree per mode (O(order * nnz) pointers + a value copy
@@ -291,11 +266,11 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
 // prefix sharing): there CSF's trees degenerate to flat walks while ALTO
 // still gets dense staging blocks from its partition index ranges, so the
 // kAlto kernel must stay within 1.3x of the best CSF time while paying a
-// fraction of the memory. kAuto (handed both structures) must stay within
-// noise of the per-case winner everywhere.
+// fraction of the memory. kAuto (handed both structures) runs the CSF walk
+// and must stay within noise of the per-case winner everywhere.
 void alto_kernel_ablation(bool smoke, htb::JsonReport& report) {
   using namespace ht;
-  std::printf("=== Ablation 10: ALTO linearized vs per-nnz/fiber/CSF ===\n");
+  std::printf("=== Ablation 10: ALTO linearized vs per-nnz/CSF ===\n");
   const tensor::nnz_t target_nnz = smoke ? 20000 : 2000000;
   const tensor::Shape shape = smoke ? tensor::Shape{200, 200, 400}
                                     : tensor::Shape{3000, 3000, 5000};
@@ -312,9 +287,9 @@ void alto_kernel_ablation(bool smoke, htb::JsonReport& report) {
   arms.push_back({"scattered",
                   tensor::random_fibered(shape, target_nnz, 1, 97)});
 
-  std::printf("%-11s %6s %12s %12s %12s %12s %12s %9s %9s %s\n", "tensor",
-              "mode", "per-nnz(s)", "fiber(s)", "csf(s)", "alto(s)",
-              "auto(s)", "vs_csf", "auto_spd", "auto");
+  std::printf("%-11s %6s %12s %12s %12s %12s %9s %9s %s\n", "tensor",
+              "mode", "per-nnz(s)", "csf(s)", "alto(s)", "auto(s)", "vs_csf",
+              "auto_spd", "auto");
   for (const Arm& arm : arms) {
     const auto& x = arm.tensor;
     const core::SymbolicTtmc sym = core::SymbolicTtmc::build(x);
@@ -342,22 +317,19 @@ void alto_kernel_ablation(bool smoke, htb::JsonReport& report) {
         .num("csf_forest_bytes", static_cast<double>(csf_bytes))
         .num("alto_vs_csf_bytes", mem_ratio);
 
-    core::TtmcOptions per_nnz, fiber, use_csf, use_alto, use_auto;
+    core::TtmcOptions per_nnz, use_csf, use_alto, use_auto;
     per_nnz.kernel = core::TtmcKernel::kPerNnz;
-    fiber.kernel = core::TtmcKernel::kFiberFactored;
     use_csf.kernel = core::TtmcKernel::kCsf;
     use_alto.kernel = core::TtmcKernel::kAlto;
 
-    double s_nnz = 0, s_fib = 0, s_csf = 0, s_alto = 0, s_auto = 0;
+    double s_nnz = 0, s_csf = 0, s_alto = 0, s_auto = 0;
     std::string picks;
     for (std::size_t n = 0; n < x.order(); ++n) {
-      double t_nnz = 1e300, t_fib = 1e300, t_csf = 1e300, t_alto = 1e300,
-             t_auto = 1e300;
-      // Interleaved best-of-reps so machine drift hits all five alike.
+      double t_nnz = 1e300, t_csf = 1e300, t_alto = 1e300, t_auto = 1e300;
+      // Interleaved best-of-reps so machine drift hits all four alike.
       for (int rep = 0; rep < reps; ++rep) {
         t_nnz =
             std::min(t_nnz, time_ttmc_mode(x, factors, sym, n, per_nnz, 1));
-        t_fib = std::min(t_fib, time_ttmc_mode(x, factors, sym, n, fiber, 1));
         t_csf = std::min(t_csf, time_ttmc_mode(x, factors, sym, n, use_csf, 1,
                                                &csf.modes[n]));
         t_alto = std::min(t_alto, time_ttmc_mode(x, factors, sym, n, use_alto,
@@ -365,18 +337,15 @@ void alto_kernel_ablation(bool smoke, htb::JsonReport& report) {
         t_auto = std::min(t_auto, time_ttmc_mode(x, factors, sym, n, use_auto,
                                                  1, &csf.modes[n], &alto));
       }
-      const auto picked = core::ttmc_selected_kernel(sym.modes[n], x.order(),
-                                                     {}, &csf.modes[n], &alto);
-      const char* pick_name = picked == core::TtmcKernel::kAlto     ? "alto"
-                              : picked == core::TtmcKernel::kCsf    ? "csf"
-                              : picked == core::TtmcKernel::kFiberFactored
-                                  ? "fiber"
-                                  : "nnz";
+      const auto picked =
+          core::ttmc_selected_kernel(x.order(), {}, &csf.modes[n], &alto);
+      const char* pick_name = picked == core::TtmcKernel::kAlto  ? "alto"
+                              : picked == core::TtmcKernel::kCsf ? "csf"
+                                                                 : "nnz";
       picks += pick_name[0];
-      const double t_best = std::min({t_nnz, t_fib, t_csf, t_alto});
-      std::printf("%-11s %6zu %12.4f %12.4f %12.4f %12.4f %12.4f %8.2fx "
-                  "%8.2fx %s\n",
-                  arm.name.c_str(), n, t_nnz, t_fib, t_csf, t_alto, t_auto,
+      const double t_best = std::min({t_nnz, t_csf, t_alto});
+      std::printf("%-11s %6zu %12.4f %12.4f %12.4f %12.4f %8.2fx %8.2fx %s\n",
+                  arm.name.c_str(), n, t_nnz, t_csf, t_alto, t_auto,
                   t_csf / t_alto, t_best / t_auto, pick_name);
       report.add()
           .str("arm", "alto_kernel")
@@ -384,7 +353,6 @@ void alto_kernel_ablation(bool smoke, htb::JsonReport& report) {
           .num("mode", static_cast<double>(n))
           .num("nnz", static_cast<double>(x.nnz()))
           .num("t_per_nnz_s", t_nnz)
-          .num("t_fiber_s", t_fib)
           .num("t_csf_s", t_csf)
           .num("t_alto_s", t_alto)
           .num("t_auto_s", t_auto)
@@ -393,23 +361,20 @@ void alto_kernel_ablation(bool smoke, htb::JsonReport& report) {
           .num("auto_vs_winner", t_auto / t_best)
           .str("auto_pick", pick_name);
       s_nnz += t_nnz;
-      s_fib += t_fib;
       s_csf += t_csf;
       s_alto += t_alto;
       s_auto += t_auto;
     }
-    const double s_winner = std::min({s_nnz, s_fib, s_csf, s_alto});
-    std::printf("%-11s  sweep %12.4f %12.4f %12.4f %12.4f %12.4f %8.2fx "
-                "%8.2fx %s (alto build %.2fs)\n",
-                arm.name.c_str(), s_nnz, s_fib, s_csf, s_alto, s_auto,
-                s_csf / s_alto, s_winner / s_auto, picks.c_str(),
-                alto_build_s);
+    const double s_winner = std::min({s_nnz, s_csf, s_alto});
+    std::printf("%-11s  sweep %12.4f %12.4f %12.4f %12.4f %8.2fx %8.2fx %s "
+                "(alto build %.2fs)\n",
+                arm.name.c_str(), s_nnz, s_csf, s_alto, s_auto, s_csf / s_alto,
+                s_winner / s_auto, picks.c_str(), alto_build_s);
     report.add()
         .str("arm", "alto_kernel_sweep")
         .str("tensor", arm.name)
         .num("nnz", static_cast<double>(x.nnz()))
         .num("t_per_nnz_s", s_nnz)
-        .num("t_fiber_s", s_fib)
         .num("t_csf_s", s_csf)
         .num("t_alto_s", s_alto)
         .num("t_auto_s", s_auto)
@@ -979,7 +944,7 @@ int main(int argc, char** argv) {
   using namespace ht;
 
   htb::JsonReport report(htb::json_path_from_args(argc, argv));
-  fiber_kernel_ablation(htb::bench_smoke(), report);
+  fiber_length_ablation(htb::bench_smoke(), report);
   csf_kernel_ablation(htb::bench_smoke(), report);
   alto_kernel_ablation(htb::bench_smoke(), report);
   tree_scheduler_ablation(htb::bench_smoke(), report);

@@ -12,6 +12,7 @@
 #include "la/lanczos.hpp"
 #include "la/linear_operator.hpp"
 #include "smp/communicator.hpp"
+#include "tensor/csf.hpp"
 #include "tensor/generators.hpp"
 #include "util/random.hpp"
 
@@ -55,12 +56,13 @@ void BM_TtmcMode(benchmark::State& state) {
 }
 BENCHMARK(BM_TtmcMode)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
-// Per-nnz vs fiber-factored across fiber-length regimes: one tensor per
-// fiber length (constant total nnz), mode 0 (whose fibers run along the
-// generator's last-mode runs).
+// Per-nnz vs CSF across fiber-length regimes: one tensor per fiber length
+// (constant total nnz), mode 0 (whose tree's leaf runs are the generator's
+// last-mode fibers).
 struct FiberFixture {
   CooTensor x;
   SymbolicTtmc sym;
+  ht::tensor::CsfTensor csf;
   std::vector<Matrix> factors;
 };
 
@@ -72,6 +74,7 @@ const FiberFixture& fiber_fixture(index_t fiber_len) {
     fx.x = ht::tensor::random_fibered(Shape{2000, 2000, 3000},
                                       200000 / fiber_len, fiber_len, 97);
     fx.sym = SymbolicTtmc::build(fx.x);
+    fx.csf = ht::tensor::CsfTensor::build(fx.x);
     fx.factors = ht::core::random_orthonormal_factors(
         fx.x.shape(), std::vector<index_t>{10, 10, 10}, 7);
     it = cache.emplace(fiber_len, std::move(fx)).first;
@@ -81,14 +84,15 @@ const FiberFixture& fiber_fixture(index_t fiber_len) {
 
 void BM_TtmcKernelByFiberLength(benchmark::State& state) {
   const auto fiber_len = static_cast<index_t>(state.range(0));
-  const bool fiber_kernel = state.range(1) != 0;
+  const bool csf_kernel = state.range(1) != 0;
   const auto& f = fiber_fixture(fiber_len);
   ht::core::TtmcOptions options;
-  options.kernel = fiber_kernel ? ht::core::TtmcKernel::kFiberFactored
-                                : ht::core::TtmcKernel::kPerNnz;
+  options.kernel = csf_kernel ? ht::core::TtmcKernel::kCsf
+                              : ht::core::TtmcKernel::kPerNnz;
   Matrix y;
   for (auto _ : state) {
-    ht::core::ttmc_mode(f.x, f.factors, 0, f.sym.modes[0], y, options);
+    ht::core::ttmc_mode(f.x, f.factors, 0, f.sym.modes[0], y, options,
+                        &f.csf.modes[0]);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -96,7 +100,7 @@ void BM_TtmcKernelByFiberLength(benchmark::State& state) {
 }
 BENCHMARK(BM_TtmcKernelByFiberLength)
     ->ArgsProduct({{1, 2, 4, 8, 16}, {0, 1}})
-    ->ArgNames({"fiber_len", "fiber_kernel"})
+    ->ArgNames({"fiber_len", "csf_kernel"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SymbolicTtmc(benchmark::State& state) {

@@ -3,9 +3,8 @@
 //
 //   ./tucker_cli INPUT.tns R1,R2,...  [--iters N] [--tol T] [--threads P]
 //                [--init random|range]
-//                [--ttmc-kernel auto|nnz|fiber|csf|alto]
-//                [--structure-budget BYTES]
-//                [--fiber-threshold T] [--ttmc-strategy auto|direct|tree]
+//                [--ttmc-kernel auto|nnz|csf|alto]
+//                [--structure-budget BYTES] [--ttmc-strategy auto|direct|tree]
 //                [--trsvd-method lanczos|gram|block|rand|auto]
 //                [--trsvd-block B] [--trsvd-oversample P] [--trsvd-power Q]
 //                [--export PREFIX] [--sweep] [--save-model FILE.htb]
@@ -96,8 +95,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: tucker_cli INPUT.tns R1,R2,... [--iters N] [--tol T]"
                " [--threads P] [--init random|range]"
-               " [--ttmc-kernel auto|nnz|fiber|csf|alto]"
-               " [--structure-budget BYTES] [--fiber-threshold T]"
+               " [--ttmc-kernel auto|nnz|csf|alto]"
+               " [--structure-budget BYTES]"
                " [--ttmc-strategy auto|direct|tree]"
                " [--trsvd-method lanczos|gram|block|rand|auto]"
                " [--trsvd-block B] [--trsvd-oversample P] [--trsvd-power Q]"
@@ -337,8 +336,6 @@ int main(int argc, char** argv) {
         options.ttmc.kernel = ht::core::TtmcKernel::kAuto;
       } else if (v == "nnz") {
         options.ttmc.kernel = ht::core::TtmcKernel::kPerNnz;
-      } else if (v == "fiber") {
-        options.ttmc.kernel = ht::core::TtmcKernel::kFiberFactored;
       } else if (v == "csf") {
         options.ttmc.kernel = ht::core::TtmcKernel::kCsf;
       } else if (v == "alto") {
@@ -349,8 +346,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--structure-budget") {
       options.ttmc.structure_budget_bytes = std::atof(next());
       if (options.ttmc.structure_budget_bytes < 0) return usage();
-    } else if (arg == "--fiber-threshold") {
-      options.ttmc.fiber_threshold = std::atof(next());
     } else if (arg == "--ttmc-strategy") {
       const std::string v = next();
       if (v == "auto") {

@@ -19,9 +19,8 @@ using tensor::Shape;
 
 /// Fixed reduction granularity: every cross-nonzero sum is accumulated per
 /// 8192-nonzero block and the block partials are combined in ascending
-/// block order, so the result never depends on the thread count (same
-/// discipline as la/blas.cpp's per-thread arenas, keyed on data position
-/// instead of thread id).
+/// block order, so the result never depends on the thread count (the same
+/// discipline as la/blas.cpp's reductions).
 constexpr nnz_t kReduceBlock = 8192;
 
 std::size_t core_size(const Shape& ranks) {
@@ -420,8 +419,7 @@ CompletionResult tucker_complete(const CooTensor& train,
 
   CompletionResult result;
   WallTimer t_sym;
-  const SymbolicTtmc symbolic =
-      SymbolicTtmc::build(train, /*with_fibers=*/false);
+  const SymbolicTtmc symbolic = SymbolicTtmc::build(train);
   result.timers.symbolic = t_sym.seconds();
 
   // Init: random orthonormal factors; rows with no observed entries are

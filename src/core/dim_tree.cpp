@@ -146,8 +146,8 @@ namespace {
 // the mode, including the zero-and-write of the compact output and the
 // per-nonzero indirection charge (see the calibration constants above).
 // Mirrors the kernels in ttmc.cpp: per-nnz pays the full Kronecker row per
-// nonzero; fiber-factored pays the trailing rank per nonzero plus one
-// expansion per (sub)fiber.
+// nonzero; CSF pays one expansion per tree node; ALTO pays per-nnz flops
+// plus its staging merge.
 double direct_mode_cost(const ModeSymbolic& sym, std::size_t order,
                         std::size_t mode, std::span<const index_t> ranks,
                         const TtmcOptions& options,
@@ -159,9 +159,7 @@ double direct_mode_cost(const ModeSymbolic& sym, std::size_t order,
     if (t != mode) width *= static_cast<double>(ranks[t]);
   }
   const double rows_write = static_cast<double>(sym.num_rows()) * width;
-  const double nnz_traffic = nnz * kSlotIndirectCost;
-  const TtmcKernel kernel =
-      ttmc_selected_kernel(sym, order, options, csf, alto);
+  const TtmcKernel kernel = ttmc_selected_kernel(order, options, csf, alto);
   if (kernel == TtmcKernel::kAlto) {
     // Phase 1 pays the full Kronecker expansion per nonzero (like per-nnz)
     // but streams keys/values sequentially (the gathered traffic rate);
@@ -191,27 +189,7 @@ double direct_mode_cost(const ModeSymbolic& sym, std::size_t order,
     }
     return cost;
   }
-  if (kernel == TtmcKernel::kPerNnz) {
-    return nnz * width + rows_write + nnz_traffic;
-  }
-  std::size_t others[3];
-  std::size_t count = 0;
-  for (std::size_t t = 0; t < order; ++t) {
-    if (t != mode) others[count++] = t;
-  }
-  const auto fibers = static_cast<double>(sym.num_fibers());
-  if (order == 3) {
-    return nnz * static_cast<double>(ranks[others[1]]) + fibers * width +
-           rows_write + nnz_traffic;
-  }
-  const auto subfibers =
-      static_cast<double>(sym.subfiber_ptr.empty()
-                              ? 0
-                              : sym.subfiber_ptr.size() - 1);
-  return nnz * static_cast<double>(ranks[others[2]]) +
-         subfibers * static_cast<double>(ranks[others[1]]) *
-             static_cast<double>(ranks[others[2]]) +
-         fibers * width + rows_write + nnz_traffic;
+  return nnz * width + rows_write + nnz * kSlotIndirectCost;
 }
 
 }  // namespace

@@ -1,94 +1,10 @@
 #include "core/symbolic.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "util/error.hpp"
 
 namespace ht::core {
 
-namespace {
-
-// Sort each row's update list so nonzeros sharing the leading other-mode
-// index (and, for two keys, the second other-mode index) are contiguous,
-// then record the run boundaries. The nonzero ordinal is the final sort key,
-// so the ordering — and therefore the per-nonzero kernels' accumulation
-// order — is deterministic.
-void build_fiber_index(const CooTensor& x, std::size_t mode,
-                       ModeSymbolic& sym) {
-  const std::size_t order = x.order();
-  if (order != 3 && order != 4) return;
-
-  std::size_t others[3];
-  std::size_t count = 0;
-  for (std::size_t t = 0; t < order; ++t) {
-    if (t != mode) others[count++] = t;
-  }
-  const auto idx_a = x.indices(others[0]);
-  const bool two_level = order == 4;
-  const auto idx_b = two_level ? x.indices(others[1]) : idx_a;
-
-  // Rows are independent, and the per-row sorts dominate the fiber-index
-  // cost, so parallelize across rows (the caller's mode-level loop caps out
-  // at the tensor order).
-  const auto nrows = static_cast<std::ptrdiff_t>(sym.num_rows());
-#pragma omp parallel for schedule(dynamic, 64)
-  for (std::ptrdiff_t r = 0; r < nrows; ++r) {
-    auto* begin = sym.nnz_order.data() + sym.row_ptr[r];
-    auto* end = sym.nnz_order.data() + sym.row_ptr[r + 1];
-    if (two_level) {
-      std::sort(begin, end, [&](nnz_t lhs, nnz_t rhs) {
-        if (idx_a[lhs] != idx_a[rhs]) return idx_a[lhs] < idx_a[rhs];
-        if (idx_b[lhs] != idx_b[rhs]) return idx_b[lhs] < idx_b[rhs];
-        return lhs < rhs;
-      });
-    } else {
-      std::sort(begin, end, [&](nnz_t lhs, nnz_t rhs) {
-        if (idx_a[lhs] != idx_a[rhs]) return idx_a[lhs] < idx_a[rhs];
-        return lhs < rhs;
-      });
-    }
-  }
-
-  sym.fiber_row_ptr.assign(sym.num_rows() + 1, 0);
-  sym.fiber_ptr.clear();
-  sym.fiber_ptr.push_back(0);
-  if (two_level) {
-    sym.subfiber_fiber_ptr.clear();
-    sym.subfiber_fiber_ptr.push_back(0);
-    sym.subfiber_ptr.clear();
-    sym.subfiber_ptr.push_back(0);
-  }
-  for (std::size_t r = 0; r < sym.num_rows(); ++r) {
-    const nnz_t row_end = sym.row_ptr[r + 1];
-    nnz_t i = sym.row_ptr[r];
-    while (i < row_end) {
-      const index_t a = idx_a[sym.nnz_order[i]];
-      nnz_t j = i;
-      while (j < row_end && idx_a[sym.nnz_order[j]] == a) {
-        if (two_level) {
-          const index_t b = idx_b[sym.nnz_order[j]];
-          while (j < row_end && idx_a[sym.nnz_order[j]] == a &&
-                 idx_b[sym.nnz_order[j]] == b) {
-            ++j;
-          }
-          sym.subfiber_ptr.push_back(j);
-        } else {
-          ++j;
-        }
-      }
-      sym.fiber_ptr.push_back(j);
-      if (two_level) sym.subfiber_fiber_ptr.push_back(sym.subfiber_ptr.size() - 1);
-      i = j;
-    }
-    sym.fiber_row_ptr[r + 1] = sym.fiber_ptr.size() - 1;
-  }
-}
-
-}  // namespace
-
-ModeSymbolic build_mode_symbolic(const CooTensor& x, std::size_t mode,
-                                 bool with_fibers) {
+ModeSymbolic build_mode_symbolic(const CooTensor& x, std::size_t mode) {
   HT_CHECK(mode < x.order());
   ModeSymbolic sym;
   const auto idx = x.indices(mode);
@@ -113,28 +29,17 @@ ModeSymbolic build_mode_symbolic(const CooTensor& x, std::size_t mode,
   for (nnz_t t = 0; t < x.nnz(); ++t) {
     sym.nnz_order[cursor[compact_of[idx[t]]]++] = t;
   }
-
-  if (with_fibers) build_fiber_index(x, mode, sym);
   return sym;
 }
 
-SymbolicTtmc SymbolicTtmc::build(const CooTensor& x, bool with_fibers) {
+SymbolicTtmc SymbolicTtmc::build(const CooTensor& x) {
   SymbolicTtmc sym;
   const auto order = static_cast<int>(x.order());
   sym.modes.resize(order);
-  // Base structure: modes in parallel (a handful of independent passes).
-  // The fiber index runs after, one mode at a time, so its row-level parfor
-  // gets the full thread pool instead of nesting inside the mode loop.
+  // Modes in parallel: a handful of independent passes.
 #pragma omp parallel for schedule(dynamic, 1)
   for (int n = 0; n < order; ++n) {
-    sym.modes[n] = build_mode_symbolic(x, static_cast<std::size_t>(n),
-                                       /*with_fibers=*/false);
-  }
-  if (with_fibers) {
-    for (int n = 0; n < order; ++n) {
-      build_fiber_index(x, static_cast<std::size_t>(n),
-                        sym.modes[static_cast<std::size_t>(n)]);
-    }
+    sym.modes[n] = build_mode_symbolic(x, static_cast<std::size_t>(n));
   }
   return sym;
 }

@@ -1,4 +1,4 @@
-// Symbolic TTMc (paper Section III-A.1), extended with a fiber index.
+// Symbolic TTMc (paper Section III-A.1).
 //
 // One preprocessing pass per mode builds the update list ul_n: for every
 // mode-n row i with nonzeros, the list of nonzero ordinals contributing to
@@ -7,17 +7,9 @@
 // nonzero"). This resolves every index computation and write dependency
 // before the HOOI iterations: the numeric TTMc becomes a lock-free parallel
 // loop over rows of Y(n), and the symbolic result is reused across all
-// iterations (and across HOOI runs with different ranks).
-//
-// Fiber index: for 3- and 4-mode tensors each row's update list is
-// additionally sorted by the leading other-mode index (and, for 4-mode, the
-// second other-mode index), and the run boundaries are recorded. Nonzeros in
-// a run share every index except the trailing mode, i.e. they lie on one
-// tensor fiber — exactly the redundancy fiber-compressed layouts (SPLATT's
-// CSF) exploit. The fiber-factored numeric kernels in ttmc.cpp hoist the
-// shared Kronecker factors out of the per-nonzero loop, turning the
-// R_a*R_b(*R_c) per-nonzero expansion into R_b(*R_c) per nonzero plus one
-// expansion per fiber.
+// iterations (and across HOOI runs with different ranks). Within a row the
+// ordinals ascend, so the per-nnz kernel's accumulation order is a pure
+// function of the tensor.
 #pragma once
 
 #include <cstddef>
@@ -41,67 +33,23 @@ struct ModeSymbolic {
   /// Nonzero ordinals grouped by row (a permutation of 0..nnz-1).
   std::vector<nnz_t> nnz_order;
 
-  /// Fiber index over nnz_order (built for 3- and 4-mode tensors; empty
-  /// otherwise, or when built with with_fibers = false). Fiber k spans
-  /// nnz_order[fiber_ptr[k] .. fiber_ptr[k+1]); row r owns fibers
-  /// [fiber_row_ptr[r], fiber_row_ptr[r+1]). All nonzeros of a fiber share
-  /// the leading other-mode index.
-  std::vector<nnz_t> fiber_ptr;
-  std::vector<nnz_t> fiber_row_ptr;
-
-  /// Second fiber level (4-mode only): fiber k owns subfibers
-  /// [subfiber_fiber_ptr[k], subfiber_fiber_ptr[k+1]); subfiber j spans
-  /// nnz_order[subfiber_ptr[j] .. subfiber_ptr[j+1]). All nonzeros of a
-  /// subfiber share the first *two* other-mode indices.
-  std::vector<nnz_t> subfiber_ptr;
-  std::vector<nnz_t> subfiber_fiber_ptr;
-
   [[nodiscard]] std::size_t num_rows() const { return rows.size(); }
 
   /// Update list of the r-th compacted row.
   [[nodiscard]] std::span<const nnz_t> update_list(std::size_t r) const {
     return {nnz_order.data() + row_ptr[r], row_ptr[r + 1] - row_ptr[r]};
   }
-
-  [[nodiscard]] bool has_fibers() const { return !fiber_ptr.empty(); }
-
-  [[nodiscard]] std::size_t num_fibers() const {
-    return fiber_ptr.empty() ? 0 : fiber_ptr.size() - 1;
-  }
-
-  /// Mean nonzeros per fiber — the quantity the kernel heuristic tests
-  /// against TtmcOptions::fiber_threshold. Zero when no fiber index exists.
-  [[nodiscard]] double avg_fiber_length() const {
-    const std::size_t f = num_fibers();
-    return f == 0 ? 0.0
-                  : static_cast<double>(nnz_order.size()) /
-                        static_cast<double>(f);
-  }
-
-  /// Bytes of this mode's update-list and fiber-index arrays — the
-  /// structure-memory number bench_ablation reports alongside
-  /// CsfTensor::format_bytes() and AltoTensor::format_bytes().
-  [[nodiscard]] std::size_t format_bytes() const {
-    return rows.size() * sizeof(index_t) +
-           (row_ptr.size() + nnz_order.size() + fiber_ptr.size() +
-            fiber_row_ptr.size() + subfiber_ptr.size() +
-            subfiber_fiber_ptr.size()) *
-               sizeof(nnz_t);
-  }
 };
 
 /// Symbolic TTMc for all modes. Modes are processed in parallel (they are
-/// independent, as the paper notes). `with_fibers` controls the fiber-index
-/// construction (a per-row sort; skip it to reproduce the plain paper
-/// preprocessing cost).
+/// independent, as the paper notes).
 struct SymbolicTtmc {
   std::vector<ModeSymbolic> modes;
 
-  static SymbolicTtmc build(const CooTensor& x, bool with_fibers = true);
+  static SymbolicTtmc build(const CooTensor& x);
 };
 
 /// Symbolic pass for a single mode.
-ModeSymbolic build_mode_symbolic(const CooTensor& x, std::size_t mode,
-                                 bool with_fibers = true);
+ModeSymbolic build_mode_symbolic(const CooTensor& x, std::size_t mode);
 
 }  // namespace ht::core

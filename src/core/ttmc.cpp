@@ -189,105 +189,6 @@ void ttmc_general_per_nnz(const CooTensor& x,
   });
 }
 
-// ---- fiber-factored kernels -----------------------------------------------
-
-// 3-mode: within a fiber every nonzero shares i_a, so the inner partial
-//   t[jb] += v * u_b(i_b, jb)                       (R_b flops per nonzero)
-// is expanded once per fiber as y += u_a(i_a, :) (x) t (R_a*R_b per fiber).
-template <typename RowMap>
-void ttmc3_fiber(const CooTensor& x, const std::vector<la::Matrix>& factors,
-                 std::size_t mode, const ModeSymbolic& sym,
-                 std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                 const TtmcOptions& options) {
-  const auto o = other_modes(x.order(), mode);
-  const auto idx_a = x.indices(o.m[0]);
-  const auto idx_b = x.indices(o.m[1]);
-  const auto values = x.values();
-  const la::Matrix& fa = factors[o.m[0]];
-  const la::Matrix& fb = factors[o.m[1]];
-  const std::size_t rb = fb.cols();
-  parallel_rows(nrows, options.schedule, [&](std::ptrdiff_t r) {
-    std::vector<double>& t = kernel_scratch().a;
-    t.resize(rb);
-    auto row = y.row(static_cast<std::size_t>(r));
-    std::fill(row.begin(), row.end(), 0.0);
-    const std::size_t cr = map(r);
-    for (nnz_t k = sym.fiber_row_ptr[cr]; k < sym.fiber_row_ptr[cr + 1]; ++k) {
-      const nnz_t begin = sym.fiber_ptr[k], end = sym.fiber_ptr[k + 1];
-      std::fill(t.begin(), t.end(), 0.0);
-      for (nnz_t i = begin; i < end; ++i) {
-        const nnz_t e = sym.nnz_order[i];
-        const double v = values[e];
-        const auto ub = fb.row(idx_b[e]);
-        for (std::size_t jb = 0; jb < rb; ++jb) t[jb] += v * ub[jb];
-      }
-      const auto ua = fa.row(idx_a[sym.nnz_order[begin]]);
-      for (std::size_t ja = 0; ja < ua.size(); ++ja) {
-        const double s = ua[ja];
-        double* yrow = row.data() + ja * rb;
-        for (std::size_t jb = 0; jb < rb; ++jb) yrow[jb] += s * t[jb];
-      }
-    }
-  });
-}
-
-// 4-mode, two-level: subfibers share (i_a, i_b) and accumulate
-//   t_c[jc] += v * u_c(i_c, jc)                     (R_c flops per nonzero),
-// expanded per subfiber into t_bc += u_b (x) t_c    (R_b*R_c per subfiber),
-// expanded per fiber into y += u_a (x) t_bc         (R_a*R_b*R_c per fiber).
-template <typename RowMap>
-void ttmc4_fiber(const CooTensor& x, const std::vector<la::Matrix>& factors,
-                 std::size_t mode, const ModeSymbolic& sym,
-                 std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                 const TtmcOptions& options) {
-  const auto o = other_modes(x.order(), mode);
-  const auto idx_a = x.indices(o.m[0]);
-  const auto idx_b = x.indices(o.m[1]);
-  const auto idx_c = x.indices(o.m[2]);
-  const auto values = x.values();
-  const la::Matrix& fa = factors[o.m[0]];
-  const la::Matrix& fb = factors[o.m[1]];
-  const la::Matrix& fc = factors[o.m[2]];
-  const std::size_t rb = fb.cols(), rc = fc.cols();
-  parallel_rows(nrows, options.schedule, [&](std::ptrdiff_t r) {
-    std::vector<double>& t_c = kernel_scratch().a;
-    std::vector<double>& t_bc = kernel_scratch().b;
-    t_c.resize(rc);
-    t_bc.resize(rb * rc);
-    auto row = y.row(static_cast<std::size_t>(r));
-    std::fill(row.begin(), row.end(), 0.0);
-    const std::size_t cr = map(r);
-    for (nnz_t k = sym.fiber_row_ptr[cr]; k < sym.fiber_row_ptr[cr + 1]; ++k) {
-      std::fill(t_bc.begin(), t_bc.end(), 0.0);
-      for (nnz_t j = sym.subfiber_fiber_ptr[k]; j < sym.subfiber_fiber_ptr[k + 1];
-           ++j) {
-        const nnz_t begin = sym.subfiber_ptr[j], end = sym.subfiber_ptr[j + 1];
-        std::fill(t_c.begin(), t_c.end(), 0.0);
-        for (nnz_t i = begin; i < end; ++i) {
-          const nnz_t e = sym.nnz_order[i];
-          const double v = values[e];
-          const auto uc = fc.row(idx_c[e]);
-          for (std::size_t jc = 0; jc < rc; ++jc) t_c[jc] += v * uc[jc];
-        }
-        const auto ub = fb.row(idx_b[sym.nnz_order[begin]]);
-        for (std::size_t jb = 0; jb < rb; ++jb) {
-          const double s = ub[jb];
-          double* dst = t_bc.data() + jb * rc;
-          for (std::size_t jc = 0; jc < rc; ++jc) dst[jc] += s * t_c[jc];
-        }
-      }
-      const auto ua = fa.row(idx_a[sym.nnz_order[sym.fiber_ptr[k]]]);
-      for (std::size_t ja = 0; ja < ua.size(); ++ja) {
-        const double s = ua[ja];
-        double* yrow = row.data() + ja * rb * rc;
-        for (std::size_t jbc = 0; jbc < rb * rc; ++jbc) {
-          yrow[jbc] += s * t_bc[jbc];
-        }
-      }
-    }
-  });
-}
-
 // ---- CSF kernel ------------------------------------------------------------
 
 // Deepest CSF tree the kernel's fixed-size per-level arrays accommodate;
@@ -915,42 +816,28 @@ void ttmc_dispatch(const CooTensor& x, const std::vector<la::Matrix>& factors,
                    const TtmcOptions& options, const tensor::CsfTree* csf,
                    const tensor::AltoTensor* alto) {
   const std::size_t order = x.order();
-  TtmcKernel kernel = ttmc_selected_kernel(sym, order, options, csf, alto);
+  TtmcKernel kernel = ttmc_selected_kernel(order, options, csf, alto);
   if (kernel == TtmcKernel::kAlto &&
       !alto_mode_feasible(*alto, mode, y.cols())) {
     // Pathological index-range x width staging for this mode: re-select as
     // if no ALTO structure were in hand.
-    kernel = ttmc_selected_kernel(sym, order, options, csf, nullptr);
+    kernel = ttmc_selected_kernel(order, options, csf, nullptr);
   }
   if (kernel == TtmcKernel::kAlto) {
     HT_CHECK_MSG(alto->nnz() == sym.nnz_order.size(),
                  "ALTO structure does not match the symbolic structure");
     ttmc_alto(factors, *alto, mode, sym, nrows, map, y, options);
-    return;
-  }
-  if (kernel == TtmcKernel::kCsf) {
+  } else if (kernel == TtmcKernel::kCsf) {
     HT_CHECK_MSG(csf->num_roots() == sym.num_rows(),
                  "CSF tree does not match the symbolic structure");
     ttmc_csf_tree(factors, *csf, mode, nrows, map, y, options);
-    return;
+  } else if (order == 3) {
+    ttmc3_per_nnz(x, factors, mode, sym, nrows, map, y, options);
+  } else if (order == 4) {
+    ttmc4_per_nnz(x, factors, mode, sym, nrows, map, y, options);
+  } else {
+    ttmc_general_per_nnz(x, factors, mode, sym, nrows, map, y, options);
   }
-  if (order == 3) {
-    if (kernel == TtmcKernel::kFiberFactored) {
-      ttmc3_fiber(x, factors, mode, sym, nrows, map, y, options);
-    } else {
-      ttmc3_per_nnz(x, factors, mode, sym, nrows, map, y, options);
-    }
-    return;
-  }
-  if (order == 4) {
-    if (kernel == TtmcKernel::kFiberFactored) {
-      ttmc4_fiber(x, factors, mode, sym, nrows, map, y, options);
-    } else {
-      ttmc4_per_nnz(x, factors, mode, sym, nrows, map, y, options);
-    }
-    return;
-  }
-  ttmc_general_per_nnz(x, factors, mode, sym, nrows, map, y, options);
 }
 
 void check_inputs(const CooTensor& x, const std::vector<la::Matrix>& factors,
@@ -966,23 +853,6 @@ void check_inputs(const CooTensor& x, const std::vector<la::Matrix>& factors,
 
 }  // namespace
 
-// Working-set threshold of the kAuto streaming rule: past this many bytes
-// of per-nonzero traffic a flat kernel's random reads leave the last-level
-// cache and the CSF walk's sequential streams win on bandwidth alone.
-// Sized at a typical LLC; the exact value only matters near the boundary,
-// where the kernels tie anyway.
-constexpr double kCsfStreamBytes = 24.0 * 1024.0 * 1024.0;
-
-// The streaming rule itself, shared by kernel selection and the
-// tree-construction gate so the two can never disagree: per nonzero a flat
-// kernel touches the value (8B), the nnz_order indirection (8B), and one
-// 4B index per other mode (order - 1 of them, rounded up to order).
-static bool streaming_favors_csf(std::size_t nnz, std::size_t order) {
-  return static_cast<double>(nnz) *
-             (16.0 + 4.0 * static_cast<double>(order)) >=
-         kCsfStreamBytes;
-}
-
 std::size_t ttmc_row_width(const std::vector<la::Matrix>& factors,
                            std::size_t mode) {
   std::size_t width = 1;
@@ -992,63 +862,24 @@ std::size_t ttmc_row_width(const std::vector<la::Matrix>& factors,
   return width;
 }
 
-TtmcKernel ttmc_selected_kernel(const ModeSymbolic& sym, std::size_t order,
-                                const TtmcOptions& options,
+TtmcKernel ttmc_selected_kernel(std::size_t order, const TtmcOptions& options,
                                 const tensor::CsfTree* csf,
                                 const tensor::AltoTensor* alto) {
-  const bool fiber_capable = (order == 3 || order == 4) && sym.has_fibers();
   const bool csf_capable = csf != nullptr && csf->levels() == order &&
                            order >= 2 && order <= kCsfMaxOrder &&
                            csf->has_values();
   const bool alto_capable = alto != nullptr && alto->order() == order &&
                             order >= 2 && alto->has_values();
-  switch (options.kernel) {
-    case TtmcKernel::kPerNnz:
-      return TtmcKernel::kPerNnz;
-    case TtmcKernel::kFiberFactored:
-      return fiber_capable ? TtmcKernel::kFiberFactored : TtmcKernel::kPerNnz;
-    case TtmcKernel::kCsf:
-      if (csf_capable) return TtmcKernel::kCsf;
-      return fiber_capable ? TtmcKernel::kFiberFactored : TtmcKernel::kPerNnz;
-    case TtmcKernel::kAlto:
-      if (alto_capable) return TtmcKernel::kAlto;
-      if (csf_capable) return TtmcKernel::kCsf;
-      return fiber_capable ? TtmcKernel::kFiberFactored : TtmcKernel::kPerNnz;
-    case TtmcKernel::kAuto:
-      break;
-  }
-  // kAuto with a CSF tree in hand: two independent ways the walk wins.
-  //  (i) Flop amortization — leaf runs long enough that the per-(sub)fiber
-  //      expansion pays, judged by the tree's own leaf-run statistic (its
-  //      shortest-mode-first ordering can group better than the flat
-  //      index's increasing-mode order).
-  // (ii) Memory-bound streaming — once the flat kernels' per-nonzero
-  //      working set (value + other-mode indices + the nnz_order
-  //      indirection) spills out of cache, their two random reads per
-  //      nonzero dominate; the CSF walk streams values and coordinates in
-  //      tree order and wins even on singleton leaf runs (measured ~1.4x
-  //      on a scattered 2M-nnz mode, bench_ablation arm 7). In-cache
-  //      tensors stay on the flat kernels, whose per-row constants are
-  //      lower.
-  if (csf_capable) {
-    if (csf->avg_leaf_fiber_length() >= options.fiber_threshold) {
-      return TtmcKernel::kCsf;
-    }
-    if (streaming_favors_csf(sym.nnz_order.size(), order)) {
-      return TtmcKernel::kCsf;
-    }
-  }
-  if (fiber_capable && sym.avg_fiber_length() >= options.fiber_threshold) {
-    return TtmcKernel::kFiberFactored;
-  }
-  // No CSF tree and no long fibers, but an ALTO structure is in hand: on
-  // out-of-cache tensors its sequential key/value streams and dense
-  // staging accumulation beat the flat kernels' two random reads per
-  // nonzero — the same streaming argument as rule (ii) above, served by
-  // the single linearized structure instead of a per-mode tree.
-  if (alto_capable && streaming_favors_csf(sym.nnz_order.size(), order)) {
+  if (options.kernel == TtmcKernel::kPerNnz) return TtmcKernel::kPerNnz;
+  if (options.kernel == TtmcKernel::kAlto && alto_capable) {
     return TtmcKernel::kAlto;
   }
+  // kAuto and kCsf run whatever structure is in hand: the plan built the
+  // forest whenever it could (ttmc_wants_csf), and the walk does the
+  // factored flops while streaming values and coordinates — on prefix-free
+  // inputs it still streams where per-nnz chases nnz_order.
+  if (csf_capable) return TtmcKernel::kCsf;
+  if (alto_capable) return TtmcKernel::kAlto;
   return TtmcKernel::kPerNnz;
 }
 
@@ -1072,52 +903,44 @@ double alto_bytes_estimate(std::size_t nnz, const tensor::Shape& shape) {
   return static_cast<double>(nnz) * (8.0 * words + 8.0 + 8.0);
 }
 
-bool ttmc_wants_csf(const SymbolicTtmc& symbolic, const TtmcOptions& options) {
-  const std::size_t order = symbolic.modes.size();
+bool ttmc_wants_csf(std::size_t nnz, std::size_t order,
+                    const TtmcOptions& options) {
   if (order < 2 || order > kCsfMaxOrder) return false;
   // Every mode tree-served by explicit request: the direct kernels — and
   // therefore the trees — never run.
   if (options.strategy == TtmcStrategy::kTree) return false;
   if (options.kernel == TtmcKernel::kCsf) return true;
   if (options.kernel != TtmcKernel::kAuto) return false;
-  const std::size_t nnz =
-      symbolic.modes.empty() ? 0 : symbolic.modes[0].nnz_order.size();
   // Memory gate: under a structure budget the N-tree forest may simply not
   // fit (the serve/out-of-core regime). ttmc_wants_alto offers the single
   // linearized structure for the same tensors instead.
-  if (options.structure_budget_bytes > 0 &&
-      csf_forest_bytes_estimate(nnz, order) > options.structure_budget_bytes) {
-    return false;
-  }
-  // Order >= 5 has no flat fiber index: CSF is the only factored family,
-  // and the build is the only way to learn whether prefixes are shared.
-  if (order >= 5) return true;
-  for (const ModeSymbolic& m : symbolic.modes) {
-    if (m.has_fibers() && m.avg_fiber_length() >= options.fiber_threshold) {
-      return true;
-    }
-    // Out-of-cache tensors take the streaming branch of the selection rule
-    // whatever their fiber statistics; see kCsfStreamBytes.
-    if (streaming_favors_csf(m.nnz_order.size(), order)) return true;
-  }
-  return false;
+  return options.structure_budget_bytes <= 0 ||
+         csf_forest_bytes_estimate(nnz, order) <=
+             options.structure_budget_bytes;
 }
 
-bool ttmc_wants_alto(const SymbolicTtmc& symbolic, const tensor::Shape& shape,
+// Working-set threshold past which kAuto builds an ALTO structure when the
+// CSF forest is over the structure budget: beyond this many bytes of
+// per-nonzero traffic a flat kernel's random reads leave the last-level
+// cache and the linearized structure's sequential streams win on bandwidth
+// alone. Per nonzero a flat kernel touches the value (8B), the nnz_order
+// indirection (8B), and one 4B index per other mode (order - 1 of them,
+// rounded up to order). Sized at a typical LLC; the exact value only
+// matters near the boundary, where the kernels tie anyway.
+constexpr double kStreamBytes = 24.0 * 1024.0 * 1024.0;
+
+bool ttmc_wants_alto(std::size_t nnz, const tensor::Shape& shape,
                      const TtmcOptions& options) {
-  const std::size_t order = symbolic.modes.size();
+  const std::size_t order = shape.size();
   if (order < 2) return false;
   if (options.strategy == TtmcStrategy::kTree) return false;
   if (!tensor::AltoTensor::fits_key_budget(shape)) return false;
   if (options.kernel == TtmcKernel::kAlto) return true;
   if (options.kernel != TtmcKernel::kAuto) return false;
-  // kAuto: ALTO steps in exactly when a factored/streaming structure would
-  // pay by the time heuristics but the CSF forest blows the structure
+  // kAuto: ALTO steps in exactly when the CSF forest blows the structure
   // budget and the single linearized structure fits — the
   // footprint-vs-speed trade the budget exists to arbitrate.
   if (options.structure_budget_bytes <= 0) return false;
-  const std::size_t nnz =
-      symbolic.modes.empty() ? 0 : symbolic.modes[0].nnz_order.size();
   if (csf_forest_bytes_estimate(nnz, order) <=
       options.structure_budget_bytes) {
     return false;  // the faster forest fits; ttmc_wants_csf said yes
@@ -1125,11 +948,11 @@ bool ttmc_wants_alto(const SymbolicTtmc& symbolic, const tensor::Shape& shape,
   if (alto_bytes_estimate(nnz, shape) > options.structure_budget_bytes) {
     return false;  // nothing fits; stay on the structure-free flat kernels
   }
-  // Time gate, mirroring the one trigger the kAuto selection rule actually
-  // uses for ALTO: the out-of-cache streaming win. (In-cache tensors stay
-  // on the flat kernels, whose per-row constants are lower, so building a
-  // structure for them would be pure waste.)
-  return streaming_favors_csf(nnz, order);
+  // Time gate: in-cache tensors stay on per-nnz, whose per-row constants
+  // are lower, so building a structure for them would be pure waste.
+  return static_cast<double>(nnz) *
+             (16.0 + 4.0 * static_cast<double>(order)) >=
+         kStreamBytes;
 }
 
 void accumulate_kron(const CooTensor& x, nnz_t e,
@@ -1188,7 +1011,7 @@ void ttmc_mode_subset(const CooTensor& x,
   // plan-derived positions that are fixed at plan construction; an
   // O(|positions|) per-call scan would serialize the hot loop for nothing.
   // In Release an out-of-range position is undefined behavior (the row loop
-  // reads fiber_row_ptr/row_ptr past the end) — callers own the contract,
+  // reads row_ptr past the end) — callers own the contract,
   // and CI's Debug job keeps this check live.
   for (std::uint32_t p : positions) {
     HT_CHECK_MSG(p < sym.num_rows(), "subset position out of range");

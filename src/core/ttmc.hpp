@@ -7,14 +7,12 @@
 // Rows are independent (single writer), so the loop is a lock-free OpenMP
 // parfor; the paper uses dynamic scheduling to absorb slice-size skew.
 //
-// Four kernel families are provided per mode:
+// Three kernel families are provided per mode:
 //   per-nnz:        every nonzero pays the full Kronecker-row expansion
-//                   (R_a*R_b flops for 3-mode, R_a*R_b*R_c for 4-mode);
-//   fiber-factored: nonzeros sharing the leading other-mode index (one
-//                   tensor fiber, see the symbolic fiber index) accumulate
-//                   the inner partial t[jb] += v*u_b[jb] at R_b flops each,
-//                   and the fiber expands y += u_a (x) t once — for 4-mode,
-//                   two-level factoring y += u_a (x) (u_b (x) t);
+//                   (R_a*R_b flops for 3-mode, R_a*R_b*R_c for 4-mode) —
+//                   the reference the other families are tested against,
+//                   and the kernel for orders past 8 and for tensors with
+//                   no structure built;
 //   CSF:            a depth-first walk of the mode's compressed fiber tree
 //                   (tensor/csf.*, any order >= 2): leaf runs accumulate
 //                   the trailing-rank partial from *streamed* values and
@@ -33,13 +31,10 @@
 //                   partition order with one writer per output row.
 //                   Partitions are processed in fixed-byte waves so staging
 //                   memory is bounded by a machine-independent constant.
-// TtmcKernel::kAuto picks a factored kernel when the mode's average fiber
-// length (flat index or CSF leaf runs) clears TtmcOptions::fiber_threshold,
-// preferring CSF when a tree was supplied (same flops as fiber-factored,
-// strictly less index traffic), takes ALTO on out-of-cache tensors when the
-// linearized structure is the only streaming layout in hand, and falls back
-// to per-nnz on fiber-sparse in-cache inputs where neither the per-fiber
-// expansion nor the streaming layout would pay.
+// The kernel choice is made once, when TtmcPlan::build decides which
+// structure to build (ttmc_wants_csf / ttmc_wants_alto); per mode,
+// ttmc_selected_kernel then runs whatever is in hand: the CSF tree, else
+// the ALTO structure, else per-nnz.
 #pragma once
 
 #include <cstddef>
@@ -55,15 +50,12 @@ namespace ht::core {
 
 enum class Schedule { kDynamic, kStatic };
 
-/// Numeric kernel family. kFiberFactored silently degrades to per-nnz when
-/// the symbolic structure carries no fiber index (orders other than 3/4, or
-/// built with with_fibers = false). kCsf degrades to the closest available
-/// factored kernel (fiber-factored, then per-nnz) when the caller supplied
-/// no CSF tree for the mode. kAlto degrades the same way when no ALTO
-/// structure was supplied (CSF first if one is in hand), or when one mode's
-/// per-partition staging blocks would exceed the fixed wave budget (a
-/// pathological range x width combination).
-enum class TtmcKernel { kAuto, kPerNnz, kFiberFactored, kCsf, kAlto };
+/// Numeric kernel family. kCsf degrades to the ALTO structure, then to
+/// per-nnz, when the caller supplied no CSF tree for the mode. kAlto
+/// degrades to the CSF tree, then to per-nnz, when no ALTO structure was
+/// supplied, or when one mode's per-partition staging blocks would exceed
+/// the fixed wave budget (a pathological range x width combination).
+enum class TtmcKernel { kAuto, kPerNnz, kCsf, kAlto };
 
 /// Cross-mode evaluation strategy (consumed by core::TtmcScheduler, not by
 /// the single-mode entry points below):
@@ -76,10 +68,6 @@ enum class TtmcStrategy { kAuto, kDirect, kTree };
 struct TtmcOptions {
   Schedule schedule = Schedule::kDynamic;
   TtmcKernel kernel = TtmcKernel::kAuto;
-  /// kAuto selects the fiber-factored kernel when the mode's average fiber
-  /// length (ModeSymbolic::avg_fiber_length) is at least this. Below it the
-  /// per-fiber expansion does not amortize over enough nonzeros to win.
-  double fiber_threshold = 2.0;
   /// Cross-mode strategy; only TtmcScheduler reads it (ttmc_mode and
   /// ttmc_mode_subset *are* the direct path).
   TtmcStrategy strategy = TtmcStrategy::kAuto;
@@ -96,28 +84,29 @@ struct TtmcOptions {
 
 /// The kernel kAuto (or an explicit request) resolves to for this mode,
 /// given the optional CSF tree rooted at it and/or the optional ALTO
-/// structure (nullptr: not available). Exposed for benches and tests that
-/// assert on the heuristic.
-TtmcKernel ttmc_selected_kernel(const ModeSymbolic& sym, std::size_t order,
-                                const TtmcOptions& options,
+/// structure (nullptr: not available): kAuto and kCsf take the tree, else
+/// the ALTO structure, else per-nnz; kAlto takes the ALTO structure first.
+/// No tensor statistic is consulted — the structure decision was made when
+/// the plan was built. Exposed for benches and tests.
+TtmcKernel ttmc_selected_kernel(std::size_t order, const TtmcOptions& options,
                                 const tensor::CsfTree* csf = nullptr,
                                 const tensor::AltoTensor* alto = nullptr);
 
-/// Whether the options ask for CSF trees at all: an explicit kCsf request,
-/// or kAuto on a tensor where some mode's statistics favor a factored
-/// kernel (any 3/4-mode with avg fiber length past the threshold, or order
-/// >= 5 where CSF is the only factored family) — unless the forest's
-/// estimated footprint blows TtmcOptions::structure_budget_bytes, in which
-/// case ttmc_wants_alto takes over. TtmcPlan::build uses this to decide
-/// whether building a tensor::CsfTensor will pay for itself.
-bool ttmc_wants_csf(const SymbolicTtmc& symbolic, const TtmcOptions& options);
+/// Whether TtmcPlan::build should build the CSF forest: kAuto or kCsf on an
+/// order-2..8 tensor, unless every mode is tree-served (TtmcStrategy::kTree,
+/// so the direct kernels never run) or, for kAuto, the forest's estimated
+/// footprint blows TtmcOptions::structure_budget_bytes — in which case
+/// ttmc_wants_alto may offer the single linearized structure instead.
+bool ttmc_wants_csf(std::size_t nnz, std::size_t order,
+                    const TtmcOptions& options);
 
 /// Whether the options ask for an ALTO structure: an explicit kAlto
 /// request, or kAuto under a structure budget that the CSF forest exceeds
-/// but the single linearized structure fits (with the same time heuristics
-/// that would have wanted the forest). Always false when the shape exceeds
-/// the 128-bit key budget.
-bool ttmc_wants_alto(const SymbolicTtmc& symbolic, const tensor::Shape& shape,
+/// but the single linearized structure fits, on a tensor large enough to
+/// leave the last-level cache (below that the flat per-nnz kernel's
+/// per-row constants win and the build would not pay). Always false when
+/// the shape exceeds the 128-bit key budget.
+bool ttmc_wants_alto(std::size_t nnz, const tensor::Shape& shape,
                      const TtmcOptions& options);
 
 /// Build-free planning estimates of structure memory (bytes): the N-tree

@@ -8,20 +8,16 @@ TtmcPlan TtmcPlan::build(const CooTensor& x, const TtmcOptions& options) {
   WallTimer timer;
   TtmcPlan plan;
   plan.options = options;
-  // Only kAuto and an explicit fiber request consult the fiber index; skip
-  // the per-row sorts it would cost otherwise (kCsf walks its own trees).
-  const bool with_fibers = options.kernel == TtmcKernel::kAuto ||
-                           options.kernel == TtmcKernel::kFiberFactored;
-  plan.symbolic = SymbolicTtmc::build(x, with_fibers);
+  plan.symbolic = SymbolicTtmc::build(x);
   if (options.strategy != TtmcStrategy::kDirect && x.order() >= 2) {
     plan.tree.emplace(DimTreePlan::build(x));
   }
   // An empty tensor (a rank-local slice can be one) has nothing to sort.
-  if (x.nnz() > 0 && ttmc_wants_csf(plan.symbolic, options)) {
+  if (x.nnz() > 0 && ttmc_wants_csf(x.nnz(), x.order(), options)) {
     plan.csf = std::make_shared<const tensor::CsfTensor>(
         tensor::CsfTensor::build(x));
   }
-  if (x.nnz() > 0 && ttmc_wants_alto(plan.symbolic, x.shape(), options)) {
+  if (x.nnz() > 0 && ttmc_wants_alto(x.nnz(), x.shape(), options)) {
     plan.alto = std::make_shared<const tensor::AltoTensor>(
         tensor::AltoTensor::build(x));
   }

@@ -2,13 +2,14 @@
 // driver (hooi, rank_sweep, dist_hooi per rank, tucker_cli) consumes.
 //
 // TtmcPlan::build(x, options) runs every pattern-only pass the options ask
-// for — the symbolic update lists (with the flat fiber index only when a
-// fiber kernel may run), the dimension-tree merge plans unless the strategy
-// is kDirect, and the CSF forest or the single ALTO structure when
-// ttmc_wants_csf / ttmc_wants_alto say the build pays. Nothing in the plan
-// depends on the ranks, so one plan serves every sweep, HOOI run, and rank
-// choice over the same tensor; TtmcScheduler resolves the rank-dependent
-// direct-vs-tree strategy per run on top of it.
+// for — the symbolic update lists, the dimension-tree merge plans unless the
+// strategy is kDirect, and the CSF forest or the single ALTO structure when
+// ttmc_wants_csf / ttmc_wants_alto say so. This is the one place the TTMc
+// kernel is decided: each mode's direct TTMc runs whichever structure the
+// plan holds (TtmcPlan::kernel). Nothing in the plan depends on the ranks,
+// so one plan serves every sweep, HOOI run, and rank choice over the same
+// tensor; TtmcScheduler resolves the rank-dependent direct-vs-tree strategy
+// per run on top of it.
 //
 // The plan is a plain aggregate: tests and benches that want a specific
 // structure combination can assemble one field by field.
@@ -50,8 +51,8 @@ struct TtmcPlan {
   /// structures (kAuto applied). kAlto may still fall back per call when one
   /// mode's staging would overflow the wave budget at the run's ranks.
   [[nodiscard]] TtmcKernel kernel(std::size_t mode) const {
-    return ttmc_selected_kernel(symbolic.modes[mode], symbolic.modes.size(),
-                                options, csf_tree(mode), alto.get());
+    return ttmc_selected_kernel(symbolic.modes.size(), options,
+                                csf_tree(mode), alto.get());
   }
 };
 

@@ -5,10 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "util/error.hpp"
 
 namespace ht::la {
@@ -24,6 +20,93 @@ constexpr std::size_t kParallelRowThreshold = 256;
 // dominate). Column-space vectors (prod-of-ranks sized) stay serial,
 // row-space vectors (one entry per tensor slice) go parallel.
 constexpr std::size_t kParallelVecThreshold = 16384;
+
+// Fixed reduction granularity: dot/nrm2 sum blocks of kReduceEntries
+// entries, gemv_t/gemm_tn sum blocks of kReduceRows rows, and the block
+// partials are combined in ascending block order. The block sizes are
+// constants, never the team size, and the serial path walks the same
+// blocks, so every result is bitwise identical for any thread count and
+// with set_blas_threading(false).
+constexpr std::size_t kReduceEntries = 8192;
+constexpr std::size_t kReduceRows = 1024;
+// Row blocks whose partials are held at once by gemv_t/gemm_tn, bounding
+// the scratch to kReduceWave * width doubles whatever the row count.
+constexpr std::size_t kReduceWave = 64;
+
+// x . y over n entries: four interleaved partial sums combined in a fixed
+// order, so the result is defined by the source alone (no reassociation
+// is licensed, vectorized or not).
+double block_dot(const double* x, const double* y, std::size_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += x[i] * y[i];
+    s1 += x[i + 1] * y[i + 1];
+    s2 += x[i + 2] * y[i + 2];
+    s3 += x[i + 3] * y[i + 3];
+  }
+  for (; i < n; ++i) s0 += x[i] * y[i];
+  return (s0 + s1) + (s2 + s3);
+}
+
+// out (k x n, overwritten) = A[r0:r1)^T B[r0:r1) for row-major A (m x k)
+// and B (m x n), accumulating the rows in ascending order.
+void tn_rows(const double* a, std::size_t k, const double* b, std::size_t n,
+             std::size_t r0, std::size_t r1, double* out) {
+  std::fill(out, out + k * n, 0.0);
+  for (std::size_t i = r0; i < r1; ++i) {
+    const double* ai = a + i * k;
+    const double* bi = b + i * n;
+    for (std::size_t l = 0; l < k; ++l) {
+      const double ail = ai[l];
+      double* ol = out + l * n;
+      for (std::size_t j = 0; j < n; ++j) ol[j] += ail * bi[j];
+    }
+  }
+}
+
+// out = A^T B over m rows (the shared body of gemv_t and gemm_tn): one
+// partial per kReduceRows-row block, summed in block order. At most
+// kReduceWave partials are live at once; each wave continues the same
+// left-to-right sum, so the wave size does not change the result either.
+void tn_blocked(const double* a, std::size_t k, const double* b,
+                std::size_t n, std::size_t m, std::span<double> out) {
+  const std::size_t width = k * n;
+  const std::size_t nblocks = (m + kReduceRows - 1) / kReduceRows;
+  if (nblocks <= 1) {
+    tn_rows(a, k, b, n, 0, m, out.data());
+    return;
+  }
+  // Capacity persists across calls; taken by pointer so the worker threads
+  // of the regions below share the calling thread's buffer.
+  thread_local std::vector<double> arena;
+  arena.resize(std::min(nblocks, kReduceWave) * width);
+  double* partial = arena.data();
+  [[maybe_unused]] const bool par =
+      g_threaded.load() && m >= kParallelRowThreshold;
+  for (std::size_t w0 = 0; w0 < nblocks; w0 += kReduceWave) {
+    const std::size_t wn = std::min(kReduceWave, nblocks - w0);
+    const auto c_wave = static_cast<std::ptrdiff_t>(wn);
+#pragma omp parallel if (par)
+    {
+#pragma omp for schedule(static)
+      for (std::ptrdiff_t blk = 0; blk < c_wave; ++blk) {
+        const auto ub = static_cast<std::size_t>(blk);
+        const std::size_t r0 = (w0 + ub) * kReduceRows;
+        tn_rows(a, k, b, n, r0, std::min(m, r0 + kReduceRows),
+                partial + ub * width);
+      }
+      // The worksharing loop above ends in a barrier: every partial of the
+      // wave is complete before any entry is combined.
+#pragma omp for schedule(static)
+      for (std::size_t j = 0; j < width; ++j) {
+        double s = w0 == 0 ? partial[j] : out[j] + partial[j];
+        for (std::size_t ub = 1; ub < wn; ++ub) s += partial[ub * width + j];
+        out[j] = s;
+      }
+    }
+  }
+}
 }  // namespace
 
 void set_blas_threading(bool enabled) { g_threaded.store(enabled); }
@@ -46,33 +129,24 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
 double dot(std::span<const double> x, std::span<const double> y) {
   HT_CHECK(x.size() == y.size());
   const std::size_t n = x.size();
-  double s = 0.0;
-#ifdef _OPENMP
-  if (g_threaded.load() && n >= kParallelVecThreshold) {
-#pragma omp parallel for simd reduction(+ : s) schedule(static)
-    for (std::size_t i = 0; i < n; ++i) s += x[i] * y[i];
-    return s;
+  if (n <= kReduceEntries) return block_dot(x.data(), y.data(), n);
+  const std::size_t nblocks = (n + kReduceEntries - 1) / kReduceEntries;
+  std::vector<double> partial(nblocks);
+  const auto c_blocks = static_cast<std::ptrdiff_t>(nblocks);
+  [[maybe_unused]] const bool par =
+      g_threaded.load() && n >= kParallelVecThreshold;
+#pragma omp parallel for schedule(static) if (par)
+  for (std::ptrdiff_t blk = 0; blk < c_blocks; ++blk) {
+    const auto i0 = static_cast<std::size_t>(blk) * kReduceEntries;
+    partial[static_cast<std::size_t>(blk)] = block_dot(
+        x.data() + i0, y.data() + i0, std::min(n - i0, kReduceEntries));
   }
-#endif
-#pragma omp simd reduction(+ : s)
-  for (std::size_t i = 0; i < n; ++i) s += x[i] * y[i];
+  double s = 0.0;
+  for (const double p : partial) s += p;
   return s;
 }
 
-double nrm2(std::span<const double> x) {
-  const std::size_t n = x.size();
-  double s = 0.0;
-#ifdef _OPENMP
-  if (g_threaded.load() && n >= kParallelVecThreshold) {
-#pragma omp parallel for simd reduction(+ : s) schedule(static)
-    for (std::size_t i = 0; i < n; ++i) s += x[i] * x[i];
-    return std::sqrt(s);
-  }
-#endif
-#pragma omp simd reduction(+ : s)
-  for (std::size_t i = 0; i < n; ++i) s += x[i] * x[i];
-  return std::sqrt(s);
-}
+double nrm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
 
 void scal(double alpha, std::span<double> x) {
   const std::size_t n = x.size();
@@ -102,67 +176,11 @@ void gemv(const Matrix& a, std::span<const double> x, std::span<double> y) {
   }
 }
 
-// Shared tail of gemv_t / gemm_tn: per-thread partial buffers of `width`
-// entries in one arena, followed by a parallel strided reduction over the
-// output entries. Replaces the old `omp critical` accumulation, which
-// serialized O(threads * width) work behind a lock at high thread counts;
-// the reduction sums thread partials in ascending thread order, so the
-// result is deterministic for a fixed thread count.
-#ifdef _OPENMP
-template <typename FillPartial>
-void reduce_over_threads(std::size_t width, std::span<double> out,
-                         FillPartial&& fill) {
-  std::vector<double> arena;
-  int nthreads = 1;
-#pragma omp parallel
-  {
-#pragma omp single
-    {
-      nthreads = omp_get_num_threads();
-      arena.assign(static_cast<std::size_t>(nthreads) * width, 0.0);
-    }
-    double* local =
-        arena.data() + static_cast<std::size_t>(omp_get_thread_num()) * width;
-    fill(local);
-    // fill's worksharing loop ends with an implicit barrier, so every
-    // thread's partial is complete before the reduction below starts.
-#pragma omp for schedule(static)
-    for (std::size_t j = 0; j < width; ++j) {
-      double s = 0.0;
-      for (int t = 0; t < nthreads; ++t) {
-        s += arena[static_cast<std::size_t>(t) * width + j];
-      }
-      out[j] = s;
-    }
-  }
-}
-#endif
-
 void gemv_t(const Matrix& a, std::span<const double> x, std::span<double> y) {
   HT_CHECK(x.size() == a.rows());
   HT_CHECK(y.size() == a.cols());
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-#ifdef _OPENMP
-  const bool par = g_threaded.load() && m >= kParallelRowThreshold && n >= 8;
-  if (par) {
-    reduce_over_threads(n, y, [&](double* local) {
-#pragma omp for schedule(static)
-      for (std::size_t i = 0; i < m; ++i) {
-        const auto row = a.row(i);
-        const double xi = x[i];
-        for (std::size_t j = 0; j < n; ++j) local[j] += xi * row[j];
-      }
-    });
-    return;
-  }
-#endif
-  std::fill(y.begin(), y.end(), 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto row = a.row(i);
-    const double xi = x[i];
-    for (std::size_t j = 0; j < n; ++j) y[j] += xi * row[j];
-  }
+  // y^T = x^T A: A^T B with the m x 1 matrix x as the left operand.
+  tn_blocked(x.data(), 1, a.data(), a.cols(), a.rows(), y);
 }
 
 void gemm_into(const Matrix& a, const Matrix& b, Matrix& c) {
@@ -194,36 +212,8 @@ Matrix gemm(const Matrix& a, const Matrix& b) {
 
 void gemm_tn_into(const Matrix& a, const Matrix& b, Matrix& c) {
   HT_CHECK_MSG(a.rows() == b.rows(), "gemm_tn shape mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  c.resize(k, n);
-#ifdef _OPENMP
-  const bool par = g_threaded.load() && m >= kParallelRowThreshold;
-  if (par) {
-    reduce_over_threads(k * n, c.flat(), [&](double* local) {
-#pragma omp for schedule(static)
-      for (std::size_t i = 0; i < m; ++i) {
-        const double* ai = a.data() + i * k;
-        const double* bi = b.data() + i * n;
-        for (std::size_t l = 0; l < k; ++l) {
-          const double ail = ai[l];
-          double* cl = local + l * n;
-          for (std::size_t j = 0; j < n; ++j) cl[j] += ail * bi[j];
-        }
-      }
-    });
-    return;
-  }
-#endif
-  c.set_zero();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* ai = a.data() + i * k;
-    const double* bi = b.data() + i * n;
-    for (std::size_t l = 0; l < k; ++l) {
-      const double ail = ai[l];
-      double* cl = c.data() + l * n;
-      for (std::size_t j = 0; j < n; ++j) cl[j] += ail * bi[j];
-    }
-  }
+  c.resize(a.cols(), b.cols());
+  tn_blocked(a.data(), a.cols(), b.data(), b.cols(), a.rows(), c.flat());
 }
 
 Matrix gemm_tn(const Matrix& a, const Matrix& b) {

@@ -24,10 +24,12 @@ double nrm2(std::span<const double> x);
 /// x *= alpha.
 void scal(double alpha, std::span<double> x);
 
-// The level-1 kernels above parallelize (and SIMD-ize) over entries once
-// the vector crosses an OpenMP-worthwhile size; they sit on the Lanczos /
+// The level-1 kernels above parallelize over entries once the vector
+// crosses an OpenMP-worthwhile size; they sit on the Lanczos /
 // orthogonalization hot path where row-space vectors have one entry per
-// tensor slice.
+// tensor slice. Every reduction (dot, nrm2, gemv_t, gemm_tn) sums
+// fixed-size blocks in block order, so results are bitwise identical for
+// any thread count and with set_blas_threading(false).
 
 /// y = A * x (A: m x n row-major).
 void gemv(const Matrix& a, std::span<const double> x, std::span<double> y);

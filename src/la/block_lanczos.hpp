@@ -30,8 +30,8 @@
 // work unchanged and column-space quantities stay replicated. Determinism:
 // the starting block and every deficiency refill derive from
 // TrsvdOptions::seed, column-space reductions go through the blas layer's
-// tree reductions, and the iteration order is fixed — two runs with the
-// same (operator, options) produce bitwise-identical results for any
+// fixed-block reductions, and the iteration order is fixed — two runs with
+// the same (operator, options) produce bitwise-identical results for any
 // OpenMP thread count, and identical results on every rank of a
 // distributed run. Thread-safety: block_lanczos_trsvd keeps all mutable
 // state in locals, so concurrent solves over distinct operators are safe;

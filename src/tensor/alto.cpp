@@ -32,7 +32,7 @@ unsigned AltoTensor::key_bits_for(const Shape& shape) {
     }
     os << ", which exceeds the 128-bit key budget (two 64-bit words); "
           "this tensor cannot be linearized without truncation — use a "
-          "coordinate-based kernel (per-nnz, fiber, or CSF) instead";
+          "coordinate-based kernel (per-nnz or CSF) instead";
     throw InvalidArgument(os.str());
   }
   return total;

@@ -1,6 +1,7 @@
 #include "tensor/csf.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "tensor/radix_sort.hpp"
 #include "util/error.hpp"
@@ -42,12 +43,26 @@ CsfTree CsfTree::build_pattern(const CooTensor& x, std::size_t root) {
   for (std::size_t m = 0; m < order; ++m) {
     if (m != root) t.level_modes.push_back(m);
   }
-  // Shortest-mode-first below the root: short modes have few distinct
-  // indices, so placing them high maximizes the prefix runs each stored
-  // node amortizes. stable_sort keeps ties in increasing mode order.
+  // Shortest-mode-first below the root: modes with few distinct indices
+  // placed high maximize the prefix runs each stored node amortizes.
+  // Counting the indices that occur (rather than the declared mode size)
+  // makes the tree invariant under relabelings that drop empty slices, such
+  // as a rank-local reindexing. stable_sort keeps ties in increasing mode
+  // order.
+  std::vector<std::size_t> distinct(order, 0);
+  for (std::size_t m = 0; m < order; ++m) {
+    if (m == root) continue;
+    std::vector<bool> seen(x.dim(m), false);
+    for (const index_t i : x.indices(m)) {
+      if (!seen[i]) {
+        seen[i] = true;
+        ++distinct[m];
+      }
+    }
+  }
   std::stable_sort(t.level_modes.begin() + 1, t.level_modes.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return x.dim(a) < x.dim(b);
+                     return distinct[a] < distinct[b];
                    });
 
   const std::size_t L = order;

@@ -7,16 +7,18 @@
 // compact row set J_n of core::ModeSymbolic, in the same sorted order),
 // level d holds one node per distinct (root..d)-prefix, and the leaf level
 // holds one entry per nonzero with its trailing coordinate and value
-// gathered into tree order. Where the flat fiber index of core/symbolic.*
-// chases a permutation (`nnz_order[i]` then `values[e]`, `idx[e]` — two
+// gathered into tree order. Where the flat update lists of core/symbolic.*
+// chase a permutation (`nnz_order[i]` then `values[e]`, `idx[e]` — two
 // random reads per nonzero), a CSF walk streams coordinates and values
 // sequentially and pays each shared prefix's factor-row product once — the
 // locality the kCsf TTMc kernel in core/ttmc.cpp exploits.
 //
 // Internal level order (the mode-permutation heuristic): below the root the
-// remaining modes are sorted shortest-mode-first (ascending dimension size,
-// ties by mode id). Short modes near the root have few distinct indices, so
-// upper-level runs are long and more nonzeros share each stored prefix. The
+// remaining modes are sorted shortest-mode-first (ascending count of
+// distinct indices that occur, ties by mode id). Short modes near the root
+// have few distinct indices, so upper-level runs are long and more nonzeros
+// share each stored prefix. The count ignores empty slices, so a tensor and
+// its reindexed rank-local copy build the same tree. The
 // kernel un-permutes at the root: a served row is produced in tree Kronecker
 // order and scattered once into ttmc_mode's increasing-mode layout.
 //
@@ -81,11 +83,10 @@ struct CsfTree {
     return values.size() == leaf_entry.size() && !leaf_entry.empty();
   }
 
-  /// Mean leaves per deepest internal node — the CSF analog of
-  /// ModeSymbolic::avg_fiber_length() (under the tree's own level order,
-  /// which may group better than the flat index's increasing-mode order).
-  /// The kAuto kernel heuristic tests this against
-  /// TtmcOptions::fiber_threshold. Zero for an empty tree.
+  /// Mean leaves per deepest internal node: how many nonzeros share each
+  /// leaf-level prefix under the tree's own level order. bench_ablation
+  /// reports it per mode; the kernel choice does not consult it. Zero for
+  /// an empty tree.
   [[nodiscard]] double avg_leaf_fiber_length() const;
 
   /// Index-traversal compression: (leaves * internal levels) / stored

@@ -38,9 +38,9 @@ CooTensor random_zipf_communities(const Shape& shape, nnz_t target_nnz,
 
 /// Fiber-structured tensor: `num_fibers` random last-mode fibers, each
 /// holding a contiguous run of `fiber_len` nonzeros (all indices fixed
-/// except the last mode). Average fiber length as seen by the TTMc fiber
-/// index is therefore ~`fiber_len` for every mode whose leading other mode
-/// is not the last — the regime the fiber-factored kernels target.
+/// except the last mode). Every CSF tree not rooted at the last mode
+/// therefore sees leaf runs of ~`fiber_len` — the prefix-sharing regime the
+/// CSF kernel targets; `fiber_len = 1` gives a prefix-free control.
 /// Duplicate fibers are summed, so the nonzero count can land slightly
 /// below num_fibers * fiber_len. Values are uniform in [0, 1).
 CooTensor random_fibered(const Shape& shape, nnz_t num_fibers,

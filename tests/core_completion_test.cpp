@@ -66,7 +66,7 @@ std::vector<double> dense_delta(const CooTensor& x, nnz_t t, std::size_t mode,
 
 TEST(CompletionRowUpdateTest, SolvesNormalEquationsAgainstDenseReference) {
   const CooTensor x = small_masked_tensor(31);
-  const SymbolicTtmc sym = SymbolicTtmc::build(x, /*with_fibers=*/false);
+  const SymbolicTtmc sym = SymbolicTtmc::build(x);
   const double lambda = 0.05;
 
   CompletionOptions opt = basic_options({3, 4, 2}, 1);

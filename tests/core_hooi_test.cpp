@@ -6,6 +6,7 @@
 #include "core/hooi.hpp"
 #include "core/hosvd.hpp"
 #include "core/met_baseline.hpp"
+#include "core/symbolic.hpp"
 #include "core/trsvd.hpp"
 #include "la/blas.hpp"
 #include "tensor/dense_tensor.hpp"
@@ -146,17 +147,28 @@ TEST(HooiTest, DeterministicForSeed) {
 }
 
 TEST(HooiTest, ThreadCountDoesNotChangeResult) {
-  CooTensor x = ht::tensor::random_zipf(Shape{60, 40, 30}, 3000,
-                                        {0.9, 0.4, 0.1}, 13);
+  // Mode 0 has more than 16384 non-empty rows, so the TRSVD's level-1
+  // reductions and the row reductions of gemv_t/gemm_tn all take their
+  // parallel paths: fits and factors must be bitwise identical at every
+  // team size, and across repeated runs at the same one.
+  CooTensor x = ht::tensor::random_zipf(Shape{40000, 40, 30}, 60000,
+                                        {0.3, 0.4, 0.1}, 13);
   ht::tensor::plant_low_rank_values(x, 4, 0.1, 14);
-  HooiOptions one = basic_options({4, 4, 4}, 3);
-  one.num_threads = 1;
-  HooiOptions many = basic_options({4, 4, 4}, 3);
-  many.num_threads = 4;
-  const HooiResult r1 = ht::core::hooi(x, one);
-  const HooiResult r4 = ht::core::hooi(x, many);
-  for (std::size_t i = 0; i < r1.fits.size(); ++i) {
-    EXPECT_NEAR(r1.fits[i], r4.fits[i], 1e-9);
+  ASSERT_GE(ht::core::build_mode_symbolic(x, 0).num_rows(), 16384u);
+  const auto run = [&](int threads) {
+    HooiOptions opt = basic_options({4, 4, 4}, 3);
+    opt.num_threads = threads;
+    return ht::core::hooi(x, opt);
+  };
+  const HooiResult r1 = run(1);
+  for (const int threads : {2, 3, 4, 4}) {
+    const HooiResult r = run(threads);
+    EXPECT_EQ(r.fits, r1.fits) << threads << " threads";
+    for (std::size_t n = 0; n < x.order(); ++n) {
+      EXPECT_TRUE(r.decomposition.factors[n].approx_equal(
+          r1.decomposition.factors[n], 0.0))
+          << threads << " threads, mode " << n;
+    }
   }
 }
 
@@ -187,12 +199,15 @@ TEST(HooiTest, PlanReuseAcrossRankChoices) {
   EXPECT_EQ(r5.timers.symbolic, 0.0);  // the caller paid the build
 }
 
-// A prebuilt plan runs exactly the computation hooi(x, options) runs.
+// A prebuilt plan runs exactly the computation hooi(x, options) runs, and
+// kAuto runs exactly what an explicit kCsf request runs: the plan builds
+// the forest for both and every mode resolves to the CSF walk.
 TEST(HooiTest, PrebuiltPlanMatchesInternalPlanBitwise) {
+  const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 5, 23);
+  std::vector<std::vector<double>> fits;
   for (const ht::core::TtmcKernel kernel :
        {ht::core::TtmcKernel::kAuto, ht::core::TtmcKernel::kCsf,
         ht::core::TtmcKernel::kAlto}) {
-    CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 5, 23);
     HooiOptions opt = basic_options({3, 3, 3}, 3);
     opt.ttmc.kernel = kernel;
     const HooiResult internal = ht::core::hooi(x, opt);
@@ -203,28 +218,39 @@ TEST(HooiTest, PrebuiltPlanMatchesInternalPlanBitwise) {
       EXPECT_TRUE(internal.decomposition.factors[n].approx_equal(
           external.decomposition.factors[n], 0.0));
     }
+    fits.push_back(internal.fits);
   }
+  EXPECT_EQ(fits[0], fits[1]) << "kAuto must run the kCsf computation";
 }
 
 TEST(HooiTest, PlanRecordsPreprocessingDecisions) {
-  const CooTensor fibered =
-      ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 6, 29);
-  const TtmcPlan plan = TtmcPlan::build(fibered);
-  ASSERT_NE(plan.csf, nullptr);  // long fibers: kAuto wants the CSF forest
-  EXPECT_EQ(plan.alto, nullptr);
-  ASSERT_TRUE(plan.tree.has_value());
-  EXPECT_GT(plan.build_seconds, 0.0);
-  for (std::size_t n = 0; n < fibered.order(); ++n) {
-    EXPECT_EQ(plan.kernel(n), ht::core::TtmcKernel::kCsf) << "mode " << n;
+  // kAuto builds the CSF forest whenever it can — prefix-heavy or not —
+  // and every mode runs it.
+  for (const CooTensor& x :
+       {ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 6, 29),
+        ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47)}) {
+    const TtmcPlan plan = TtmcPlan::build(x);
+    ASSERT_NE(plan.csf, nullptr);
+    EXPECT_EQ(plan.alto, nullptr);
+    ASSERT_TRUE(plan.tree.has_value());
+    EXPECT_GT(plan.build_seconds, 0.0);
+    for (std::size_t n = 0; n < x.order(); ++n) {
+      EXPECT_EQ(plan.kernel(n), ht::core::TtmcKernel::kCsf) << "mode " << n;
+    }
   }
 
+  const CooTensor x = ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
   const TtmcPlan direct = TtmcPlan::build(
-      fibered, {.kernel = ht::core::TtmcKernel::kPerNnz,
-                .strategy = ht::core::TtmcStrategy::kDirect});
+      x, {.kernel = ht::core::TtmcKernel::kPerNnz,
+          .strategy = ht::core::TtmcStrategy::kDirect});
   EXPECT_FALSE(direct.tree.has_value());
   EXPECT_EQ(direct.csf, nullptr);
   EXPECT_EQ(direct.kernel(0), ht::core::TtmcKernel::kPerNnz);
-  EXPECT_FALSE(direct.symbolic.modes[0].has_fibers());
+  // Every mode tree-served: the direct kernels never run, so no forest.
+  const TtmcPlan tree =
+      TtmcPlan::build(x, {.strategy = ht::core::TtmcStrategy::kTree});
+  EXPECT_EQ(tree.csf, nullptr);
+  EXPECT_EQ(tree.kernel(0), ht::core::TtmcKernel::kPerNnz);
 }
 
 TEST(HooiTest, PlanForOtherOptionsIsRejected) {

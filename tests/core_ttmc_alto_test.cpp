@@ -1,5 +1,5 @@
 // Golden equivalence of the ALTO linearized TTMc kernel against the
-// per-nnz, fiber-factored, and CSF kernels across orders and entry points,
+// per-nnz and CSF kernels across orders and entry points,
 // HOOI fit equivalence, bitwise thread-count determinism, the degrade
 // chain when no structure is in hand, and the budget-driven kAuto trade
 // between the CSF forest and the single linearized structure.
@@ -13,6 +13,7 @@
 #include "core/rank_sweep.hpp"
 #include "core/symbolic.hpp"
 #include "core/ttmc.hpp"
+#include "core/ttmc_plan.hpp"
 #include "dist/dist_hooi.hpp"
 #include "la/matrix.hpp"
 #include "parallel/thread_info.hpp"
@@ -144,53 +145,65 @@ TEST(AltoTtmcTest, AltoRequestWithoutStructureDegradesExactly) {
   const auto factors = random_factors(x.shape(), {3, 3, 3}, 47);
   const SymbolicTtmc sym = SymbolicTtmc::build(x);
   const CsfTensor csf = CsfTensor::build(x);
-  // Degrade chain: alto -> csf -> fiber -> per-nnz, by what's in hand.
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(sym.modes[0], 3,
-                                           {.kernel = TtmcKernel::kAlto},
+  // Degrade chain: alto -> csf -> per-nnz, by what's in hand.
+  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {.kernel = TtmcKernel::kAlto},
                                            &csf.modes[0]),
             TtmcKernel::kCsf);
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(sym.modes[0], 3,
-                                           {.kernel = TtmcKernel::kAlto}),
-            TtmcKernel::kFiberFactored);
-  const SymbolicTtmc bare = SymbolicTtmc::build(x, /*with_fibers=*/false);
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(bare.modes[0], 3,
-                                           {.kernel = TtmcKernel::kAlto}),
+  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {.kernel = TtmcKernel::kAlto}),
             TtmcKernel::kPerNnz);
   // A kAlto request without the structure runs the degraded kernel exactly.
-  Matrix y_fib, y_alto;
-  ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y_fib,
-                      {Schedule::kDynamic, TtmcKernel::kFiberFactored});
+  Matrix y_nnz, y_alto;
+  ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y_nnz,
+                      {Schedule::kDynamic, TtmcKernel::kPerNnz});
   ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y_alto,
                       {Schedule::kDynamic, TtmcKernel::kAlto});
-  EXPECT_TRUE(y_fib.approx_equal(y_alto, 0.0));  // same kernel ran
+  EXPECT_TRUE(y_nnz.approx_equal(y_alto, 0.0));  // same kernel ran
 }
 
 TEST(AltoTtmcTest, AutoSelectionAndBudgetTrade) {
-  // In-cache tensor: kAuto never picks kAlto even with the structure in
-  // hand (the flat kernels' per-row constants win), and without a budget
-  // ttmc_wants_alto stays quiet under kAuto.
+  // kAuto runs whatever the plan holds, the forest first: with both
+  // structures in hand it walks the tree, with only the linearized one it
+  // runs ALTO. On the prefix-free uniform tensor the kAuto plan holds the
+  // forest (and no ALTO structure) and every mode resolves to kCsf.
   const CooTensor small =
       ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
-  const SymbolicTtmc sym_small = SymbolicTtmc::build(small);
+  const CsfTensor csf_small = CsfTensor::build(small);
   const AltoTensor alto_small = AltoTensor::build(small);
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(sym_small.modes[0], 3, {}, nullptr,
+  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {}, &csf_small.modes[0],
                                            &alto_small),
-            TtmcKernel::kPerNnz);
-  EXPECT_FALSE(ht::core::ttmc_wants_alto(sym_small, small.shape(), {}));
+            TtmcKernel::kCsf);
+  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {}, nullptr, &alto_small),
+            TtmcKernel::kAlto);
+  const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(small);
+  ASSERT_NE(plan.csf, nullptr);
+  EXPECT_EQ(plan.alto, nullptr);
+  for (std::size_t n = 0; n < small.order(); ++n) {
+    EXPECT_EQ(plan.kernel(n), TtmcKernel::kCsf) << "mode " << n;
+  }
+
+  // In-cache tensor: without a budget ttmc_wants_alto stays quiet under
+  // kAuto, and even a budget that rules the forest out builds nothing (the
+  // per-nnz kernel's per-row constants win in cache).
+  const std::size_t small_nnz = small.nnz();
+  EXPECT_FALSE(ht::core::ttmc_wants_alto(small_nnz, small.shape(), {}));
+  TtmcOptions small_squeezed;
+  small_squeezed.structure_budget_bytes =
+      0.5 * (ht::core::csf_forest_bytes_estimate(small_nnz, 3) +
+             ht::core::alto_bytes_estimate(small_nnz, small.shape()));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(small_nnz, 3, small_squeezed));
+  EXPECT_FALSE(
+      ht::core::ttmc_wants_alto(small_nnz, small.shape(), small_squeezed));
   // Explicit request always builds/uses the structure (budget ignored).
-  EXPECT_TRUE(ht::core::ttmc_wants_alto(sym_small, small.shape(),
+  EXPECT_TRUE(ht::core::ttmc_wants_alto(small_nnz, small.shape(),
                                         {.kernel = TtmcKernel::kAlto}));
   // ...unless the shape cannot be linearized at all.
   const Shape too_wide(5, index_t{1u << 30});
-  SymbolicTtmc fake = sym_small;
-  fake.modes.resize(5, sym_small.modes[0]);
-  EXPECT_FALSE(ht::core::ttmc_wants_alto(fake, too_wide,
+  EXPECT_FALSE(ht::core::ttmc_wants_alto(small_nnz, too_wide,
                                          {.kernel = TtmcKernel::kAlto}));
 
-  // Out-of-cache nnz (the streaming regime): with no budget kAuto wants the
-  // CSF forest; squeeze the budget between the two estimates and the trade
-  // flips to the single linearized structure; squeeze below both and
-  // neither is built.
+  // Out-of-cache nnz: with no budget kAuto wants the CSF forest; squeeze
+  // the budget between the two estimates and the trade flips to the single
+  // linearized structure; squeeze below both and neither is built.
   const std::size_t big_nnz = 1u << 20;  // * (16 + 12) B > 24 MiB
   const std::size_t order = 3;
   const Shape big_shape{4096, 4096, 4096};
@@ -198,25 +211,17 @@ TEST(AltoTtmcTest, AutoSelectionAndBudgetTrade) {
   const double linearized =
       ht::core::alto_bytes_estimate(big_nnz, big_shape);
   EXPECT_LE(linearized, 0.5 * forest) << "the memory headline";
-  // Synthesize the symbolic statistics (streaming is nnz-driven).
-  SymbolicTtmc sym_big;
-  sym_big.modes.resize(order);
-  for (auto& m : sym_big.modes) {
-    m.nnz_order.assign(big_nnz, 0);
-    m.rows = {0};
-    m.row_ptr = {0, big_nnz};
-  }
   TtmcOptions no_budget;
-  EXPECT_TRUE(ht::core::ttmc_wants_csf(sym_big, no_budget));
-  EXPECT_FALSE(ht::core::ttmc_wants_alto(sym_big, big_shape, no_budget));
+  EXPECT_TRUE(ht::core::ttmc_wants_csf(big_nnz, order, no_budget));
+  EXPECT_FALSE(ht::core::ttmc_wants_alto(big_nnz, big_shape, no_budget));
   TtmcOptions squeezed;
   squeezed.structure_budget_bytes = 0.5 * (forest + linearized);
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(sym_big, squeezed));
-  EXPECT_TRUE(ht::core::ttmc_wants_alto(sym_big, big_shape, squeezed));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(big_nnz, order, squeezed));
+  EXPECT_TRUE(ht::core::ttmc_wants_alto(big_nnz, big_shape, squeezed));
   TtmcOptions starved;
   starved.structure_budget_bytes = 0.5 * linearized;
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(sym_big, starved));
-  EXPECT_FALSE(ht::core::ttmc_wants_alto(sym_big, big_shape, starved));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(big_nnz, order, starved));
+  EXPECT_FALSE(ht::core::ttmc_wants_alto(big_nnz, big_shape, starved));
 }
 
 TEST(AltoTtmcTest, DeterministicAcrossThreadCounts) {
@@ -268,7 +273,7 @@ TEST(AltoTtmcTest, HooiConvergesIdenticallyUnderAltoKernel) {
     // A hand-assembled plan (no dimension tree) through the plan overload.
     const ht::core::TtmcPlan plan{
         .options = with_alto.ttmc,
-        .symbolic = SymbolicTtmc::build(x, /*with_fibers=*/false),
+        .symbolic = SymbolicTtmc::build(x),
         .alto = std::make_shared<const AltoTensor>(AltoTensor::build(x))};
     const auto c = ht::core::hooi(x, with_alto, plan);
     ASSERT_EQ(b.fits.size(), c.fits.size());

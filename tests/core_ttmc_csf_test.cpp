@@ -1,6 +1,6 @@
 // CSF tree invariants, golden equivalence of the CSF TTMc kernel against
-// the per-nnz and fiber-factored kernels across orders and entry points,
-// the extended kAuto selection, and thread-count determinism.
+// the per-nnz kernel across orders and entry points, the kAuto selection,
+// and thread-count determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +11,11 @@
 #include "core/rank_sweep.hpp"
 #include "core/symbolic.hpp"
 #include "core/ttmc.hpp"
+#include "core/ttmc_plan.hpp"
 #include "dist/dist_hooi.hpp"
 #include "la/matrix.hpp"
 #include "parallel/thread_info.hpp"
+#include "tensor/alto.hpp"
 #include "tensor/csf.hpp"
 #include "tensor/generators.hpp"
 #include "util/random.hpp"
@@ -26,6 +28,7 @@ using ht::core::SymbolicTtmc;
 using ht::core::TtmcKernel;
 using ht::core::TtmcOptions;
 using ht::la::Matrix;
+using ht::tensor::AltoTensor;
 using ht::tensor::CooTensor;
 using ht::tensor::CsfTensor;
 using ht::tensor::CsfTree;
@@ -92,12 +95,14 @@ TEST(CsfTreeTest, StructureInvariantsHoldPerMode) {
       ASSERT_EQ(L, x.order()) << c.name;
       ASSERT_EQ(t.root_mode(), n);
 
-      // Level modes: a permutation with the internal part shortest-first.
+      // Level modes: a permutation with the internal part shortest-first,
+      // counting the distinct indices that occur (= non-empty rows).
       std::vector<std::size_t> seen = t.level_modes;
       std::sort(seen.begin(), seen.end());
       for (std::size_t m = 0; m < L; ++m) ASSERT_EQ(seen[m], m);
       for (std::size_t d = 2; d < L; ++d) {
-        ASSERT_LE(x.dim(t.level_modes[d - 1]), x.dim(t.level_modes[d]))
+        ASSERT_LE(sym.modes[t.level_modes[d - 1]].num_rows(),
+                  sym.modes[t.level_modes[d]].num_rows())
             << c.name << " mode " << n << ": internal levels not shortest-first";
       }
 
@@ -176,11 +181,9 @@ TEST(CsfTtmcTest, MatchesOtherKernelsFullModeAllSchedules) {
     const CsfTensor csf = CsfTensor::build(x);
     for (std::size_t n = 0; n < x.order(); ++n) {
       for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
-        Matrix y_nnz, y_fib, y_csf;
+        Matrix y_nnz, y_csf;
         ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_nnz,
                             {s, TtmcKernel::kPerNnz});
-        ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_fib,
-                            {s, TtmcKernel::kFiberFactored});
         ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_csf,
                             {s, TtmcKernel::kCsf}, &csf.modes[n]);
         ASSERT_EQ(y_nnz.rows(), y_csf.rows());
@@ -188,8 +191,6 @@ TEST(CsfTtmcTest, MatchesOtherKernelsFullModeAllSchedules) {
         EXPECT_TRUE(y_nnz.approx_equal(y_csf, kTol))
             << c.name << " mode " << n << " vs per-nnz, schedule "
             << (s == Schedule::kDynamic ? "dynamic" : "static");
-        EXPECT_TRUE(y_fib.approx_equal(y_csf, kTol))
-            << c.name << " mode " << n << " vs fiber";
       }
     }
   }
@@ -224,56 +225,60 @@ TEST(CsfTtmcTest, CsfRequestWithoutTreeDegradesExactly) {
   const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 200, 5, 43);
   const auto factors = random_factors(x.shape(), {3, 3, 3}, 47);
   const SymbolicTtmc sym = SymbolicTtmc::build(x);
-  // No tree supplied: kCsf resolves to the closest factored kernel.
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(sym.modes[0], 3,
-                                           {.kernel = TtmcKernel::kCsf}),
-            TtmcKernel::kFiberFactored);
-  Matrix y_fib, y_csf;
-  ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y_fib,
-                      {Schedule::kDynamic, TtmcKernel::kFiberFactored});
+  // No tree supplied: kCsf runs the ALTO structure if one is in hand, and
+  // bottoms out at per-nnz otherwise.
+  const AltoTensor alto = AltoTensor::build(x);
+  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {.kernel = TtmcKernel::kCsf},
+                                           nullptr, &alto),
+            TtmcKernel::kAlto);
+  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {.kernel = TtmcKernel::kCsf}),
+            TtmcKernel::kPerNnz);
+  Matrix y_nnz, y_csf;
+  ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y_nnz,
+                      {Schedule::kDynamic, TtmcKernel::kPerNnz});
   ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y_csf,
                       {Schedule::kDynamic, TtmcKernel::kCsf});
-  EXPECT_TRUE(y_fib.approx_equal(y_csf, 0.0));  // same kernel ran
-
-  // Without fibers either, the fallback bottoms out at per-nnz.
-  const SymbolicTtmc bare = SymbolicTtmc::build(x, /*with_fibers=*/false);
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(bare.modes[0], 3,
-                                           {.kernel = TtmcKernel::kCsf}),
-            TtmcKernel::kPerNnz);
+  EXPECT_TRUE(y_nnz.approx_equal(y_csf, 0.0));  // same kernel ran
 }
 
 TEST(CsfTtmcTest, AutoSelectionPinsPrefixRegimes) {
-  // Prefix-heavy: long fibers -> kCsf once a tree is in hand, fiber
-  // otherwise; prefix-free: singleton fibers -> per-nnz either way.
+  // kAuto runs the forest the plan holds on every mode, prefix-heavy or
+  // prefix-free; without a tree (or under an explicit kPerNnz) it runs
+  // per-nnz. No tensor statistic enters the choice.
   const CooTensor heavy =
       ht::tensor::random_fibered(Shape{30, 30, 60}, 200, 8, 43);
   const CooTensor free_ =
       ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
-  const SymbolicTtmc sym_heavy = SymbolicTtmc::build(heavy);
-  const SymbolicTtmc sym_free = SymbolicTtmc::build(free_);
-  const CsfTensor csf_heavy = CsfTensor::build(heavy);
+  for (const CooTensor* x : {&heavy, &free_}) {
+    const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(*x);
+    ASSERT_NE(plan.csf, nullptr);
+    for (std::size_t n = 0; n < x->order(); ++n) {
+      EXPECT_EQ(plan.kernel(n), TtmcKernel::kCsf) << "mode " << n;
+    }
+  }
   const CsfTensor csf_free = CsfTensor::build(free_);
-
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(sym_heavy.modes[0], 3, {},
-                                           &csf_heavy.modes[0]),
+  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {}, &csf_free.modes[0]),
             TtmcKernel::kCsf);
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(sym_heavy.modes[0], 3, {}),
-            TtmcKernel::kFiberFactored);
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(sym_free.modes[0], 3, {},
+  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {}), TtmcKernel::kPerNnz);
+  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {.kernel = TtmcKernel::kPerNnz},
                                            &csf_free.modes[0]),
             TtmcKernel::kPerNnz);
 
-  // ttmc_wants_csf mirrors the same statistics.
-  EXPECT_TRUE(ht::core::ttmc_wants_csf(sym_heavy, {}));
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(sym_free, {}));
-  EXPECT_TRUE(
-      ht::core::ttmc_wants_csf(sym_free, {.kernel = TtmcKernel::kCsf}));
+  // ttmc_wants_csf: kAuto and kCsf on orders 2..8, unless every mode is
+  // tree-served; never for kPerNnz or kAlto.
+  const std::size_t nnz = free_.nnz();
+  for (std::size_t order = 2; order <= 8; ++order) {
+    EXPECT_TRUE(ht::core::ttmc_wants_csf(nnz, order, {})) << order;
+    EXPECT_TRUE(ht::core::ttmc_wants_csf(nnz, order,
+                                         {.kernel = TtmcKernel::kCsf}));
+  }
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(nnz, 9, {}));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(nnz, 1, {}));
   EXPECT_FALSE(
-      ht::core::ttmc_wants_csf(sym_heavy, {.kernel = TtmcKernel::kPerNnz}));
-  // Order >= 5 has no flat fiber index: kAuto asks for trees.
-  const CooTensor five =
-      ht::tensor::random_fibered(Shape{8, 7, 6, 5, 20}, 150, 4, 23);
-  EXPECT_TRUE(ht::core::ttmc_wants_csf(SymbolicTtmc::build(five), {}));
+      ht::core::ttmc_wants_csf(nnz, 3, {.kernel = TtmcKernel::kPerNnz}));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(nnz, 3, {.kernel = TtmcKernel::kAlto}));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(
+      nnz, 3, {.strategy = ht::core::TtmcStrategy::kTree}));
 }
 
 TEST(CsfTtmcTest, DeterministicAcrossThreadCounts) {
@@ -323,7 +328,7 @@ TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
     // A hand-assembled plan (no dimension tree) through the plan overload.
     const ht::core::TtmcPlan plan{
         .options = with_csf.ttmc,
-        .symbolic = SymbolicTtmc::build(x, /*with_fibers=*/false),
+        .symbolic = SymbolicTtmc::build(x),
         .csf = std::make_shared<const CsfTensor>(CsfTensor::build(x))};
     const auto c = ht::core::hooi(x, with_csf, plan);
     ASSERT_EQ(b.fits.size(), c.fits.size());

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "la/blas.hpp"
 #include "la/matrix.hpp"
+#include "parallel/thread_info.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -130,25 +133,53 @@ TEST(BlasTest, ShapeMismatchThrows) {
 }
 
 TEST(BlasTest, ThreadedAndSerialPathsAgree) {
-  // Force the parallel path with a tall matrix and compare to serial.
-  const Matrix a = random_matrix(1000, 16, 7);
+  // Past both parallel thresholds (256 rows, 16384 entries) and spanning
+  // several reduction blocks: every kernel, reductions included, must be
+  // bitwise identical with threading off and at any team size.
+  const Matrix a = random_matrix(3000, 16, 7);
   const Matrix b = random_matrix(16, 12, 8);
-  ht::la::set_blas_threading(true);
-  const Matrix ct = ht::la::gemm(a, b);
-  ht::la::set_blas_threading(false);
-  const Matrix cs = ht::la::gemm(a, b);
-  ht::la::set_blas_threading(true);
-  EXPECT_TRUE(ct.approx_equal(cs, 1e-11));
-
-  std::vector<double> x(1000), yt(16), ys(16);
+  const Matrix c = random_matrix(3000, 12, 10);
+  // More row blocks than one reduction wave holds.
+  const Matrix tall = random_matrix(70000, 3, 11);
+  std::vector<double> x(3000), xt(70000), u(50000), v(50000);
   ht::Rng rng(9);
-  for (auto& v : x) v = rng.uniform();
-  ht::la::set_blas_threading(true);
-  ht::la::gemv_t(a, x, yt);
+  for (auto& e : x) e = rng.uniform();
+  for (auto& e : xt) e = rng.uniform(-1.0, 1.0);
+  for (auto& e : u) e = rng.uniform(-1.0, 1.0);
+  for (auto& e : v) e = rng.uniform(-1.0, 1.0);
+
+  struct Results {
+    Matrix ab, atc, tt;
+    std::vector<double> atx, ttx;
+    double uv = 0.0, norm = 0.0;
+  };
+  const auto run = [&] {
+    Results r;
+    r.ab = ht::la::gemm(a, b);
+    r.atc = ht::la::gemm_tn(a, c);
+    r.tt = ht::la::gemm_tn(tall, tall);
+    r.atx.resize(16);
+    ht::la::gemv_t(a, x, r.atx);
+    r.ttx.resize(3);
+    ht::la::gemv_t(tall, xt, r.ttx);
+    r.uv = ht::la::dot(u, v);
+    r.norm = ht::la::nrm2(u);
+    return r;
+  };
   ht::la::set_blas_threading(false);
-  ht::la::gemv_t(a, x, ys);
+  const Results serial = run();
   ht::la::set_blas_threading(true);
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_NEAR(yt[i], ys[i], 1e-9);
+  for (const int threads : {1, 2, 3, 4}) {
+    ht::parallel::ThreadScope scope(threads);
+    const Results r = run();
+    EXPECT_TRUE(r.ab.approx_equal(serial.ab, 0.0)) << threads << " threads";
+    EXPECT_TRUE(r.atc.approx_equal(serial.atc, 0.0)) << threads << " threads";
+    EXPECT_TRUE(r.tt.approx_equal(serial.tt, 0.0)) << threads << " threads";
+    EXPECT_EQ(r.atx, serial.atx) << threads << " threads";
+    EXPECT_EQ(r.ttx, serial.ttx) << threads << " threads";
+    EXPECT_EQ(r.uv, serial.uv) << threads << " threads";
+    EXPECT_EQ(r.norm, serial.norm) << threads << " threads";
+  }
 }
 
 }  // namespace

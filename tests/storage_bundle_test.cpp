@@ -228,7 +228,7 @@ TEST(BundleRoundTrip, TtmcOverMappedCsfMatchesHeap) {
   const CooTensor& x = trained_tensor();
   const CsfTensor heap_csf = CsfTensor::build(x);
 
-  const auto symbolic = ht::core::SymbolicTtmc::build(x, false);
+  const auto symbolic = ht::core::SymbolicTtmc::build(x);
   std::vector<ht::la::Matrix> factors;
   for (std::size_t n = 0; n < x.order(); ++n) {
     factors.push_back(mapped.decomposition.factors[n]);
@@ -287,7 +287,7 @@ TEST(BundleRoundTrip, TtmcOverMappedAltoIsBitExactAndZeroCopy) {
   const CooTensor& x = trained_tensor();
   const AltoTensor heap_alto = AltoTensor::build(x);
 
-  const auto symbolic = ht::core::SymbolicTtmc::build(x, false);
+  const auto symbolic = ht::core::SymbolicTtmc::build(x);
   std::vector<ht::la::Matrix> factors;
   for (std::size_t n = 0; n < x.order(); ++n) {
     factors.push_back(mapped.decomposition.factors[n]);
