@@ -1,5 +1,5 @@
-// Ablations for the design choices DESIGN.md calls out (beyond the paper's
-// tables):
+// Ablations for the design choices docs/ARCHITECTURE.md calls out (beyond
+// the paper's tables):
 //   1. symbolic TTMc reuse — preprocessing cost vs per-iteration cost, and
 //      its amortization across HOOI runs with different ranks (the paper's
 //      Sec. V argument for reusing the symbolic structure);
@@ -14,13 +14,15 @@
 //      the TtmcStrategy::kAuto cost model picks (perf-trajectory entry:
 //      tree-serving must win on merge-heavy tensors and kAuto must stay
 //      within noise of direct everywhere);
-//   6. TRSVD backends on the huge-mode regime where Table IV says TRSVD
-//      dominates: scalar Lanczos (bandwidth-bound gemv per step) vs the
-//      gemm-rich blocked backends (block Lanczos, randomized subspace
-//      iteration) vs Gram, and what TrsvdMethod::kAuto resolves
-//      (perf-trajectory entry: a blocked backend must beat scalar Lanczos
-//      on the huge mode, kAuto must match the winner there and stay on
-//      Lanczos for small modes);
+//   6. TRSVD solvers on the huge-mode regime where Table IV says TRSVD
+//      dominates, on the Y(n) of HOOI's third sweep: scalar Lanczos
+//      (bandwidth-bound gemv per step) vs randomized subspace iteration vs
+//      Gram vs kAuto's warm power steps from the current factor, with the
+//      energy each basis captures relative to Lanczos (perf-trajectory
+//      entry: kAuto's warm solve must end at >= 0.99 of Lanczos's energy,
+//      keeping its steps where they settle and rerunning Lanczos where
+//      they do not, as on this flat-spectrum random tensor; kAuto must
+//      stay on Lanczos for the small mode);
 //   7. CSF-tree TTMc against the flat per-nnz kernel across prefix-sharing
 //      regimes (perf-trajectory entry: CSF must beat per-nnz on
 //      prefix-heavy tensors and kAuto must stay within noise of the
@@ -68,6 +70,7 @@
 #include "core/ttmc.hpp"
 #include "core/tucker_model.hpp"
 #include "la/lanczos.hpp"
+#include "la/linear_operator.hpp"
 #include "serve/query_engine.hpp"
 #include "serve/serve_model.hpp"
 #include "storage/bundle.hpp"
@@ -488,12 +491,18 @@ void tree_scheduler_ablation(bool smoke, htb::JsonReport& report) {
   std::printf("\n");
 }
 
-// Time one TRSVD step per backend on a fixed compact Y(n), interleaved
-// (lanczos, gram, block, rand, auto, repeat) best-of-`reps` so machine
-// drift hits every backend alike.
+// Time one TRSVD solve per solver on a fixed compact Y(n), interleaved
+// (lanczos, gram, rand, auto, warm, repeat) best-of-`reps` so machine drift
+// hits every solver alike. Y(n) is the mode-0 TTMc after two Lanczos HOOI
+// sweeps: the point where HOOI's kAuto starts handing out warm starts, here
+// the compact rows of the current U_0. "auto" is a cold kAuto solve and
+// runs Lanczos; "warm" is the solve HOOI's kAuto makes from the third sweep
+// on: core::warm_trsvd from that start when Y(n) is above the
+// kWarmMinEntries floor, a cold solve below it. Every solver's basis Q is
+// scored by the energy it captures, ||Q^T Y(n)||_F^2, relative to Lanczos.
 void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
   using namespace ht;
-  std::printf("=== Ablation 6: TRSVD backends on Y(n) ===\n");
+  std::printf("=== Ablation 6: TRSVD solvers on Y(n) after 2 sweeps ===\n");
 
   struct Arm {
     std::string name;
@@ -502,7 +511,7 @@ void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
   };
   // The huge-mode arm is the Table IV regime (Netflix-like: one mode with
   // hundreds of thousands of slices, TRSVD+comm dominant); the small-mode
-  // arm is the control where kAuto must not leave the scalar solver.
+  // arm is the control below the warm floor, where kAuto stays on Lanczos.
   std::vector<Arm> arms;
   if (smoke) {
     arms.push_back({"huge_mode", {20000, 60, 60}, 60000});
@@ -514,51 +523,74 @@ void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
   const std::vector<tensor::index_t> ranks(3, 10);
   const int reps = smoke ? 1 : 3;
 
-  struct Backend {
+  struct Solver {
+    std::string name;
     core::TrsvdMethod method;
+    bool warm_start = false;
     double best = 1e300;
-    double sigma1 = 0.0;
+    double energy = 0.0;
     std::size_t steps = 0;
-    core::TrsvdMethod used = core::TrsvdMethod::kLanczos;
+    std::string resolved{};
   };
 
-  std::printf("%-11s %10s %8s  %s\n", "tensor", "|J_n|xC", "method",
-              "best(s)  speedup  steps");
+  std::printf("%-11s %10s %8s  %s\n", "tensor", "|J_n|xC", "solver",
+              "best(s)  speedup  energy/lanczos  steps");
   for (const Arm& arm : arms) {
     const auto x = tensor::random_uniform(arm.shape, arm.nnz, 2026);
     const core::SymbolicTtmc sym = core::SymbolicTtmc::build(x);
-    const auto factors = core::random_orthonormal_factors(x.shape(), ranks, 7);
+    core::HooiOptions hooi_opts;
+    hooi_opts.ranks = ranks;
+    hooi_opts.max_iterations = 2;
+    hooi_opts.fit_tolerance = 0.0;
+    hooi_opts.trsvd_method = core::TrsvdMethod::kLanczos;
+    const auto factors = core::hooi(x, hooi_opts).decomposition.factors;
     la::Matrix y;
     core::ttmc_mode(x, factors, 0, sym.modes[0], y, {});
 
-    std::vector<Backend> backends = {
-        {core::TrsvdMethod::kLanczos}, {core::TrsvdMethod::kGram},
-        {core::TrsvdMethod::kBlockLanczos}, {core::TrsvdMethod::kRandomized},
-        {core::TrsvdMethod::kAuto}};
+    std::vector<Solver> solvers = {
+        {"lanczos", core::TrsvdMethod::kLanczos},
+        {"gram", core::TrsvdMethod::kGram},
+        {"rand", core::TrsvdMethod::kRandomized},
+        {"auto", core::TrsvdMethod::kAuto},
+        {"warm", core::TrsvdMethod::kAuto, true}};
     la::TrsvdOptions trsvd_opts;
     trsvd_opts.tol = 1e-7;  // the HOOI ALS setting
+    const auto& rows = sym.modes[0].rows;
+    const std::size_t rank = ranks[0];
+    const bool warm_applies = core::warm_trsvd_applies(
+        core::TrsvdMethod::kAuto, y.rows(), y.cols(), rank);
+    core::WarmStart warm;
     for (int rep = 0; rep < reps; ++rep) {
-      for (Backend& b : backends) {
+      for (Solver& b : solvers) {
         WallTimer t;
-        const auto res = core::trsvd_factor(y, sym.modes[0].rows, x.dim(0),
-                                            ranks[0], b.method, trsvd_opts);
+        core::FactorTrsvd res;
+        if (b.warm_start && warm_applies) {
+          warm.load(factors[0], rows);
+          la::DenseOperator op(y);
+          const bool kept = core::warm_trsvd(op, warm, trsvd_opts);
+          res = core::scatter_trsvd_solution(warm.basis, rank, rows,
+                                             x.dim(0), rank);
+          b.resolved = kept ? "warm" : "lanczos";
+        } else {
+          res = core::trsvd_factor(y, rows, x.dim(0), rank, b.method,
+                                   trsvd_opts);
+          b.resolved = core::trsvd_method_name(res.method_used);
+        }
         b.best = std::min(b.best, t.seconds());
-        b.sigma1 = res.sigma[0];
+        b.energy = la::gemm_tn(res.compact_u, y).frobenius_norm();
+        b.energy *= b.energy;
         b.steps = res.solver_steps;
-        b.used = res.method_used;
       }
     }
 
-    const double t_lanczos = backends[0].best;
-    for (const Backend& b : backends) {
-      const bool is_auto = b.method == core::TrsvdMethod::kAuto;
-      std::printf("%-11s %7zux%-3zu %8s  %.4fs  %6.2fx  %zu%s\n",
-                  arm.name.c_str(), y.rows(), y.cols(),
-                  core::trsvd_method_name(b.method), b.best,
-                  t_lanczos / b.best, b.steps,
-                  is_auto
-                      ? (std::string(" (-> ") + core::trsvd_method_name(b.used) +
-                         ")").c_str()
+    const double t_lanczos = solvers[0].best;
+    const double e_lanczos = solvers[0].energy;
+    for (const Solver& b : solvers) {
+      std::printf("%-11s %7zux%-3zu %8s  %.4fs  %6.2fx  %.6f  %zu%s\n",
+                  arm.name.c_str(), y.rows(), y.cols(), b.name.c_str(),
+                  b.best, t_lanczos / b.best, b.energy / e_lanczos, b.steps,
+                  b.method == core::TrsvdMethod::kAuto
+                      ? (" (-> " + b.resolved + ")").c_str()
                       : "");
       report.add()
           .str("arm", "trsvd_backend")
@@ -566,11 +598,11 @@ void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
           .num("rows", static_cast<double>(y.rows()))
           .num("cols", static_cast<double>(y.cols()))
           .num("rank", ranks[0])
-          .str("method", core::trsvd_method_name(b.method))
-          .str("resolved", core::trsvd_method_name(b.used))
+          .str("method", b.name)
+          .str("resolved", b.resolved)
           .num("best_s", b.best)
           .num("speedup_vs_lanczos", t_lanczos / b.best)
-          .num("sigma_1", b.sigma1)
+          .num("energy_vs_lanczos", b.energy / e_lanczos)
           .num("steps", static_cast<double>(b.steps));
     }
   }

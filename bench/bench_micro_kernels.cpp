@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the hot kernels: numeric TTMc per
-// mode, the Kronecker row update, TRSVD solvers, symbolic preprocessing,
-// and the simulated collectives.
+// mode, the Kronecker row update, TRSVD solvers and their narrow products,
+// symbolic preprocessing, and the simulated collectives.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -9,6 +9,7 @@
 #include "core/symbolic.hpp"
 #include "core/trsvd.hpp"
 #include "core/ttmc.hpp"
+#include "la/blas.hpp"
 #include "la/lanczos.hpp"
 #include "la/linear_operator.hpp"
 #include "smp/communicator.hpp"
@@ -155,6 +156,68 @@ void BM_GramTrsvd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GramTrsvd)->Unit(benchmark::kMillisecond);
+
+// The warm TRSVD step's two narrow products at flickr-4d's largest Y(n)
+// shape (59,659 x 125, 5-column partner), beside one gemv over the same
+// matrix. Each reports the bytes of Y it streams per second; pick the team
+// size with OMP_NUM_THREADS and compare with bench_e2e's STREAM triad.
+struct NarrowFixture {
+  Matrix y, z, u;
+  std::vector<double> x, out;
+
+  static NarrowFixture& instance() {
+    static NarrowFixture f = [] {
+      NarrowFixture fx;
+      fx.y = tall_skinny(59659, 125, 11);
+      fx.z = tall_skinny(125, 5, 12);
+      fx.u = tall_skinny(59659, 5, 13);
+      fx.x.assign(125, 1.0);
+      fx.out.resize(59659);
+      return fx;
+    }();
+    return f;
+  }
+};
+
+void set_y_bytes(benchmark::State& state, const Matrix& y) {
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(y.size() * sizeof(double)));
+}
+
+void BM_GemvY(benchmark::State& state) {
+  auto& f = NarrowFixture::instance();
+  for (auto _ : state) {
+    ht::la::gemv(f.y, f.x, f.out);
+    benchmark::DoNotOptimize(f.out.data());
+    benchmark::ClobberMemory();
+  }
+  set_y_bytes(state, f.y);
+}
+BENCHMARK(BM_GemvY)->Unit(benchmark::kMillisecond);
+
+void BM_GemmYZ(benchmark::State& state) {
+  auto& f = NarrowFixture::instance();
+  Matrix w;
+  for (auto _ : state) {
+    ht::la::gemm_into(f.y, f.z, w);
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  set_y_bytes(state, f.y);
+}
+BENCHMARK(BM_GemmYZ)->Unit(benchmark::kMillisecond);
+
+void BM_GemmTnYU(benchmark::State& state) {
+  auto& f = NarrowFixture::instance();
+  Matrix z;
+  for (auto _ : state) {
+    ht::la::gemm_tn_into(f.y, f.u, z);
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+  }
+  set_y_bytes(state, f.y);
+}
+BENCHMARK(BM_GemmTnYU)->Unit(benchmark::kMillisecond);
 
 void BM_AllreduceSum(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));

@@ -32,6 +32,9 @@ int main() {
   options.max_iterations = iters;
   options.fit_tolerance = 0.0;
   options.num_threads = 1;  // the paper's comparison is sequential
+  // The paper's SLEPc configuration: Lanczos on every solve, as the MET
+  // baseline also runs.
+  options.trsvd_method = core::TrsvdMethod::kLanczos;
 
   WallTimer t_fused;
   const auto fused = core::hooi(x, options);

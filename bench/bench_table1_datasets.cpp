@@ -1,6 +1,6 @@
 // Regenerates paper Table I: the dataset inventory. Prints the paper's
 // original sizes next to the scaled synthetic stand-ins actually used by
-// the other benches (see DESIGN.md "Substitutions").
+// the other benches (see docs/ARCHITECTURE.md, "Substitutions").
 #include <cstdio>
 
 #include "bench_common.hpp"

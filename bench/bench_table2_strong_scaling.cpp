@@ -59,6 +59,8 @@ int main() {
         options.method = config.method;
         options.num_ranks = p;
         options.max_iterations = iters;
+        // The paper's SLEPc configuration: Lanczos on every solve.
+        options.trsvd_method = core::TrsvdMethod::kLanczos;
 
         // Offline partitioning (not part of the per-iteration timing).
         dist::PlanOptions popt;

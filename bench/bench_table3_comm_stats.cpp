@@ -42,6 +42,8 @@ int main() {
     options.method = config.method;
     options.num_ranks = p;
     options.max_iterations = 1;  // Table III reports one iteration
+    // The paper's SLEPc configuration: Lanczos on every solve.
+    options.trsvd_method = core::TrsvdMethod::kLanczos;
     const auto result = dist::dist_hooi(bt.tensor, options);
 
     TextTable table({"mode", "W_TTMc max", "W_TTMc avg", "W_TRSVD max",

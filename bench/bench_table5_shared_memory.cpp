@@ -45,6 +45,8 @@ int main() {
       options.max_iterations = iters;
       options.fit_tolerance = 0.0;
       options.num_threads = t;
+      // The paper's SLEPc configuration: Lanczos on every solve.
+      options.trsvd_method = core::TrsvdMethod::kLanczos;
       WallTimer timer;
       const auto result = core::hooi(bt.tensor, options);
       const double per_iter =

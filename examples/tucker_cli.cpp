@@ -5,8 +5,8 @@
 //                [--init random|range]
 //                [--ttmc-kernel auto|nnz|csf|alto]
 //                [--structure-budget BYTES] [--ttmc-strategy auto|direct|tree]
-//                [--trsvd-method lanczos|gram|block|rand|auto]
-//                [--trsvd-block B] [--trsvd-oversample P] [--trsvd-power Q]
+//                [--trsvd-method lanczos|gram|rand|auto]
+//                [--trsvd-oversample P] [--trsvd-power Q]
 //                [--export PREFIX] [--sweep] [--save-model FILE.htb]
 //   ./tucker_cli INPUT.tns R1,R2,... --completion [--holdout FRAC]
 //                [--val FRAC] [--lambda L] [--anneal FACTOR SWEEPS]
@@ -98,8 +98,8 @@ int usage() {
                " [--ttmc-kernel auto|nnz|csf|alto]"
                " [--structure-budget BYTES]"
                " [--ttmc-strategy auto|direct|tree]"
-               " [--trsvd-method lanczos|gram|block|rand|auto]"
-               " [--trsvd-block B] [--trsvd-oversample P] [--trsvd-power Q]"
+               " [--trsvd-method lanczos|gram|rand|auto]"
+               " [--trsvd-oversample P] [--trsvd-power Q]"
                " [--export PREFIX] [--sweep] [--save-model FILE.htb]\n"
                "       tucker_cli INPUT.tns R1,R2,... --completion"
                " [--holdout FRAC] [--val FRAC] [--lambda L]"
@@ -361,10 +361,6 @@ int main(int argc, char** argv) {
       const auto method = ht::core::parse_trsvd_method(next());
       if (!method) return usage();
       options.trsvd_method = *method;
-    } else if (arg == "--trsvd-block") {
-      const int v = std::atoi(next());
-      if (v < 0) return usage();  // 0 = automatic block size
-      options.trsvd.block_size = static_cast<std::size_t>(v);
     } else if (arg == "--trsvd-oversample") {
       const int v = std::atoi(next());
       if (v < 0) return usage();
@@ -467,9 +463,16 @@ int main(int argc, char** argv) {
     std::printf("fit %.6f after %d sweeps (converged=%s)\n",
                 result.final_fit(), result.iterations,
                 result.converged ? "yes" : "no");
-    std::printf("timers: symbolic %.3fs ttmc %.3fs trsvd %.3fs core %.3fs\n",
-                plan.build_seconds, result.timers.ttmc, result.timers.trsvd,
-                result.timers.core);
+    std::string warm;
+    for (std::size_t n = 0; n < result.warm_solves.size(); ++n) {
+      if (n) warm += ',';
+      warm += std::to_string(result.warm_solves[n]);
+    }
+    std::printf(
+        "timers: symbolic %.3fs ttmc %.3fs trsvd %.3fs core %.3fs"
+        " (warm trsvd solves per mode: %s)\n",
+        plan.build_seconds, result.timers.ttmc, result.timers.trsvd,
+        result.timers.core, warm.c_str());
     if (!export_prefix.empty()) {
       export_factors(result.decomposition, export_prefix);
     }

@@ -4,6 +4,7 @@
 
 #include "core/hosvd.hpp"
 #include "la/blas.hpp"
+#include "la/linear_operator.hpp"
 #include "parallel/thread_info.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -55,6 +56,8 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
 
   la::Matrix y;  // compact Y(n), reused across modes/iterations
   la::Matrix last_compact_u;
+  WarmStart warm;  // power-step buffers, reused across modes/iterations
+  result.warm_solves.assign(order, 0);
   double previous_fit = -1.0;
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
@@ -64,9 +67,19 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
       result.timers.ttmc += t_ttmc.seconds();
 
       WallTimer t_trsvd;
-      FactorTrsvd svd =
-          trsvd_factor(y, plan.symbolic.modes[n].rows, x.dim(n),
-                       options.ranks[n], options.trsvd_method, options.trsvd);
+      const auto& rows = plan.symbolic.modes[n].rows;
+      const std::size_t rank = options.ranks[n];
+      FactorTrsvd svd;
+      if (iter >= kWarmFirstSweep &&
+          warm_trsvd_applies(options.trsvd_method, y.rows(), y.cols(), rank)) {
+        warm.load(factors[n], rows);
+        la::DenseOperator op(y);
+        result.warm_solves[n] += warm_trsvd(op, warm, options.trsvd);
+        svd = scatter_trsvd_solution(warm.basis, rank, rows, x.dim(n), rank);
+      } else {
+        svd = trsvd_factor(y, rows, x.dim(n), rank, options.trsvd_method,
+                           options.trsvd);
+      }
       result.timers.trsvd += t_trsvd.seconds();
 
       factors[n] = std::move(svd.factor);

@@ -3,10 +3,18 @@
 // TTMc preprocessing (core::TtmcPlan) runs once; each ALS sweep then
 // performs, per mode,
 //   (i)  numeric TTMc into the compact Y(n)            [lock-free parfor]
-//   (ii) TRSVD of Y(n) -> U_n                          [matrix-free Lanczos]
+//   (ii) TRSVD of Y(n) -> U_n                          [kAuto, trsvd.hpp]
 // and forms the core G = Y x_N U_N^T after the last mode (one GEMM, since
 // Y(N) already holds X x_{-N} U). Convergence is monitored through the fit
 // 1 - ||X - Xhat||/||X||, evaluated exactly from ||G|| (paper's check).
+//
+// The default TRSVD (kAuto) is matrix-free Lanczos for every solve of the
+// first two sweeps and for every small mode. From the third sweep on, a
+// mode whose compact Y(n) holds at least kWarmMinEntries entries starts
+// from the compact rows of its current factor and takes kWarmSteps block
+// power steps instead (core::warm_trsvd), rerunning Lanczos when the steps
+// have not settled; HooiResult::warm_solves counts the solves whose factor
+// came from the steps.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +36,10 @@ struct HooiOptions {
   /// Stop when the fit improves by less than this between sweeps.
   double fit_tolerance = 1e-6;
   HooiInit init = HooiInit::kRandom;
-  /// TRSVD backend per mode; kAuto applies the resolve_trsvd_method cost
-  /// model to each mode's compact problem (block-size/oversample/power
-  /// knobs live in `trsvd` below).
-  TrsvdMethod trsvd_method = TrsvdMethod::kLanczos;
+  /// TRSVD solver; kAuto warm-starts large modes from the third sweep on
+  /// (trsvd.hpp), and kLanczos runs Lanczos on every solve. The randomized
+  /// solver's oversample/power knobs live in `trsvd` below.
+  TrsvdMethod trsvd_method = TrsvdMethod::kAuto;
   /// TTMc kernel family, cross-mode strategy, schedule and structure budget
   /// (TtmcOptions documents each; docs/TUNING.md their kAuto rules).
   TtmcOptions ttmc;
@@ -59,6 +67,9 @@ struct HooiResult {
   int iterations = 0;
   bool converged = false;
   HooiTimers timers;
+  /// Per mode, how many TRSVD solves kept kAuto's warm power steps (a warm
+  /// solve that reran Lanczos is not counted).
+  std::vector<int> warm_solves;
 
   [[nodiscard]] double final_fit() const {
     return fits.empty() ? 0.0 : fits.back();

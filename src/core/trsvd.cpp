@@ -1,9 +1,10 @@
 #include "core/trsvd.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 
-#include "la/block_lanczos.hpp"
+#include "la/blas.hpp"
+#include "la/block_ops.hpp"
 #include "la/linear_operator.hpp"
 #include "la/qr.hpp"
 #include "la/randomized_trsvd.hpp"
@@ -11,107 +12,19 @@
 
 namespace ht::core {
 
-namespace {
-
-// Calibrated cost-model constants (see resolve_trsvd_method docs).
-//
-// Problems whose compact Y(n) fits comfortably in cache gain nothing from
-// blocking — the scalar solver converges in fewer effective passes and has
-// the lowest per-step constant.
-constexpr std::size_t kSmallProblemEntries = std::size_t{1} << 18;
-// Below this tolerance the fixed-budget randomized sketch cannot be
-// trusted to hit the target; the iterate-to-tolerance block solver takes
-// over.
-constexpr double kRandomizedTolFloor = 1e-9;
-// Memory-traffic charge per streamed Y(n) entry, in flop-equivalents: a
-// full pass over Y(n) costs m*c*(kPassMemCharge + 2*width). Calibrated on
-// the bench_ablation TRSVD arm (400k x 100): it reproduces the measured
-// ~4x gap in per-pass throughput between the width-1 gemv stream and the
-// width-18 gemm.
-constexpr double kPassMemCharge = 8.0;
-
-std::size_t default_block(std::size_t rank, const la::TrsvdOptions& options) {
-  return options.block_size > 0 ? options.block_size
-                                : std::clamp<std::size_t>(rank, 4, 16);
+TrsvdMethod resolve_trsvd_method(TrsvdMethod method) {
+  return method == TrsvdMethod::kAuto ? TrsvdMethod::kLanczos : method;
 }
 
-std::size_t estimated_lanczos_steps(std::size_t cols, std::size_t rank) {
-  return std::min(cols, std::max<std::size_t>(2 * rank + 20, 30));
-}
-
-// One full pass over Y(n) carrying `width` vectors: stream + flops.
-double pass_cost(double m, double c, double width) {
-  return m * c * (kPassMemCharge + 2.0 * width);
-}
-
-}  // namespace
-
-double trsvd_method_cost(TrsvdMethod method, std::size_t rows,
-                         std::size_t cols, std::size_t rank,
-                         const la::TrsvdOptions& options) {
-  const auto m = static_cast<double>(rows);
-  const auto c = static_cast<double>(cols);
-  const auto r = static_cast<double>(rank);
-  const auto steps = static_cast<double>(estimated_lanczos_steps(cols, rank));
-  switch (method) {
-    case TrsvdMethod::kLanczos:
-      // Two width-1 passes per step plus the recovery passes.
-      return (2.0 * steps + r) * pass_cost(m, c, 1.0);
-    case TrsvdMethod::kGram:
-      // One width-c pass forming Y^T Y plus the recovery gemm.
-      return pass_cost(m, c, c) + pass_cost(m, c, r);
-    case TrsvdMethod::kRandomized: {
-      const auto l = static_cast<double>(
-          std::min(cols, rank + options.oversample));
-      const auto q = static_cast<double>(options.power_iterations);
-      // 2q+2 block passes, the whitening gemms (8 m l^2 per two-pass
-      // orthonormalization), and the final rotation.
-      return (2.0 * q + 2.0) * pass_cost(m, c, l) +
-             (q + 2.0) * 8.0 * m * l * l + 2.0 * m * l * r;
-    }
-    case TrsvdMethod::kBlockLanczos: {
-      const auto b = static_cast<double>(default_block(rank, options));
-      const double block_steps = std::ceil(steps / b);
-      // Two block passes per step, the row-space orthonormalization and
-      // cross-Gram (10 m b^2 per step), and the recovery pass.
-      return block_steps * (2.0 * pass_cost(m, c, b) + 10.0 * m * b * b) +
-             pass_cost(m, c, r);
-    }
-    case TrsvdMethod::kAuto:
-      break;
-  }
-  HT_CHECK_MSG(false, "trsvd_method_cost called with kAuto");
-  return 0.0;
-}
-
-TrsvdMethod resolve_trsvd_method(TrsvdMethod method, std::size_t rows,
-                                 std::size_t cols, std::size_t rank,
-                                 const la::TrsvdOptions& options) {
-  if (method != TrsvdMethod::kAuto) return method;
-  // Small problems: every backend is sub-millisecond and the scalar
-  // solver's constant is lowest (measured on the bench_ablation small-mode
-  // control) — stay within noise of kLanczos.
-  if (rows * cols <= kSmallProblemEntries) return TrsvdMethod::kLanczos;
-  // Tight tolerances need an iterate-to-tolerance Krylov solver; the
-  // randomized sketch's accuracy is capped by its fixed budget.
-  if (options.tol < kRandomizedTolFloor) return TrsvdMethod::kBlockLanczos;
-  // ALS-grade tolerances on large problems: randomized subspace iteration
-  // makes the fewest passes over Y(n) (2q+2 versus 2*steps/b) and measures
-  // fastest; the cost model agrees wherever the pass counts differ.
-  const double rand_cost =
-      trsvd_method_cost(TrsvdMethod::kRandomized, rows, cols, rank, options);
-  const double block_cost = trsvd_method_cost(TrsvdMethod::kBlockLanczos,
-                                              rows, cols, rank, options);
-  return rand_cost <= block_cost ? TrsvdMethod::kRandomized
-                                 : TrsvdMethod::kBlockLanczos;
+bool warm_trsvd_applies(TrsvdMethod method, std::size_t rows,
+                        std::size_t cols, std::size_t rank) {
+  return method == TrsvdMethod::kAuto && rows * cols >= kWarmMinEntries &&
+         rank >= 1 && rank <= std::min(rows, cols);
 }
 
 std::optional<TrsvdMethod> parse_trsvd_method(std::string_view name) {
   if (name == "lanczos") return TrsvdMethod::kLanczos;
   if (name == "gram") return TrsvdMethod::kGram;
-  if (name == "block" || name == "block-lanczos") {
-    return TrsvdMethod::kBlockLanczos;
-  }
   if (name == "rand" || name == "randomized") return TrsvdMethod::kRandomized;
   if (name == "auto") return TrsvdMethod::kAuto;
   return std::nullopt;
@@ -121,7 +34,6 @@ const char* trsvd_method_name(TrsvdMethod method) {
   switch (method) {
     case TrsvdMethod::kLanczos: return "lanczos";
     case TrsvdMethod::kGram: return "gram";
-    case TrsvdMethod::kBlockLanczos: return "block";
     case TrsvdMethod::kRandomized: return "rand";
     case TrsvdMethod::kAuto: return "auto";
   }
@@ -134,8 +46,6 @@ la::TrsvdResult run_trsvd_backend(la::TrsvdOperator& op, TrsvdMethod method,
   switch (method) {
     case TrsvdMethod::kLanczos:
       return la::lanczos_trsvd(op, rank, options);
-    case TrsvdMethod::kBlockLanczos:
-      return la::block_lanczos_trsvd(op, rank, options);
     case TrsvdMethod::kRandomized:
       return la::randomized_trsvd(op, rank, options);
     case TrsvdMethod::kGram:
@@ -144,6 +54,62 @@ la::TrsvdResult run_trsvd_backend(la::TrsvdOperator& op, TrsvdMethod method,
   }
   HT_CHECK_MSG(false, "run_trsvd_backend needs a resolved matrix-free method");
   return {};
+}
+
+void WarmStart::load(const la::Matrix& factor, std::span<const index_t> rows) {
+  la::Matrix& w = basis.u;
+  w.resize(rows.size(), factor.cols());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const auto src = factor.row(rows[r]);
+    std::copy(src.begin(), src.end(), w.row(r).begin());
+  }
+}
+
+namespace {
+
+// Whether power steps whose starts captured energies e0 <= e1 <= e2 have
+// settled. The increments of a power iteration shrink geometrically, by
+// about q = d2 / d1 per step, so about d2 q / (1 - q) is still to come.
+// An increment below 1e-12 of the energy is rounding: the steps have
+// converged, whatever its ratio to the one before.
+bool warm_energy_settled(double e0, double e1, double e2) {
+  const double d1 = e1 - e0;
+  const double d2 = e2 - e1;
+  if (d2 <= 1e-12 * e2) return true;
+  if (d2 >= d1) return false;
+  const double q = d2 / d1;
+  return d2 * q / (1.0 - q) <= kWarmEnergyTol * e2;
+}
+
+}  // namespace
+
+bool warm_trsvd(la::TrsvdOperator& op, WarmStart& warm,
+                const la::TrsvdOptions& options) {
+  static_assert(kWarmSteps >= 3, "the energy check reads three steps");
+  la::Matrix& w = warm.basis.u;
+  const std::size_t rank = w.cols();
+  HT_CHECK_MSG(w.rows() == op.row_local_size(),
+               "warm start has " << w.rows() << " rows, the operator "
+                                 << op.row_local_size());
+  std::array<double, kWarmSteps> energy{};
+  std::size_t kept = rank;
+  for (std::size_t step = 0; step < kWarmSteps; ++step) {
+    op.apply_transpose_block(w, warm.z);
+    energy[step] = la::dot(warm.z.flat(), warm.z.flat());
+    op.apply_block(warm.z, w);
+    kept = la::orthonormalize_rowspace_block(op, w, warm.scratch);
+  }
+  if (kept == rank &&
+      warm_energy_settled(energy[kWarmSteps - 3], energy[kWarmSteps - 2],
+                          energy[kWarmSteps - 1])) {
+    warm.basis.sigma.clear();
+    warm.basis.steps = kWarmSteps;
+    warm.basis.converged = true;
+    warm.basis.operator_applies = 2 * kWarmSteps * rank;
+    return true;
+  }
+  warm.basis = run_trsvd_backend(op, TrsvdMethod::kLanczos, rank, options);
+  return false;
 }
 
 FactorTrsvd trsvd_factor(const la::Matrix& y, std::span<const index_t> rows,
@@ -167,8 +133,7 @@ FactorTrsvd trsvd_factor(const la::Matrix& y, std::span<const index_t> rows,
   // The compact problem can only deliver min(y.rows, y.cols) directions;
   // remaining columns are completed over the empty rows afterwards.
   const std::size_t solvable = std::min({rank, y.rows(), y.cols()});
-  const TrsvdMethod resolved =
-      resolve_trsvd_method(method, y.rows(), y.cols(), solvable, options);
+  const TrsvdMethod resolved = resolve_trsvd_method(method);
 
   la::TrsvdResult solved;
   if (solvable >= 1) {

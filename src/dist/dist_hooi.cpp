@@ -26,7 +26,7 @@ namespace {
 // the peer in one message; for every receive list (ascending peer order, so
 // accumulation is deterministic), combine the incoming rows at the listed
 // positions. One call is one message round regardless of width — this is
-// the batching that makes the blocked TRSVD backends pay one latency per
+// the batching that makes the blocked TRSVD solves pay one latency per
 // block apply instead of one per Lanczos vector (width 1 reproduces the
 // scalar exchange).
 void exchange_row_blocks(smp::Communicator& comm, double* data,
@@ -60,7 +60,7 @@ void exchange_row_blocks(smp::Communicator& comm, double* data,
   }
 }
 
-// Row-distributed view of Y(n) for the Lanczos TRSVD (paper Sec. III-B):
+// Row-distributed view of Y(n) for the TRSVD solvers (paper Sec. III-B):
 // the local matrix holds this rank's rows of Y(n) — partial sums over the
 // rank's nonzeros under the fine grain, complete owned rows under the
 // coarse grain. Y(n) is never assembled:
@@ -78,7 +78,7 @@ void exchange_row_blocks(smp::Communicator& comm, double* data,
 //
 // The block entry points batch b vectors per communication round: one
 // fold/expand exchange carries b-wide row blocks and one allreduce carries
-// the whole c x b column-space block, so the blocked TRSVD backends pay
+// the whole c x b column-space block, so the blocked TRSVD solves pay
 // ~1/b of the scalar solver's message rounds (comm_rounds() reports the
 // measured count, surfaced through DistStats).
 class DistYOperator final : public la::TrsvdOperator {
@@ -121,7 +121,12 @@ class DistYOperator final : public la::TrsvdOperator {
   [[nodiscard]] double row_dot(std::span<const double> a,
                                std::span<const double> b) const override {
     double s = 0.0;
-    for (std::uint32_t pos : owned_pos_) s += a[pos] * b[pos];
+    if (owned_is_all_rows_) {
+      // The shared-memory default, as in row_gram.
+      s = la::dot(a, b);
+    } else {
+      for (std::uint32_t pos : owned_pos_) s += a[pos] * b[pos];
+    }
     ++comm_rounds_;
     return comm_.allreduce_sum_scalar(s);
   }
@@ -146,8 +151,12 @@ class DistYOperator final : public la::TrsvdOperator {
     } else {
       // Fine grain, p > 1: count every global row once (owned positions).
       gather_rows(a, ga_);
-      gather_rows(b, gb_);
-      la::gemm_tn_into(ga_, gb_, g);
+      if (&a == &b) {
+        la::gemm_tn_into(ga_, ga_, g);
+      } else {
+        gather_rows(b, gb_);
+        la::gemm_tn_into(ga_, gb_, g);
+      }
     }
     comm_.allreduce_sum(g.flat());
     ++comm_rounds_;
@@ -234,16 +243,19 @@ bool checkpoint_exists(const std::string& path) {
   return true;
 }
 
+// `sweeps` counts every sweep the stored factors have been through, across
+// restarts, so a resumed run takes kAuto's warm path from the same sweep a
+// straight run would.
 void save_checkpoint(const std::string& path,
                      const std::vector<la::Matrix>& factors, int rank,
-                     int iterations) {
+                     int sweeps) {
   const std::string tmp = path + ".tmp";
   {
     storage::BundleWriter w(tmp);
     std::string meta;
     meta += "kind=dist_checkpoint\n";
     meta += "rank=" + std::to_string(rank) + "\n";
-    meta += "iterations=" + std::to_string(iterations) + "\n";
+    meta += "sweeps=" + std::to_string(sweeps) + "\n";
     for (const auto& [key, value] : core::TuckerModel::build_provenance()) {
       meta += "prov:" + key + "=" + value + "\n";
     }
@@ -263,11 +275,17 @@ void save_checkpoint(const std::string& path,
   }
 }
 
-// Replace the plan's random initial slices with the checkpointed ones.
+// Replace the plan's random initial slices with the checkpointed ones and
+// return the stored sweep count (0 when the checkpoint predates the key).
 // LoadMode::kCopy on purpose: the loop keeps mutating the factors.
-void load_checkpoint(const std::string& path,
-                     std::vector<la::Matrix>& factors) {
+int load_checkpoint(const std::string& path,
+                    std::vector<la::Matrix>& factors) {
   storage::BundleReader r(path, storage::LoadMode::kCopy);
+  int sweeps = 0;
+  for (const auto& [key, value] :
+       r.read_meta(r.require(storage::SectionKind::kMeta))) {
+    if (key == "sweeps") sweeps = std::stoi(value);
+  }
   for (std::size_t n = 0; n < factors.size(); ++n) {
     const storage::SectionEntry& e =
         r.require(storage::SectionKind::kFactor, static_cast<std::uint32_t>(n));
@@ -279,6 +297,7 @@ void load_checkpoint(const std::string& path,
     storage::Span<double> s = r.load<double>(e);
     factors[n] = la::Matrix(e.rows, e.cols, std::move(s.vec()));
   }
+  return sweeps;
 }
 
 }  // namespace
@@ -390,14 +409,17 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
   DistHooiResult result;
   result.label = config_label(gplan.grain, gplan.method);
 
-  // Resolve the TRSVD backend per mode against the *global* compact problem
-  // (|J_n| x prod-of-other-ranks): the choice must be identical on every
-  // rank since the solvers make collective calls in lockstep.
-  result.trsvd_methods.resize(order);
+  // The solver of the cold solves, and whether kAuto may warm-start a mode
+  // at all. The warm rule reads the *global* compact problem (|J_n| x
+  // prod-of-other-ranks): the choice must be identical on every rank since
+  // the solvers make collective calls in lockstep.
+  result.trsvd_methods.assign(order,
+                              core::resolve_trsvd_method(options.trsvd_method));
+  std::vector<bool> warm_mode(order);
   for (std::size_t n = 0; n < order; ++n) {
-    result.trsvd_methods[n] = core::resolve_trsvd_method(
+    warm_mode[n] = core::warm_trsvd_applies(
         options.trsvd_method, geo[n].rows.size(), geo[n].width,
-        geo[n].solvable, options.trsvd);
+        static_cast<std::size_t>(options.ranks[n]));
   }
 
   // Table III loads: a property of the partition, computed from the plans.
@@ -443,35 +465,48 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     const bool fine = gplan.grain == Grain::kFine;
     std::vector<std::vector<std::uint32_t>> owned_pos(order);
     std::vector<std::vector<std::uint32_t>> op_owned_pos(order);
+    // Local factor row behind each row of the operator's row space: where a
+    // warm start is read from.
+    std::vector<std::vector<index_t>> op_factor_rows(order);
     for (std::size_t n = 0; n < order; ++n) {
-      HT_CHECK(plan.symbolic.modes[n].rows.size() ==
-               rp.modes[n].local_rows.size());
+      const std::vector<index_t>& sym_rows = plan.symbolic.modes[n].rows;
+      HT_CHECK(sym_rows.size() == rp.modes[n].local_rows.size());
       owned_pos[n].reserve(rp.modes[n].owned_rows.size());
       for (index_t g : rp.modes[n].owned_rows) {
         owned_pos[n].push_back(local_row_position(rp.modes[n].local_rows, g));
       }
       if (fine) {
         op_owned_pos[n] = owned_pos[n];
+        op_factor_rows[n] = sym_rows;
       } else {
         op_owned_pos[n].resize(rp.modes[n].owned_rows.size());
         std::iota(op_owned_pos[n].begin(), op_owned_pos[n].end(), 0u);
+        for (std::uint32_t pos : owned_pos[n]) {
+          op_factor_rows[n].push_back(sym_rows[pos]);
+        }
       }
     }
 
     core::TtmcScheduler scheduler(rp.local, plan, options.ranks);
 
     std::vector<la::Matrix> factors = rp.initial_factors;  // local slices
-    // Warm restart: adopt this rank's factor slices from a previous run's
-    // checkpoint when one exists. Only the initialization changes — the
-    // iteration loop is oblivious, so a 2-iteration checkpoint followed by
-    // a 2-iteration restart walks the same fit trajectory as 4 straight
-    // iterations.
+    // Restart: adopt this rank's factor slices from a previous run's
+    // checkpoint when one exists, and count sweeps on from the stored
+    // number. Only the initialization and the sweep count change, so a
+    // 2-iteration checkpoint followed by a 2-iteration restart walks the
+    // same fit trajectory as 4 straight iterations. The ranks agree on the
+    // count so that they choose the same solver for every solve.
+    int first_sweep = 0;
     if (!options.checkpoint_dir.empty()) {
       const std::string ckpt = checkpoint_path(options.checkpoint_dir, rank);
-      if (checkpoint_exists(ckpt)) load_checkpoint(ckpt, factors);
+      if (checkpoint_exists(ckpt)) first_sweep = load_checkpoint(ckpt, factors);
+      first_sweep = static_cast<int>(
+          comm.allreduce_max_u64(static_cast<std::uint64_t>(first_sweep)));
     }
     std::vector<la::Matrix> full_factors(order);           // assembled U_n
     la::Matrix y;  // local part of compact Y(n), reused across modes
+    core::WarmStart warm;  // power-step buffers, reused across modes
+    std::vector<int> warm_solves(order, 0);
     tensor::DenseTensor core_tensor;
     std::vector<double> fits;
     int iterations = 0;
@@ -503,8 +538,17 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
         const ModePlan& op_plan = fine ? mp : kNoComm;
         DistYOperator op(y, op_plan, op_owned_pos[n], g.rows.size(), comm,
                          static_cast<int>(2 * n));
-        la::TrsvdResult solved = core::run_trsvd_backend(
-            op, result.trsvd_methods[n], g.solvable, options.trsvd);
+        const bool warm_solve =
+            warm_mode[n] && first_sweep + iter >= core::kWarmFirstSweep;
+        la::TrsvdResult cold;
+        if (warm_solve) {
+          warm.load(factors[n], op_factor_rows[n]);
+          warm_solves[n] += core::warm_trsvd(op, warm, options.trsvd);
+        } else {
+          cold = core::run_trsvd_backend(op, result.trsvd_methods[n],
+                                         g.solvable, options.trsvd);
+        }
+        const la::TrsvdResult& solved = warm_solve ? warm.basis : cold;
         // Each rank owns its stats cell; writes from SPMD threads touch
         // disjoint DistLoad objects.
         result.stats.at(n, static_cast<std::size_t>(rank)).trsvd_rounds +=
@@ -522,7 +566,10 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
         }
         const std::vector<double> gathered = comm.allgatherv(mine);
         HT_CHECK(gathered.size() == g.rows.size() * g.solvable);
-        la::TrsvdResult global = std::move(solved);
+        la::TrsvdResult global;
+        global.sigma = solved.sigma;
+        global.steps = solved.steps;
+        global.converged = solved.converged;
         global.u.resize_zero(g.rows.size(), g.solvable);
         for (std::size_t k = 0; k < g.rows.size(); ++k) {
           const double* src = gathered.data() +
@@ -579,7 +626,7 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
 
     if (!options.checkpoint_dir.empty()) {
       save_checkpoint(checkpoint_path(options.checkpoint_dir, rank), factors,
-                      rank, iterations);
+                      rank, first_sweep + iterations);
     }
 
     // Slowest-rank step times (every rank participates in the reductions).
@@ -596,6 +643,7 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
       result.fits = std::move(fits);
       result.iterations = iterations;
       result.converged = converged;
+      result.warm_solves = std::move(warm_solves);
       result.timers = reduced;
       result.seconds_per_iteration =
           iterations > 0 ? max_loop / iterations : 0.0;

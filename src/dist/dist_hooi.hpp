@@ -6,10 +6,15 @@
 // partition_plan; one ALS sweep then performs, per mode,
 //   (i)   local TTMc over the rank's nonzeros (partial rows under the fine
 //         grain, complete owned rows under the coarse grain),
-//   (ii)  distributed TRSVD: Lanczos over a row-distributed operator whose
-//         apply() folds partial row results to row owners and expands them
-//         back to replicas — Y(n) is never assembled (the paper's argument
-//         for Lanczos over Gram methods),
+//   (ii)  distributed TRSVD over a row-distributed operator whose apply()
+//         folds partial row results to row owners and expands them back to
+//         replicas — Y(n) is never assembled (the paper's argument for
+//         Lanczos over Gram methods). kAuto runs Lanczos, or from the third
+//         sweep on core::warm_trsvd on modes whose *global* compact Y(n)
+//         is large, so every rank makes the same choice (the steps'
+//         energy check reads allreduced blocks, so every rank also reruns
+//         Lanczos together); a checkpoint restart counts the checkpointed
+//         sweeps,
 //   (iii) factor-row exchange and, after the last mode, an allreduce'd core
 //         tensor G = U_N^T Y(N) from which the exact fit is monitored.
 // With num_ranks = 1 every collective degenerates to the identity and the
@@ -55,22 +60,24 @@ struct DistHooiOptions {
   /// grain serves its owned rows through the subset paths; the fine grain
   /// computes local partial rows, which the fold later combines.
   core::TtmcOptions ttmc;
-  /// TRSVD backend, resolved per mode (kAuto) against the global compact
-  /// problem size. The blocked backends batch the fold/expand exchange into
-  /// one message round per block apply instead of one per Lanczos vector.
-  /// kGram is rejected: it would require assembling Y(n) (the paper's
-  /// argument for matrix-free solvers in the fine-grain setting).
-  core::TrsvdMethod trsvd_method = core::TrsvdMethod::kLanczos;
+  /// TRSVD solver, as in core::HooiOptions: kAuto warm-starts modes whose
+  /// global compact Y(n) is large from the third sweep on. The blocked
+  /// solves batch the fold/expand exchange into one message round per block
+  /// apply instead of one per Lanczos vector. kGram is rejected: it would
+  /// require assembling Y(n) (the paper's argument for matrix-free solvers
+  /// in the fine-grain setting).
+  core::TrsvdMethod trsvd_method = core::TrsvdMethod::kAuto;
   /// Inner-solver controls; defaults match core::HooiOptions.
   la::TrsvdOptions trsvd = {.tol = 1e-7};
   /// Hypergraph partitioner imbalance tolerance (plan construction only).
   double epsilon = 0.10;
   /// Directory for rank-local restart bundles ("" = no checkpointing).
-  /// When set, every rank writes its local factor slices to
-  /// <dir>/rank<r>.htb (storage/bundle.hpp format) after its iteration
-  /// loop, and a later run over the same plan warm-starts from those
-  /// slices instead of the plan's random initialization — the fit
-  /// trajectory continues exactly where the checkpointed run stopped.
+  /// When set, every rank writes its local factor slices and the number of
+  /// sweeps they have been through to <dir>/rank<r>.htb (storage/bundle.hpp
+  /// format) after its iteration loop, and a later run over the same plan
+  /// starts from those slices instead of the plan's random initialization,
+  /// counting its sweeps on from the stored number — the fit trajectory
+  /// continues exactly where the checkpointed run stopped.
   std::string checkpoint_dir;
 };
 
@@ -86,7 +93,7 @@ struct DistLoad {
   /// Measured TRSVD communication rounds (fold/expand exchanges plus
   /// column-space/Gram allreduces), summed over iterations. Unlike the
   /// modeled fields above, this is observed during the run: the blocked
-  /// backends batch b vectors per round, so it drops by ~b versus scalar
+  /// solves batch b vectors per round, so it drops by ~b versus scalar
   /// Lanczos on the same partition.
   std::uint64_t trsvd_rounds = 0;
 };
@@ -130,9 +137,11 @@ struct DistHooiResult {
   /// Fit after each completed sweep (identical on every rank).
   std::vector<double> fits;
   DistStats stats;
-  /// TRSVD backend resolved per mode (kAuto applies the cost model to the
-  /// global compact problem; identical on every rank).
+  /// Per mode, the solver of the cold solves (kAuto resolves to kLanczos).
   std::vector<core::TrsvdMethod> trsvd_methods;
+  /// Per mode, how many solves kept kAuto's warm power steps, as in
+  /// core::HooiResult (identical on every rank).
+  std::vector<int> warm_solves;
   /// Paper configuration label, e.g. "fine-hp".
   std::string label;
   int iterations = 0;

@@ -10,7 +10,7 @@
 // weighted by slice nonzero count (TTMc work), nets are the rows of the
 // *other* modes, connecting the mode-rows that reference them. Partitioning
 // each mode independently approximates PaToH's multi-constraint run from the
-// paper (see DESIGN.md).
+// paper (see docs/ARCHITECTURE.md, "Substitutions").
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,5 @@
-// Hypergraph partitioners (PaToH substitute; see DESIGN.md).
+// Hypergraph partitioners (PaToH substitute; see docs/ARCHITECTURE.md,
+// "Substitutions").
 //
 // partition_multilevel: recursive bisection with
 //   * heavy-connectivity agglomerative matching for coarsening,

@@ -43,6 +43,11 @@ Matrix gemm(const Matrix& a, const Matrix& b);
 /// C = A * B into a caller-owned output (resized, capacity preserved). The
 /// blocked TRSVD solvers call this once per block apply, reusing one buffer
 /// across iterations.
+///
+/// gemm_into and gemm_tn_into stream a tall A through register-tiled
+/// kernels when B has at most 16 columns (the TRSVD block shapes). Each
+/// output entry sums its products in the order of the plain loops, so the
+/// bits do not depend on which kernel ran.
 void gemm_into(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C = A^T * B (A: m x k -> C: k x n). The HOOI core-tensor step

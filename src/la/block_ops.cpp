@@ -63,14 +63,4 @@ std::size_t orthonormalize_colspace_block(Matrix& v, Matrix& scratch,
   return kept;
 }
 
-void reorthogonalize_block(Matrix& w, const Matrix& basis) {
-  if (basis.rows() == 0 || w.cols() == 0) return;
-  Matrix coeff, correction;
-  for (int pass = 0; pass < 2; ++pass) {
-    gemm_into(basis, w, coeff);          // basis_rows x b projections
-    gemm_tn_into(basis, coeff, correction);  // span-of-basis component
-    axpy(-1.0, correction.flat(), w.flat());
-  }
-}
-
 }  // namespace ht::la

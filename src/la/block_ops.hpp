@@ -1,5 +1,5 @@
-// Block-vector primitives shared by the blocked TRSVD solvers (randomized
-// subspace iteration and block Lanczos bidiagonalization).
+// Block-vector orthonormalizers shared by the blocked TRSVD solvers
+// (randomized subspace iteration and HOOI's warm power steps).
 //
 // Row-space blocks (row_local x b, one column per vector) live distributed
 // across ranks: their Gram matrices must come from TrsvdOperator::row_gram,
@@ -12,8 +12,7 @@
 // leading `kept` columns form an orthonormal basis of span(U) and
 // numerically dependent directions become trailing zero columns instead of
 // amplified noise. Two passes give CholQR2-grade orthonormality; the
-// solvers recover exact projected matrices through explicit cross-Grams, so
-// the factorization itself never needs a triangular R.
+// solvers only need the basis, never a triangular R.
 #pragma once
 
 #include <cstddef>
@@ -33,11 +32,5 @@ std::size_t orthonormalize_rowspace_block(TrsvdOperator& op, Matrix& u,
 /// Same for a replicated column-space block (local Gram via gemm_tn).
 std::size_t orthonormalize_colspace_block(Matrix& v, Matrix& scratch,
                                           int passes = 2);
-
-/// Two-pass blocked classical Gram-Schmidt: remove from every column of `w`
-/// its projection onto the span of the rows of `basis` (each row is one
-/// basis vector of length w.rows()). Both passes run through gemm/gemm_tn,
-/// so the work parallelizes over basis columns in the OpenMP BLAS layer.
-void reorthogonalize_block(Matrix& w, const Matrix& basis);
 
 }  // namespace ht::la

@@ -11,11 +11,11 @@
 // apply_transpose() expands owner entries back to replicas and reduces the
 // (small, replicated) column-space vector — without ever assembling Y(n).
 //
-// The blocked solvers (block Lanczos, randomized subspace iteration) use
-// the *_block entry points, which carry b vectors per application: the
-// dense operator turns the bandwidth-bound gemv stream into gemm, and the
-// distributed operator batches the fold/expand exchange into one message
-// round per block instead of b latency-bound rounds. The defaults loop the
+// The blocked solvers (randomized subspace iteration, HOOI's warm power
+// steps) use the *_block entry points, which carry b vectors per
+// application: the dense operator turns the bandwidth-bound gemv stream
+// into gemm, and the distributed operator batches the fold/expand exchange
+// into one message round per block instead of b latency-bound rounds. The defaults loop the
 // scalar applies, so every operator supports the blocked solvers; overriding
 // is purely a performance contract (the backend-equivalence tests pin
 // block apply == repeated scalar apply).

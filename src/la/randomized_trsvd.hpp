@@ -15,8 +15,8 @@
 //
 // Accuracy comes from the budget, not from an iteration-to-tolerance loop:
 // the captured subspace error decays as (sigma_{l+1}/sigma_rank)^(2q+1).
-// With l >= numerical rank the result is exact; HOOI's loose ALS tolerances
-// (1e-7) are reached with the default q = 2, p = 8. Deterministic for a
+// With l >= numerical rank the result is exact; the defaults are q = 1,
+// p = 8 (TrsvdOptions::power_iterations / oversample). Deterministic for a
 // fixed seed, and identical on every rank of a distributed operator (the
 // sketch is column-space data, which is replicated).
 #pragma once

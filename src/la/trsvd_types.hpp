@@ -1,5 +1,6 @@
-// Options and result types shared by every TRSVD backend (scalar Lanczos,
-// block Lanczos, randomized subspace iteration, Gram cross-check).
+// Options and result types shared by every TRSVD solver (scalar Lanczos,
+// randomized subspace iteration, Gram cross-check, HOOI's warm power
+// steps).
 //
 // Split out of lanczos.hpp so the blocked solvers do not depend on the
 // scalar solver's header; lanczos.hpp re-exports both names for existing
@@ -18,8 +19,6 @@ struct TrsvdOptions {
   /// Residual tolerance relative to the largest singular value.
   double tol = 1e-10;
   /// Hard cap on bidiagonalization steps (0 = automatic: min(c, 2*rank+20)).
-  /// Block Lanczos counts *columns*, so b columns per block step draw from
-  /// the same budget.
   std::size_t max_steps = 0;
   /// Steps between convergence tests. The test costs an SVD of the
   /// projected (steps x steps) matrix — running it every step would
@@ -29,14 +28,8 @@ struct TrsvdOptions {
   /// Seed for the deterministic starting vector / sketch.
   std::uint64_t seed = 0x5eed5eedULL;
 
-  // -- blocked-solver knobs --------------------------------------------------
+  // -- randomized-solver knobs -----------------------------------------------
 
-  /// Block size b for the block Lanczos solver (0 = automatic:
-  /// clamp(rank, 4, 16) — one block step then usually covers the target
-  /// subspace). Every operator apply carries b row-space vectors at once —
-  /// gemm instead of gemv, and one batched fold/expand round in the
-  /// distributed operator instead of b latency-bound rounds.
-  std::size_t block_size = 0;
   /// Oversampling p for the randomized range finder: the sketch carries
   /// rank + p columns (clamped to the operator's column size).
   std::size_t oversample = 8;
@@ -51,10 +44,12 @@ struct TrsvdOptions {
 struct TrsvdResult {
   /// Leading left singular vectors, row_local_size() x rank.
   Matrix u;
-  /// Leading singular values, descending.
+  /// Leading singular values, descending (empty after HOOI's warm power
+  /// steps, which compute none).
   std::vector<double> sigma;
   /// Bidiagonalization steps performed (columns of the projected problem;
-  /// the randomized solver reports its sketch width).
+  /// the randomized solver reports its sketch width, the warm power steps
+  /// their count).
   std::size_t steps = 0;
   /// Whether all requested triplets met the residual tolerance. The
   /// randomized solver reports true: it runs a fixed budget and its

@@ -1,4 +1,5 @@
-// Simulated message-passing communicator (MPI substitute; see DESIGN.md).
+// Simulated message-passing communicator (MPI substitute; see
+// docs/ARCHITECTURE.md, "Substitutions").
 //
 // SPMD ranks run as threads inside one process. The Communicator gives each
 // rank MPI-like point-to-point send/recv with (source, tag) matching plus

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "la/matrix.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/random.hpp"
@@ -311,6 +310,7 @@ LowRankTensor random_low_rank(const Shape& shape, nnz_t target_nnz,
     out.clean[t] *= inv_rms;
     values[t] = out.clean[t] + relative_noise * rng.normal();
   }
+  out.factors = std::move(factors);
   return out;
 }
 

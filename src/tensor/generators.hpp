@@ -1,5 +1,6 @@
 // Synthetic sparse tensor generators (substitute for the paper's Netflix /
-// NELL / Delicious / Flickr datasets; see DESIGN.md "Substitutions").
+// NELL / Delicious / Flickr datasets; see docs/ARCHITECTURE.md,
+// "Substitutions").
 //
 // Coordinates are drawn per mode from a truncated Zipf-like power law (real
 // user/item/tag data is heavily skewed), then de-duplicated; values carry a
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "la/matrix.hpp"
 #include "tensor/coo_tensor.hpp"
 
 namespace ht::tensor {
@@ -62,6 +64,9 @@ struct LowRankTensor {
   CooTensor tensor;             // observed entries: clean[t] + noise
   std::vector<value_t> clean;   // noiseless planted value per nonzero
   double noise_sigma = 0.0;     // exact std-dev of the added noise
+  /// Planted factors, shape[n] x ranks[n] (Gaussian, not orthonormal):
+  /// their columns span the planted mode subspaces.
+  std::vector<la::Matrix> factors;
 };
 
 /// Uniform-coordinate sparse sample of a planted rank-`ranks` Tucker model

@@ -9,6 +9,8 @@
 #include "core/symbolic.hpp"
 #include "core/trsvd.hpp"
 #include "la/blas.hpp"
+#include "la/qr.hpp"
+#include "la/svd.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/generators.hpp"
 #include "util/random.hpp"
@@ -169,6 +171,105 @@ TEST(HooiTest, ThreadCountDoesNotChangeResult) {
           r1.decomposition.factors[n], 0.0))
           << threads << " threads, mode " << n;
     }
+  }
+}
+
+// Mode 0 of these tensors is above kAuto's warm floor at ranks {4, 8, 8}:
+// its compact Y(0) has >= 16384 rows of 64 columns, >= 2^20 entries. Modes
+// 1 and 2 (40 and 30 rows) are far below it. At seed 5 the warm solves'
+// power steps settle and are kept; at seed 13 they are still gaining
+// energy after kWarmSteps, so every warm solve reruns Lanczos.
+CooTensor warm_mode_tensor(std::uint64_t seed = 5) {
+  CooTensor x = ht::tensor::random_zipf(Shape{40000, 40, 30}, 60000,
+                                        {0.3, 0.4, 0.1}, seed);
+  ht::tensor::plant_low_rank_values(x, 4, 0.1, seed + 1);
+  return x;
+}
+
+TEST(HooiTest, WarmSolvesAreCountedPerMode) {
+  const CooTensor x = warm_mode_tensor();
+  ASSERT_GE(ht::core::build_mode_symbolic(x, 0).num_rows() * 64,
+            ht::core::kWarmMinEntries);
+  HooiOptions opt = basic_options({4, 8, 8}, 4);
+  opt.fit_tolerance = 0.0;
+  // Sweeps 3 and 4 warm-start mode 0; the small modes stay on Lanczos.
+  EXPECT_EQ(ht::core::hooi(x, opt).warm_solves, (std::vector<int>{2, 0, 0}));
+  opt.trsvd_method = ht::core::TrsvdMethod::kLanczos;
+  EXPECT_EQ(ht::core::hooi(x, opt).warm_solves, (std::vector<int>{0, 0, 0}));
+}
+
+TEST(HooiTest, UnsettledWarmSolvesRerunLanczos) {
+  // Each warm solve that reruns Lanczos gets exactly the cold solve, so
+  // the run is kLanczos's bit for bit and counts no warm solve.
+  const CooTensor x = warm_mode_tensor(13);
+  HooiOptions opt = basic_options({4, 8, 8}, 4);
+  opt.fit_tolerance = 0.0;
+  const HooiResult automatic = ht::core::hooi(x, opt);
+  opt.trsvd_method = ht::core::TrsvdMethod::kLanczos;
+  const HooiResult lanczos = ht::core::hooi(x, opt);
+  EXPECT_EQ(automatic.warm_solves, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(automatic.fits, lanczos.fits);
+  for (std::size_t n = 0; n < x.order(); ++n) {
+    EXPECT_TRUE(automatic.decomposition.factors[n].approx_equal(
+        lanczos.decomposition.factors[n], 0.0))
+        << "mode " << n;
+  }
+}
+
+TEST(HooiTest, ThreadCountDoesNotChangeWarmResult) {
+  // The warm power steps run through gemm_into/gemm_tn_into and the
+  // block orthonormalizer: fits and factors stay bitwise identical at
+  // every team size.
+  const CooTensor x = warm_mode_tensor();
+  const auto run = [&](int threads) {
+    HooiOptions opt = basic_options({4, 8, 8}, 4);
+    opt.fit_tolerance = 0.0;
+    opt.num_threads = threads;
+    return ht::core::hooi(x, opt);
+  };
+  const HooiResult r1 = run(1);
+  ASSERT_EQ(r1.warm_solves[0], 2);
+  for (const int threads : {2, 3, 4}) {
+    const HooiResult r = run(threads);
+    EXPECT_EQ(r.fits, r1.fits) << threads << " threads";
+    for (std::size_t n = 0; n < x.order(); ++n) {
+      EXPECT_TRUE(r.decomposition.factors[n].approx_equal(
+          r1.decomposition.factors[n], 0.0))
+          << threads << " threads, mode " << n;
+    }
+  }
+}
+
+// Cosine of the largest principal angle between span(a) and span(b).
+double subspace_cosine(Matrix a, Matrix b) {
+  ht::la::orthonormalize_columns(a);
+  ht::la::orthonormalize_columns(b);
+  return ht::la::svd_jacobi(ht::la::gemm_tn(a, b)).s.back();
+}
+
+TEST(HooiTest, WarmPathRecoversPlantedSubspacesLikeLanczos) {
+  // A 59% sample of a planted rank-(4, 8, 8) Tucker model; mode 0's
+  // compact Y(0) (17000 x 64) is above the warm floor, so sweeps 3-6 take
+  // the power steps there. Sampling keeps either solver off the exact
+  // planted subspaces (mode 0's largest principal angle has cosine ~0.96);
+  // the warm path must get as close as Lanczos, to 1e-4 in that cosine.
+  const auto planted = ht::tensor::random_low_rank(
+      Shape{17000, 10, 10}, 1000000, Shape{4, 8, 8}, 0.1, 51);
+  HooiOptions opt = basic_options({4, 8, 8}, 6);
+  opt.fit_tolerance = 0.0;
+  const HooiResult warm = ht::core::hooi(planted.tensor, opt);
+  ASSERT_EQ(warm.warm_solves[0], 4);
+  opt.trsvd_method = ht::core::TrsvdMethod::kLanczos;
+  const HooiResult lanczos = ht::core::hooi(planted.tensor, opt);
+
+  EXPECT_GE(warm.final_fit(), 0.999 * lanczos.final_fit());
+  for (std::size_t n = 0; n < 3; ++n) {
+    const double cos_warm = subspace_cosine(planted.factors[n],
+                                            warm.decomposition.factors[n]);
+    const double cos_lanczos = subspace_cosine(
+        planted.factors[n], lanczos.decomposition.factors[n]);
+    EXPECT_GT(cos_lanczos, 0.9) << "mode " << n;
+    EXPECT_GE(cos_warm, cos_lanczos - 1e-4) << "mode " << n;
   }
 }
 

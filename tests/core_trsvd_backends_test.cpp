@@ -1,8 +1,8 @@
-// HOOI-level equivalence suite for the TRSVD backend layer: every backend
-// must drive HOOI to the same fit as the scalar Lanczos solver across
-// tensor orders 3/4/5, the kAuto cost model must resolve as documented,
-// and the trsvd_factor dispatch/scatter must behave identically across
-// methods (including the parallelized scatter path).
+// HOOI-level equivalence suite for the TRSVD solvers: every solver must
+// drive HOOI to the same fit as the scalar Lanczos solver across tensor
+// orders 3/4/5, the kAuto rule must resolve as documented, and the
+// trsvd_factor dispatch/scatter must behave identically across methods
+// (including the parallelized scatter path).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include "core/trsvd.hpp"
 #include "core/ttmc.hpp"
 #include "la/blas.hpp"
+#include "la/linear_operator.hpp"
 #include "tensor/generators.hpp"
 #include "util/random.hpp"
 
@@ -27,8 +28,8 @@ using ht::tensor::index_t;
 using ht::tensor::Shape;
 
 const std::vector<TrsvdMethod> kAllBackends = {
-    TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kBlockLanczos,
-    TrsvdMethod::kRandomized, TrsvdMethod::kAuto};
+    TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kRandomized,
+    TrsvdMethod::kAuto};
 
 CooTensor planted_tensor(const Shape& shape, std::size_t nnz, int rank,
                          std::uint64_t seed) {
@@ -116,8 +117,7 @@ TEST(TrsvdFactorDispatch, AllBackendsMatchGramOnCompactProblem) {
   const auto ref = ht::core::trsvd_factor(y, rows, 1600, 4,
                                           TrsvdMethod::kGram);
   for (const TrsvdMethod method :
-       {TrsvdMethod::kLanczos, TrsvdMethod::kBlockLanczos,
-        TrsvdMethod::kRandomized}) {
+       {TrsvdMethod::kLanczos, TrsvdMethod::kRandomized}) {
     const auto got = ht::core::trsvd_factor(y, rows, 1600, 4, method);
     EXPECT_EQ(got.method_used, method);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -137,40 +137,100 @@ TEST(TrsvdFactorDispatch, AllBackendsMatchGramOnCompactProblem) {
   }
 }
 
-TEST(TrsvdAutoModel, ResolvesAsDocumented) {
-  const ht::la::TrsvdOptions loose{.tol = 1e-7};
-  const ht::la::TrsvdOptions tight{.tol = 1e-12};
+// 17000 x 64 Gaussian Y whose column j is scaled by scale(j).
+template <typename Scale>
+Matrix scaled_gaussian(ht::Rng& rng, Scale scale) {
+  Matrix y(17000, 64);
+  for (std::size_t i = 0; i < y.rows(); ++i) {
+    for (std::size_t j = 0; j < y.cols(); ++j) {
+      y(i, j) = rng.normal() * scale(j);
+    }
+  }
+  return y;
+}
 
-  // Explicit methods pass through untouched.
+std::vector<index_t> identity_rows(std::size_t m) {
+  std::vector<index_t> rows(m);
+  for (std::size_t r = 0; r < m; ++r) rows[r] = static_cast<index_t>(r);
+  return rows;
+}
+
+TEST(WarmTrsvd, SettledStepsKeepTheirBasis) {
+  // A decaying spectrum and a start near the leading rank-4 subspace: the
+  // Lanczos basis plus noise, as a previous sweep's factor would be.
+  ht::Rng rng(7);
+  const std::size_t rank = 4;
+  const Matrix y = scaled_gaussian(
+      rng, [](std::size_t j) { return std::pow(0.8, static_cast<double>(j)); });
+  const auto rows = identity_rows(y.rows());
+  const auto lanczos =
+      ht::core::trsvd_factor(y, rows, y.rows(), rank, TrsvdMethod::kLanczos);
+  ht::core::WarmStart warm;
+  Matrix start = lanczos.factor;
+  for (auto& v : start.flat()) v += 1e-3 * rng.normal();
+  warm.load(start, rows);
+
+  ht::la::DenseOperator op(y);
+  ASSERT_TRUE(ht::core::warm_trsvd(op, warm, {}));
+  EXPECT_EQ(warm.basis.steps, ht::core::kWarmSteps);
+  EXPECT_TRUE(warm.basis.sigma.empty());
+  const Matrix& q = warm.basis.u;
+  const Matrix g = ht::la::gemm_tn(q, q);
+  for (std::size_t i = 0; i < rank; ++i) {
+    for (std::size_t j = 0; j < rank; ++j) {
+      EXPECT_NEAR(g(i, j), i == j ? 1.0 : 0.0, 1e-12);
+    }
+  }
+  // Energy captured, ||Q^T Y||_F^2: the warm basis matches Lanczos's.
+  const auto energy = [&](const Matrix& b) {
+    const double f = ht::la::gemm_tn(b, y).frobenius_norm();
+    return f * f;
+  };
+  EXPECT_GE(energy(q), (1 - 1e-6) * energy(lanczos.compact_u));
+}
+
+TEST(WarmTrsvd, UnsettledStepsRerunLanczos) {
+  // Singular values 4 and 5 nearly tie and the start is random: four power
+  // steps are still gaining energy, so the solve is exactly the cold
+  // Lanczos solve.
+  ht::Rng rng(8);
+  const std::size_t rank = 4;
+  const Matrix y = scaled_gaussian(
+      rng, [](std::size_t j) { return j < 4 ? 1.0 : 0.97; });
+  ht::core::WarmStart warm;
+  Matrix start(y.rows(), rank);
+  for (auto& v : start.flat()) v = rng.normal();
+  warm.load(start, identity_rows(y.rows()));
+
+  const ht::la::TrsvdOptions options = {.tol = 1e-7};
+  ht::la::DenseOperator op(y);
+  ASSERT_FALSE(ht::core::warm_trsvd(op, warm, options));
+  const auto lanczos = ht::core::run_trsvd_backend(op, TrsvdMethod::kLanczos,
+                                                   rank, options);
+  EXPECT_EQ(warm.basis.sigma, lanczos.sigma);
+  EXPECT_TRUE(warm.basis.u.approx_equal(lanczos.u, 0.0));
+}
+
+TEST(TrsvdAutoModel, ResolvesAsDocumented) {
+  // Cold solves: kAuto runs Lanczos, explicit methods run themselves.
+  EXPECT_EQ(ht::core::resolve_trsvd_method(TrsvdMethod::kAuto),
+            TrsvdMethod::kLanczos);
   for (const TrsvdMethod m :
-       {TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kBlockLanczos,
-        TrsvdMethod::kRandomized}) {
-    EXPECT_EQ(ht::core::resolve_trsvd_method(m, 1000000, 100, 10, loose), m);
+       {TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kRandomized}) {
+    EXPECT_EQ(ht::core::resolve_trsvd_method(m), m);
   }
 
-  // Small problems stay on the scalar solver.
-  EXPECT_EQ(ht::core::resolve_trsvd_method(TrsvdMethod::kAuto, 1500, 16, 4,
-                                           loose),
-            TrsvdMethod::kLanczos);
-
-  // Huge-mode problems at ALS tolerances go to the randomized backend
-  // (fewest passes over Y(n), the measured winner on the ablation arm)...
-  EXPECT_EQ(ht::core::resolve_trsvd_method(TrsvdMethod::kAuto, 1000000, 100,
-                                           10, loose),
-            TrsvdMethod::kRandomized);
-  // ...and tight tolerances need the iterate-to-tolerance block solver.
-  EXPECT_EQ(ht::core::resolve_trsvd_method(TrsvdMethod::kAuto, 1000000, 100,
-                                           10, tight),
-            TrsvdMethod::kBlockLanczos);
-
-  // The cost model ranks both blocked backends far below the scalar
-  // solver's 2*steps width-1 passes on the huge problem.
-  const double lanczos_cost = ht::core::trsvd_method_cost(
-      TrsvdMethod::kLanczos, 1000000, 100, 10, loose);
+  // Warm solves: kAuto only, from the 2^20-entry floor up, and only when
+  // the compact problem can deliver the whole rank.
+  const std::size_t floor = ht::core::kWarmMinEntries;
+  EXPECT_TRUE(ht::core::warm_trsvd_applies(TrsvdMethod::kAuto, floor / 64, 64,
+                                           5));
+  EXPECT_FALSE(ht::core::warm_trsvd_applies(TrsvdMethod::kAuto,
+                                            floor / 64 - 1, 64, 5));
+  EXPECT_FALSE(ht::core::warm_trsvd_applies(TrsvdMethod::kAuto, floor, 4, 5));
   for (const TrsvdMethod m :
-       {TrsvdMethod::kRandomized, TrsvdMethod::kBlockLanczos}) {
-    EXPECT_LT(ht::core::trsvd_method_cost(m, 1000000, 100, 10, loose),
-              0.5 * lanczos_cost);
+       {TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kRandomized}) {
+    EXPECT_FALSE(ht::core::warm_trsvd_applies(m, 1000000, 100, 10));
   }
 }
 
@@ -181,8 +241,7 @@ TEST(TrsvdMethodNames, ParseAndFormatRoundTrip) {
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, m);
   }
-  EXPECT_EQ(ht::core::parse_trsvd_method("block-lanczos"),
-            TrsvdMethod::kBlockLanczos);
+  EXPECT_FALSE(ht::core::parse_trsvd_method("block").has_value());
   EXPECT_EQ(ht::core::parse_trsvd_method("randomized"),
             TrsvdMethod::kRandomized);
   EXPECT_FALSE(ht::core::parse_trsvd_method("krylov").has_value());
@@ -210,8 +269,7 @@ TEST(RankSweepBackends, AutoSweepMatchesLanczosSweep) {
 
 TEST(HooiBackends, DeterministicAcrossRuns) {
   const CooTensor x = planted_tensor({25, 20, 15}, 1500, 3, 11);
-  for (const TrsvdMethod method :
-       {TrsvdMethod::kBlockLanczos, TrsvdMethod::kRandomized}) {
+  for (const TrsvdMethod method : {TrsvdMethod::kRandomized}) {
     HooiOptions opt;
     opt.ranks = {3, 3, 3};
     opt.max_iterations = 2;

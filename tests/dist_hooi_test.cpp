@@ -249,13 +249,12 @@ TEST(DistHooiTest, PrebuiltPlansCanBeReused) {
 }
 
 TEST(DistTrsvdBackends, MatchSharedMemoryAcrossGrains) {
-  // Each blocked backend over the distributed operator (batched
+  // Each matrix-free solver over the distributed operator (batched
   // fold/expand, allreduced Grams) must reproduce the shared-memory run of
-  // the *same* backend — fine and coarse grain alike.
+  // the *same* solver — fine and coarse grain alike.
   const CooTensor x = test_tensor();
   const std::vector<index_t> r = {4, 4, 4};
-  for (const auto method : {ht::core::TrsvdMethod::kBlockLanczos,
-                            ht::core::TrsvdMethod::kRandomized,
+  for (const auto method : {ht::core::TrsvdMethod::kRandomized,
                             ht::core::TrsvdMethod::kAuto}) {
     HooiOptions sopt;
     sopt.ranks = r;
@@ -289,11 +288,10 @@ TEST(DistTrsvdBackends, MatchSharedMemoryAcrossGrains) {
 TEST(DistTrsvdBackends, SingleRankBitMatchesSharedMemory) {
   // p = 1: empty comm lists, identity collectives, and the operator's
   // row_gram takes the same gemm_tn path as the shared-memory default —
-  // every backend must reproduce core::hooi exactly.
+  // the blocked solver must reproduce core::hooi exactly.
   const CooTensor x = test_tensor();
   const std::vector<index_t> r = {4, 4, 4};
-  for (const auto method : {ht::core::TrsvdMethod::kBlockLanczos,
-                            ht::core::TrsvdMethod::kRandomized}) {
+  for (const auto method : {ht::core::TrsvdMethod::kRandomized}) {
     HooiOptions sopt;
     sopt.ranks = r;
     sopt.max_iterations = 3;
@@ -314,26 +312,22 @@ TEST(DistTrsvdBackends, SingleRankBitMatchesSharedMemory) {
 }
 
 TEST(DistTrsvdBackends, BatchedFoldExpandReducesMessageRounds) {
-  // The blocked backends carry b vectors per fold/expand round and batch
-  // the column-space allreduce, so the measured per-TRSVD round count must
-  // drop by roughly the block width versus scalar Lanczos on the same
+  // The randomized solver carries its whole sketch per fold/expand round
+  // and batches the column-space allreduce, so the measured per-TRSVD
+  // round count must drop well below scalar Lanczos's on the same
   // partition.
   const CooTensor x = test_tensor();
   const std::vector<index_t> r = {4, 4, 4};
   auto opt = dist_options(r, Grain::kFine, Method::kHypergraph, 4, 2, 42);
   opt.trsvd_method = ht::core::TrsvdMethod::kLanczos;
   const DistHooiResult scalar = ht::dist::dist_hooi(x, opt);
-  opt.trsvd_method = ht::core::TrsvdMethod::kBlockLanczos;
-  const DistHooiResult blocked = ht::dist::dist_hooi(x, opt);
   opt.trsvd_method = ht::core::TrsvdMethod::kRandomized;
   const DistHooiResult randomized = ht::dist::dist_hooi(x, opt);
 
   const auto scalar_rounds = scalar.stats.total_trsvd_rounds();
   ASSERT_GT(scalar_rounds, 0u);
-  // Block width is 4 here (clamp(rank, 4, 16)); batching must shave at
-  // least 2x even counting the per-step Gram allreduces the scalar solver
-  // does not make.
-  EXPECT_LT(2 * blocked.stats.total_trsvd_rounds(), scalar_rounds);
+  // Batching must shave at least 2x even counting the Gram allreduces the
+  // scalar solver does not make.
   EXPECT_LT(2 * randomized.stats.total_trsvd_rounds(), scalar_rounds);
   for (std::size_t n = 0; n < 3; ++n) {
     EXPECT_GT(scalar.stats.trsvd_rounds_summary(n).avg, 0.0);
@@ -435,6 +429,96 @@ TEST(DistHooiTest, StaleCheckpointShapeIsRejected) {
   auto other = dist_options({5, 5, 5}, Grain::kFine, Method::kRandom, 2, 1, 42);
   other.checkpoint_dir = dir;
   EXPECT_THROW(ht::dist::dist_hooi(x, other), ht::Error);
+
+  for (int rank = 0; rank < 2; ++rank) {
+    std::remove((dir + "/rank" + std::to_string(rank) + ".htb").c_str());
+  }
+}
+
+// Mode 0 is above kAuto's warm floor at ranks {4, 8, 8} (its global
+// compact Y(0) has >= 16384 rows of 64 columns); from the third sweep on
+// its solves take the warm power steps over the distributed operator. At
+// seed 5 the steps settle and are kept; at seed 13 every warm solve reruns
+// Lanczos (as in core_hooi_test).
+CooTensor warm_mode_tensor(std::uint64_t seed = 5) {
+  CooTensor x = ht::tensor::random_zipf(Shape{40000, 40, 30}, 60000,
+                                        {0.3, 0.4, 0.1}, seed);
+  ht::tensor::plant_low_rank_values(x, 4, 0.1, seed + 1);
+  return x;
+}
+
+TEST(DistWarmTrsvd, SingleRankMatchesSharedMemoryExactly) {
+  const CooTensor x = warm_mode_tensor();
+  const std::vector<index_t> r = {4, 8, 8};
+  const HooiResult shared = reference_hooi(x, r, 4, 42);
+  ASSERT_EQ(shared.warm_solves, (std::vector<int>{2, 0, 0}));
+  const DistHooiResult dist = ht::dist::dist_hooi(
+      x, dist_options(r, Grain::kFine, Method::kRandom, 1, 4, 42));
+  EXPECT_EQ(dist.warm_solves, shared.warm_solves);
+  ASSERT_EQ(dist.fits.size(), shared.fits.size());
+  for (std::size_t i = 0; i < dist.fits.size(); ++i) {
+    EXPECT_NEAR(dist.fits[i], shared.fits[i], 1e-12) << "iteration " << i;
+  }
+}
+
+TEST(DistWarmTrsvd, MatchesSharedMemoryInBothGrains) {
+  const CooTensor x = warm_mode_tensor();
+  const std::vector<index_t> r = {4, 8, 8};
+  const HooiResult shared = reference_hooi(x, r, 4, 42);
+  for (const auto grain : {Grain::kFine, Grain::kCoarse}) {
+    const DistHooiResult dist = ht::dist::dist_hooi(
+        x, dist_options(r, grain, Method::kHypergraph, 3, 4, 42));
+    EXPECT_EQ(dist.warm_solves, shared.warm_solves);
+    ASSERT_EQ(dist.fits.size(), shared.fits.size());
+    for (std::size_t i = 0; i < dist.fits.size(); ++i) {
+      EXPECT_NEAR(dist.fits[i], shared.fits[i], 1e-6)
+          << (grain == Grain::kFine ? "fine" : "coarse") << " iter " << i;
+    }
+  }
+}
+
+TEST(DistWarmTrsvd, UnsettledSolvesRerunLanczosOnEveryRank) {
+  // Every rank reads the same energies, so all of them rerun Lanczos
+  // together, and the run is kLanczos's.
+  const CooTensor x = warm_mode_tensor(13);
+  const std::vector<index_t> r = {4, 8, 8};
+  auto opt = dist_options(r, Grain::kFine, Method::kRandom, 2, 4, 42);
+  const DistHooiResult automatic = ht::dist::dist_hooi(x, opt);
+  opt.trsvd_method = ht::core::TrsvdMethod::kLanczos;
+  const DistHooiResult lanczos = ht::dist::dist_hooi(x, opt);
+  EXPECT_EQ(automatic.warm_solves, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(automatic.fits, lanczos.fits);
+}
+
+TEST(DistWarmTrsvd, CheckpointRestartResumesWarm) {
+  // The checkpoint stores the sweeps its factors have been through, so the
+  // resumed run's first sweep (the third overall) is already warm and the
+  // trajectory matches 4 straight sweeps.
+  const CooTensor x = warm_mode_tensor();
+  const std::vector<index_t> r = {4, 8, 8};
+  const std::string dir = ::testing::TempDir() + "ht_dist_ckpt_warm";
+  (void)std::system(("mkdir -p " + dir).c_str());
+  for (int rank = 0; rank < 2; ++rank) {
+    std::remove((dir + "/rank" + std::to_string(rank) + ".htb").c_str());
+  }
+
+  const DistHooiResult straight = ht::dist::dist_hooi(
+      x, dist_options(r, Grain::kFine, Method::kRandom, 2, 4, 42));
+  auto half = dist_options(r, Grain::kFine, Method::kRandom, 2, 2, 42);
+  half.checkpoint_dir = dir;
+  const DistHooiResult first = ht::dist::dist_hooi(x, half);
+  const DistHooiResult resumed = ht::dist::dist_hooi(x, half);
+
+  EXPECT_EQ(straight.warm_solves, (std::vector<int>{2, 0, 0}));
+  EXPECT_EQ(first.warm_solves, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(resumed.warm_solves, (std::vector<int>{2, 0, 0}));
+  ASSERT_EQ(straight.fits.size(), 4u);
+  ASSERT_EQ(first.fits.size(), 2u);
+  ASSERT_EQ(resumed.fits.size(), 2u);
+  EXPECT_NEAR(first.fits[0], straight.fits[0], 1e-12);
+  EXPECT_NEAR(first.fits[1], straight.fits[1], 1e-12);
+  EXPECT_NEAR(resumed.fits[0], straight.fits[2], 1e-12);
+  EXPECT_NEAR(resumed.fits[1], straight.fits[3], 1e-12);
 
   for (int rank = 0; rank < 2; ++rank) {
     std::remove((dir + "/rank" + std::to_string(rank) + ".htb").c_str());

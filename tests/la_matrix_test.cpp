@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "la/blas.hpp"
@@ -179,6 +181,73 @@ TEST(BlasTest, ThreadedAndSerialPathsAgree) {
     EXPECT_EQ(r.ttx, serial.ttx) << threads << " threads";
     EXPECT_EQ(r.uv, serial.uv) << threads << " threads";
     EXPECT_EQ(r.norm, serial.norm) << threads << " threads";
+  }
+}
+
+// gemm_into in its plain-loop order: each entry sums from zero over
+// ascending l.
+Matrix reference_gemm(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      double s = 0.0;
+      for (std::size_t l = 0; l < a.cols(); ++l) s += a(i, l) * b(l, j);
+      c(i, j) = s;
+    }
+  }
+  return c;
+}
+
+// gemm_tn_into in its plain-loop order: rows are summed in fixed blocks of
+// 1024 (la/blas.cpp's kReduceRows), each block from zero over ascending
+// rows, and the block sums are added left to right.
+Matrix reference_gemm_tn(const Matrix& a, const Matrix& b) {
+  constexpr std::size_t kBlockRows = 1024;
+  Matrix c(a.cols(), b.cols());
+  for (std::size_t l = 0; l < a.cols(); ++l) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      double total = 0.0;
+      for (std::size_t r0 = 0; r0 < a.rows(); r0 += kBlockRows) {
+        double s = 0.0;
+        for (std::size_t i = r0; i < std::min(a.rows(), r0 + kBlockRows); ++i) {
+          s += a(i, l) * b(i, j);
+        }
+        total = r0 == 0 ? s : total + s;
+      }
+      c(l, j) = total;
+    }
+  }
+  return c;
+}
+
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+TEST(BlasTest, NarrowProductsMatchPlainLoopsBitForBit) {
+  // Right operands of 1-16 columns take the register-tiled kernels, 17 the
+  // plain loops. Odd row counts leave partial row tiles, 125 columns (the
+  // order-4, R = 5 width of Y(n)) a partial column tile, and 2500 rows
+  // three reduction blocks for gemm_tn.
+  for (const std::size_t k : {1u, 7u, 125u}) {
+    const Matrix a = random_matrix(2500, k, 40 + k);
+    for (std::size_t n = 1; n <= 17; ++n) {
+      const Matrix b = random_matrix(k, n, 60 + n);
+      const Matrix u = random_matrix(2500, n, 80 + n);
+      const Matrix ab = reference_gemm(a, b);
+      const Matrix atu = reference_gemm_tn(a, u);
+      for (const int threads : {1, 4}) {
+        ht::parallel::ThreadScope scope(threads);
+        Matrix c, d;
+        ht::la::gemm_into(a, b, c);
+        ht::la::gemm_tn_into(a, u, d);
+        EXPECT_TRUE(same_bits(c, ab))
+            << "gemm k=" << k << " n=" << n << " threads=" << threads;
+        EXPECT_TRUE(same_bits(d, atu))
+            << "gemm_tn k=" << k << " n=" << n << " threads=" << threads;
+      }
+    }
   }
 }
 

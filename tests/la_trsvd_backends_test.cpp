@@ -1,14 +1,13 @@
-// Backend-equivalence suite for the blocked TRSVD solvers: randomized
-// subspace iteration and block Lanczos against the Gram/Jacobi references,
-// the block-apply == repeated-scalar-apply operator contract, and
-// fixed-seed determinism.
+// Backend-equivalence suite for the blocked TRSVD solver: randomized
+// subspace iteration against the Gram/Jacobi references, the block
+// orthonormalizers, the block-apply == repeated-scalar-apply operator
+// contract, and fixed-seed determinism.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "la/blas.hpp"
-#include "la/block_lanczos.hpp"
 #include "la/block_ops.hpp"
 #include "la/lanczos.hpp"
 #include "la/linear_operator.hpp"
@@ -115,7 +114,7 @@ TEST(BlockOperatorContract, BlockApplyMatchesRepeatedScalarApply) {
 }
 
 TEST(BlockOperatorContract, SolversAgreeOnDefaultAndOverriddenOperators) {
-  // The blocked solvers must produce the same result through the default
+  // The blocked solver must produce the same result through the default
   // (loop-of-scalar-applies) block interface as through the gemm overrides.
   const Matrix a = matrix_with_spectrum(200, 30, {9, 7, 5, 3, 2, 1}, 23);
   DenseOperator dense(a);
@@ -126,16 +125,9 @@ TEST(BlockOperatorContract, SolversAgreeOnDefaultAndOverriddenOperators) {
     EXPECT_NEAR(r1.sigma[i], r2.sigma[i], 1e-10);
   }
   EXPECT_TRUE(r1.u.approx_equal(r2.u, 1e-8));
-
-  const auto b1 = ht::la::block_lanczos_trsvd(dense, 4);
-  const auto b2 = ht::la::block_lanczos_trsvd(scalar, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(b1.sigma[i], b2.sigma[i], 1e-10);
-  }
-  EXPECT_TRUE(b1.u.approx_equal(b2.u, 1e-8));
 }
 
-TEST(BlockOps, OrthonormalizeAndReorthogonalize) {
+TEST(BlockOps, Orthonormalize) {
   Matrix u = random_matrix(500, 8, 31);
   Matrix scratch;
   DenseOperator op(random_matrix(500, 10, 32));  // only for row_gram default
@@ -158,15 +150,6 @@ TEST(BlockOps, OrthonormalizeAndReorthogonalize) {
     EXPECT_DOUBLE_EQ(d(i, 2), 0.0);
     EXPECT_DOUBLE_EQ(d(i, 3), 0.0);
   }
-
-  // Block reorthogonalization drives basis projections to ~0.
-  Matrix basis_cols = random_matrix(80, 5, 34);
-  ht::la::orthonormalize_columns(basis_cols);
-  Matrix basis_rows = basis_cols.transposed();
-  Matrix w = random_matrix(80, 3, 35);
-  ht::la::reorthogonalize_block(w, basis_rows);
-  const Matrix proj = ht::la::gemm_tn(basis_cols, w);
-  for (double v : proj.flat()) EXPECT_NEAR(v, 0.0, 1e-12);
 }
 
 struct BackendCase {
@@ -178,8 +161,8 @@ class BlockedBackendsVsGram : public ::testing::TestWithParam<BackendCase> {};
 TEST_P(BlockedBackendsVsGram, SingularValuesAndSubspacesMatch) {
   const auto [m, n, rank] = GetParam();
   // Decaying spectrum with an exactly captured tail: the randomized
-  // sketch's l = rank + 8 columns cover the whole numerical range, so both
-  // blocked backends must match the Gram reference tightly.
+  // sketch's l = rank + 8 columns cover the whole numerical range, so it
+  // must match the Gram reference tightly.
   std::vector<double> spectrum;
   for (int i = 0; i < std::min(n, rank + 6); ++i) {
     spectrum.push_back(10.0 * std::pow(0.6, i));
@@ -189,19 +172,13 @@ TEST_P(BlockedBackendsVsGram, SingularValuesAndSubspacesMatch) {
 
   DenseOperator op_r(a);
   const auto rnd = ht::la::randomized_trsvd(op_r, rank);
-  DenseOperator op_b(a);
-  const auto blk = ht::la::block_lanczos_trsvd(op_b, rank);
 
   for (int i = 0; i < rank; ++i) {
     EXPECT_NEAR(rnd.sigma[i], ref.sigma[i], 1e-7 * ref.sigma[0])
         << "randomized sigma_" << i;
-    EXPECT_NEAR(blk.sigma[i], ref.sigma[i], 1e-7 * ref.sigma[0])
-        << "block sigma_" << i;
   }
   EXPECT_LT(orthonormality_error(rnd.u), 1e-8);
-  EXPECT_LT(orthonormality_error(blk.u), 1e-8);
   EXPECT_LT(subspace_gap(rnd.u, ref.u, rank), 1e-7);
-  EXPECT_LT(subspace_gap(blk.u, ref.u, rank), 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -213,17 +190,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BlockedBackends, RankDeficientYieldsZeroSigmas) {
   // Numerical rank 2, requested rank 5: trailing singular values ~0 and
-  // the leading pair exact — on both blocked backends.
+  // the leading pair exact.
   const Matrix a = matrix_with_spectrum(150, 30, {4.0, 3.0}, 41);
   DenseOperator op_r(a);
   const auto rnd = ht::la::randomized_trsvd(op_r, 5);
-  DenseOperator op_b(a);
-  const auto blk = ht::la::block_lanczos_trsvd(op_b, 5);
-  for (const auto* r : {&rnd, &blk}) {
-    EXPECT_NEAR(r->sigma[0], 4.0, 1e-7);
-    EXPECT_NEAR(r->sigma[1], 3.0, 1e-7);
-    for (std::size_t i = 2; i < 5; ++i) EXPECT_NEAR(r->sigma[i], 0.0, 1e-6);
-  }
+  EXPECT_NEAR(rnd.sigma[0], 4.0, 1e-7);
+  EXPECT_NEAR(rnd.sigma[1], 3.0, 1e-7);
+  for (std::size_t i = 2; i < 5; ++i) EXPECT_NEAR(rnd.sigma[i], 0.0, 1e-6);
 }
 
 TEST(BlockedBackends, FullWidthSketchIsExactOnAnyMatrix) {
@@ -237,36 +210,6 @@ TEST(BlockedBackends, FullWidthSketchIsExactOnAnyMatrix) {
   const auto rnd = ht::la::randomized_trsvd(op, 6, opt);
   for (int i = 0; i < 6; ++i) {
     EXPECT_NEAR(rnd.sigma[i], ref.s[i], 1e-8 * ref.s[0]);
-  }
-}
-
-TEST(BlockedBackends, BlockLanczosHandlesClusteredSpectrumWithFullSteps) {
-  const Matrix a = random_matrix(300, 40, 44);
-  const auto ref = ht::la::svd_jacobi(a);
-  TrsvdOptions opt;
-  opt.max_steps = 40;  // full column space
-  DenseOperator op(a);
-  const auto blk = ht::la::block_lanczos_trsvd(op, 10, opt);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_NEAR(blk.sigma[i], ref.s[i], 1e-7 * ref.s[0]) << "sigma_" << i;
-  }
-  EXPECT_LT(orthonormality_error(blk.u), 1e-6);
-}
-
-TEST(BlockedBackends, BlockSizeSweepAgrees) {
-  const Matrix a = matrix_with_spectrum(
-      500, 40, {10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 45);
-  const auto ref = ht::la::gram_trsvd(a, 6);
-  for (const std::size_t b : {1u, 2u, 3u, 6u, 11u}) {
-    TrsvdOptions opt;
-    opt.block_size = b;
-    DenseOperator op(a);
-    const auto blk = ht::la::block_lanczos_trsvd(op, 6, opt);
-    for (int i = 0; i < 6; ++i) {
-      EXPECT_NEAR(blk.sigma[i], ref.sigma[i], 1e-7 * ref.sigma[0])
-          << "b=" << b << " sigma_" << i;
-    }
-    EXPECT_LT(subspace_gap(blk.u, ref.u, 6), 1e-6) << "b=" << b;
   }
 }
 
@@ -296,18 +239,14 @@ TEST(BlockedBackends, PowerIterationsSharpenTheSketch) {
 
 TEST(BlockedBackends, DeterministicAcrossRuns) {
   const Matrix a = random_matrix(120, 24, 47);
-  for (int which = 0; which < 2; ++which) {
-    DenseOperator op1(a), op2(a);
-    const TrsvdResult r1 = which == 0 ? ht::la::randomized_trsvd(op1, 5)
-                                      : ht::la::block_lanczos_trsvd(op1, 5);
-    const TrsvdResult r2 = which == 0 ? ht::la::randomized_trsvd(op2, 5)
-                                      : ht::la::block_lanczos_trsvd(op2, 5);
-    ASSERT_EQ(r1.sigma.size(), r2.sigma.size());
-    for (std::size_t i = 0; i < r1.sigma.size(); ++i) {
-      EXPECT_DOUBLE_EQ(r1.sigma[i], r2.sigma[i]);
-    }
-    EXPECT_TRUE(r1.u.approx_equal(r2.u, 0.0));
+  DenseOperator op1(a), op2(a);
+  const TrsvdResult r1 = ht::la::randomized_trsvd(op1, 5);
+  const TrsvdResult r2 = ht::la::randomized_trsvd(op2, 5);
+  ASSERT_EQ(r1.sigma.size(), r2.sigma.size());
+  for (std::size_t i = 0; i < r1.sigma.size(); ++i) {
+    EXPECT_DOUBLE_EQ(r1.sigma[i], r2.sigma[i]);
   }
+  EXPECT_TRUE(r1.u.approx_equal(r2.u, 0.0));
 }
 
 TEST(BlockedBackends, InvalidRankThrows) {
@@ -315,8 +254,6 @@ TEST(BlockedBackends, InvalidRankThrows) {
   DenseOperator op(a);
   EXPECT_THROW(ht::la::randomized_trsvd(op, 0), ht::Error);
   EXPECT_THROW(ht::la::randomized_trsvd(op, 6), ht::Error);
-  EXPECT_THROW(ht::la::block_lanczos_trsvd(op, 0), ht::Error);
-  EXPECT_THROW(ht::la::block_lanczos_trsvd(op, 6), ht::Error);
 }
 
 TEST(BlockedBackends, OperatorAppliesAreCounted) {
@@ -326,9 +263,6 @@ TEST(BlockedBackends, OperatorAppliesAreCounted) {
   // (2q+2) block passes of width l plus nothing else.
   const std::size_t l = 3 + TrsvdOptions{}.oversample;
   EXPECT_EQ(rnd.operator_applies, (2 * TrsvdOptions{}.power_iterations + 2) * l);
-  DenseOperator op_b(a);
-  const auto blk = ht::la::block_lanczos_trsvd(op_b, 3);
-  EXPECT_GE(blk.operator_applies, 2 * blk.steps);
 }
 
 }  // namespace
