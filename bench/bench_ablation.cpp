@@ -10,10 +10,6 @@
 //      a kAuto plan runs in each (the perf-trajectory entry: the CSF walk
 //      must win on fiber-dense tensors and must not lose to per-nnz on
 //      singleton fibers, where kAuto still runs it);
-//   5. direct vs dimension-tree-served TTMc per HOOI iteration, and what
-//      the TtmcStrategy::kAuto cost model picks (perf-trajectory entry:
-//      tree-serving must win on merge-heavy tensors and kAuto must stay
-//      within noise of direct everywhere);
 //   6. TRSVD solvers on the huge-mode regime where Table IV says TRSVD
 //      dominates, on the Y(n) of HOOI's third sweep: scalar Lanczos
 //      (bandwidth-bound gemv per step) vs randomized subspace iteration vs
@@ -61,7 +57,6 @@
 
 #include "bench_common.hpp"
 #include "core/completion.hpp"
-#include "core/dim_tree.hpp"
 #include "core/hooi.hpp"
 #include "core/hosvd.hpp"
 #include "core/split.hpp"
@@ -384,108 +379,6 @@ void alto_kernel_ablation(bool smoke, htb::JsonReport& report) {
         .num("alto_build_s", alto_build_s)
         .num("alto_vs_csf", s_alto / s_csf)
         .num("auto_vs_winner", s_auto / s_winner)
-        .str("auto_picks", picks);
-  }
-  std::printf("\n");
-}
-
-// Time one HOOI iteration's worth of TTMc per strategy — a full sweep over
-// all modes through the scheduler, which reproduces HOOI's partial
-// build/invalidate pattern (each partial built once per sweep, rebuilt next
-// sweep). Strategies are timed *interleaved* (direct, tree, auto, repeat)
-// so machine drift hits all three alike; best of `reps` after a warm-up
-// sweep that pays one-time setup (leaf value gathers, buffer growth).
-std::vector<double> time_ttmc_sweeps(
-    const ht::tensor::CooTensor& x, const std::vector<ht::la::Matrix>& factors,
-    const std::vector<ht::tensor::index_t>& ranks,
-    const std::vector<ht::core::TtmcStrategy>& strategies, int reps) {
-  std::vector<ht::core::TtmcPlan> plans;
-  plans.reserve(strategies.size());  // schedulers point into it
-  std::vector<ht::core::TtmcScheduler> schedulers;
-  schedulers.reserve(strategies.size());
-  ht::la::Matrix y;
-  for (const auto strategy : strategies) {
-    plans.push_back(ht::core::TtmcPlan::build(x, {.strategy = strategy}));
-    schedulers.emplace_back(x, plans.back(), ranks);
-    for (std::size_t n = 0; n < x.order(); ++n) {
-      schedulers.back().compute(factors, n, y);
-    }
-  }
-  std::vector<double> best(strategies.size(), 1e300);
-  for (int rep = 0; rep < reps; ++rep) {
-    for (std::size_t s = 0; s < schedulers.size(); ++s) {
-      ht::WallTimer t;
-      for (std::size_t n = 0; n < x.order(); ++n) {
-        schedulers[s].compute(factors, n, y);
-      }
-      best[s] = std::min(best[s], t.seconds());
-    }
-  }
-  return best;
-}
-
-void tree_scheduler_ablation(bool smoke, htb::JsonReport& report) {
-  using namespace ht;
-  std::printf("=== Ablation 5: direct vs dimension-tree-served TTMc ===\n");
-
-  struct Arm {
-    std::string name;
-    tensor::Shape shape;
-    tensor::nnz_t nnz;
-    tensor::index_t rank;
-  };
-  // Merge-heavy tensors (small dims relative to nnz: every pair projection
-  // saturates), the regime real recommender/NLP tensors sit in, plus one
-  // scatter arm where the tree cannot win and kAuto must hold the line.
-  std::vector<Arm> arms;
-  if (smoke) {
-    arms.push_back({"3mode_merged", {36, 36, 36}, 40000, 10});
-    arms.push_back({"4mode_merged", {14, 14, 14, 14}, 30000, 5});
-    arms.push_back({"3mode_scattered", {300, 300, 300}, 30000, 10});
-  } else {
-    arms.push_back({"3mode_merged", {150, 150, 150}, 2000000, 10});
-    arms.push_back({"4mode_merged", {40, 40, 40, 40}, 2000000, 5});
-    arms.push_back({"3mode_scattered", {3000, 3000, 5000}, 2000000, 10});
-  }
-  const int reps = smoke ? 1 : 3;
-
-  std::printf("%-16s %9s %10s %10s %10s %9s %9s  %s\n", "tensor", "nnz",
-              "direct(s)", "tree(s)", "auto(s)", "tree_spd", "auto_spd",
-              "auto picks");
-  for (const Arm& arm : arms) {
-    const auto x = tensor::random_uniform(arm.shape, arm.nnz, 111);
-    const std::vector<tensor::index_t> ranks(x.order(), arm.rank);
-    const auto factors = core::random_orthonormal_factors(x.shape(), ranks, 7);
-
-    const std::vector<double> times = time_ttmc_sweeps(
-        x, factors, ranks,
-        {core::TtmcStrategy::kDirect, core::TtmcStrategy::kTree,
-         core::TtmcStrategy::kAuto},
-        reps);
-    const double t_direct = times[0], t_tree = times[1], t_auto = times[2];
-
-    const core::TtmcPlan auto_plan = core::TtmcPlan::build(x);
-    const core::TtmcScheduler chooser(x, auto_plan, ranks);
-    std::string picks;
-    for (std::size_t n = 0; n < x.order(); ++n) {
-      picks += chooser.selected(n) == core::TtmcStrategy::kTree ? 't' : 'd';
-    }
-
-    std::printf("%-16s %9llu %10.4f %10.4f %10.4f %8.2fx %8.2fx  %s\n",
-                arm.name.c_str(),
-                static_cast<unsigned long long>(x.nnz()), t_direct, t_tree,
-                t_auto, t_direct / t_tree, t_direct / t_auto, picks.c_str());
-    report.add()
-        .str("arm", "tree_scheduler")
-        .str("tensor", arm.name)
-        .num("order", static_cast<double>(x.order()))
-        .num("nnz", static_cast<double>(x.nnz()))
-        .num("rank", arm.rank)
-        .num("t_direct_s", t_direct)
-        .num("t_tree_s", t_tree)
-        .num("t_auto_s", t_auto)
-        .num("tree_speedup", t_direct / t_tree)
-        .num("auto_speedup", t_direct / t_auto)
         .str("auto_picks", picks);
   }
   std::printf("\n");
@@ -979,7 +872,6 @@ int main(int argc, char** argv) {
   fiber_length_ablation(htb::bench_smoke(), report);
   csf_kernel_ablation(htb::bench_smoke(), report);
   alto_kernel_ablation(htb::bench_smoke(), report);
-  tree_scheduler_ablation(htb::bench_smoke(), report);
   trsvd_backend_ablation(htb::bench_smoke(), report);
   model_store_ablation(htb::bench_smoke(), report);
   serve_qps_ablation(htb::bench_smoke(), report);
@@ -997,7 +889,7 @@ int main(int argc, char** argv) {
   // ---- 1. symbolic reuse --------------------------------------------------
   std::printf("=== Ablation 1: symbolic TTMc reuse ===\n");
   // The reusable preprocessing is the whole TTMc plan (symbolic update
-  // lists, dimension-tree plan, CSF/ALTO structures — all pattern-only); the
+  // lists and the CSF/ALTO structures, none of them rank-dependent); the
   // reuse arms below pass it to hooi so no per-call rebuild pollutes the
   // numbers.
   const core::TtmcPlan plan = core::TtmcPlan::build(x);

@@ -4,7 +4,7 @@
 //   ./tucker_cli INPUT.tns R1,R2,...  [--iters N] [--tol T] [--threads P]
 //                [--init random|range]
 //                [--ttmc-kernel auto|nnz|csf|alto]
-//                [--structure-budget BYTES] [--ttmc-strategy auto|direct|tree]
+//                [--structure-budget BYTES]
 //                [--trsvd-method lanczos|gram|rand|auto]
 //                [--trsvd-oversample P] [--trsvd-power Q]
 //                [--export PREFIX] [--sweep] [--save-model FILE.htb]
@@ -91,13 +91,27 @@ void export_factors(const ht::core::TuckerDecomposition& t,
   }
 }
 
+// The --ttmc-kernel spelling of the kernel a mode ran.
+const char* kernel_name(ht::core::TtmcKernel kernel) {
+  switch (kernel) {
+    case ht::core::TtmcKernel::kCsf:
+      return "csf";
+    case ht::core::TtmcKernel::kAlto:
+      return "alto";
+    case ht::core::TtmcKernel::kPerNnz:
+      return "nnz";
+    case ht::core::TtmcKernel::kAuto:
+      break;
+  }
+  return "auto";
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: tucker_cli INPUT.tns R1,R2,... [--iters N] [--tol T]"
                " [--threads P] [--init random|range]"
                " [--ttmc-kernel auto|nnz|csf|alto]"
                " [--structure-budget BYTES]"
-               " [--ttmc-strategy auto|direct|tree]"
                " [--trsvd-method lanczos|gram|rand|auto]"
                " [--trsvd-oversample P] [--trsvd-power Q]"
                " [--export PREFIX] [--sweep] [--save-model FILE.htb]\n"
@@ -346,17 +360,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--structure-budget") {
       options.ttmc.structure_budget_bytes = std::atof(next());
       if (options.ttmc.structure_budget_bytes < 0) return usage();
-    } else if (arg == "--ttmc-strategy") {
-      const std::string v = next();
-      if (v == "auto") {
-        options.ttmc.strategy = ht::core::TtmcStrategy::kAuto;
-      } else if (v == "direct") {
-        options.ttmc.strategy = ht::core::TtmcStrategy::kDirect;
-      } else if (v == "tree") {
-        options.ttmc.strategy = ht::core::TtmcStrategy::kTree;
-      } else {
-        return usage();
-      }
     } else if (arg == "--trsvd-method") {
       const auto method = ht::core::parse_trsvd_method(next());
       if (!method) return usage();
@@ -463,16 +466,20 @@ int main(int argc, char** argv) {
     std::printf("fit %.6f after %d sweeps (converged=%s)\n",
                 result.final_fit(), result.iterations,
                 result.converged ? "yes" : "no");
-    std::string warm;
+    std::string kernels, warm;
     for (std::size_t n = 0; n < result.warm_solves.size(); ++n) {
-      if (n) warm += ',';
+      if (n) {
+        kernels += ',';
+        warm += ',';
+      }
+      kernels += kernel_name(plan.kernel(n));
       warm += std::to_string(result.warm_solves[n]);
     }
     std::printf(
         "timers: symbolic %.3fs ttmc %.3fs trsvd %.3fs core %.3fs"
-        " (warm trsvd solves per mode: %s)\n",
+        " (ttmc kernels %s; warm trsvd solves per mode: %s)\n",
         plan.build_seconds, result.timers.ttmc, result.timers.trsvd,
-        result.timers.core, warm.c_str());
+        result.timers.core, kernels.c_str(), warm.c_str());
     if (!export_prefix.empty()) {
       export_factors(result.decomposition, export_prefix);
     }

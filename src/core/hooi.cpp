@@ -41,9 +41,27 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
   if (plan.options != options.ttmc) {
     throw InvalidArgument("TTMc plan was built for other TTMc options");
   }
+  // The plan's lists index x's nonzeros and its compact rows index x's
+  // factor rows: a plan built from another tensor would read and write out
+  // of bounds. Rows are sorted, so the last one bounds them all.
+  const std::size_t order = x.order();
+  bool same_tensor = plan.symbolic.modes.size() == order;
+  for (std::size_t n = 0; same_tensor && n < order; ++n) {
+    const ModeSymbolic& sym = plan.symbolic.modes[n];
+    same_tensor = sym.nnz_order.size() == x.nnz() &&
+                  (sym.rows.empty() || sym.rows.back() < x.dim(n));
+  }
+  if (!same_tensor) {
+    throw InvalidArgument("TTMc plan was built for another tensor");
+  }
+  if (plan.csf != nullptr && plan.csf->order() != order) {
+    throw InvalidArgument("CSF trees were built for another tensor order");
+  }
+  if (plan.alto != nullptr && plan.alto->shape != x.shape()) {
+    throw InvalidArgument("ALTO structure was built for another shape");
+  }
   parallel::ThreadScope threads(options.num_threads);
 
-  const std::size_t order = x.order();
   HooiResult result;
 
   std::vector<la::Matrix> factors =
@@ -52,7 +70,6 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
           : randomized_range_factors(x, options.ranks, options.seed);
 
   const double x_norm2 = x.norm2_squared();
-  TtmcScheduler scheduler(x, plan, options.ranks);
 
   la::Matrix y;  // compact Y(n), reused across modes/iterations
   la::Matrix last_compact_u;
@@ -63,7 +80,7 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     for (std::size_t n = 0; n < order; ++n) {
       WallTimer t_ttmc;
-      scheduler.compute(factors, n, y);
+      plan.ttmc(x, factors, n, y);
       result.timers.ttmc += t_ttmc.seconds();
 
       WallTimer t_trsvd;

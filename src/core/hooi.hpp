@@ -40,8 +40,8 @@ struct HooiOptions {
   /// (trsvd.hpp), and kLanczos runs Lanczos on every solve. The randomized
   /// solver's oversample/power knobs live in `trsvd` below.
   TrsvdMethod trsvd_method = TrsvdMethod::kAuto;
-  /// TTMc kernel family, cross-mode strategy, schedule and structure budget
-  /// (TtmcOptions documents each; docs/TUNING.md their kAuto rules).
+  /// TTMc kernel family, schedule and structure budget (TtmcOptions
+  /// documents each; docs/TUNING.md their kAuto rules).
   TtmcOptions ttmc;
   /// OpenMP threads (0 = runtime default). Paper Table V sweeps this.
   int num_threads = 0;
@@ -83,8 +83,9 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options);
 /// Run HOOI over a prebuilt plan (the paper reuses the symbolic structure
 /// across runs with different ranks; rank_sweep shares one plan across its
 /// grid). `plan` must be built from `x` with options.ttmc; a plan for other
-/// TTMc options throws ht::InvalidArgument. timers.symbolic stays 0: the
-/// caller paid the build.
+/// TTMc options, or one whose lists or structures do not fit `x`'s order,
+/// nonzero count or mode sizes, throws ht::InvalidArgument.
+/// timers.symbolic stays 0: the caller paid the build.
 HooiResult hooi(const CooTensor& x, const HooiOptions& options,
                 const TtmcPlan& plan);
 

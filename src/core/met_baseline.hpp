@@ -4,11 +4,11 @@
 // formulation. Reproduces the sequential comparison in Section V
 // ("87.2 s MET vs 11.3 s ours" on a random 10K^3 / 1M-nnz tensor).
 //
-// The semi-sparse representation and TTM contraction themselves are the
-// shared ones in tensor/semi_sparse.* (also the substrate of the
-// dimension-tree TTMc scheduler); what makes this the *baseline* is the
-// evaluation order — a fresh full-length TTM chain per mode per iteration,
-// merge plans rebuilt every contraction, no cross-mode reuse.
+// What makes this the *baseline* is the evaluation order: a fresh
+// full-length TTM chain per mode per iteration, every contraction sorting
+// and merging its input anew, no reuse across contractions, modes
+// or iterations. The chain (semi-sparse intermediates, append layout) is
+// private to met_baseline.cpp.
 #pragma once
 
 #include "core/hooi.hpp"

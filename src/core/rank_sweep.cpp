@@ -34,8 +34,8 @@ RankSweepResult rank_sweep(const CooTensor& x,
   HT_CHECK_MSG(!candidates.empty(), "need at least one rank candidate");
 
   RankSweepResult result;
-  // Every preprocessing structure is pattern-only and rank-independent:
-  // one plan serves the whole rank grid.
+  // Every preprocessing structure is rank-independent: one plan serves the
+  // whole rank grid.
   const TtmcPlan plan = TtmcPlan::build(x, base.ttmc);
   result.symbolic_seconds = plan.build_seconds;
 

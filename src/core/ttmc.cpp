@@ -906,9 +906,6 @@ double alto_bytes_estimate(std::size_t nnz, const tensor::Shape& shape) {
 bool ttmc_wants_csf(std::size_t nnz, std::size_t order,
                     const TtmcOptions& options) {
   if (order < 2 || order > kCsfMaxOrder) return false;
-  // Every mode tree-served by explicit request: the direct kernels — and
-  // therefore the trees — never run.
-  if (options.strategy == TtmcStrategy::kTree) return false;
   if (options.kernel == TtmcKernel::kCsf) return true;
   if (options.kernel != TtmcKernel::kAuto) return false;
   // Memory gate: under a structure budget the N-tree forest may simply not
@@ -933,7 +930,6 @@ bool ttmc_wants_alto(std::size_t nnz, const tensor::Shape& shape,
                      const TtmcOptions& options) {
   const std::size_t order = shape.size();
   if (order < 2) return false;
-  if (options.strategy == TtmcStrategy::kTree) return false;
   if (!tensor::AltoTensor::fits_key_budget(shape)) return false;
   if (options.kernel == TtmcKernel::kAlto) return true;
   if (options.kernel != TtmcKernel::kAuto) return false;

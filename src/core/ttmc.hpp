@@ -57,20 +57,9 @@ enum class Schedule { kDynamic, kStatic };
 /// the fixed wave budget (a pathological range x width combination).
 enum class TtmcKernel { kAuto, kPerNnz, kCsf, kAlto };
 
-/// Cross-mode evaluation strategy (consumed by core::TtmcScheduler, not by
-/// the single-mode entry points below):
-///   kDirect  every mode recomputes Y(n) from raw nonzeros (paper Alg. 2);
-///   kTree    modes are served from the dimension tree's semi-sparse
-///            partial contractions (core/dim_tree.*);
-///   kAuto    per-mode flop model picks direct vs tree-served.
-enum class TtmcStrategy { kAuto, kDirect, kTree };
-
 struct TtmcOptions {
   Schedule schedule = Schedule::kDynamic;
   TtmcKernel kernel = TtmcKernel::kAuto;
-  /// Cross-mode strategy; only TtmcScheduler reads it (ttmc_mode and
-  /// ttmc_mode_subset *are* the direct path).
-  TtmcStrategy strategy = TtmcStrategy::kAuto;
   /// Structure-memory budget in bytes for kAuto's preprocessing decisions
   /// (0 = unlimited). When the estimated N-tree CSF forest would exceed it,
   /// ttmc_wants_csf says no and ttmc_wants_alto offers the single
@@ -93,9 +82,8 @@ TtmcKernel ttmc_selected_kernel(std::size_t order, const TtmcOptions& options,
                                 const tensor::AltoTensor* alto = nullptr);
 
 /// Whether TtmcPlan::build should build the CSF forest: kAuto or kCsf on an
-/// order-2..8 tensor, unless every mode is tree-served (TtmcStrategy::kTree,
-/// so the direct kernels never run) or, for kAuto, the forest's estimated
-/// footprint blows TtmcOptions::structure_budget_bytes — in which case
+/// order-2..8 tensor, unless, for kAuto, the forest's estimated footprint
+/// blows TtmcOptions::structure_budget_bytes — in which case
 /// ttmc_wants_alto may offer the single linearized structure instead.
 bool ttmc_wants_csf(std::size_t nnz, std::size_t order,
                     const TtmcOptions& options);

@@ -9,9 +9,6 @@ TtmcPlan TtmcPlan::build(const CooTensor& x, const TtmcOptions& options) {
   TtmcPlan plan;
   plan.options = options;
   plan.symbolic = SymbolicTtmc::build(x);
-  if (options.strategy != TtmcStrategy::kDirect && x.order() >= 2) {
-    plan.tree.emplace(DimTreePlan::build(x));
-  }
   // An empty tensor (a rank-local slice can be one) has nothing to sort.
   if (x.nnz() > 0 && ttmc_wants_csf(x.nnz(), x.order(), options)) {
     plan.csf = std::make_shared<const tensor::CsfTensor>(

@@ -1,24 +1,26 @@
 // TTMc preprocessing, built once per tensor: the one object every HOOI
 // driver (hooi, rank_sweep, dist_hooi per rank, tucker_cli) consumes.
 //
-// TtmcPlan::build(x, options) runs every pattern-only pass the options ask
-// for — the symbolic update lists, the dimension-tree merge plans unless the
-// strategy is kDirect, and the CSF forest or the single ALTO structure when
-// ttmc_wants_csf / ttmc_wants_alto say so. This is the one place the TTMc
-// kernel is decided: each mode's direct TTMc runs whichever structure the
-// plan holds (TtmcPlan::kernel). Nothing in the plan depends on the ranks,
-// so one plan serves every sweep, HOOI run, and rank choice over the same
-// tensor; TtmcScheduler resolves the rank-dependent direct-vs-tree strategy
-// per run on top of it.
+// TtmcPlan::build(x, options) runs every preprocessing pass the options ask
+// for — the symbolic update lists, and the CSF forest or the single ALTO
+// structure when ttmc_wants_csf / ttmc_wants_alto say so. This is the one
+// place the TTMc kernel is decided: every mode of every sweep runs the
+// direct kernel over whichever structure the plan holds
+// (TtmcPlan::kernel), through ttmc() / ttmc_subset(). Nothing in the plan
+// depends on the ranks, so one plan serves every sweep, HOOI run, and rank
+// choice over the same tensor. The CSF and ALTO structures copy the
+// tensor's values, not only its pattern: a plan runs only the tensor it was
+// built from.
 //
 // The plan is a plain aggregate: tests and benches that want a specific
 // structure combination can assemble one field by field.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <optional>
+#include <span>
+#include <vector>
 
-#include "core/dim_tree.hpp"
 #include "core/symbolic.hpp"
 #include "core/ttmc.hpp"
 #include "tensor/alto.hpp"
@@ -31,8 +33,6 @@ struct TtmcPlan {
   /// Options the plan was built for; every TTMc through it runs with them.
   TtmcOptions options;
   SymbolicTtmc symbolic;
-  /// Dimension-tree merge plans; absent under TtmcStrategy::kDirect.
-  std::optional<DimTreePlan> tree{};
   /// Per-mode CSF trees / the ALTO structure; null when not built. Shared so
   /// a TuckerModel can carry them into a bundle without a copy.
   std::shared_ptr<const tensor::CsfTensor> csf{};
@@ -53,6 +53,23 @@ struct TtmcPlan {
   [[nodiscard]] TtmcKernel kernel(std::size_t mode) const {
     return ttmc_selected_kernel(symbolic.modes.size(), options,
                                 csf_tree(mode), alto.get());
+  }
+
+  /// Compact Y(mode) of `x` (ttmc_mode over this plan's symbolic lists and
+  /// structures). `x` must be the tensor the plan was built from.
+  void ttmc(const CooTensor& x, const std::vector<la::Matrix>& factors,
+            std::size_t mode, la::Matrix& y) const {
+    ttmc_mode(x, factors, mode, symbolic.modes[mode], y, options,
+              csf_tree(mode), alto.get());
+  }
+
+  /// Only the listed compact rows: row p of y is compact row positions[p]
+  /// (ttmc_mode_subset; the coarse-grain distributed owned-row path).
+  void ttmc_subset(const CooTensor& x, const std::vector<la::Matrix>& factors,
+                   std::size_t mode, std::span<const std::uint32_t> positions,
+                   la::Matrix& y) const {
+    ttmc_mode_subset(x, factors, mode, symbolic.modes[mode], positions, y,
+                     options, csf_tree(mode), alto.get());
   }
 };
 

@@ -452,7 +452,7 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     parallel::ThreadScope threads(options.threads_per_rank);
 
     // Each rank preprocesses its own local tensor: kAuto resolves the
-    // kernel, the structures to build, and the dimension tree per rank.
+    // kernel and the structures to build per rank.
     const core::TtmcPlan plan = core::TtmcPlan::build(rp.local, options.ttmc);
     core::HooiTimers timers;
     timers.symbolic = plan.build_seconds;
@@ -486,8 +486,6 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
         }
       }
     }
-
-    core::TtmcScheduler scheduler(rp.local, plan, options.ranks);
 
     std::vector<la::Matrix> factors = rp.initial_factors;  // local slices
     // Restart: adopt this rank's factor slices from a previous run's
@@ -523,11 +521,10 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
         WallTimer t_ttmc;
         if (fine) {
           // Partial rows over every local row; folded inside the TRSVD.
-          scheduler.compute(factors, n, y);
+          plan.ttmc(rp.local, factors, n, y);
         } else {
-          // Owners hold whole slices: owned rows are complete — and under
-          // the tree strategy served straight from this rank's partial.
-          scheduler.compute_subset(factors, n, owned_pos[n], y);
+          // Owners hold whole slices: owned rows are complete.
+          plan.ttmc_subset(rp.local, factors, n, owned_pos[n], y);
         }
         timers.ttmc += t_ttmc.seconds();
 

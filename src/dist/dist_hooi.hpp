@@ -55,10 +55,10 @@ struct DistHooiOptions {
   std::uint64_t seed = 42;
   /// TTMc options for the per-rank local kernels (both grains). Each rank
   /// builds its own core::TtmcPlan over its local tensor, so kAuto resolves
-  /// the kernel, the CSF/ALTO structures (structure_budget_bytes applies
-  /// per rank) and the dimension tree against local statistics. The coarse
-  /// grain serves its owned rows through the subset paths; the fine grain
-  /// computes local partial rows, which the fold later combines.
+  /// the kernel and the CSF/ALTO structures (structure_budget_bytes applies
+  /// per rank) against local statistics. The coarse grain computes its
+  /// owned rows through TtmcPlan::ttmc_subset; the fine grain computes
+  /// local partial rows, which the fold later combines.
   core::TtmcOptions ttmc;
   /// TRSVD solver, as in core::HooiOptions: kAuto warm-starts modes whose
   /// global compact Y(n) is large from the third sweep on. The blocked

@@ -126,9 +126,9 @@ class Matrix {
 
   /// Resize to rows x cols preserving the underlying capacity; contents are
   /// unspecified afterwards (no zeroing, no reshaped-element preservation).
-  /// Hot-path callers that overwrite every row — the TTMc kernels and the
-  /// dimension-tree scheduler reuse one Y(n) buffer across modes whose
-  /// widths differ — use this to avoid a realloc+memset per mode.
+  /// Hot-path callers that overwrite every row — the TTMc kernels reuse one
+  /// Y(n) buffer across modes whose widths differ — use this to avoid a
+  /// realloc+memset per mode.
   void resize(std::size_t rows, std::size_t cols);
 
   /// Frobenius norm.

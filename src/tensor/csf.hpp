@@ -25,9 +25,9 @@
 // Construction is pattern-only: the tree structure and the leaf gather map
 // (`leaf_entry`) depend on the nonzero pattern alone, so one CsfTensor is
 // reused across HOOI iterations, HOOI runs, and the rank grid of a
-// rank_sweep, mirroring how semi_sparse.cpp's TtmPlans are cached;
-// attach_values() re-gathers values without rebuilding (the tensor values
-// never change inside a decomposition, so build() does both once).
+// rank_sweep; attach_values() re-gathers values without rebuilding (the
+// tensor values never change inside a decomposition, so build() does both
+// once).
 //
 // Determinism: the lexicographic sort breaks ties by nonzero ordinal, so
 // the tree — and therefore the kCsf kernel's per-row accumulation order —

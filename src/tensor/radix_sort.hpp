@@ -6,10 +6,10 @@
 // whose maximum exceeds 16 bits are decomposed into stable 16-bit digit
 // passes, bounding the histogram at 64Ki buckets — the counter allocation
 // never scales with the key magnitude, only the pass count does (at most
-// two passes for 32-bit indices). Shared by the semi-sparse merge-plan
-// builder, the CSF tree builder, and the ALTO linearized-key build — all
-// sort millions of nonzeros by small-domain digits, exactly the shape
-// counting sort is built for.
+// two passes for 32-bit indices). Shared by the CSF tree builder, the ALTO
+// linearized-key build, and the MET baseline's TTM chain — all sort
+// millions of nonzeros by small-domain digits, exactly the shape counting
+// sort is built for.
 //
 // Parallelism: above a size threshold each histogram+scatter pass runs
 // over OpenMP with per-chunk bucket counts merged by a bucket-major,

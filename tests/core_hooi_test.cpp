@@ -117,16 +117,32 @@ TEST(HooiTest, GramAndLanczosMethodsAgree) {
   EXPECT_NEAR(rl.final_fit(), rg.final_fit(), 1e-5);
 }
 
+// The MET chain's Y(n) equals the fused kernel's up to rounding, rows and
+// column layout alike: a layout slip would leave the fits equal but break
+// the core, and with it the exact fit.
 TEST(HooiTest, MetBaselineMatchesFusedHooi) {
-  CooTensor x = ht::tensor::random_zipf(Shape{20, 25, 15}, 800,
-                                        {0.5, 0.5, 0.5}, 9);
-  ht::tensor::plant_low_rank_values(x, 3, 0.1, 10);
-  const HooiOptions opt = basic_options({3, 3, 3}, 4);
-  const HooiResult fused = ht::core::hooi(x, opt);
-  const HooiResult met = ht::core::hooi_met_baseline(x, opt);
-  ASSERT_EQ(fused.fits.size(), met.fits.size());
-  for (std::size_t i = 0; i < fused.fits.size(); ++i) {
-    EXPECT_NEAR(fused.fits[i], met.fits[i], 1e-7) << "iteration " << i;
+  const struct {
+    Shape shape;
+    ht::tensor::nnz_t nnz;
+    std::vector<index_t> ranks;
+  } inputs[] = {{{20, 25, 15}, 800, {3, 3, 3}},
+                {{8, 7, 6, 9}, 700, {2, 3, 2, 3}},
+                {{6, 5, 7, 4, 6}, 900, {2, 3, 2, 2, 3}}};
+  for (const auto& in : inputs) {
+    CooTensor x = ht::tensor::random_zipf(
+        in.shape, in.nnz, std::vector<double>(in.shape.size(), 0.5), 9);
+    ht::tensor::plant_low_rank_values(x, 3, 0.1, 10);
+    const HooiOptions opt = basic_options(in.ranks, 4);
+    const HooiResult fused = ht::core::hooi(x, opt);
+    const HooiResult met = ht::core::hooi_met_baseline(x, opt);
+    ASSERT_EQ(fused.fits.size(), met.fits.size());
+    for (std::size_t i = 0; i < fused.fits.size(); ++i) {
+      EXPECT_NEAR(fused.fits[i], met.fits[i], 1e-7)
+          << x.order() << "-mode, iteration " << i;
+    }
+    EXPECT_NEAR(met.final_fit(), ht::core::fit_exact(x, met.decomposition),
+                1e-8)
+        << x.order() << "-mode";
   }
 }
 
@@ -333,7 +349,6 @@ TEST(HooiTest, PlanRecordsPreprocessingDecisions) {
     const TtmcPlan plan = TtmcPlan::build(x);
     ASSERT_NE(plan.csf, nullptr);
     EXPECT_EQ(plan.alto, nullptr);
-    ASSERT_TRUE(plan.tree.has_value());
     EXPECT_GT(plan.build_seconds, 0.0);
     for (std::size_t n = 0; n < x.order(); ++n) {
       EXPECT_EQ(plan.kernel(n), ht::core::TtmcKernel::kCsf) << "mode " << n;
@@ -341,17 +356,10 @@ TEST(HooiTest, PlanRecordsPreprocessingDecisions) {
   }
 
   const CooTensor x = ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
-  const TtmcPlan direct = TtmcPlan::build(
-      x, {.kernel = ht::core::TtmcKernel::kPerNnz,
-          .strategy = ht::core::TtmcStrategy::kDirect});
-  EXPECT_FALSE(direct.tree.has_value());
+  const TtmcPlan direct =
+      TtmcPlan::build(x, {.kernel = ht::core::TtmcKernel::kPerNnz});
   EXPECT_EQ(direct.csf, nullptr);
   EXPECT_EQ(direct.kernel(0), ht::core::TtmcKernel::kPerNnz);
-  // Every mode tree-served: the direct kernels never run, so no forest.
-  const TtmcPlan tree =
-      TtmcPlan::build(x, {.strategy = ht::core::TtmcStrategy::kTree});
-  EXPECT_EQ(tree.csf, nullptr);
-  EXPECT_EQ(tree.kernel(0), ht::core::TtmcKernel::kPerNnz);
 }
 
 TEST(HooiTest, PlanForOtherOptionsIsRejected) {
@@ -360,6 +368,27 @@ TEST(HooiTest, PlanForOtherOptionsIsRejected) {
   HooiOptions opt = basic_options({2, 2, 2}, 1);
   opt.ttmc.kernel = ht::core::TtmcKernel::kPerNnz;
   EXPECT_THROW(ht::core::hooi(x, opt, plan), ht::InvalidArgument);
+}
+
+// Order and nonzero count do not identify a tensor: the same 400 nonzeros
+// spread over 400^3 give a plan whose compact rows lie past a 20^3
+// tensor's factor rows.
+TEST(HooiTest, PlanFromAnotherTensorIsRejected) {
+  auto grid = [](index_t stride, index_t dim) {
+    CooTensor x(Shape{dim, dim, dim});
+    for (index_t k = 0; k < 400; ++k) {
+      const std::vector<index_t> idx = {(k % 20) * stride, (k / 20) * stride,
+                                        (k * 7 % 20) * stride};
+      x.push_back(idx, 1.0 + k % 3);
+    }
+    return x;
+  };
+  const CooTensor big = grid(20, 400);
+  const CooTensor small = grid(1, 20);
+  ASSERT_EQ(big.nnz(), small.nnz());
+  EXPECT_THROW(ht::core::hooi(small, basic_options({2, 2, 2}, 1),
+                              TtmcPlan::build(big)),
+               ht::InvalidArgument);
 }
 
 TEST(HooiTest, TimersArePopulated) {

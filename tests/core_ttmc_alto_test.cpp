@@ -270,7 +270,7 @@ TEST(AltoTtmcTest, HooiConvergesIdenticallyUnderAltoKernel) {
       EXPECT_NEAR(a.fits[i], b.fits[i], 1e-8) << "sweep " << i;
     }
 
-    // A hand-assembled plan (no dimension tree) through the plan overload.
+    // A hand-assembled plan through the plan overload.
     const ht::core::TtmcPlan plan{
         .options = with_alto.ttmc,
         .symbolic = SymbolicTtmc::build(x),

@@ -264,8 +264,8 @@ TEST(CsfTtmcTest, AutoSelectionPinsPrefixRegimes) {
                                            &csf_free.modes[0]),
             TtmcKernel::kPerNnz);
 
-  // ttmc_wants_csf: kAuto and kCsf on orders 2..8, unless every mode is
-  // tree-served; never for kPerNnz or kAlto.
+  // ttmc_wants_csf: kAuto and kCsf on orders 2..8; never for kPerNnz or
+  // kAlto.
   const std::size_t nnz = free_.nnz();
   for (std::size_t order = 2; order <= 8; ++order) {
     EXPECT_TRUE(ht::core::ttmc_wants_csf(nnz, order, {})) << order;
@@ -277,8 +277,6 @@ TEST(CsfTtmcTest, AutoSelectionPinsPrefixRegimes) {
   EXPECT_FALSE(
       ht::core::ttmc_wants_csf(nnz, 3, {.kernel = TtmcKernel::kPerNnz}));
   EXPECT_FALSE(ht::core::ttmc_wants_csf(nnz, 3, {.kernel = TtmcKernel::kAlto}));
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(
-      nnz, 3, {.strategy = ht::core::TtmcStrategy::kTree}));
 }
 
 TEST(CsfTtmcTest, DeterministicAcrossThreadCounts) {
@@ -325,18 +323,14 @@ TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
       EXPECT_NEAR(a.fits[i], b.fits[i], 1e-8) << "sweep " << i;
     }
 
-    // A hand-assembled plan (no dimension tree) through the plan overload.
+    // A hand-assembled plan through the plan overload runs the same
+    // computation as the plan hooi builds itself.
     const ht::core::TtmcPlan plan{
         .options = with_csf.ttmc,
         .symbolic = SymbolicTtmc::build(x),
         .csf = std::make_shared<const CsfTensor>(CsfTensor::build(x))};
     const auto c = ht::core::hooi(x, with_csf, plan);
-    ASSERT_EQ(b.fits.size(), c.fits.size());
-    for (std::size_t i = 0; i < b.fits.size(); ++i) {
-      // Strategy kAuto may resolve differently with/without a dim tree;
-      // fits still agree to ALS grade.
-      EXPECT_NEAR(b.fits[i], c.fits[i], 1e-8) << "sweep " << i;
-    }
+    EXPECT_EQ(b.fits, c.fits) << x.order() << "-mode";
   }
 }
 
