@@ -38,14 +38,8 @@
 //      a 1% observed mask and known noise floor (prediction-quality entry:
 //      masked training must reach held-out RMSE within 1.15x the noise
 //      floor while unmasked HOOI — fitting the zeros — must not, matching
-//      the core_completion_test acceptance pin);
-//  10. ALTO bit-interleaved linearized kernel against the other two
-//      families, plus the structure-memory comparison: one sorted key/value
-//      array serving every mode vs the CSF forest's N trees
-//      (perf-trajectory entry: ALTO structure memory must stay <= 0.5x the
-//      CSF forest on 3-mode tensors, the kAlto TTMc must stay within 1.3x
-//      of the best CSF time on scattered-fiber inputs, and kAuto must stay
-//      within 1.05x of the per-case winner).
+//      the core_completion_test acceptance pin).
+// Arms 5 and 10 are retired (docs/BENCHMARKS.md).
 //
 // With --json PATH, every arm also appends machine-readable records so CI
 // publishes BENCH_ablation.json instead of hand-copied tables.
@@ -81,13 +75,12 @@ double time_ttmc_mode(const ht::tensor::CooTensor& x,
                       const std::vector<ht::la::Matrix>& factors,
                       const ht::core::SymbolicTtmc& sym, std::size_t n,
                       const ht::core::TtmcOptions& options, int reps,
-                      const ht::tensor::CsfTree* csf = nullptr,
-                      const ht::tensor::AltoTensor* alto = nullptr) {
+                      const ht::tensor::CsfTree* csf = nullptr) {
   double best = 1e300;
   ht::la::Matrix y;
   for (int rep = 0; rep < reps; ++rep) {
     ht::WallTimer t;
-    ht::core::ttmc_mode(x, factors, n, sym.modes[n], y, options, csf, alto);
+    ht::core::ttmc_mode(x, factors, n, sym.modes[n], y, options, csf);
     best = std::min(best, t.seconds());
   }
   return best;
@@ -127,8 +120,7 @@ void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
                                              &csf.modes[0]));
     }
     // What HOOI's kAuto plan runs: whatever structure it built.
-    const bool plan_csf =
-        core::ttmc_wants_csf(x.nnz(), x.order(), core::TtmcOptions{});
+    const bool plan_csf = core::ttmc_wants_csf(x.order(), core::TtmcOptions{});
     const char* pick = plan_csf ? "csf" : "nnz";
     const double avg_len = csf.modes[0].avg_leaf_fiber_length();
     std::printf("%-10u %10.2f %12.4f %12.4f %8.2fx %6s\n", fiber_len, avg_len,
@@ -253,137 +245,6 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
   std::printf("\n");
 }
 
-// Arm 10: the ALTO linearized kernel against the two established
-// families, per mode and as a full sweep, plus the structure-memory
-// headline. The memory comparison is the format's reason to exist: the CSF
-// forest keeps one tree per mode (O(order * nnz) pointers + a value copy
-// per tree) where ALTO keeps a single sorted key/value/gather-map array
-// (~24 B/nnz total) that serves every mode — so on a 3-mode tensor the
-// linearized structure must come in at no more than half the forest. The
-// time comparison targets the scattered regime (singleton fibers, no
-// prefix sharing): there CSF's trees degenerate to flat walks while ALTO
-// still gets dense staging blocks from its partition index ranges, so the
-// kAlto kernel must stay within 1.3x of the best CSF time while paying a
-// fraction of the memory. kAuto (handed both structures) runs the CSF walk
-// and must stay within noise of the per-case winner everywhere.
-void alto_kernel_ablation(bool smoke, htb::JsonReport& report) {
-  using namespace ht;
-  std::printf("=== Ablation 10: ALTO linearized vs per-nnz/CSF ===\n");
-  const tensor::nnz_t target_nnz = smoke ? 20000 : 2000000;
-  const tensor::Shape shape = smoke ? tensor::Shape{200, 200, 400}
-                                    : tensor::Shape{3000, 3000, 5000};
-  const std::vector<tensor::index_t> ranks(3, 10);
-  const int reps = smoke ? 1 : 5;
-
-  struct Arm {
-    std::string name;
-    tensor::CooTensor tensor;
-  };
-  std::vector<Arm> arms;
-  arms.push_back({"fibered_8",
-                  tensor::random_fibered(shape, target_nnz / 8, 8, 97)});
-  arms.push_back({"scattered",
-                  tensor::random_fibered(shape, target_nnz, 1, 97)});
-
-  std::printf("%-11s %6s %12s %12s %12s %12s %9s %9s %s\n", "tensor",
-              "mode", "per-nnz(s)", "csf(s)", "alto(s)", "auto(s)", "vs_csf",
-              "auto_spd", "auto");
-  for (const Arm& arm : arms) {
-    const auto& x = arm.tensor;
-    const core::SymbolicTtmc sym = core::SymbolicTtmc::build(x);
-    const tensor::CsfTensor csf = tensor::CsfTensor::build(x);
-    WallTimer t_build;
-    const tensor::AltoTensor alto = tensor::AltoTensor::build(x);
-    const double alto_build_s = t_build.seconds();
-    const auto factors = core::random_orthonormal_factors(x.shape(), ranks, 7);
-
-    // The memory headline: one linearized array vs the forest's N trees.
-    const std::size_t csf_bytes = csf.format_bytes();
-    const std::size_t alto_bytes = alto.format_bytes();
-    const double mem_ratio =
-        static_cast<double>(alto_bytes) / static_cast<double>(csf_bytes);
-    std::printf("%-11s structure memory: alto %zu B vs csf forest %zu B "
-                "(%.2fx, %u key bits)\n",
-                arm.name.c_str(), alto_bytes, csf_bytes, mem_ratio,
-                alto.key_bits);
-    report.add()
-        .str("arm", "alto_memory")
-        .str("tensor", arm.name)
-        .num("nnz", static_cast<double>(x.nnz()))
-        .num("key_bits", alto.key_bits)
-        .num("alto_bytes", static_cast<double>(alto_bytes))
-        .num("csf_forest_bytes", static_cast<double>(csf_bytes))
-        .num("alto_vs_csf_bytes", mem_ratio);
-
-    core::TtmcOptions per_nnz, use_csf, use_alto, use_auto;
-    per_nnz.kernel = core::TtmcKernel::kPerNnz;
-    use_csf.kernel = core::TtmcKernel::kCsf;
-    use_alto.kernel = core::TtmcKernel::kAlto;
-
-    double s_nnz = 0, s_csf = 0, s_alto = 0, s_auto = 0;
-    std::string picks;
-    for (std::size_t n = 0; n < x.order(); ++n) {
-      double t_nnz = 1e300, t_csf = 1e300, t_alto = 1e300, t_auto = 1e300;
-      // Interleaved best-of-reps so machine drift hits all four alike.
-      for (int rep = 0; rep < reps; ++rep) {
-        t_nnz =
-            std::min(t_nnz, time_ttmc_mode(x, factors, sym, n, per_nnz, 1));
-        t_csf = std::min(t_csf, time_ttmc_mode(x, factors, sym, n, use_csf, 1,
-                                               &csf.modes[n]));
-        t_alto = std::min(t_alto, time_ttmc_mode(x, factors, sym, n, use_alto,
-                                                 1, nullptr, &alto));
-        t_auto = std::min(t_auto, time_ttmc_mode(x, factors, sym, n, use_auto,
-                                                 1, &csf.modes[n], &alto));
-      }
-      const auto picked =
-          core::ttmc_selected_kernel(x.order(), {}, &csf.modes[n], &alto);
-      const char* pick_name = picked == core::TtmcKernel::kAlto  ? "alto"
-                              : picked == core::TtmcKernel::kCsf ? "csf"
-                                                                 : "nnz";
-      picks += pick_name[0];
-      const double t_best = std::min({t_nnz, t_csf, t_alto});
-      std::printf("%-11s %6zu %12.4f %12.4f %12.4f %12.4f %8.2fx %8.2fx %s\n",
-                  arm.name.c_str(), n, t_nnz, t_csf, t_alto, t_auto,
-                  t_csf / t_alto, t_best / t_auto, pick_name);
-      report.add()
-          .str("arm", "alto_kernel")
-          .str("tensor", arm.name)
-          .num("mode", static_cast<double>(n))
-          .num("nnz", static_cast<double>(x.nnz()))
-          .num("t_per_nnz_s", t_nnz)
-          .num("t_csf_s", t_csf)
-          .num("t_alto_s", t_alto)
-          .num("t_auto_s", t_auto)
-          .num("alto_vs_csf", t_alto / t_csf)
-          .num("alto_vs_best", t_alto / t_best)
-          .num("auto_vs_winner", t_auto / t_best)
-          .str("auto_pick", pick_name);
-      s_nnz += t_nnz;
-      s_csf += t_csf;
-      s_alto += t_alto;
-      s_auto += t_auto;
-    }
-    const double s_winner = std::min({s_nnz, s_csf, s_alto});
-    std::printf("%-11s  sweep %12.4f %12.4f %12.4f %12.4f %8.2fx %8.2fx %s "
-                "(alto build %.2fs)\n",
-                arm.name.c_str(), s_nnz, s_csf, s_alto, s_auto, s_csf / s_alto,
-                s_winner / s_auto, picks.c_str(), alto_build_s);
-    report.add()
-        .str("arm", "alto_kernel_sweep")
-        .str("tensor", arm.name)
-        .num("nnz", static_cast<double>(x.nnz()))
-        .num("t_per_nnz_s", s_nnz)
-        .num("t_csf_s", s_csf)
-        .num("t_alto_s", s_alto)
-        .num("t_auto_s", s_auto)
-        .num("alto_build_s", alto_build_s)
-        .num("alto_vs_csf", s_alto / s_csf)
-        .num("auto_vs_winner", s_auto / s_winner)
-        .str("auto_picks", picks);
-  }
-  std::printf("\n");
-}
-
 // Time one TRSVD solve per solver on a fixed compact Y(n), interleaved
 // (lanczos, gram, rand, auto, warm, repeat) best-of-`reps` so machine drift
 // hits every solver alike. Y(n) is the mode-0 TTMc after two Lanczos HOOI
@@ -502,15 +363,15 @@ void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
   std::printf("\n");
 }
 
-// Arm 8: the model-store load path. A trained TuckerModel (with CSF trees,
-// the large part of a bundle) is saved once, then loaded back through both
-// materialization modes. "Cold" is the first in-process load after the
-// write and "warm" the best of the following loads — both run against a
-// warm page cache, so what the cold/warm gap and the heap/mmap gap measure
-// is the work the loader itself does (checksum + copy vs header-and-table
-// only), which is exactly the part that scales with model size. The first
-// query after each load pays the mmap path's deferred page faults, so
-// load + first query is the honest end-to-end latency comparison.
+// Arm 8: the model-store load path. A trained TuckerModel is saved once,
+// then loaded back through both materialization modes. "Cold" is the first
+// in-process load after the write and "warm" the best of the following
+// loads — both run against a warm page cache, so what the cold/warm gap
+// and the heap/mmap gap measure is the work the loader itself does
+// (checksum + copy vs header-and-table only), which is exactly the part
+// that scales with model size. The first query after each load pays the
+// mmap path's deferred page faults, so load + first query is the honest
+// end-to-end latency comparison.
 void model_store_ablation(bool smoke, htb::JsonReport& report) {
   using namespace ht;
   std::printf("=== Ablation 8: model store — heap vs mmap bundle load ===\n");
@@ -525,10 +386,7 @@ void model_store_ablation(bool smoke, htb::JsonReport& report) {
   options.ranks = ranks;
   options.max_iterations = 3;
   options.fit_tolerance = 0.0;
-  options.ttmc.kernel = core::TtmcKernel::kCsf;  // the trees ride along
-  const core::TtmcPlan plan = core::TtmcPlan::build(x, options.ttmc);
-  auto model = core::TuckerModel::from_hooi(x, core::hooi(x, options, plan));
-  model.csf = plan.csf;
+  const auto model = core::TuckerModel::from_hooi(x, core::hooi(x, options));
 
   const std::string path = "bench_model_store.htb";
   storage::save_bundle(model, path);
@@ -539,7 +397,7 @@ void model_store_ablation(bool smoke, htb::JsonReport& report) {
       static_cast<tensor::index_t>(shape[1] / 2),
       static_cast<tensor::index_t>(shape[2] / 2)};
 
-  std::printf("bundle: %llu bytes, %zu sections (csf attached)\n",
+  std::printf("bundle: %llu bytes, %zu sections\n",
               static_cast<unsigned long long>(info.header.file_bytes),
               info.sections.size());
   std::printf("%-6s %-5s %10s %14s %14s\n", "path", "temp", "load(s)",
@@ -871,7 +729,6 @@ int main(int argc, char** argv) {
   htb::JsonReport report(htb::json_path_from_args(argc, argv));
   fiber_length_ablation(htb::bench_smoke(), report);
   csf_kernel_ablation(htb::bench_smoke(), report);
-  alto_kernel_ablation(htb::bench_smoke(), report);
   trsvd_backend_ablation(htb::bench_smoke(), report);
   model_store_ablation(htb::bench_smoke(), report);
   serve_qps_ablation(htb::bench_smoke(), report);
@@ -889,8 +746,8 @@ int main(int argc, char** argv) {
   // ---- 1. symbolic reuse --------------------------------------------------
   std::printf("=== Ablation 1: symbolic TTMc reuse ===\n");
   // The reusable preprocessing is the whole TTMc plan (symbolic update
-  // lists and the CSF/ALTO structures, none of them rank-dependent); the
-  // reuse arms below pass it to hooi so no per-call rebuild pollutes the
+  // lists and the CSF forest, neither of them rank-dependent); the reuse
+  // arms below pass it to hooi so no per-call rebuild pollutes the
   // numbers.
   const core::TtmcPlan plan = core::TtmcPlan::build(x);
   const core::SymbolicTtmc& symbolic = plan.symbolic;

@@ -3,8 +3,7 @@
 //
 //   ./tucker_cli INPUT.tns R1,R2,...  [--iters N] [--tol T] [--threads P]
 //                [--init random|range]
-//                [--ttmc-kernel auto|nnz|csf|alto]
-//                [--structure-budget BYTES]
+//                [--ttmc-kernel auto|nnz|csf]
 //                [--trsvd-method lanczos|gram|rand|auto]
 //                [--trsvd-oversample P] [--trsvd-power Q]
 //                [--export PREFIX] [--sweep] [--save-model FILE.htb]
@@ -96,8 +95,6 @@ const char* kernel_name(ht::core::TtmcKernel kernel) {
   switch (kernel) {
     case ht::core::TtmcKernel::kCsf:
       return "csf";
-    case ht::core::TtmcKernel::kAlto:
-      return "alto";
     case ht::core::TtmcKernel::kPerNnz:
       return "nnz";
     case ht::core::TtmcKernel::kAuto:
@@ -110,8 +107,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: tucker_cli INPUT.tns R1,R2,... [--iters N] [--tol T]"
                " [--threads P] [--init random|range]"
-               " [--ttmc-kernel auto|nnz|csf|alto]"
-               " [--structure-budget BYTES]"
+               " [--ttmc-kernel auto|nnz|csf]"
                " [--trsvd-method lanczos|gram|rand|auto]"
                " [--trsvd-oversample P] [--trsvd-power Q]"
                " [--export PREFIX] [--sweep] [--save-model FILE.htb]\n"
@@ -158,18 +154,9 @@ void print_model(const ht::core::TuckerModel& m, bool mapped) {
     dims += std::to_string(m.dims[n]);
     ranks += std::to_string(r[n]);
   }
-  std::printf("model: %s -> core %s, fit %.6f, csf %s, alto %s (%s load,"
-              " %llu bytes copied)\n",
-              dims.c_str(), ranks.c_str(), m.fit,
-              m.has_csf() ? "yes" : "no", m.has_alto() ? "yes" : "no",
-              mapped ? "mmap" : "heap",
+  std::printf("model: %s -> core %s, fit %.6f (%s load, %llu bytes copied)\n",
+              dims.c_str(), ranks.c_str(), m.fit, mapped ? "mmap" : "heap",
               static_cast<unsigned long long>(ht::storage::CopyStats::bytes()));
-  if (m.has_csf()) {
-    std::printf("csf structure memory: %zu bytes\n", m.csf->format_bytes());
-  }
-  if (m.has_alto()) {
-    std::printf("alto structure memory: %zu bytes\n", m.alto->format_bytes());
-  }
   std::printf("%s", m.provenance_text().c_str());
 }
 
@@ -191,27 +178,6 @@ int run_inspect_model(const std::string& path, bool verify) {
   try {
     const auto info = ht::storage::inspect_bundle(path);
     std::printf("%s", ht::storage::describe_bundle(info).c_str());
-    // Structure-memory roll-up: payload bytes per index-structure family
-    // (the on-disk counterpart of CsfTensor/AltoTensor::format_bytes()).
-    std::uint64_t csf_bytes = 0, alto_bytes = 0;
-    for (const auto& e : info.sections) {
-      const auto kind = static_cast<ht::storage::SectionKind>(e.kind);
-      if (kind >= ht::storage::SectionKind::kCsfLevelModes &&
-          kind <= ht::storage::SectionKind::kCsfValues) {
-        csf_bytes += e.bytes;
-      } else if (kind >= ht::storage::SectionKind::kAltoKeysLo &&
-                 kind <= ht::storage::SectionKind::kAltoPartMax) {
-        alto_bytes += e.bytes;
-      }
-    }
-    if (csf_bytes > 0) {
-      std::printf("csf structure memory: %llu bytes\n",
-                  static_cast<unsigned long long>(csf_bytes));
-    }
-    if (alto_bytes > 0) {
-      std::printf("alto structure memory: %llu bytes\n",
-                  static_cast<unsigned long long>(alto_bytes));
-    }
     if (verify) {
       ht::storage::BundleReader reader(path, ht::storage::LoadMode::kMap);
       reader.verify_all();
@@ -352,14 +318,9 @@ int main(int argc, char** argv) {
         options.ttmc.kernel = ht::core::TtmcKernel::kPerNnz;
       } else if (v == "csf") {
         options.ttmc.kernel = ht::core::TtmcKernel::kCsf;
-      } else if (v == "alto") {
-        options.ttmc.kernel = ht::core::TtmcKernel::kAlto;
       } else {
         return usage();
       }
-    } else if (arg == "--structure-budget") {
-      options.ttmc.structure_budget_bytes = std::atof(next());
-      if (options.ttmc.structure_budget_bytes < 0) return usage();
     } else if (arg == "--trsvd-method") {
       const auto method = ht::core::parse_trsvd_method(next());
       if (!method) return usage();
@@ -458,8 +419,8 @@ int main(int argc, char** argv) {
     }
 
     options.ranks = max_ranks;
-    // Build the preprocessing here rather than inside hooi so its CSF trees
-    // / ALTO arrays can ride along into a saved bundle.
+    // Build the preprocessing here rather than inside hooi so the timers
+    // line can name the kernel each mode resolved to.
     ht::parallel::ThreadScope threads(options.num_threads);
     const auto plan = ht::core::TtmcPlan::build(x, options.ttmc);
     ht::core::HooiResult result = ht::core::hooi(x, options, plan);
@@ -484,9 +445,8 @@ int main(int argc, char** argv) {
       export_factors(result.decomposition, export_prefix);
     }
     if (!save_model_path.empty()) {
-      auto model = ht::core::TuckerModel::from_hooi(x, std::move(result));
-      model.csf = plan.csf;
-      model.alto = plan.alto;
+      const auto model =
+          ht::core::TuckerModel::from_hooi(x, std::move(result));
       ht::storage::save_bundle(model, save_model_path);
       std::printf("saved model to %s\n", save_model_path.c_str());
     }

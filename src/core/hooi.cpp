@@ -57,9 +57,6 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
   if (plan.csf != nullptr && plan.csf->order() != order) {
     throw InvalidArgument("CSF trees were built for another tensor order");
   }
-  if (plan.alto != nullptr && plan.alto->shape != x.shape()) {
-    throw InvalidArgument("ALTO structure was built for another shape");
-  }
   parallel::ThreadScope threads(options.num_threads);
 
   HooiResult result;

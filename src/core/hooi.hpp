@@ -40,8 +40,8 @@ struct HooiOptions {
   /// (trsvd.hpp), and kLanczos runs Lanczos on every solve. The randomized
   /// solver's oversample/power knobs live in `trsvd` below.
   TrsvdMethod trsvd_method = TrsvdMethod::kAuto;
-  /// TTMc kernel family, schedule and structure budget (TtmcOptions
-  /// documents each; docs/TUNING.md their kAuto rules).
+  /// TTMc kernel family and schedule (TtmcOptions documents each;
+  /// docs/TUNING.md the kAuto rule).
   TtmcOptions ttmc;
   /// OpenMP threads (0 = runtime default). Paper Table V sweeps this.
   int num_threads = 0;

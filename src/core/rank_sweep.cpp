@@ -56,13 +56,6 @@ RankSweepResult rank_sweep(const CooTensor& x,
     }
     result.entries.push_back(std::move(entry));
   }
-  // The winning model carries the plan's CSF trees / ALTO structure into a
-  // bundle: a serve/restart process then runs kCsf or kAlto TTMc without
-  // re-sorting the tensor.
-  if (result.best_model) {
-    result.best_model->csf = plan.csf;
-    result.best_model->alto = plan.alto;
-  }
   return result;
 }
 

@@ -25,8 +25,7 @@ struct RankSweepResult {
   std::vector<RankSweepEntry> entries;
   /// Seconds spent building the shared TTMc plan (paid once).
   double symbolic_seconds = 0.0;
-  /// The best-fit run packaged as a first-class model (provenance stamped,
-  /// shared CSF trees / ALTO structure attached when the sweep built them),
+  /// The best-fit run packaged as a first-class model (provenance stamped),
   /// ready for storage::save_bundle. Only the winner is kept — the sweep
   /// never holds more than one extra decomposition.
   std::optional<TuckerModel> best_model;

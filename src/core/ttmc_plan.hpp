@@ -2,15 +2,13 @@
 // driver (hooi, rank_sweep, dist_hooi per rank, tucker_cli) consumes.
 //
 // TtmcPlan::build(x, options) runs every preprocessing pass the options ask
-// for — the symbolic update lists, and the CSF forest or the single ALTO
-// structure when ttmc_wants_csf / ttmc_wants_alto say so. This is the one
-// place the TTMc kernel is decided: every mode of every sweep runs the
-// direct kernel over whichever structure the plan holds
+// for — the symbolic update lists, and the CSF forest when ttmc_wants_csf
+// says so. This is the one place the TTMc kernel is decided: every mode of
+// every sweep runs the direct kernel over whatever the plan holds
 // (TtmcPlan::kernel), through ttmc() / ttmc_subset(). Nothing in the plan
 // depends on the ranks, so one plan serves every sweep, HOOI run, and rank
-// choice over the same tensor. The CSF and ALTO structures copy the
-// tensor's values, not only its pattern: a plan runs only the tensor it was
-// built from.
+// choice over the same tensor. The CSF trees copy the tensor's values, not
+// only its pattern: a plan runs only the tensor it was built from.
 //
 // The plan is a plain aggregate: tests and benches that want a specific
 // structure combination can assemble one field by field.
@@ -23,7 +21,6 @@
 
 #include "core/symbolic.hpp"
 #include "core/ttmc.hpp"
-#include "tensor/alto.hpp"
 #include "tensor/coo_tensor.hpp"
 #include "tensor/csf.hpp"
 
@@ -33,10 +30,9 @@ struct TtmcPlan {
   /// Options the plan was built for; every TTMc through it runs with them.
   TtmcOptions options;
   SymbolicTtmc symbolic;
-  /// Per-mode CSF trees / the ALTO structure; null when not built. Shared so
-  /// a TuckerModel can carry them into a bundle without a copy.
+  /// Per-mode CSF trees; null when not built. Shared so copies of a plan
+  /// alias one forest.
   std::shared_ptr<const tensor::CsfTensor> csf{};
-  std::shared_ptr<const tensor::AltoTensor> alto{};
   /// Wall seconds build() took (charged to HooiTimers::symbolic).
   double build_seconds = 0.0;
 
@@ -48,19 +44,18 @@ struct TtmcPlan {
   }
 
   /// Kernel the direct TTMc of `mode` resolves to over this plan's
-  /// structures (kAuto applied). kAlto may still fall back per call when one
-  /// mode's staging would overflow the wave budget at the run's ranks.
+  /// structures (kAuto applied).
   [[nodiscard]] TtmcKernel kernel(std::size_t mode) const {
     return ttmc_selected_kernel(symbolic.modes.size(), options,
-                                csf_tree(mode), alto.get());
+                                csf_tree(mode));
   }
 
   /// Compact Y(mode) of `x` (ttmc_mode over this plan's symbolic lists and
-  /// structures). `x` must be the tensor the plan was built from.
+  /// CSF tree). `x` must be the tensor the plan was built from.
   void ttmc(const CooTensor& x, const std::vector<la::Matrix>& factors,
             std::size_t mode, la::Matrix& y) const {
     ttmc_mode(x, factors, mode, symbolic.modes[mode], y, options,
-              csf_tree(mode), alto.get());
+              csf_tree(mode));
   }
 
   /// Only the listed compact rows: row p of y is compact row positions[p]
@@ -69,7 +64,7 @@ struct TtmcPlan {
                    std::size_t mode, std::span<const std::uint32_t> positions,
                    la::Matrix& y) const {
     ttmc_mode_subset(x, factors, mode, symbolic.modes[mode], positions, y,
-                     options, csf_tree(mode), alto.get());
+                     options, csf_tree(mode));
   }
 };
 

@@ -5,9 +5,9 @@
 // examples, the future tuckerd serving daemon) needs to answer queries
 // without re-deriving context from the training call site: the
 // decomposition itself, the original tensor dimensions, the achieved fit,
-// build provenance (which build produced it, from util/version.hpp), and —
-// optionally — the per-mode CSF patterns of the training tensor so a serve
-// or restart process can run kCsf TTMc without re-sorting the data.
+// and build provenance (which build produced it, from util/version.hpp).
+// The training tensor's preprocessing (core::TtmcPlan) is not part of a
+// model: it is rebuilt from the tensor whenever training resumes.
 //
 // Models round-trip through the versioned binary bundle format of
 // storage/bundle.hpp: save_bundle() writes every array verbatim,
@@ -16,15 +16,12 @@
 // either way.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/hooi.hpp"
 #include "core/tucker.hpp"
-#include "tensor/alto.hpp"
-#include "tensor/csf.hpp"
 
 namespace ht::core {
 
@@ -37,20 +34,11 @@ struct TuckerModel {
   /// Ordered key/value provenance: build info (version, git hash, compiler,
   /// flags) plus trainer-supplied entries (iterations, seed, ...).
   std::vector<std::pair<std::string, std::string>> provenance;
-  /// Optional per-mode CSF patterns (+values) of the training tensor;
-  /// shared_ptr so serve-time readers can alias one tree set.
-  std::shared_ptr<const tensor::CsfTensor> csf;
-  /// Optional linearized (ALTO) form of the training tensor — one sorted
-  /// key/value array serving every mode's kAlto TTMc; shared_ptr for the
-  /// same serve-time aliasing.
-  std::shared_ptr<const tensor::AltoTensor> alto;
 
   [[nodiscard]] std::size_t order() const { return decomposition.order(); }
   [[nodiscard]] std::vector<tensor::index_t> ranks() const {
     return decomposition.ranks();
   }
-  [[nodiscard]] bool has_csf() const { return csf != nullptr; }
-  [[nodiscard]] bool has_alto() const { return alto != nullptr; }
 
   /// Model value at one coordinate (the serving query primitive).
   [[nodiscard]] double reconstruct_at(std::span<const tensor::index_t> idx) const {

@@ -54,11 +54,10 @@ struct DistHooiOptions {
   int threads_per_rank = 0;
   std::uint64_t seed = 42;
   /// TTMc options for the per-rank local kernels (both grains). Each rank
-  /// builds its own core::TtmcPlan over its local tensor, so kAuto resolves
-  /// the kernel and the CSF/ALTO structures (structure_budget_bytes applies
-  /// per rank) against local statistics. The coarse grain computes its
-  /// owned rows through TtmcPlan::ttmc_subset; the fine grain computes
-  /// local partial rows, which the fold later combines.
+  /// builds its own core::TtmcPlan over its local tensor, so kAuto builds a
+  /// per-rank CSF forest and runs it. The coarse grain computes its owned
+  /// rows through TtmcPlan::ttmc_subset; the fine grain computes local
+  /// partial rows, which the fold later combines.
   core::TtmcOptions ttmc;
   /// TRSVD solver, as in core::HooiOptions: kAuto warm-starts modes whose
   /// global compact Y(n) is large from the third sweep on. The blocked

@@ -61,8 +61,8 @@ double block_dot(const double* x, const double* y, std::size_t n) {
 // same products in the same order as the plain loops (from zero, over
 // ascending l for A B and ascending rows for A^T B), and every lane
 // multiplies and adds with separate roundings (no FMA), so the results are
-// those of the plain loops bit for bit. An AVX2 clone is picked at run time,
-// the way the ALTO kernel picks its BMI2 decoder.
+// those of the plain loops bit for bit. An AVX2 clone is picked at run time
+// (__builtin_cpu_supports), so the portable build still runs everywhere.
 constexpr std::size_t kNarrowCols = 16;
 // Rows per work item of the row-parallel A B loop.
 constexpr std::size_t kNarrowRowChunk = 64;

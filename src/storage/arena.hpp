@@ -5,7 +5,7 @@
 // today — HeapArena (bytes read into malloc'd memory) and MappedFile (bytes
 // mmap'd straight from disk, see mapped_file.hpp) — and every zero-copy
 // container (storage::Span<T>, and through it la::Matrix, tensor::CooTensor,
-// tensor::CsfTree, tensor::DenseTensor) keeps its backing arena alive via
+// tensor::DenseTensor) keeps its backing arena alive via
 // shared_ptr, so a loaded model bundle stays valid for exactly as long as
 // any structure still references it.
 //

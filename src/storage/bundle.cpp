@@ -8,8 +8,6 @@
 #include <sstream>
 
 #include "storage/mapped_file.hpp"
-#include "tensor/alto.hpp"
-#include "tensor/csf.hpp"
 #include "util/version.hpp"
 
 namespace ht::storage {
@@ -32,19 +30,6 @@ const char* section_kind_name(SectionKind kind) {
     case SectionKind::kRanks: return "ranks";
     case SectionKind::kFactor: return "factor";
     case SectionKind::kCore: return "core";
-    case SectionKind::kCsfLevelModes: return "csf.level_modes";
-    case SectionKind::kCsfIdx: return "csf.idx";
-    case SectionKind::kCsfPtr: return "csf.ptr";
-    case SectionKind::kCsfLeafEntry: return "csf.leaf_entry";
-    case SectionKind::kCsfRootLeafPtr: return "csf.root_leaf_ptr";
-    case SectionKind::kCsfValues: return "csf.values";
-    case SectionKind::kAltoKeysLo: return "alto.keys_lo";
-    case SectionKind::kAltoKeysHi: return "alto.keys_hi";
-    case SectionKind::kAltoValues: return "alto.values";
-    case SectionKind::kAltoPerm: return "alto.perm";
-    case SectionKind::kAltoPartPtr: return "alto.part_ptr";
-    case SectionKind::kAltoPartMin: return "alto.part_min";
-    case SectionKind::kAltoPartMax: return "alto.part_max";
   }
   return "unknown";
 }
@@ -179,8 +164,13 @@ BundleReader::BundleReader(const std::string& path, LoadMode mode)
       throw IoError("bundle section out of bounds: " + path);
     }
     if (e.elem_bytes > 0) {
-      if (e.bytes % e.elem_bytes != 0 ||
-          e.rows * e.cols * e.elem_bytes != e.bytes) {
+      // Checked products: a crafted rows x cols that wraps to the payload
+      // size would otherwise pass, and consumers index by rows and cols.
+      std::uint64_t shape_bytes = 0;
+      if (__builtin_mul_overflow(e.rows, e.cols, &shape_bytes) ||
+          __builtin_mul_overflow(shape_bytes, std::uint64_t{e.elem_bytes},
+                                 &shape_bytes) ||
+          shape_bytes != e.bytes) {
         throw IoError("bundle section shape inconsistent with size: " + path);
       }
     }
@@ -262,8 +252,6 @@ std::string format_meta(const core::TuckerModel& m) {
   s += "format_version=" + std::to_string(kBundleVersion) + "\n";
   s += "order=" + std::to_string(m.order()) + "\n";
   s += std::string("fit=") + fitbuf + "\n";
-  s += std::string("has_csf=") + (m.has_csf() ? "1" : "0") + "\n";
-  s += std::string("has_alto=") + (m.has_alto() ? "1" : "0") + "\n";
   for (const auto& [key, value] : m.provenance) {
     HT_CHECK_MSG(key.find('\n') == std::string::npos &&
                      key.find('=') == std::string::npos &&
@@ -274,27 +262,18 @@ std::string format_meta(const core::TuckerModel& m) {
   return s;
 }
 
-void write_csf_tree(BundleWriter& w, const tensor::CsfTree& t,
-                    std::uint32_t n) {
-  // level_modes is std::size_t in memory; stored as fixed-width u64.
-  std::vector<std::uint64_t> lm(t.level_modes.begin(), t.level_modes.end());
-  w.add_array(SectionKind::kCsfLevelModes, n, 0, lm.data(), lm.size());
-  for (std::size_t d = 0; d < t.levels(); ++d) {
-    w.add_array(SectionKind::kCsfIdx, n, static_cast<std::uint32_t>(d),
-                t.idx[d].data(), t.idx[d].size());
-    if (d >= 1) {
-      w.add_array(SectionKind::kCsfPtr, n, static_cast<std::uint32_t>(d),
-                  t.ptr[d].data(), t.ptr[d].size());
-    }
+// kDims / kRanks: O(order) index arrays, copied on every load (CopyStats
+// tracks payload bytes only). The element size is checked, so the count
+// read never runs past the section.
+tensor::Shape load_shape(const BundleReader& r, const SectionEntry& e) {
+  if (e.elem_bytes != sizeof(tensor::index_t)) {
+    throw IoError(std::string("bundle ") +
+                  section_kind_name(static_cast<SectionKind>(e.kind)) +
+                  " section has the wrong element size");
   }
-  w.add_array(SectionKind::kCsfLeafEntry, n, 0, t.leaf_entry.data(),
-              t.leaf_entry.size());
-  w.add_array(SectionKind::kCsfRootLeafPtr, n, 0, t.root_leaf_ptr.data(),
-              t.root_leaf_ptr.size());
-  if (t.has_values()) {
-    w.add_array(SectionKind::kCsfValues, n, 0, t.values.data(),
-                t.values.size());
-  }
+  r.verify_payload(e);
+  const auto* p = reinterpret_cast<const tensor::index_t*>(r.payload(e));
+  return tensor::Shape(p, p + e.bytes / sizeof(tensor::index_t));
 }
 
 la::Matrix load_factor(const BundleReader& r, const SectionEntry& e) {
@@ -305,38 +284,6 @@ la::Matrix load_factor(const BundleReader& r, const SectionEntry& e) {
     return la::Matrix::view(rows, cols, s.data(), s.arena());
   }
   return la::Matrix(rows, cols, std::move(s.vec()));
-}
-
-tensor::CsfTree load_csf_tree(const BundleReader& r, std::uint32_t n,
-                              std::size_t order) {
-  tensor::CsfTree t;
-  const SectionEntry& lme = r.require(SectionKind::kCsfLevelModes, n);
-  // Level maps and the per-level span vectors are O(order) metadata: copied
-  // unconditionally (and deliberately not counted by CopyStats, which
-  // tracks payload bytes only).
-  r.verify_payload(lme);
-  const auto* lm = reinterpret_cast<const std::uint64_t*>(r.payload(lme));
-  t.level_modes.assign(lm, lm + lme.rows);
-  HT_CHECK_MSG(t.level_modes.size() == order,
-               "bundle CSF level count != tensor order");
-
-  t.idx.resize(order);
-  t.ptr.resize(order);
-  for (std::size_t d = 0; d < order; ++d) {
-    t.idx[d] = r.load<tensor::index_t>(
-        r.require(SectionKind::kCsfIdx, n, static_cast<std::uint32_t>(d)));
-    if (d >= 1) {
-      t.ptr[d] = r.load<tensor::nnz_t>(
-          r.require(SectionKind::kCsfPtr, n, static_cast<std::uint32_t>(d)));
-    }
-  }
-  t.leaf_entry = r.load<tensor::nnz_t>(r.require(SectionKind::kCsfLeafEntry, n));
-  t.root_leaf_ptr =
-      r.load<tensor::nnz_t>(r.require(SectionKind::kCsfRootLeafPtr, n));
-  if (const SectionEntry* ve = r.find(SectionKind::kCsfValues, n)) {
-    t.values = r.load<double>(*ve);
-  }
-  return t;
 }
 
 }  // namespace
@@ -366,32 +313,6 @@ void save_bundle(const core::TuckerModel& m, const std::string& path) {
     const std::span<const double> core = m.decomposition.core.flat();
     w.add_section(SectionKind::kCore, 0, 0, sizeof(double), core.data(),
                   core.size() * sizeof(double), core.size(), 1);
-
-    if (m.has_csf()) {
-      for (std::size_t n = 0; n < m.csf->modes.size(); ++n) {
-        write_csf_tree(w, m.csf->modes[n], static_cast<std::uint32_t>(n));
-      }
-    }
-    if (m.has_alto()) {
-      const tensor::AltoTensor& a = *m.alto;
-      w.add_array(SectionKind::kAltoKeysLo, 0, 0, a.key_lo.data(),
-                  a.key_lo.size());
-      if (!a.key_hi.empty()) {
-        w.add_array(SectionKind::kAltoKeysHi, 0, 0, a.key_hi.data(),
-                    a.key_hi.size());
-      }
-      if (a.has_values()) {
-        w.add_array(SectionKind::kAltoValues, 0, 0, a.values.data(),
-                    a.values.size());
-      }
-      w.add_array(SectionKind::kAltoPerm, 0, 0, a.perm.data(), a.perm.size());
-      w.add_array(SectionKind::kAltoPartPtr, 0, 0, a.part_ptr.data(),
-                  a.part_ptr.size());
-      w.add_array(SectionKind::kAltoPartMin, 0, 0, a.part_min.data(),
-                  a.part_min.size());
-      w.add_array(SectionKind::kAltoPartMax, 0, 0, a.part_max.data(),
-                  a.part_max.size());
-    }
     w.finish();
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -413,17 +334,11 @@ core::TuckerModel load_bundle(const std::string& path, LoadMode mode) {
     }
   }
 
-  const SectionEntry& de = r.require(SectionKind::kDims);
-  r.verify_payload(de);
-  const auto* dp = reinterpret_cast<const tensor::index_t*>(r.payload(de));
-  m.dims.assign(dp, dp + de.rows);
+  m.dims = load_shape(r, r.require(SectionKind::kDims));
   const std::size_t order = m.dims.size();
   HT_CHECK_MSG(order >= 1, "bundle has no dims");
 
-  const SectionEntry& re = r.require(SectionKind::kRanks);
-  r.verify_payload(re);
-  const auto* rp = reinterpret_cast<const tensor::index_t*>(r.payload(re));
-  tensor::Shape ranks(rp, rp + re.rows);
+  const tensor::Shape ranks = load_shape(r, r.require(SectionKind::kRanks));
   HT_CHECK_MSG(ranks.size() == order, "bundle ranks/dims order mismatch");
 
   m.decomposition.factors.reserve(order);
@@ -437,9 +352,15 @@ core::TuckerModel load_bundle(const std::string& path, LoadMode mode) {
 
   const SectionEntry& ce = r.require(SectionKind::kCore);
   Span<double> core = r.load<double>(ce);
-  std::size_t core_total = 1;
-  for (tensor::index_t rk : ranks) core_total *= rk;
-  HT_CHECK_MSG(core.size() == core_total, "bundle core size mismatch");
+  std::uint64_t core_total = 1;
+  for (tensor::index_t rk : ranks) {
+    if (__builtin_mul_overflow(core_total, std::uint64_t{rk}, &core_total)) {
+      throw IoError("bundle core shape overflows: " + path);
+    }
+  }
+  if (core.size() != core_total) {
+    throw IoError("bundle core size mismatch: " + path);
+  }
   if (mode == LoadMode::kMap) {
     m.decomposition.core =
         tensor::DenseTensor::view(ranks, core.data(), core.arena());
@@ -447,35 +368,6 @@ core::TuckerModel load_bundle(const std::string& path, LoadMode mode) {
     m.decomposition.core = tensor::DenseTensor(ranks, std::move(core.vec()));
   }
 
-  if (r.find(SectionKind::kCsfLevelModes, 0) != nullptr) {
-    auto csf = std::make_shared<tensor::CsfTensor>();
-    csf->modes.reserve(order);
-    for (std::size_t n = 0; n < order; ++n) {
-      csf->modes.push_back(
-          load_csf_tree(r, static_cast<std::uint32_t>(n), order));
-    }
-    m.csf = std::move(csf);
-  }
-
-  if (const SectionEntry* lo = r.find(SectionKind::kAltoKeysLo)) {
-    // Optional sections come back empty when absent; from_views recomputes
-    // the delinearization masks from dims and cross-validates the lengths.
-    Span<std::uint64_t> hi;
-    if (const SectionEntry* e = r.find(SectionKind::kAltoKeysHi)) {
-      hi = r.load<std::uint64_t>(*e);
-    }
-    Span<double> values;
-    if (const SectionEntry* e = r.find(SectionKind::kAltoValues)) {
-      values = r.load<double>(*e);
-    }
-    m.alto = std::make_shared<tensor::AltoTensor>(tensor::AltoTensor::from_views(
-        m.dims, r.load<std::uint64_t>(*lo), std::move(hi),
-        r.load<tensor::nnz_t>(r.require(SectionKind::kAltoPerm)),
-        std::move(values),
-        r.load<tensor::nnz_t>(r.require(SectionKind::kAltoPartPtr)),
-        r.load<tensor::index_t>(r.require(SectionKind::kAltoPartMin)),
-        r.load<tensor::index_t>(r.require(SectionKind::kAltoPartMax))));
-  }
   return m;
 }
 

@@ -1,9 +1,8 @@
 // Versioned, checksummed binary model-bundle container.
 //
 // A bundle is one self-describing file holding every array of a trained
-// core::TuckerModel — factor matrices, core tensor, dims/ranks, provenance
-// metadata, and (optionally) the per-mode CSF trees and/or the linearized
-// ALTO form of the training tensor.
+// core::TuckerModel — factor matrices, core tensor, dims/ranks, and
+// provenance metadata.
 // The layout is designed for the two ways a model is consumed:
 //
 //   - LoadMode::kCopy: every payload is read into fresh heap vectors (each
@@ -29,8 +28,8 @@
 //   SectionEntry { kind, a, b, elem_bytes, offset, bytes, rows, cols,
 //                  checksum }
 //
-// `a`/`b` disambiguate repeated kinds: for kFactor, a = mode; for CSF
-// sections, a = root mode and b = tree level. Payloads are 64-byte aligned
+// `a`/`b` disambiguate repeated kinds: for kFactor, a = mode. Payloads are
+// 64-byte aligned
 // so an mmap'd view of any element type is correctly aligned (mmap bases
 // are page-aligned, so offset alignment is file-offset alignment).
 //
@@ -69,21 +68,10 @@ enum class SectionKind : std::uint32_t {
   kRanks = 3,           // index_t[order]: decomposition ranks
   kFactor = 4,          // double[rows*cols], row-major; a = mode
   kCore = 5,            // double[prod(ranks)], DenseTensor layout
-  kCsfLevelModes = 6,   // u64[order]: level -> tensor mode; a = root mode
-  kCsfIdx = 7,          // index_t[]: a = root mode, b = level
-  kCsfPtr = 8,          // nnz_t[]:   a = root mode, b = level (b >= 1)
-  kCsfLeafEntry = 9,    // nnz_t[num_leaves]; a = root mode
-  kCsfRootLeafPtr = 10, // nnz_t[num_roots + 1]; a = root mode
-  kCsfValues = 11,      // double[num_leaves]; a = root mode
-  // ALTO sections (tensor/alto.hpp): the delinearization masks are a pure
-  // function of kDims, so only the key/value/partition arrays are stored.
-  kAltoKeysLo = 12,     // u64[nnz]: low key words, ascending
-  kAltoKeysHi = 13,     // u64[nnz]: high key words (key_bits > 64 only)
-  kAltoValues = 14,     // double[nnz]: values in key order
-  kAltoPerm = 15,       // nnz_t[nnz]: slot -> original ordinal
-  kAltoPartPtr = 16,    // nnz_t[parts + 1]: partition slot intervals
-  kAltoPartMin = 17,    // index_t[parts * order], row-major [part][mode]
-  kAltoPartMax = 18,    // index_t[parts * order], row-major [part][mode]
+  // Kinds 6-18 are reserved: older writers stored the training tensor's CSF
+  // trees (6-11) and ALTO linearization (12-18) there. Nothing reads them;
+  // the reader skips them like any kind it does not know, so those bundles
+  // still load.
 };
 
 /// 64-byte on-disk header. Plain-old-data, written/read by memcpy.
@@ -227,8 +215,7 @@ class BundleReader {
 // ---- model-level API --------------------------------------------------------
 
 /// Serialize a model to `path` (atomic: written to a temp sibling and
-/// renamed into place). CSF sections are written only when m.csf is set,
-/// ALTO sections only when m.alto is set.
+/// renamed into place).
 void save_bundle(const core::TuckerModel& m, const std::string& path);
 
 /// Load a model bundle. kMap keeps every array as a view into the mapped

@@ -95,8 +95,8 @@ CsfTree CsfTree::build_pattern(const CooTensor& x, std::size_t root) {
     // Nodes at level d, and the CSR split of level-d nodes by their
     // level-(d-1) parent. Parent starts are a subset of child starts
     // (break_level <= d-1 implies <= d), so one pass emits both.
-    std::vector<index_t>& ids = t.idx[d].vec();
-    std::vector<nnz_t>& parent_ptr = t.ptr[d].vec();
+    std::vector<index_t>& ids = t.idx[d];
+    std::vector<nnz_t>& parent_ptr = t.ptr[d];
     for (std::size_t s = 0; s < nslots; ++s) {
       const bool starts = d + 1 == L || break_level[s] <= d;
       if (d >= 1 && break_level[s] <= d - 1) parent_ptr.push_back(ids.size());
@@ -105,7 +105,7 @@ CsfTree CsfTree::build_pattern(const CooTensor& x, std::size_t root) {
     if (d >= 1) parent_ptr.push_back(ids.size());
   }
 
-  std::vector<nnz_t>& root_ptr = t.root_leaf_ptr.vec();
+  std::vector<nnz_t>& root_ptr = t.root_leaf_ptr;
   root_ptr.reserve(t.num_roots() + 1);
   for (std::size_t s = 0; s < nslots; ++s) {
     if (break_level[s] == 0) root_ptr.push_back(s);
@@ -118,10 +118,6 @@ void CsfTree::attach_values(const CooTensor& x) {
   HT_CHECK_MSG(x.nnz() == leaf_entry.size(),
                "value count does not match the CSF pattern");
   const auto vals = x.values();
-  // Gather into a fresh owned buffer, then swap it in: this also converts a
-  // bundle-loaded view back into the mutable state (re-attaching values to
-  // a mapped pattern is a legitimate way to reuse a stored pattern against
-  // a new value stream).
   std::vector<double> gathered(leaf_entry.size());
   const auto n = static_cast<std::ptrdiff_t>(leaf_entry.size());
 #pragma omp parallel for schedule(static)

@@ -27,7 +27,8 @@
 // reused across HOOI iterations, HOOI runs, and the rank grid of a
 // rank_sweep; attach_values() re-gathers values without rebuilding (the
 // tensor values never change inside a decomposition, so build() does both
-// once).
+// once). Trees live on the heap of the process that built them
+// (core::TtmcPlan); they are not part of a saved model.
 //
 // Determinism: the lexicographic sort breaks ties by nonzero ordinal, so
 // the tree — and therefore the kCsf kernel's per-row accumulation order —
@@ -39,16 +40,12 @@
 #include <cstddef>
 #include <vector>
 
-#include "storage/span.hpp"
 #include "tensor/coo_tensor.hpp"
 #include "tensor/types.hpp"
 
 namespace ht::tensor {
 
-/// Compressed fiber tree rooted at one mode. The node arrays are held
-/// through storage::Span — heap-owned when built from a CooTensor, or
-/// zero-copy views into an mmap'd model bundle (storage/bundle.hpp); the
-/// kCsf kernel and the structure invariants are identical in both states.
+/// Compressed fiber tree rooted at one mode.
 struct CsfTree {
   /// Tree level -> tensor mode; level_modes[0] is the root mode, the rest
   /// are the remaining modes shortest-first. Size = tensor order.
@@ -57,18 +54,18 @@ struct CsfTree {
   /// Level 0 enumerates the non-empty root-mode rows in increasing order —
   /// node k IS compact row k of core::ModeSymbolic for the root mode. The
   /// deepest level has one entry per nonzero, in tree order.
-  std::vector<storage::Span<index_t>> idx;
+  std::vector<std::vector<index_t>> idx;
   /// ptr[d] (d >= 1, size num_nodes(d-1) + 1): node k at level d-1 owns the
   /// level-d children [ptr[d][k], ptr[d][k+1]). ptr[0] is empty.
-  std::vector<storage::Span<nnz_t>> ptr;
+  std::vector<std::vector<nnz_t>> ptr;
   /// Leaf slot -> original nonzero ordinal (the pattern-only gather map).
-  storage::Span<nnz_t> leaf_entry;
+  std::vector<nnz_t> leaf_entry;
   /// Leaf span under each root subtree (size num_roots() + 1): the nnz
   /// weights the kernel's tile scheduler balances on.
-  storage::Span<nnz_t> root_leaf_ptr;
+  std::vector<nnz_t> root_leaf_ptr;
   /// Tensor values gathered into leaf order; empty until attach_values()
   /// (or build(), which gathers immediately).
-  storage::Span<double> values;
+  std::vector<double> values;
 
   [[nodiscard]] std::size_t levels() const { return level_modes.size(); }
   [[nodiscard]] std::size_t root_mode() const { return level_modes[0]; }
@@ -111,15 +108,13 @@ struct CsfTree {
 };
 
 /// One CSF tree per root mode. Built once per tensor and shared across
-/// HOOI iterations, runs, ranks grids, and concurrent schedulers.
+/// HOOI iterations, runs, and rank grids.
 struct CsfTensor {
   std::vector<CsfTree> modes;
 
   [[nodiscard]] std::size_t order() const { return modes.size(); }
 
-  /// Bytes across all per-mode trees — the "N trees" side of the
-  /// one-structure-vs-N-trees memory comparison against
-  /// AltoTensor::format_bytes().
+  /// Bytes across all per-mode trees.
   [[nodiscard]] std::size_t format_bytes() const;
 
   /// Build all per-mode trees with values attached (modes in parallel).

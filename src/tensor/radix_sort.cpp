@@ -52,10 +52,10 @@ std::size_t pass_chunks(std::size_t n) {
 // elements with smaller digits and after same-digit elements of earlier
 // chunks, preserving input order within the chunk. That is exactly the
 // stable sequential scatter, so the output is invariant in `chunks`.
-template <typename Key, typename Digit>
+template <typename Digit>
 void counting_pass(std::vector<nnz_t>& order, std::vector<nnz_t>& tmp,
                    std::vector<nnz_t>& count, std::size_t buckets,
-                   std::span<const Key> key, Digit digit) {
+                   std::span<const index_t> key, Digit digit) {
   const std::size_t n = order.size();
   const std::size_t chunks = pass_chunks(n);
   if (chunks <= 1) {
@@ -134,31 +134,6 @@ std::vector<nnz_t> lexicographic_order(
       }
     }
   }
-  return order;
-}
-
-std::vector<nnz_t> linearized_order(std::span<const std::uint64_t> key_lo,
-                                    std::span<const std::uint64_t> key_hi) {
-  HT_CHECK_MSG(key_hi.empty() || key_hi.size() == key_lo.size(),
-               "high key word length mismatch");
-  const std::size_t n = key_lo.size();
-  std::vector<nnz_t> order(n);
-  std::iota(order.begin(), order.end(), nnz_t{0});
-  std::vector<nnz_t> tmp(n);
-  std::vector<nnz_t> count;
-  const auto word_passes = [&](std::span<const std::uint64_t> word) {
-    std::uint64_t bits = 0;  // OR of all keys: which digits carry data
-    for (std::uint64_t v : word) bits |= v;
-    for (unsigned shift = 0; shift < 64 && (bits >> shift) != 0; shift += 16) {
-      counting_pass(order, tmp, count, kDirectBucketLimit, word,
-                    [shift](std::uint64_t v) {
-                      return static_cast<std::size_t>((v >> shift) & 0xFFFF);
-                    });
-    }
-  };
-  // LSD: low word first, then the high word's stable passes dominate.
-  word_passes(key_lo);
-  if (!key_hi.empty()) word_passes(key_hi);
   return order;
 }
 

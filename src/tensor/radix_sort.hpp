@@ -6,10 +6,9 @@
 // whose maximum exceeds 16 bits are decomposed into stable 16-bit digit
 // passes, bounding the histogram at 64Ki buckets — the counter allocation
 // never scales with the key magnitude, only the pass count does (at most
-// two passes for 32-bit indices). Shared by the CSF tree builder, the ALTO
-// linearized-key build, and the MET baseline's TTM chain — all sort
-// millions of nonzeros by small-domain digits, exactly the shape counting
-// sort is built for.
+// two passes for 32-bit indices). Shared by the CSF tree builder and the
+// MET baseline's TTM chain — both sort millions of nonzeros by
+// small-domain digits, exactly the shape counting sort is built for.
 //
 // Parallelism: above a size threshold each histogram+scatter pass runs
 // over OpenMP with per-chunk bucket counts merged by a bucket-major,
@@ -22,7 +21,6 @@
 // permutation is a pure function of the keys, independent of thread count.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -36,13 +34,5 @@ namespace ht::tensor {
 /// permutation comes back (all entries tie).
 std::vector<nnz_t> lexicographic_order(
     std::size_t entries, std::span<const std::span<const index_t>> keys);
-
-/// Permutation of [0, key_lo.size()) ordering entries by an up-to-128-bit
-/// key ascending, ties by ordinal. `key_hi` holds the high 64 bits and may
-/// be empty (pure 64-bit keys); otherwise it must match `key_lo`'s length.
-/// This is the ALTO linearized-key sort: stable LSD over 16-bit digits,
-/// with all-zero digit positions skipped, parallel like the passes above.
-std::vector<nnz_t> linearized_order(std::span<const std::uint64_t> key_lo,
-                                    std::span<const std::uint64_t> key_hi);
 
 }  // namespace ht::tensor

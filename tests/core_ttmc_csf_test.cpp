@@ -15,7 +15,6 @@
 #include "dist/dist_hooi.hpp"
 #include "la/matrix.hpp"
 #include "parallel/thread_info.hpp"
-#include "tensor/alto.hpp"
 #include "tensor/csf.hpp"
 #include "tensor/generators.hpp"
 #include "util/random.hpp"
@@ -28,7 +27,6 @@ using ht::core::SymbolicTtmc;
 using ht::core::TtmcKernel;
 using ht::core::TtmcOptions;
 using ht::la::Matrix;
-using ht::tensor::AltoTensor;
 using ht::tensor::CooTensor;
 using ht::tensor::CsfTensor;
 using ht::tensor::CsfTree;
@@ -225,12 +223,7 @@ TEST(CsfTtmcTest, CsfRequestWithoutTreeDegradesExactly) {
   const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 200, 5, 43);
   const auto factors = random_factors(x.shape(), {3, 3, 3}, 47);
   const SymbolicTtmc sym = SymbolicTtmc::build(x);
-  // No tree supplied: kCsf runs the ALTO structure if one is in hand, and
-  // bottoms out at per-nnz otherwise.
-  const AltoTensor alto = AltoTensor::build(x);
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {.kernel = TtmcKernel::kCsf},
-                                           nullptr, &alto),
-            TtmcKernel::kAlto);
+  // No tree supplied: kCsf runs per-nnz.
   EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {.kernel = TtmcKernel::kCsf}),
             TtmcKernel::kPerNnz);
   Matrix y_nnz, y_csf;
@@ -264,42 +257,44 @@ TEST(CsfTtmcTest, AutoSelectionPinsPrefixRegimes) {
                                            &csf_free.modes[0]),
             TtmcKernel::kPerNnz);
 
-  // ttmc_wants_csf: kAuto and kCsf on orders 2..8; never for kPerNnz or
-  // kAlto.
-  const std::size_t nnz = free_.nnz();
+  // ttmc_wants_csf: kAuto and kCsf on orders 2..8; never for kPerNnz.
   for (std::size_t order = 2; order <= 8; ++order) {
-    EXPECT_TRUE(ht::core::ttmc_wants_csf(nnz, order, {})) << order;
-    EXPECT_TRUE(ht::core::ttmc_wants_csf(nnz, order,
-                                         {.kernel = TtmcKernel::kCsf}));
+    EXPECT_TRUE(ht::core::ttmc_wants_csf(order, {})) << order;
+    EXPECT_TRUE(ht::core::ttmc_wants_csf(order, {.kernel = TtmcKernel::kCsf}));
   }
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(nnz, 9, {}));
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(nnz, 1, {}));
-  EXPECT_FALSE(
-      ht::core::ttmc_wants_csf(nnz, 3, {.kernel = TtmcKernel::kPerNnz}));
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(nnz, 3, {.kernel = TtmcKernel::kAlto}));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(9, {}));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(1, {}));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(3, {.kernel = TtmcKernel::kPerNnz}));
 }
 
 TEST(CsfTtmcTest, DeterministicAcrossThreadCounts) {
-  // One row is accumulated by exactly one thread in tree order, and the
-  // tile boundaries do not depend on the team size: results are bitwise
-  // identical for any thread count, under both schedules.
+  // One row is accumulated by exactly one thread, in tree order or update
+  // list order, and the CSF tile boundaries do not depend on the team
+  // size: both kernels give bitwise identical results for any thread
+  // count, under both schedules, on the full mode and on a row subset.
   const CooTensor x = ht::tensor::random_fibered(Shape{40, 30, 50}, 400, 6, 61);
   const auto factors = random_factors(x.shape(), {4, 3, 5}, 67);
   const SymbolicTtmc sym = SymbolicTtmc::build(x);
   const CsfTensor csf = CsfTensor::build(x);
-  for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
-    Matrix y1, y4;
-    {
-      ht::parallel::ThreadScope threads(1);
-      ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y1,
-                          {s, TtmcKernel::kCsf}, &csf.modes[0]);
+  std::vector<std::uint32_t> positions;
+  for (std::uint32_t p = 1; p < sym.modes[0].num_rows(); p += 3) {
+    positions.push_back(p);
+  }
+  for (const TtmcKernel kernel : {TtmcKernel::kCsf, TtmcKernel::kPerNnz}) {
+    for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
+      Matrix y1, y4, sub1, sub4;
+      for (const int threads : {1, 4}) {
+        ht::parallel::ThreadScope scope(threads);
+        ht::core::ttmc_mode(x, factors, 0, sym.modes[0],
+                            threads == 1 ? y1 : y4, {s, kernel},
+                            &csf.modes[0]);
+        ht::core::ttmc_mode_subset(x, factors, 0, sym.modes[0], positions,
+                                   threads == 1 ? sub1 : sub4, {s, kernel},
+                                   &csf.modes[0]);
+      }
+      EXPECT_TRUE(y1.approx_equal(y4, 0.0));
+      EXPECT_TRUE(sub1.approx_equal(sub4, 0.0));
     }
-    {
-      ht::parallel::ThreadScope threads(4);
-      ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y4,
-                          {s, TtmcKernel::kCsf}, &csf.modes[0]);
-    }
-    EXPECT_TRUE(y1.approx_equal(y4, 0.0));
   }
 }
 

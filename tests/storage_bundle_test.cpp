@@ -1,41 +1,35 @@
 // Model bundle container: bit-exact save/load round trips on the heap and
-// mmap paths, zero-copy verification through the CopyStats hook, CSF
-// structures served from a bundle without re-sorting, kernel equivalence
-// over mapped storage, and corruption/truncation rejection.
+// mmap paths, zero-copy verification through the CopyStats hook, reserved
+// section kinds skipped on load, and rejection of corrupt, truncated and
+// inconsistently shaped files.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/hooi.hpp"
-#include "core/symbolic.hpp"
-#include "core/ttmc.hpp"
 #include "core/tucker_model.hpp"
 #include "la/matrix.hpp"
+#include "serve/serve_model.hpp"
 #include "storage/bundle.hpp"
-#include "tensor/alto.hpp"
-#include "tensor/csf.hpp"
 #include "tensor/generators.hpp"
 #include "util/error.hpp"
 
 namespace {
 
 using ht::core::TuckerModel;
-using ht::tensor::AltoTensor;
 using ht::storage::BundleReader;
+using ht::storage::BundleWriter;
 using ht::storage::CopyStats;
 using ht::storage::LoadMode;
 using ht::storage::load_bundle;
 using ht::storage::save_bundle;
 using ht::storage::SectionKind;
 using ht::tensor::CooTensor;
-using ht::tensor::CsfTensor;
 using ht::tensor::index_t;
-using ht::tensor::nnz_t;
 
 class TempFile {
  public:
@@ -52,8 +46,8 @@ class TempFile {
   std::string path_;
 };
 
-// One trained model (with CSF trees) shared by the round-trip tests; HOOI
-// runs once per process.
+// One trained model shared by the round-trip tests; HOOI runs once per
+// process.
 const TuckerModel& trained_model() {
   static const TuckerModel model = [] {
     CooTensor x = ht::tensor::random_zipf({30, 24, 18}, 1500,
@@ -62,22 +56,34 @@ const TuckerModel& trained_model() {
     ht::core::HooiOptions options;
     options.ranks = {5, 4, 3};
     options.max_iterations = 4;
-    TuckerModel m = TuckerModel::from_hooi(x, ht::core::hooi(x, options));
-    m.csf = std::make_shared<CsfTensor>(CsfTensor::build(x));
-    m.alto = std::make_shared<AltoTensor>(AltoTensor::build(x));
-    return m;
+    return TuckerModel::from_hooi(x, ht::core::hooi(x, options));
   }();
   return model;
 }
 
-const CooTensor& trained_tensor() {
-  static const CooTensor x = [] {
-    CooTensor t = ht::tensor::random_zipf({30, 24, 18}, 1500,
-                                          {0.8, 0.9, 0.5}, 7);
-    ht::tensor::plant_low_rank_values(t, 3, 0.1, 11);
-    return t;
-  }();
-  return x;
+// The sections save_bundle writes for `m`, through the raw writer, so a
+// test can add sections of its own after them.
+void add_model_sections(BundleWriter& w, const TuckerModel& m) {
+  char fit[64];
+  std::snprintf(fit, sizeof fit, "fit=%.17g\n", m.fit);
+  std::string meta = fit;
+  for (const auto& [key, value] : m.provenance) {
+    meta += "prov:" + key + "=" + value + "\n";
+  }
+  w.add_section(SectionKind::kMeta, 0, 0, 1, meta.data(), meta.size(),
+                meta.size(), 1);
+  w.add_array(SectionKind::kDims, 0, 0, m.dims.data(), m.dims.size());
+  const std::vector<index_t> ranks = m.ranks();
+  w.add_array(SectionKind::kRanks, 0, 0, ranks.data(), ranks.size());
+  for (std::size_t n = 0; n < m.order(); ++n) {
+    const ht::la::Matrix& u = m.decomposition.factors[n];
+    w.add_section(SectionKind::kFactor, static_cast<std::uint32_t>(n), 0,
+                  sizeof(double), u.data(), u.size() * sizeof(double),
+                  u.rows(), u.cols());
+  }
+  const auto core = m.decomposition.core.flat();
+  w.add_section(SectionKind::kCore, 0, 0, sizeof(double), core.data(),
+                core.size() * sizeof(double), core.size(), 1);
 }
 
 void expect_models_bit_exact(const TuckerModel& a, const TuckerModel& b) {
@@ -100,42 +106,8 @@ void expect_models_bit_exact(const TuckerModel& a, const TuckerModel& b) {
   ASSERT_EQ(ca.size(), cb.size());
   EXPECT_EQ(std::memcmp(ca.data(), cb.data(), ca.size() * sizeof(double)), 0)
       << "core not bit-exact";
-
-  ASSERT_EQ(a.has_alto(), b.has_alto());
-  if (a.has_alto()) {
-    const AltoTensor& aa = *a.alto;
-    const AltoTensor& ab = *b.alto;
-    ASSERT_EQ(aa.nnz(), ab.nnz());
-    EXPECT_EQ(aa.key_bits, ab.key_bits);
-    EXPECT_TRUE(aa.key_lo == ab.key_lo);
-    EXPECT_TRUE(aa.key_hi == ab.key_hi);
-    EXPECT_TRUE(aa.perm == ab.perm);
-    EXPECT_TRUE(aa.values == ab.values);
-    EXPECT_TRUE(aa.part_ptr == ab.part_ptr);
-    EXPECT_TRUE(aa.part_min == ab.part_min);
-    EXPECT_TRUE(aa.part_max == ab.part_max);
-  }
-
-  ASSERT_EQ(a.has_csf(), b.has_csf());
-  if (!a.has_csf()) return;
-  ASSERT_EQ(a.csf->order(), b.csf->order());
-  for (std::size_t n = 0; n < a.csf->order(); ++n) {
-    const ht::tensor::CsfTree& ta = a.csf->modes[n];
-    const ht::tensor::CsfTree& tb = b.csf->modes[n];
-    EXPECT_EQ(ta.level_modes, tb.level_modes);
-    ASSERT_EQ(ta.levels(), tb.levels());
-    for (std::size_t d = 0; d < ta.levels(); ++d) {
-      EXPECT_TRUE(ta.idx[d] == tb.idx[d]) << "idx mode " << n << " level " << d;
-      if (d >= 1) {
-        EXPECT_TRUE(ta.ptr[d] == tb.ptr[d])
-            << "ptr mode " << n << " level " << d;
-      }
-    }
-    EXPECT_TRUE(ta.leaf_entry == tb.leaf_entry);
-    EXPECT_TRUE(ta.root_leaf_ptr == tb.root_leaf_ptr);
-    EXPECT_TRUE(ta.values == tb.values);
-  }
 }
+
 
 TEST(BundleRoundTrip, HeapLoadIsBitExact) {
   TempFile tmp("heap.htb");
@@ -154,19 +126,14 @@ TEST(BundleRoundTrip, MmapLoadIsBitExactAndZeroCopy) {
   CopyStats::reset();
   const TuckerModel loaded = load_bundle(tmp.path(), LoadMode::kMap);
   // The allocation-counting hook: an mmap load copies no payload bytes —
-  // every factor/core/CSF array is a view into the mapping. (O(order)
+  // every factor and the core are views into the mapping. (O(order)
   // metadata like dims is exempt by design.)
   EXPECT_EQ(CopyStats::bytes(), 0u);
   EXPECT_EQ(CopyStats::count(), 0u);
-  EXPECT_TRUE(loaded.decomposition.factors[0].is_view());
+  for (const auto& f : loaded.decomposition.factors) {
+    EXPECT_TRUE(f.is_view());
+  }
   EXPECT_TRUE(loaded.decomposition.core.is_view());
-  EXPECT_TRUE(loaded.csf->modes[0].idx[0].is_view());
-  // The ALTO arrays too: from_views only recomputes the O(order)
-  // delinearization masks, never the per-nnz payloads.
-  ASSERT_TRUE(loaded.has_alto());
-  EXPECT_TRUE(loaded.alto->key_lo.is_view());
-  EXPECT_TRUE(loaded.alto->perm.is_view());
-  EXPECT_TRUE(loaded.alto->values.is_view());
 
   expect_models_bit_exact(trained_model(), loaded);
 }
@@ -186,147 +153,27 @@ TEST(BundleRoundTrip, HeapLoadRecordsCopies) {
   EXPECT_GE(CopyStats::bytes(), payload * sizeof(double));
 }
 
-TEST(BundleRoundTrip, CsfFromBundleMatchesFreshBuild) {
-  // "No re-sorting" in the strongest form: the trees coming out of the
-  // bundle are identical to trees built from scratch off the tensor, so
-  // every structure invariant the build path guarantees holds for the
-  // loaded path too.
-  TempFile tmp("csf.htb");
-  save_bundle(trained_model(), tmp.path());
-  const TuckerModel loaded = load_bundle(tmp.path(), LoadMode::kMap);
-  const CsfTensor fresh = CsfTensor::build(trained_tensor());
-
-  ASSERT_TRUE(loaded.has_csf());
-  ASSERT_EQ(loaded.csf->order(), fresh.order());
-  for (std::size_t n = 0; n < fresh.order(); ++n) {
-    const ht::tensor::CsfTree& lt = loaded.csf->modes[n];
-    const ht::tensor::CsfTree& ft = fresh.modes[n];
-    EXPECT_EQ(lt.level_modes, ft.level_modes);
-    EXPECT_EQ(lt.num_leaves(), trained_tensor().nnz());
-    for (std::size_t d = 0; d < ft.levels(); ++d) {
-      EXPECT_TRUE(lt.idx[d] == ft.idx[d]);
-      if (d >= 1) { EXPECT_TRUE(lt.ptr[d] == ft.ptr[d]); }
-    }
-    EXPECT_TRUE(lt.leaf_entry == ft.leaf_entry);
-    EXPECT_TRUE(lt.root_leaf_ptr == ft.root_leaf_ptr);
-    EXPECT_TRUE(lt.values == ft.values);
-    // Invariants directly on the mapped tree: monotone ptr levels and
-    // in-range leaf gather entries.
-    for (std::size_t d = 1; d < lt.levels(); ++d) {
-      for (std::size_t k = 1; k < lt.ptr[d].size(); ++k) {
-        EXPECT_LE(lt.ptr[d][k - 1], lt.ptr[d][k]);
-      }
-    }
-    for (nnz_t e : lt.leaf_entry) EXPECT_LT(e, trained_tensor().nnz());
+// Older writers stored the training tensor's CSF trees and its linearized
+// index as section kinds 6-18. Those kinds are reserved: the loader
+// skips them, and the model comes back bit for bit on both paths.
+TEST(BundleRoundTrip, ReservedStructureSectionsAreSkipped) {
+  TempFile tmp("reserved.htb");
+  const TuckerModel& m = trained_model();
+  {
+    BundleWriter w(tmp.path());
+    add_model_sections(w, m);
+    const std::vector<std::uint64_t> level_modes{0, 2, 1};
+    w.add_array(static_cast<SectionKind>(6), 0, 0, level_modes.data(),
+                level_modes.size());
+    const std::vector<std::uint64_t> keys{3, 1, 4, 1, 5};
+    w.add_array(static_cast<SectionKind>(12), 0, 0, keys.data(), keys.size());
+    w.finish();
   }
-}
-
-TEST(BundleRoundTrip, TtmcOverMappedCsfMatchesHeap) {
-  TempFile tmp("ttmc.htb");
-  save_bundle(trained_model(), tmp.path());
-  const TuckerModel mapped = load_bundle(tmp.path(), LoadMode::kMap);
-  const CooTensor& x = trained_tensor();
-  const CsfTensor heap_csf = CsfTensor::build(x);
-
-  const auto symbolic = ht::core::SymbolicTtmc::build(x);
-  std::vector<ht::la::Matrix> factors;
-  for (std::size_t n = 0; n < x.order(); ++n) {
-    factors.push_back(mapped.decomposition.factors[n]);
-    factors.back().ensure_owned();
+  for (const LoadMode mode : {LoadMode::kMap, LoadMode::kCopy}) {
+    const TuckerModel loaded = load_bundle(tmp.path(), mode);
+    expect_models_bit_exact(m, loaded);
   }
-  ht::core::TtmcOptions options;
-  options.kernel = ht::core::TtmcKernel::kCsf;
-  for (std::size_t n = 0; n < x.order(); ++n) {
-    ht::la::Matrix y_heap, y_map;
-    ht::core::ttmc_mode(x, factors, n, symbolic.modes[n], y_heap, options,
-                        &heap_csf.modes[n]);
-    ht::core::ttmc_mode(x, factors, n, symbolic.modes[n], y_map, options,
-                        &mapped.csf->modes[n]);
-    ASSERT_EQ(y_heap.rows(), y_map.rows());
-    ASSERT_EQ(y_heap.cols(), y_map.cols());
-    for (std::size_t k = 0; k < y_heap.size(); ++k) {
-      EXPECT_NEAR(y_heap.flat()[k], y_map.flat()[k], 1e-12)
-          << "mode " << n << " entry " << k;
-    }
-  }
-}
-
-TEST(BundleRoundTrip, AltoFromBundleMatchesFreshBuild) {
-  // The mapped structure must be indistinguishable from a scratch build:
-  // same keys, same gather map, same partition tables — so decoding and
-  // partition invariants established for the build path hold when serving.
-  TempFile tmp("alto.htb");
-  save_bundle(trained_model(), tmp.path());
-  const TuckerModel loaded = load_bundle(tmp.path(), LoadMode::kMap);
-  const AltoTensor fresh = AltoTensor::build(trained_tensor());
-
-  ASSERT_TRUE(loaded.has_alto());
-  const AltoTensor& mapped = *loaded.alto;
-  ASSERT_EQ(mapped.nnz(), fresh.nnz());
-  EXPECT_EQ(mapped.key_bits, fresh.key_bits);
-  EXPECT_TRUE(mapped.key_lo == fresh.key_lo);
-  EXPECT_TRUE(mapped.perm == fresh.perm);
-  EXPECT_TRUE(mapped.values == fresh.values);
-  EXPECT_TRUE(mapped.part_ptr == fresh.part_ptr);
-  EXPECT_TRUE(mapped.part_min == fresh.part_min);
-  EXPECT_TRUE(mapped.part_max == fresh.part_max);
-  // Delinearization masks are recomputed, not stored: decode must agree.
-  for (ht::tensor::nnz_t s = 0; s < fresh.nnz(); ++s) {
-    for (std::size_t n = 0; n < fresh.order(); ++n) {
-      ASSERT_EQ(mapped.mode_index(n, s), fresh.mode_index(n, s));
-    }
-  }
-}
-
-TEST(BundleRoundTrip, TtmcOverMappedAltoIsBitExactAndZeroCopy) {
-  // The serve headline: TTMc straight off the mapping, bit-identical to
-  // the heap-built structure, with zero payload bytes copied.
-  TempFile tmp("alto_ttmc.htb");
-  save_bundle(trained_model(), tmp.path());
-  const TuckerModel mapped = load_bundle(tmp.path(), LoadMode::kMap);
-  const CooTensor& x = trained_tensor();
-  const AltoTensor heap_alto = AltoTensor::build(x);
-
-  const auto symbolic = ht::core::SymbolicTtmc::build(x);
-  std::vector<ht::la::Matrix> factors;
-  for (std::size_t n = 0; n < x.order(); ++n) {
-    factors.push_back(mapped.decomposition.factors[n]);
-    factors.back().ensure_owned();
-  }
-  ht::core::TtmcOptions options;
-  options.kernel = ht::core::TtmcKernel::kAlto;
-  CopyStats::reset();
-  for (std::size_t n = 0; n < x.order(); ++n) {
-    ht::la::Matrix y_heap, y_map;
-    ht::core::ttmc_mode(x, factors, n, symbolic.modes[n], y_heap, options,
-                        nullptr, &heap_alto);
-    ht::core::ttmc_mode(x, factors, n, symbolic.modes[n], y_map, options,
-                        nullptr, mapped.alto.get());
-    ASSERT_EQ(y_heap.rows(), y_map.rows());
-    ASSERT_EQ(y_heap.cols(), y_map.cols());
-    EXPECT_TRUE(y_heap.approx_equal(y_map, 0.0)) << "mode " << n;
-  }
-  EXPECT_EQ(CopyStats::bytes(), 0u) << "serving detached a mapped span";
-}
-
-TEST(BundleRoundTrip, ModelWithoutCsfRoundTrips) {
-  TuckerModel m = trained_model();
-  m.csf.reset();
-  TempFile tmp("nocsf.htb");
-  save_bundle(m, tmp.path());
-  const TuckerModel loaded = load_bundle(tmp.path(), LoadMode::kMap);
-  EXPECT_FALSE(loaded.has_csf());
-  expect_models_bit_exact(m, loaded);
-}
-
-TEST(BundleRoundTrip, ModelWithoutAltoRoundTrips) {
-  TuckerModel m = trained_model();
-  m.alto.reset();
-  TempFile tmp("noalto.htb");
-  save_bundle(m, tmp.path());
-  const TuckerModel loaded = load_bundle(tmp.path(), LoadMode::kMap);
-  EXPECT_FALSE(loaded.has_alto());
-  expect_models_bit_exact(m, loaded);
+  EXPECT_NO_THROW(BundleReader(tmp.path(), LoadMode::kMap).verify_all());
 }
 
 TEST(BundleInspect, ReportsSectionsAndMeta) {
@@ -416,6 +263,67 @@ TEST(BundleIntegrity, ViewsAreImmutableButDetachable) {
                ht::Error);
   loaded.decomposition.factors[0].ensure_owned();
   EXPECT_NO_THROW(static_cast<void>(loaded.decomposition.factors[0].data()));
+}
+
+TEST(BundleIntegrity, RejectsShapeProductOverflow) {
+  // Each file's declared shapes multiply out to 2^64, which wraps to the
+  // 0 bytes stored: factors 0 and 1 as 2^31 x 2^30 doubles in the first,
+  // the core as prod(ranks) = 2^22 * 2^22 * 2^20 in the second (its factors
+  // have 0 rows). Loading either must throw instead of handing out views
+  // that index far past the mapping.
+  struct Case {
+    std::vector<index_t> dims;
+    std::vector<index_t> ranks;
+  };
+  for (const Case& c : {Case{{index_t{1} << 31, index_t{1} << 31, 1},
+                             {index_t{1} << 30, index_t{1} << 30, 16}},
+                        Case{{0, 0, 0},
+                             {index_t{1} << 22, index_t{1} << 22,
+                              index_t{1} << 20}}}) {
+    TempFile tmp("overflow.htb");
+    {
+      BundleWriter w(tmp.path());
+      const std::string meta = "fit=0\n";
+      w.add_section(SectionKind::kMeta, 0, 0, 1, meta.data(), meta.size(),
+                    meta.size(), 1);
+      w.add_array(SectionKind::kDims, 0, 0, c.dims.data(), c.dims.size());
+      w.add_array(SectionKind::kRanks, 0, 0, c.ranks.data(), c.ranks.size());
+      for (std::size_t n = 0; n < c.dims.size(); ++n) {
+        const std::uint64_t rows = c.dims[n], cols = c.ranks[n];
+        const std::uint64_t bytes = rows * cols * sizeof(double);  // wraps
+        const std::vector<double> zeros(bytes / sizeof(double), 0.0);
+        w.add_section(SectionKind::kFactor, static_cast<std::uint32_t>(n), 0,
+                      sizeof(double), zeros.data(), bytes, rows, cols);
+      }
+      w.add_section(SectionKind::kCore, 0, 0, sizeof(double), nullptr, 0, 0,
+                    1);
+      w.finish();
+    }
+    ASSERT_THROW(load_bundle(tmp.path(), LoadMode::kMap), ht::IoError);
+    EXPECT_THROW(load_bundle(tmp.path(), LoadMode::kCopy), ht::IoError);
+    EXPECT_THROW(ht::serve::ServeModel::load(tmp.path(), /*verify=*/true),
+                 ht::IoError);
+  }
+}
+
+TEST(BundleIntegrity, RejectsMistypedShapeSection) {
+  // A dims section with 0-byte elements skips the section shape check, so
+  // its row count (2^40 here) is unchecked: the loader must reject the
+  // element size instead of reading that many indices.
+  TempFile tmp("mistyped.htb");
+  {
+    BundleWriter w(tmp.path());
+    const std::string meta = "fit=0\n";
+    w.add_section(SectionKind::kMeta, 0, 0, 1, meta.data(), meta.size(),
+                  meta.size(), 1);
+    const std::vector<index_t> dims{30, 24, 18};
+    w.add_section(SectionKind::kDims, 0, 0, 0, dims.data(),
+                  dims.size() * sizeof(index_t), std::uint64_t{1} << 40, 1);
+    w.finish();
+  }
+  for (const LoadMode mode : {LoadMode::kMap, LoadMode::kCopy}) {
+    EXPECT_THROW(load_bundle(tmp.path(), mode), ht::IoError);
+  }
 }
 
 }  // namespace

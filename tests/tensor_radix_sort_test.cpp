@@ -1,11 +1,11 @@
 // lexicographic_order edge cases: empty input, single key, already-sorted
 // input, stability, and — the regression that motivated the 16-bit digit
 // path — keys spanning the full index_t range, which must not drive a
-// counter allocation proportional to the key magnitude (~32 GB for u32).
+// counter allocation proportional to the key magnitude (~32 GB for u32);
+// and the parallel passes' thread-count determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -19,7 +19,6 @@ namespace {
 
 using ht::tensor::index_t;
 using ht::tensor::lexicographic_order;
-using ht::tensor::linearized_order;
 using ht::tensor::nnz_t;
 
 std::vector<nnz_t> reference_order(
@@ -112,65 +111,29 @@ TEST(RadixSortTest, WideKeyStability) {
   EXPECT_EQ(run(keys, 5), (std::vector<nnz_t>{3, 4, 0, 1, 2}));
 }
 
-std::vector<nnz_t> reference_linearized_order(
-    const std::vector<std::uint64_t>& lo, const std::vector<std::uint64_t>& hi) {
-  std::vector<nnz_t> order(lo.size());
-  std::iota(order.begin(), order.end(), nnz_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](nnz_t a, nnz_t b) {
-    const std::uint64_t ha = hi.empty() ? 0 : hi[a];
-    const std::uint64_t hb = hi.empty() ? 0 : hi[b];
-    if (ha != hb) return ha < hb;
-    return lo[a] < lo[b];
-  });
-  return order;
-}
-
-TEST(RadixSortTest, LinearizedOneWordMatchesReference) {
-  ht::Rng rng(101);
-  std::vector<std::uint64_t> lo(5000);
-  for (auto& k : lo) {
-    k = static_cast<std::uint64_t>(rng.uniform() * 1e18);
-  }
-  lo[17] = lo[4096];  // force a tie to exercise stability
-  EXPECT_EQ(linearized_order(lo, {}), reference_linearized_order(lo, {}));
-}
-
-TEST(RadixSortTest, LinearizedTwoWordOrdersHighWordFirst) {
-  // The high word dominates; low-word passes must stay stable beneath it.
-  const std::vector<std::uint64_t> lo{5, 1, 5, 0, ~0ull, 3};
-  const std::vector<std::uint64_t> hi{1, 0, 0, 1, 0, 2};
-  EXPECT_EQ(linearized_order(lo, hi), reference_linearized_order(lo, hi));
-}
-
-TEST(RadixSortTest, LinearizedEmptyAndSingle) {
-  EXPECT_TRUE(linearized_order({}, {}).empty());
-  const std::vector<std::uint64_t> one{42};
-  EXPECT_EQ(linearized_order(one, {}), (std::vector<nnz_t>{0}));
-}
-
 TEST(RadixSortTest, ParallelSortIsBitwiseDeterministic) {
   // Above the parallel grain (1 << 15 entries) the chunked histogram path
   // engages; its chunk-major prefix merge must reproduce the serial
-  // permutation exactly for any thread count.
+  // permutation exactly for any thread count. The first key takes the
+  // direct pass with heavy ties, the second the 16-bit digit passes.
   const std::size_t n = (std::size_t{1} << 16) + 333;
   ht::Rng rng(103);
-  std::vector<std::uint64_t> lo(n);
-  std::vector<std::uint64_t> hi(n);
+  std::vector<std::vector<index_t>> keys(2, std::vector<index_t>(n));
   for (std::size_t i = 0; i < n; ++i) {
-    lo[i] = static_cast<std::uint64_t>(rng.uniform() * 1e18);
-    hi[i] = static_cast<std::uint64_t>(rng.uniform() * 7.0);  // heavy ties
+    keys[0][i] = static_cast<index_t>(rng.uniform() * 7.0);
+    keys[1][i] = static_cast<index_t>(rng.uniform() * 4e9);
   }
   std::vector<nnz_t> serial, parallel;
   {
     ht::parallel::ThreadScope threads(1);
-    serial = linearized_order(lo, hi);
+    serial = run(keys, n);
   }
   {
     ht::parallel::ThreadScope threads(4);
-    parallel = linearized_order(lo, hi);
+    parallel = run(keys, n);
   }
   EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial, reference_linearized_order(lo, hi));
+  EXPECT_EQ(serial, reference_order(keys));
 }
 
 }  // namespace
