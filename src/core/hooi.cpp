@@ -54,7 +54,7 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
   if (!same_tensor) {
     throw InvalidArgument("TTMc plan was built for another tensor");
   }
-  if (plan.csf != nullptr && plan.csf->order() != order) {
+  if (plan.csf && plan.csf->order() != order) {
     throw InvalidArgument("CSF trees were built for another tensor order");
   }
   parallel::ThreadScope threads(options.num_threads);

@@ -11,8 +11,7 @@ TtmcPlan TtmcPlan::build(const CooTensor& x, const TtmcOptions& options) {
   plan.symbolic = SymbolicTtmc::build(x);
   // An empty tensor (a rank-local slice can be one) has nothing to sort.
   if (x.nnz() > 0 && ttmc_wants_csf(x.order(), options)) {
-    plan.csf = std::make_shared<const tensor::CsfTensor>(
-        tensor::CsfTensor::build(x));
+    plan.csf = tensor::CsfTensor::build(x);
   }
   plan.build_seconds = timer.seconds();
   return plan;

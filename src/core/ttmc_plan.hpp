@@ -15,7 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -30,9 +30,8 @@ struct TtmcPlan {
   /// Options the plan was built for; every TTMc through it runs with them.
   TtmcOptions options;
   SymbolicTtmc symbolic;
-  /// Per-mode CSF trees; null when not built. Shared so copies of a plan
-  /// alias one forest.
-  std::shared_ptr<const tensor::CsfTensor> csf{};
+  /// Per-mode CSF trees; empty when not built.
+  std::optional<tensor::CsfTensor> csf;
   /// Wall seconds build() took (charged to HooiTimers::symbolic).
   double build_seconds = 0.0;
 

@@ -29,9 +29,9 @@
 //                  checksum }
 //
 // `a`/`b` disambiguate repeated kinds: for kFactor, a = mode. Payloads are
-// 64-byte aligned
-// so an mmap'd view of any element type is correctly aligned (mmap bases
-// are page-aligned, so offset alignment is file-offset alignment).
+// 64-byte aligned so an mmap'd view of any element type is correctly
+// aligned (mmap bases are page-aligned, so offset alignment is file-offset
+// alignment).
 //
 // Integrity: the header is validated structurally (magic, version, file
 // size); the section table always has its FNV-1a checksum verified; payload

@@ -24,15 +24,6 @@ double CsfTree::prefix_sharing_ratio() const {
          static_cast<double>(levels() - 1) / static_cast<double>(stored);
 }
 
-std::size_t CsfTree::format_bytes() const {
-  std::size_t bytes = level_modes.size() * sizeof(std::size_t);
-  for (const auto& a : idx) bytes += a.size() * sizeof(index_t);
-  for (const auto& a : ptr) bytes += a.size() * sizeof(nnz_t);
-  bytes += (leaf_entry.size() + root_leaf_ptr.size()) * sizeof(nnz_t);
-  bytes += values.size() * sizeof(double);
-  return bytes;
-}
-
 CsfTree CsfTree::build_pattern(const CooTensor& x, std::size_t root) {
   const std::size_t order = x.order();
   HT_CHECK_MSG(order >= 2, "CSF needs at least 2 modes");
@@ -126,12 +117,6 @@ void CsfTree::attach_values(const CooTensor& x) {
         vals[leaf_entry[static_cast<std::size_t>(s)]];
   }
   values = std::move(gathered);
-}
-
-std::size_t CsfTensor::format_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& t : modes) bytes += t.format_bytes();
-  return bytes;
 }
 
 CsfTensor CsfTensor::build(const CooTensor& x) {

@@ -97,9 +97,6 @@ struct CsfTree {
     return root_leaf_ptr[k + 1] - root_leaf_ptr[k];
   }
 
-  /// Bytes of this tree's node, pointer, gather, and value arrays.
-  [[nodiscard]] std::size_t format_bytes() const;
-
   /// Pattern-only build (no values). Requires order >= 2, root < order.
   static CsfTree build_pattern(const CooTensor& x, std::size_t root);
 
@@ -113,9 +110,6 @@ struct CsfTensor {
   std::vector<CsfTree> modes;
 
   [[nodiscard]] std::size_t order() const { return modes.size(); }
-
-  /// Bytes across all per-mode trees.
-  [[nodiscard]] std::size_t format_bytes() const;
 
   /// Build all per-mode trees with values attached (modes in parallel).
   static CsfTensor build(const CooTensor& x);

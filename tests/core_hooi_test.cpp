@@ -346,7 +346,7 @@ TEST(HooiTest, PlanRecordsPreprocessingDecisions) {
        {ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 6, 29),
         ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47)}) {
     const TtmcPlan plan = TtmcPlan::build(x);
-    ASSERT_NE(plan.csf, nullptr);
+    ASSERT_TRUE(plan.csf.has_value());
     EXPECT_GT(plan.build_seconds, 0.0);
     for (std::size_t n = 0; n < x.order(); ++n) {
       EXPECT_EQ(plan.kernel(n), ht::core::TtmcKernel::kCsf) << "mode " << n;
@@ -356,7 +356,7 @@ TEST(HooiTest, PlanRecordsPreprocessingDecisions) {
   const CooTensor x = ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
   const TtmcPlan direct =
       TtmcPlan::build(x, {.kernel = ht::core::TtmcKernel::kPerNnz});
-  EXPECT_EQ(direct.csf, nullptr);
+  EXPECT_FALSE(direct.csf.has_value());
   EXPECT_EQ(direct.kernel(0), ht::core::TtmcKernel::kPerNnz);
 }
 

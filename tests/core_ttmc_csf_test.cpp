@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "core/hooi.hpp"
@@ -244,7 +243,7 @@ TEST(CsfTtmcTest, AutoSelectionPinsPrefixRegimes) {
       ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
   for (const CooTensor* x : {&heavy, &free_}) {
     const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(*x);
-    ASSERT_NE(plan.csf, nullptr);
+    ASSERT_TRUE(plan.csf.has_value());
     for (std::size_t n = 0; n < x->order(); ++n) {
       EXPECT_EQ(plan.kernel(n), TtmcKernel::kCsf) << "mode " << n;
     }
@@ -323,7 +322,7 @@ TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
     const ht::core::TtmcPlan plan{
         .options = with_csf.ttmc,
         .symbolic = SymbolicTtmc::build(x),
-        .csf = std::make_shared<const CsfTensor>(CsfTensor::build(x))};
+        .csf = CsfTensor::build(x)};
     const auto c = ht::core::hooi(x, with_csf, plan);
     EXPECT_EQ(b.fits, c.fits) << x.order() << "-mode";
   }
