@@ -3,8 +3,9 @@
 //   1. symbolic TTMc reuse — preprocessing cost vs per-iteration cost, and
 //      its amortization across HOOI runs with different ranks (the paper's
 //      Sec. V argument for reusing the symbolic structure);
-//   2. dynamic vs static OpenMP scheduling of the TTMc row loop on a skewed
-//      tensor (the paper chooses dynamic);
+//   2. dynamic vs static OpenMP scheduling of the loop a kAuto plan's TTMc
+//      runs (the CSF tile loop) on a skewed tensor (the paper chooses
+//      dynamic);
 //   3. Lanczos vs Gram-matrix TRSVD (the matrix-free choice);
 //   4. per-nnz vs CSF TTMc kernels across fiber-length regimes, and what
 //      a kAuto plan runs in each (the perf-trajectory entry: the CSF walk
@@ -33,7 +34,8 @@
 //      traffic shape the per-user contraction cache is built for), with
 //      the cache on vs off and batched vs single-query submission
 //      (perf-trajectory entry: on the skewed trace the cache must be worth
-//      >1.5x QPS, and batching must never lose to single-query);
+//      >1.5x QPS; score_batch is the single-query loop in the caller's
+//      thread, so its rows must track the single rows);
 //  11. masked completion vs unmasked HOOI on a planted low-rank tensor with
 //      a 1% observed mask and known noise floor (prediction-quality entry:
 //      masked training must reach held-out RMSE within 1.15x the noise
@@ -48,6 +50,8 @@
 #include <cstdio>
 #include <memory>
 #include <random>
+#include <type_traits>
+#include <variant>
 
 #include "bench_common.hpp"
 #include "core/completion.hpp"
@@ -57,6 +61,7 @@
 #include "core/symbolic.hpp"
 #include "core/trsvd.hpp"
 #include "core/ttmc.hpp"
+#include "core/ttmc_plan.hpp"
 #include "core/tucker_model.hpp"
 #include "la/lanczos.hpp"
 #include "la/linear_operator.hpp"
@@ -68,22 +73,30 @@
 
 namespace {
 
-// Time the mode-`n` TTMc, best of `reps`. Per-mode timing shows where a
-// kernel wins: a tensor's modes can sit in different fiber regimes (the
-// generator's last mode sees singleton fibers).
+// Time the mode-`n` TTMc over `index`, best of `reps`: a mode's update
+// lists or CSF tree, or a whole TtmcPlan (what HOOI runs). Per-mode timing
+// shows where a kernel wins: a tensor's modes can sit in different fiber
+// regimes (the generator's last mode sees singleton fibers).
+template <typename Index>
 double time_ttmc_mode(const ht::tensor::CooTensor& x,
                       const std::vector<ht::la::Matrix>& factors,
-                      const ht::core::SymbolicTtmc& sym, std::size_t n,
-                      const ht::core::TtmcOptions& options, int reps,
-                      const ht::tensor::CsfTree* csf = nullptr) {
+                      const Index& index, std::size_t n, int reps) {
   double best = 1e300;
   ht::la::Matrix y;
   for (int rep = 0; rep < reps; ++rep) {
     ht::WallTimer t;
-    ht::core::ttmc_mode(x, factors, n, sym.modes[n], y, options, csf);
+    if constexpr (std::is_same_v<Index, ht::core::TtmcPlan>) {
+      index.ttmc(x, factors, n, y);
+    } else {
+      ht::core::ttmc_mode(x, factors, n, index, y);
+    }
     best = std::min(best, t.seconds());
   }
   return best;
+}
+
+const char* kernel_name(ht::core::TtmcKernel kernel) {
+  return kernel == ht::core::TtmcKernel::kCsf ? "csf" : "nnz";
 }
 
 void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
@@ -107,17 +120,11 @@ void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
     const auto factors =
         core::random_orthonormal_factors(x.shape(), ranks, 7);
 
-    core::TtmcOptions per_nnz;
-    per_nnz.kernel = core::TtmcKernel::kPerNnz;
-    core::TtmcOptions use_csf;
-    use_csf.kernel = core::TtmcKernel::kCsf;
-
     // Interleaved best-of-reps so drift hits both kernels alike.
     double t_nnz = 1e300, t_csf = 1e300;
     for (int rep = 0; rep < reps; ++rep) {
-      t_nnz = std::min(t_nnz, time_ttmc_mode(x, factors, sym, 0, per_nnz, 1));
-      t_csf = std::min(t_csf, time_ttmc_mode(x, factors, sym, 0, use_csf, 1,
-                                             &csf.modes[0]));
+      t_nnz = std::min(t_nnz, time_ttmc_mode(x, factors, sym.modes[0], 0, 1));
+      t_csf = std::min(t_csf, time_ttmc_mode(x, factors, csf.modes[0], 0, 1));
     }
     // What HOOI's kAuto plan runs: whatever structure it built.
     const bool plan_csf = core::ttmc_wants_csf(x.order(), core::TtmcOptions{});
@@ -176,14 +183,13 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
   for (const Arm& arm : arms) {
     const auto& x = arm.tensor;
     const core::SymbolicTtmc sym = core::SymbolicTtmc::build(x);
-    WallTimer t_build;
-    const tensor::CsfTensor csf = tensor::CsfTensor::build(x);
-    const double csf_build_s = t_build.seconds();
+    // The kAuto plan holds the forest alone, so its build time is the
+    // forest's.
+    const core::TtmcPlan plan = core::TtmcPlan::build(x);
+    const auto& csf = std::get<tensor::CsfTensor>(plan.index);
+    const double csf_build_s = plan.build_seconds;
     const auto factors = core::random_orthonormal_factors(x.shape(), ranks, 7);
-
-    core::TtmcOptions per_nnz, use_csf, use_auto;
-    per_nnz.kernel = core::TtmcKernel::kPerNnz;
-    use_csf.kernel = core::TtmcKernel::kCsf;
+    const char* pick_name = kernel_name(plan.kernel());
 
     // Per mode: interleaved best-of-reps so drift hits all three alike;
     // sweep totals are the per-iteration numbers HOOI sees.
@@ -193,15 +199,11 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
       double t_nnz = 1e300, t_csf = 1e300, t_auto = 1e300;
       for (int rep = 0; rep < reps; ++rep) {
         t_nnz =
-            std::min(t_nnz, time_ttmc_mode(x, factors, sym, n, per_nnz, 1));
-        t_csf = std::min(t_csf, time_ttmc_mode(x, factors, sym, n, use_csf, 1,
-                                               &csf.modes[n]));
-        t_auto = std::min(t_auto, time_ttmc_mode(x, factors, sym, n, use_auto,
-                                                 1, &csf.modes[n]));
+            std::min(t_nnz, time_ttmc_mode(x, factors, sym.modes[n], n, 1));
+        t_csf =
+            std::min(t_csf, time_ttmc_mode(x, factors, csf.modes[n], n, 1));
+        t_auto = std::min(t_auto, time_ttmc_mode(x, factors, plan, n, 1));
       }
-      const auto picked =
-          core::ttmc_selected_kernel(x.order(), {}, &csf.modes[n]);
-      const char* pick_name = picked == core::TtmcKernel::kCsf ? "csf" : "nnz";
       picks += pick_name[0];
       const double t_best = std::min(t_nnz, t_csf);
       std::printf("%-14s %6zu %8.2f %12.4f %12.4f %12.4f %8.2fx %8.2fx %s\n",
@@ -299,7 +301,7 @@ void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
     hooi_opts.trsvd_method = core::TrsvdMethod::kLanczos;
     const auto factors = core::hooi(x, hooi_opts).decomposition.factors;
     la::Matrix y;
-    core::ttmc_mode(x, factors, 0, sym.modes[0], y, {});
+    core::ttmc_mode(x, factors, 0, sym.modes[0], y);
 
     std::vector<Solver> solvers = {
         {"lanczos", core::TrsvdMethod::kLanczos},
@@ -733,24 +735,18 @@ int main(int argc, char** argv) {
   model_store_ablation(htb::bench_smoke(), report);
   serve_qps_ablation(htb::bench_smoke(), report);
   completion_ablation(htb::bench_smoke(), report);
-  if (htb::bench_smoke()) {
-    std::printf("[smoke] skipping ablations 1-3 (HT_SMOKE=1)\n");
-    report.write();
-    return 0;
-  }
 
-  const auto bt = htb::load_preset("netflix");
+  // Arms 1-3 run on the netflix preset; smoke shrinks it to ~8k nonzeros.
+  const auto bt = htb::load_preset("netflix", htb::bench_smoke() ? 0.02 : 0.25);
   const auto& x = bt.tensor;
   const auto& ranks = bt.spec.ranks;
 
   // ---- 1. symbolic reuse --------------------------------------------------
   std::printf("=== Ablation 1: symbolic TTMc reuse ===\n");
-  // The reusable preprocessing is the whole TTMc plan (symbolic update
-  // lists and the CSF forest, neither of them rank-dependent); the reuse
-  // arms below pass it to hooi so no per-call rebuild pollutes the
-  // numbers.
+  // The reusable preprocessing is the whole TTMc plan (kAuto's CSF forest,
+  // not rank-dependent); the reuse arms below pass it to hooi so no
+  // per-call rebuild pollutes the numbers.
   const core::TtmcPlan plan = core::TtmcPlan::build(x);
-  const core::SymbolicTtmc& symbolic = plan.symbolic;
   const double sym_s = plan.build_seconds;
 
   core::HooiOptions options;
@@ -803,23 +799,27 @@ int main(int argc, char** argv) {
     o.max_iterations = 1;
     factors = core::hooi(x, o, plan).decomposition.factors;
   }
+  // One kAuto plan per schedule: the arm times the kernel HOOI runs.
   for (const auto schedule :
        {core::Schedule::kDynamic, core::Schedule::kStatic}) {
+    const core::TtmcPlan sched_plan =
+        core::TtmcPlan::build(x, {.schedule = schedule});
     la::Matrix y;
     WallTimer t;
     const int reps = 5;
     for (int rep = 0; rep < reps; ++rep) {
       for (std::size_t n = 0; n < x.order(); ++n) {
-        core::ttmc_mode(x, factors, n, symbolic.modes[n], y, {schedule});
+        sched_plan.ttmc(x, factors, n, y);
       }
     }
-    std::printf("%s: %.3fs for %d full TTMc sweeps\n",
+    std::printf("%s: %.3fs for %d full TTMc sweeps (%s kernel)\n",
                 schedule == core::Schedule::kDynamic ? "dynamic" : "static ",
-                t.seconds(), reps);
+                t.seconds(), reps, kernel_name(sched_plan.kernel()));
     report.add()
         .str("arm", "schedule")
         .str("schedule",
              schedule == core::Schedule::kDynamic ? "dynamic" : "static")
+        .str("kernel", kernel_name(sched_plan.kernel()))
         .num("seconds", t.seconds())
         .num("sweeps", reps);
   }
@@ -828,12 +828,12 @@ int main(int argc, char** argv) {
   // ---- 3. Lanczos vs Gram TRSVD -------------------------------------------
   std::printf("=== Ablation 3: TRSVD method on Y(1) ===\n");
   la::Matrix y;
-  core::ttmc_mode(x, factors, 0, symbolic.modes[0], y, {});
+  plan.ttmc(x, factors, 0, y);
   for (const auto method :
        {core::TrsvdMethod::kLanczos, core::TrsvdMethod::kGram}) {
     WallTimer t;
-    const auto res = core::trsvd_factor(y, symbolic.modes[0].rows, x.dim(0),
-                                        ranks[0], method);
+    const auto res =
+        core::trsvd_factor(y, plan.rows(0), x.dim(0), ranks[0], method);
     std::printf("%s: %.3fs (sigma_1 = %.4f, steps = %zu)\n",
                 method == core::TrsvdMethod::kLanczos ? "lanczos" : "gram   ",
                 t.seconds(), res.sigma[0], res.solver_steps);

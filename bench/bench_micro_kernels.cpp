@@ -87,13 +87,13 @@ void BM_TtmcKernelByFiberLength(benchmark::State& state) {
   const auto fiber_len = static_cast<index_t>(state.range(0));
   const bool csf_kernel = state.range(1) != 0;
   const auto& f = fiber_fixture(fiber_len);
-  ht::core::TtmcOptions options;
-  options.kernel = csf_kernel ? ht::core::TtmcKernel::kCsf
-                              : ht::core::TtmcKernel::kPerNnz;
   Matrix y;
   for (auto _ : state) {
-    ht::core::ttmc_mode(f.x, f.factors, 0, f.sym.modes[0], y, options,
-                        &f.csf.modes[0]);
+    if (csf_kernel) {
+      ht::core::ttmc_mode(f.x, f.factors, 0, f.csf.modes[0], y);
+    } else {
+      ht::core::ttmc_mode(f.x, f.factors, 0, f.sym.modes[0], y);
+    }
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() *

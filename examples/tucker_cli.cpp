@@ -420,27 +420,23 @@ int main(int argc, char** argv) {
 
     options.ranks = max_ranks;
     // Build the preprocessing here rather than inside hooi so the timers
-    // line can name the kernel each mode resolved to.
+    // line can name the kernel the plan runs.
     ht::parallel::ThreadScope threads(options.num_threads);
     const auto plan = ht::core::TtmcPlan::build(x, options.ttmc);
     ht::core::HooiResult result = ht::core::hooi(x, options, plan);
     std::printf("fit %.6f after %d sweeps (converged=%s)\n",
                 result.final_fit(), result.iterations,
                 result.converged ? "yes" : "no");
-    std::string kernels, warm;
+    std::string warm;
     for (std::size_t n = 0; n < result.warm_solves.size(); ++n) {
-      if (n) {
-        kernels += ',';
-        warm += ',';
-      }
-      kernels += kernel_name(plan.kernel(n));
+      if (n) warm += ',';
       warm += std::to_string(result.warm_solves[n]);
     }
     std::printf(
         "timers: symbolic %.3fs ttmc %.3fs trsvd %.3fs core %.3fs"
-        " (ttmc kernels %s; warm trsvd solves per mode: %s)\n",
+        " (ttmc kernel %s; warm trsvd solves per mode: %s)\n",
         plan.build_seconds, result.timers.ttmc, result.timers.trsvd,
-        result.timers.core, kernels.c_str(), warm.c_str());
+        result.timers.core, kernel_name(plan.kernel()), warm.c_str());
     if (!export_prefix.empty()) {
       export_factors(result.decomposition, export_prefix);
     }

@@ -1,6 +1,7 @@
 #include "core/hooi.hpp"
 
 #include <cmath>
+#include <variant>
 
 #include "core/hosvd.hpp"
 #include "la/blas.hpp"
@@ -10,6 +11,18 @@
 #include "util/timer.hpp"
 
 namespace ht::core {
+
+namespace {
+
+// Nonzeros one mode's index covers.
+std::size_t index_entries(const ModeSymbolic& sym) {
+  return sym.nnz_order.size();
+}
+std::size_t index_entries(const tensor::CsfTree& tree) {
+  return tree.num_leaves();
+}
+
+}  // namespace
 
 void validate_hooi_options(const CooTensor& x, const HooiOptions& options) {
   if (x.nnz() == 0) throw InvalidArgument("HOOI needs a nonempty tensor");
@@ -41,21 +54,27 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
   if (plan.options != options.ttmc) {
     throw InvalidArgument("TTMc plan was built for other TTMc options");
   }
-  // The plan's lists index x's nonzeros and its compact rows index x's
+  // Whichever index the plan holds covers x's nonzeros (the lists index
+  // them, the trees copy their values) and its compact rows index x's
   // factor rows: a plan built from another tensor would read and write out
-  // of bounds. Rows are sorted, so the last one bounds them all.
+  // of bounds or fit other data. Rows are sorted, so the last one bounds
+  // them all.
   const std::size_t order = x.order();
-  bool same_tensor = plan.symbolic.modes.size() == order;
-  for (std::size_t n = 0; same_tensor && n < order; ++n) {
-    const ModeSymbolic& sym = plan.symbolic.modes[n];
-    same_tensor = sym.nnz_order.size() == x.nnz() &&
-                  (sym.rows.empty() || sym.rows.back() < x.dim(n));
-  }
+  const bool same_tensor = std::visit(
+      [&](const auto& idx) {
+        if (idx.modes.size() != order) return false;
+        for (std::size_t n = 0; n < order; ++n) {
+          const auto& rows = plan.rows(n);
+          if (index_entries(idx.modes[n]) != x.nnz() ||
+              (!rows.empty() && rows.back() >= x.dim(n))) {
+            return false;
+          }
+        }
+        return true;
+      },
+      plan.index);
   if (!same_tensor) {
     throw InvalidArgument("TTMc plan was built for another tensor");
-  }
-  if (plan.csf && plan.csf->order() != order) {
-    throw InvalidArgument("CSF trees were built for another tensor order");
   }
   parallel::ThreadScope threads(options.num_threads);
 
@@ -81,7 +100,7 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
       result.timers.ttmc += t_ttmc.seconds();
 
       WallTimer t_trsvd;
-      const auto& rows = plan.symbolic.modes[n].rows;
+      const auto& rows = plan.rows(n);
       const std::size_t rank = options.ranks[n];
       FactorTrsvd svd;
       if (iter >= kWarmFirstSweep &&

@@ -10,6 +10,11 @@
 // iterations (and across HOOI runs with different ranks). Within a row the
 // ordinals ascend, so the per-nnz kernel's accumulation order is a pure
 // function of the tensor.
+//
+// The lists are the index of a per-nnz core::TtmcPlan (kPerNnz, orders past
+// 8, empty tensors); a kAuto plan holds the CSF forest instead, whose
+// root nodes are the same compact rows. Masked completion reads the lists
+// directly for its per-row normal equations.
 #pragma once
 
 #include <cstddef>

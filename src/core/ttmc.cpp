@@ -124,14 +124,14 @@ template <typename RowMap>
 void ttmc3_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
                    std::size_t mode, const ModeSymbolic& sym,
                    std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                   const TtmcOptions& options) {
+                   Schedule schedule) {
   const auto o = other_modes(x.order(), mode);
   const auto idx_a = x.indices(o.m[0]);
   const auto idx_b = x.indices(o.m[1]);
   const auto values = x.values();
   const la::Matrix& fa = factors[o.m[0]];
   const la::Matrix& fb = factors[o.m[1]];
-  parallel_rows(nrows, options.schedule, [&](std::ptrdiff_t r) {
+  parallel_rows(nrows, schedule, [&](std::ptrdiff_t r) {
     auto row = y.row(static_cast<std::size_t>(r));
     std::fill(row.begin(), row.end(), 0.0);
     for (nnz_t e : sym.update_list(map(r))) {
@@ -145,7 +145,7 @@ template <typename RowMap>
 void ttmc4_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
                    std::size_t mode, const ModeSymbolic& sym,
                    std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                   const TtmcOptions& options) {
+                   Schedule schedule) {
   const auto o = other_modes(x.order(), mode);
   const auto idx_a = x.indices(o.m[0]);
   const auto idx_b = x.indices(o.m[1]);
@@ -154,7 +154,7 @@ void ttmc4_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
   const la::Matrix& fa = factors[o.m[0]];
   const la::Matrix& fb = factors[o.m[1]];
   const la::Matrix& fc = factors[o.m[2]];
-  parallel_rows(nrows, options.schedule, [&](std::ptrdiff_t r) {
+  parallel_rows(nrows, schedule, [&](std::ptrdiff_t r) {
     auto row = y.row(static_cast<std::size_t>(r));
     std::fill(row.begin(), row.end(), 0.0);
     for (nnz_t e : sym.update_list(map(r))) {
@@ -169,8 +169,8 @@ void ttmc_general_per_nnz(const CooTensor& x,
                           const std::vector<la::Matrix>& factors,
                           std::size_t mode, const ModeSymbolic& sym,
                           std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                          const TtmcOptions& options) {
-  parallel_rows(nrows, options.schedule, [&](std::ptrdiff_t r) {
+                          Schedule schedule) {
+  parallel_rows(nrows, schedule, [&](std::ptrdiff_t r) {
     auto row = y.row(static_cast<std::size_t>(r));
     std::fill(row.begin(), row.end(), 0.0);
     for (nnz_t e : sym.update_list(map(r))) {
@@ -182,8 +182,8 @@ void ttmc_general_per_nnz(const CooTensor& x,
 // ---- CSF kernel ------------------------------------------------------------
 
 // Deepest CSF tree the kernel's fixed-size per-level arrays accommodate;
-// higher orders stay on the general per-nnz kernel (the selection logic
-// never offers CSF trees past this depth to the dispatcher).
+// higher orders stay on the general per-nnz kernel (ttmc_wants_csf never
+// asks for a forest past this depth).
 constexpr std::size_t kCsfMaxOrder = 8;
 
 // Read-only per-invocation context of the CSF depth-first walk, shared by
@@ -248,7 +248,7 @@ template <typename RowMap>
 void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
                    const tensor::CsfTree& tree, std::size_t mode,
                    std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                   const TtmcOptions& options) {
+                   Schedule schedule) {
   const std::size_t L = tree.levels();
   HT_CHECK_MSG(L <= kCsfMaxOrder, "CSF kernel supports tensors up to order 8");
   CsfWalkCtx c;
@@ -329,7 +329,7 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
     }
   };
   // Chunk size 1: tiles are already coarse, nnz-balanced units.
-  if (options.schedule == Schedule::kDynamic) {
+  if (schedule == Schedule::kDynamic) {
 #pragma omp parallel for schedule(dynamic, 1)
     for (std::ptrdiff_t ti = 0; ti < ntiles; ++ti) body(ti);
   } else {
@@ -341,21 +341,16 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
 // ---- dispatch --------------------------------------------------------------
 
 template <typename RowMap>
-void ttmc_dispatch(const CooTensor& x, const std::vector<la::Matrix>& factors,
-                   std::size_t mode, const ModeSymbolic& sym,
-                   std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                   const TtmcOptions& options, const tensor::CsfTree* csf) {
-  const std::size_t order = x.order();
-  if (ttmc_selected_kernel(order, options, csf) == TtmcKernel::kCsf) {
-    HT_CHECK_MSG(csf->num_roots() == sym.num_rows(),
-                 "CSF tree does not match the symbolic structure");
-    ttmc_csf_tree(factors, *csf, mode, nrows, map, y, options);
-  } else if (order == 3) {
-    ttmc3_per_nnz(x, factors, mode, sym, nrows, map, y, options);
-  } else if (order == 4) {
-    ttmc4_per_nnz(x, factors, mode, sym, nrows, map, y, options);
+void ttmc_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
+                  std::size_t mode, const ModeSymbolic& sym,
+                  std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
+                  Schedule schedule) {
+  if (x.order() == 3) {
+    ttmc3_per_nnz(x, factors, mode, sym, nrows, map, y, schedule);
+  } else if (x.order() == 4) {
+    ttmc4_per_nnz(x, factors, mode, sym, nrows, map, y, schedule);
   } else {
-    ttmc_general_per_nnz(x, factors, mode, sym, nrows, map, y, options);
+    ttmc_general_per_nnz(x, factors, mode, sym, nrows, map, y, schedule);
   }
 }
 
@@ -370,6 +365,29 @@ void check_inputs(const CooTensor& x, const std::vector<la::Matrix>& factors,
   }
 }
 
+void check_inputs(const CooTensor& x, const std::vector<la::Matrix>& factors,
+                  std::size_t mode, const tensor::CsfTree& tree) {
+  check_inputs(x, factors, mode);
+  HT_CHECK_MSG(tree.levels() == x.order() && tree.root_mode() == mode &&
+                   tree.num_leaves() == x.nnz(),
+               "CSF tree was not built from this tensor and mode");
+}
+
+// Debug-only: dist_hooi calls the subset entry points once per mode per
+// HOOI iteration with plan-derived positions that are fixed at plan
+// construction; an O(|positions|) per-call scan would serialize the hot
+// loop for nothing. In Release an out-of-range position is undefined
+// behavior (the row loop reads past the index) — callers own the contract,
+// and CI's Debug job keeps this check live.
+void check_positions([[maybe_unused]] std::span<const std::uint32_t> positions,
+                     [[maybe_unused]] std::size_t num_rows) {
+#ifndef NDEBUG
+  for (std::uint32_t p : positions) {
+    HT_CHECK_MSG(p < num_rows, "subset position out of range");
+  }
+#endif
+}
+
 }  // namespace
 
 std::size_t ttmc_row_width(const std::vector<la::Matrix>& factors,
@@ -379,19 +397,6 @@ std::size_t ttmc_row_width(const std::vector<la::Matrix>& factors,
     if (t != mode) width *= factors[t].cols();
   }
   return width;
-}
-
-TtmcKernel ttmc_selected_kernel(std::size_t order, const TtmcOptions& options,
-                                const tensor::CsfTree* csf) {
-  if (options.kernel == TtmcKernel::kPerNnz) return TtmcKernel::kPerNnz;
-  // kAuto and kCsf run the forest whenever it is in hand: the plan built it
-  // whenever it could (ttmc_wants_csf), and the walk does the factored
-  // flops while streaming values and coordinates — on prefix-free inputs
-  // it still streams where per-nnz chases nnz_order.
-  const bool csf_capable = csf != nullptr && csf->levels() == order &&
-                           order >= 2 && order <= kCsfMaxOrder &&
-                           csf->has_values();
-  return csf_capable ? TtmcKernel::kCsf : TtmcKernel::kPerNnz;
 }
 
 bool ttmc_wants_csf(std::size_t order, const TtmcOptions& options) {
@@ -420,46 +425,54 @@ void accumulate_kron(const CooTensor& x, nnz_t e,
   kron_general_accumulate(x, e, factors, mode, out, kernel_scratch());
 }
 
+// Capacity-preserving resizes below: every kernel zeroes each output row
+// before accumulating, so the realloc+memset of resize_zero would be pure
+// waste when mode widths differ across modes/iterations.
+
 void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
                std::size_t mode, const ModeSymbolic& sym, la::Matrix& y,
-               const TtmcOptions& options, const tensor::CsfTree* csf) {
+               Schedule schedule) {
   check_inputs(x, factors, mode);
-  HT_CHECK_MSG(csf == nullptr || csf->root_mode() == mode,
-               "CSF tree is rooted at another mode");
-  // Capacity-preserving: every kernel zeroes each output row before
-  // accumulating, so the realloc+memset of resize_zero would be pure waste
-  // when mode widths differ across modes/iterations.
   y.resize(sym.num_rows(), ttmc_row_width(factors, mode));
-  ttmc_dispatch(x, factors, mode, sym,
-                static_cast<std::ptrdiff_t>(sym.num_rows()), IdentityRowMap{},
-                y, options, csf);
+  ttmc_per_nnz(x, factors, mode, sym,
+               static_cast<std::ptrdiff_t>(sym.num_rows()), IdentityRowMap{},
+               y, schedule);
+}
+
+void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
+               std::size_t mode, const tensor::CsfTree& tree, la::Matrix& y,
+               Schedule schedule) {
+  check_inputs(x, factors, mode, tree);
+  y.resize(tree.num_roots(), ttmc_row_width(factors, mode));
+  ttmc_csf_tree(factors, tree, mode,
+                static_cast<std::ptrdiff_t>(tree.num_roots()),
+                IdentityRowMap{}, y, schedule);
 }
 
 void ttmc_mode_subset(const CooTensor& x,
                       const std::vector<la::Matrix>& factors, std::size_t mode,
                       const ModeSymbolic& sym,
                       std::span<const std::uint32_t> positions, la::Matrix& y,
-                      const TtmcOptions& options, const tensor::CsfTree* csf) {
+                      Schedule schedule) {
   check_inputs(x, factors, mode);
-  HT_CHECK_MSG(csf == nullptr || csf->root_mode() == mode,
-               "CSF tree is rooted at another mode");
-
-#ifndef NDEBUG
-  // Debug-only: dist_hooi calls this once per mode per HOOI iteration with
-  // plan-derived positions that are fixed at plan construction; an
-  // O(|positions|) per-call scan would serialize the hot loop for nothing.
-  // In Release an out-of-range position is undefined behavior (the row loop
-  // reads row_ptr past the end) — callers own the contract,
-  // and CI's Debug job keeps this check live.
-  for (std::uint32_t p : positions) {
-    HT_CHECK_MSG(p < sym.num_rows(), "subset position out of range");
-  }
-#endif
-
-  const auto npos = static_cast<std::ptrdiff_t>(positions.size());
+  check_positions(positions, sym.num_rows());
   y.resize(positions.size(), ttmc_row_width(factors, mode));
-  ttmc_dispatch(x, factors, mode, sym, npos, SubsetRowMap{positions}, y,
-                options, csf);
+  ttmc_per_nnz(x, factors, mode, sym,
+               static_cast<std::ptrdiff_t>(positions.size()),
+               SubsetRowMap{positions}, y, schedule);
+}
+
+void ttmc_mode_subset(const CooTensor& x,
+                      const std::vector<la::Matrix>& factors, std::size_t mode,
+                      const tensor::CsfTree& tree,
+                      std::span<const std::uint32_t> positions, la::Matrix& y,
+                      Schedule schedule) {
+  check_inputs(x, factors, mode, tree);
+  check_positions(positions, tree.num_roots());
+  y.resize(positions.size(), ttmc_row_width(factors, mode));
+  ttmc_csf_tree(factors, tree, mode,
+                static_cast<std::ptrdiff_t>(positions.size()),
+                SubsetRowMap{positions}, y, schedule);
 }
 
 }  // namespace ht::core

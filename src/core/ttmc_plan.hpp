@@ -1,22 +1,22 @@
 // TTMc preprocessing, built once per tensor: the one object every HOOI
 // driver (hooi, rank_sweep, dist_hooi per rank, tucker_cli) consumes.
 //
-// TtmcPlan::build(x, options) runs every preprocessing pass the options ask
-// for — the symbolic update lists, and the CSF forest when ttmc_wants_csf
-// says so. This is the one place the TTMc kernel is decided: every mode of
-// every sweep runs the direct kernel over whatever the plan holds
+// TtmcPlan::build(x, options) builds exactly one index: the CSF forest when
+// ttmc_wants_csf says so and the tensor has nonzeros, otherwise the
+// symbolic update lists. This is the one place the TTMc kernel is decided:
+// every mode of every sweep runs the kernel of the index the plan holds
 // (TtmcPlan::kernel), through ttmc() / ttmc_subset(). Nothing in the plan
 // depends on the ranks, so one plan serves every sweep, HOOI run, and rank
-// choice over the same tensor. The CSF trees copy the tensor's values, not
-// only its pattern: a plan runs only the tensor it was built from.
+// choice over the same tensor. The lists index the tensor's nonzeros and
+// the trees copy its values: a plan runs only the tensor it was built from.
 //
 // The plan is a plain aggregate: tests and benches that want a specific
-// structure combination can assemble one field by field.
+// index can assemble one field by field.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "core/symbolic.hpp"
@@ -29,32 +29,40 @@ namespace ht::core {
 struct TtmcPlan {
   /// Options the plan was built for; every TTMc through it runs with them.
   TtmcOptions options;
-  SymbolicTtmc symbolic;
-  /// Per-mode CSF trees; empty when not built.
-  std::optional<tensor::CsfTensor> csf;
+  /// The one index every mode runs over: the update lists (per-nnz kernel)
+  /// or the CSF forest (CSF walk).
+  std::variant<SymbolicTtmc, tensor::CsfTensor> index;
   /// Wall seconds build() took (charged to HooiTimers::symbolic).
   double build_seconds = 0.0;
 
   static TtmcPlan build(const CooTensor& x, const TtmcOptions& options = {});
 
-  /// CSF tree rooted at `mode`, or null.
-  [[nodiscard]] const tensor::CsfTree* csf_tree(std::size_t mode) const {
-    return csf ? &csf->modes[mode] : nullptr;
+  /// Kernel every mode of this plan runs: kCsf over a forest, kPerNnz over
+  /// the lists.
+  [[nodiscard]] TtmcKernel kernel() const {
+    return std::holds_alternative<tensor::CsfTensor>(index)
+               ? TtmcKernel::kCsf
+               : TtmcKernel::kPerNnz;
   }
 
-  /// Kernel the direct TTMc of `mode` resolves to over this plan's
-  /// structures (kAuto applied).
-  [[nodiscard]] TtmcKernel kernel(std::size_t mode) const {
-    return ttmc_selected_kernel(symbolic.modes.size(), options,
-                                csf_tree(mode));
+  /// Compact rows of `mode`, increasing: row r of Y(mode) is global row
+  /// rows(mode)[r]. A tree's level-0 ids are exactly these rows.
+  [[nodiscard]] const std::vector<index_t>& rows(std::size_t mode) const {
+    if (const auto* csf = std::get_if<tensor::CsfTensor>(&index)) {
+      return csf->modes[mode].idx[0];
+    }
+    return std::get<SymbolicTtmc>(index).modes[mode].rows;
   }
 
-  /// Compact Y(mode) of `x` (ttmc_mode over this plan's symbolic lists and
-  /// CSF tree). `x` must be the tensor the plan was built from.
+  /// Compact Y(mode) of `x` (ttmc_mode over this plan's index). `x` must be
+  /// the tensor the plan was built from.
   void ttmc(const CooTensor& x, const std::vector<la::Matrix>& factors,
             std::size_t mode, la::Matrix& y) const {
-    ttmc_mode(x, factors, mode, symbolic.modes[mode], y, options,
-              csf_tree(mode));
+    std::visit(
+        [&](const auto& idx) {
+          ttmc_mode(x, factors, mode, idx.modes[mode], y, options.schedule);
+        },
+        index);
   }
 
   /// Only the listed compact rows: row p of y is compact row positions[p]
@@ -62,8 +70,12 @@ struct TtmcPlan {
   void ttmc_subset(const CooTensor& x, const std::vector<la::Matrix>& factors,
                    std::size_t mode, std::span<const std::uint32_t> positions,
                    la::Matrix& y) const {
-    ttmc_mode_subset(x, factors, mode, symbolic.modes[mode], positions, y,
-                     options, csf_tree(mode));
+    std::visit(
+        [&](const auto& idx) {
+          ttmc_mode_subset(x, factors, mode, idx.modes[mode], positions, y,
+                           options.schedule);
+        },
+        index);
   }
 };
 

@@ -469,7 +469,7 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     // warm start is read from.
     std::vector<std::vector<index_t>> op_factor_rows(order);
     for (std::size_t n = 0; n < order; ++n) {
-      const std::vector<index_t>& sym_rows = plan.symbolic.modes[n].rows;
+      const std::vector<index_t>& sym_rows = plan.rows(n);
       HT_CHECK(sym_rows.size() == rp.modes[n].local_rows.size());
       owned_pos[n].reserve(rp.modes[n].owned_rows.size());
       for (index_t g : rp.modes[n].owned_rows) {

@@ -13,6 +13,18 @@ namespace ht::hypergraph {
 
 namespace {
 
+// Coarsening stops once a level has at most this many vertices.
+constexpr std::size_t kCoarsenTo = 160;
+// FM passes per refinement level (a pass that does not lower the cut ends
+// the level early).
+constexpr int kRefinePasses = 4;
+// Greedy-growth bisections tried at the coarsest level; the best cut wins.
+constexpr int kInitialTries = 4;
+// coarsen_once scores match candidates only through nets of at most this
+// many pins: a huge net says little about which pair belongs together and
+// would make the scoring quadratic in its size.
+constexpr std::size_t kMatchMaxNetSize = 512;
+
 // ---------------------------------------------------------------------------
 // Bisection working state: a (possibly coarsened) hypergraph plus 0/1 labels.
 // ---------------------------------------------------------------------------
@@ -135,12 +147,9 @@ struct HeapEntry {
   bool operator<(const HeapEntry& o) const { return gain < o.gain; }
 };
 
-void fm_pass(Bisection& b, std::array<weight_t, 2> max_weight,
-             std::size_t large_net_threshold, ht::Rng& rng) {
+void fm_pass(Bisection& b, std::array<weight_t, 2> max_weight) {
   const Hypergraph& h = *b.h;
   const std::size_t nv = h.num_vertices();
-  (void)large_net_threshold;
-  (void)rng;
 
   b.init_gains();  // rollbacks of earlier passes leave gains stale
 
@@ -247,8 +256,7 @@ void greedy_grow(Bisection& b, weight_t target0, ht::Rng& rng) {
 }
 
 // Move lightest-impact vertices until both sides satisfy max weights.
-void rebalance(Bisection& b, std::array<weight_t, 2> max_weight,
-               ht::Rng& rng) {
+void rebalance(Bisection& b, std::array<weight_t, 2> max_weight) {
   const Hypergraph& h = *b.h;
   const std::size_t nv = h.num_vertices();
   for (int iter = 0; iter < 4; ++iter) {
@@ -263,7 +271,6 @@ void rebalance(Bisection& b, std::array<weight_t, 2> max_weight,
     for (vid_t v = 0; v < nv; ++v) {
       if (b.side[v] == over) heap.push({b.gain[v], v});
     }
-    (void)rng;
     while (b.weight[over] > max_weight[over] && !heap.empty()) {
       const auto [g, v] = heap.top();
       heap.pop();
@@ -282,8 +289,7 @@ struct CoarseLevel {
   std::vector<vid_t> fine_to_coarse;
 };
 
-CoarseLevel coarsen_once(const Hypergraph& h, ht::Rng& rng,
-                         std::size_t max_net_size) {
+CoarseLevel coarsen_once(const Hypergraph& h, ht::Rng& rng) {
   const std::size_t nv = h.num_vertices();
   std::vector<vid_t> match(nv, static_cast<vid_t>(-1));
 
@@ -302,7 +308,7 @@ CoarseLevel coarsen_once(const Hypergraph& h, ht::Rng& rng,
     touched.clear();
     for (nid_t n : h.vertex_nets(v)) {
       const auto pins = h.net_pins(n);
-      if (pins.size() > max_net_size || pins.size() < 2) continue;
+      if (pins.size() > kMatchMaxNetSize || pins.size() < 2) continue;
       const double w =
           static_cast<double>(h.net_cost(n)) / static_cast<double>(pins.size() - 1);
       for (vid_t u : pins) {
@@ -388,9 +394,7 @@ CoarseLevel coarsen_once(const Hypergraph& h, ht::Rng& rng,
 // ---------------------------------------------------------------------------
 
 std::vector<int> multilevel_bisect(const Hypergraph& h, double fraction0,
-                                   double epsilon,
-                                   const PartitionerOptions& options,
-                                   ht::Rng& rng) {
+                                   double epsilon, ht::Rng& rng) {
   const weight_t total = h.total_vertex_weight();
   const auto target0 = static_cast<weight_t>(
       std::llround(static_cast<double>(total) * fraction0));
@@ -398,14 +402,11 @@ std::vector<int> multilevel_bisect(const Hypergraph& h, double fraction0,
       static_cast<weight_t>(std::ceil((1.0 + epsilon) * target0)),
       static_cast<weight_t>(std::ceil((1.0 + epsilon) * (total - target0)))};
 
-  const std::size_t coarsen_to =
-      options.coarsen_to > 0 ? options.coarsen_to : std::size_t{160};
-
   // Coarsening chain.
   std::vector<CoarseLevel> levels;
   const Hypergraph* current = &h;
-  while (current->num_vertices() > coarsen_to) {
-    CoarseLevel level = coarsen_once(*current, rng, options.large_net_threshold);
+  while (current->num_vertices() > kCoarsenTo) {
+    CoarseLevel level = coarsen_once(*current, rng);
     const double shrink = static_cast<double>(level.coarse.num_vertices()) /
                           static_cast<double>(current->num_vertices());
     if (shrink > 0.85) break;  // matching stalled
@@ -417,14 +418,14 @@ std::vector<int> multilevel_bisect(const Hypergraph& h, double fraction0,
   Bisection best;
   best.h = current;
   bool have_best = false;
-  for (int attempt = 0; attempt < options.initial_tries; ++attempt) {
+  for (int attempt = 0; attempt < kInitialTries; ++attempt) {
     Bisection b;
     b.h = current;
     greedy_grow(b, target0, rng);
-    rebalance(b, max_weight, rng);
-    for (int pass = 0; pass < options.refine_passes; ++pass) {
+    rebalance(b, max_weight);
+    for (int pass = 0; pass < kRefinePasses; ++pass) {
       const weight_t before = b.cut;
-      fm_pass(b, max_weight, options.large_net_threshold, rng);
+      fm_pass(b, max_weight);
       if (b.cut >= before) break;
     }
     if (!have_best || b.cut < best.cut) {
@@ -445,10 +446,10 @@ std::vector<int> multilevel_bisect(const Hypergraph& h, double fraction0,
     b.h = &fine;
     b.side = std::move(fine_side);
     b.init_counts();
-    rebalance(b, max_weight, rng);
-    for (int pass = 0; pass < options.refine_passes; ++pass) {
+    rebalance(b, max_weight);
+    for (int pass = 0; pass < kRefinePasses; ++pass) {
       const weight_t before = b.cut;
-      fm_pass(b, max_weight, options.large_net_threshold, rng);
+      fm_pass(b, max_weight);
       if (b.cut >= before) break;
     }
     side = std::move(b.side);
@@ -494,8 +495,8 @@ SubHypergraph induce(const Hypergraph& h, const std::vector<int>& side,
 }
 
 void recurse(const Hypergraph& h, int k, int part_offset, double epsilon,
-             const PartitionerOptions& options, ht::Rng& rng,
-             const std::vector<vid_t>& to_root, std::vector<int>& result) {
+             ht::Rng& rng, const std::vector<vid_t>& to_root,
+             std::vector<int>& result) {
   if (k == 1 || h.num_vertices() == 0) {
     for (vid_t v = 0; v < h.num_vertices(); ++v) {
       result[to_root[v]] = part_offset;
@@ -504,8 +505,7 @@ void recurse(const Hypergraph& h, int k, int part_offset, double epsilon,
   }
   const int k0 = (k + 1) / 2;
   const double fraction0 = static_cast<double>(k0) / k;
-  const std::vector<int> side =
-      multilevel_bisect(h, fraction0, epsilon, options, rng);
+  const std::vector<int> side = multilevel_bisect(h, fraction0, epsilon, rng);
 
   for (int which = 0; which < 2; ++which) {
     SubHypergraph sub = induce(h, side, which);
@@ -514,7 +514,7 @@ void recurse(const Hypergraph& h, int k, int part_offset, double epsilon,
       sub_to_root[i] = to_root[sub.to_parent[i]];
     }
     recurse(sub.h, which == 0 ? k0 : k - k0,
-            which == 0 ? part_offset : part_offset + k0, epsilon, options, rng,
+            which == 0 ? part_offset : part_offset + k0, epsilon, rng,
             sub_to_root, result);
   }
 }
@@ -538,8 +538,7 @@ Partition partition_multilevel(const Hypergraph& h,
   ht::Rng rng(options.seed);
   std::vector<vid_t> identity(h.num_vertices());
   std::iota(identity.begin(), identity.end(), 0);
-  recurse(h, options.num_parts, 0, eps_level, options, rng, identity,
-          p.part_of);
+  recurse(h, options.num_parts, 0, eps_level, rng, identity, p.part_of);
   return p;
 }
 

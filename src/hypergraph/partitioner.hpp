@@ -24,15 +24,6 @@ struct PartitionerOptions {
   /// Allowed imbalance: max part weight <= (1 + epsilon) * ideal.
   double epsilon = 0.10;
   std::uint64_t seed = 1;
-  /// Stop coarsening below this many vertices (0 = automatic).
-  std::size_t coarsen_to = 0;
-  /// FM passes per refinement level.
-  int refine_passes = 4;
-  /// Number of random initial bisections tried at the coarsest level.
-  int initial_tries = 4;
-  /// Nets larger than this are tracked for cut counting but skipped when
-  /// propagating FM gain updates (they practically never become uncut).
-  std::size_t large_net_threshold = 512;
 };
 
 /// Multilevel k-way partition minimizing (lambda-1) connectivity.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "parallel/thread_info.hpp"
 #include "util/error.hpp"
 
 namespace ht::serve {
@@ -79,9 +78,9 @@ void QueryEngine::full_idx(index_t entity, std::span<const index_t> rest,
   }
 }
 
-std::vector<Scored> QueryEngine::topk_one(index_t entity, std::size_t k,
-                                          std::span<const index_t> rest,
-                                          core::ReconstructWorkspace& ws) {
+std::vector<Scored> QueryEngine::topk(index_t entity, std::size_t k,
+                                      std::span<const index_t> rest) {
+  core::ReconstructWorkspace& ws = core::ReconstructWorkspace::tls();
   const std::size_t item_mode = options_.item_mode;
   const index_t items = model_->dims()[item_mode];
   const std::size_t rank = model_->ranks()[item_mode];
@@ -113,32 +112,10 @@ std::vector<Scored> QueryEngine::topk_one(index_t entity, std::size_t k,
   return scored;
 }
 
-std::vector<Scored> QueryEngine::topk(index_t entity, std::size_t k,
-                                      std::span<const index_t> rest) {
-  return topk_one(entity, k, rest, core::ReconstructWorkspace::tls());
-}
-
 std::vector<double> QueryEngine::score_batch(
     const std::vector<std::vector<index_t>>& queries) {
   std::vector<double> out(queries.size());
-  parallel::ThreadScope threads(options_.num_threads);
-#pragma omp parallel for schedule(dynamic, 64)
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    out[q] = score(queries[q]);
-  }
-  return out;
-}
-
-std::vector<std::vector<Scored>> QueryEngine::topk_batch(
-    std::span<const index_t> entities, std::size_t k,
-    std::span<const index_t> rest) {
-  std::vector<std::vector<Scored>> out(entities.size());
-  parallel::ThreadScope threads(options_.num_threads);
-#pragma omp parallel for schedule(dynamic, 8)
-  for (std::size_t e = 0; e < entities.size(); ++e) {
-    out[e] = topk_one(entities[e], k, rest,
-                      core::ReconstructWorkspace::tls());
-  }
+  for (std::size_t q = 0; q < queries.size(); ++q) out[q] = score(queries[q]);
   return out;
 }
 

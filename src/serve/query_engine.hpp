@@ -1,5 +1,5 @@
 // Serving query engine: point scores, top-k recommendation, and batched
-// endpoints over one immutable ServeModel snapshot, with a bounded LRU
+// point scores over one immutable ServeModel snapshot, with a bounded LRU
 // cache of per-entity core contractions for hot users.
 //
 // Every query on entity e (default: mode 0, the user mode) factors into
@@ -13,10 +13,9 @@
 //
 // Thread-safety: the engine is safe for concurrent use. The cache is the
 // only mutable state and is guarded by a mutex held for map/list surgery
-// only — slice computation and scoring run outside the lock. Batched
-// endpoints parallelize over OpenMP and return results bit-identical to
-// the sequential loop (each query's arithmetic is independent and
-// deterministic; only scheduling varies).
+// only — slice computation and scoring run outside the lock. Every query,
+// batched or not, runs in the caller's thread: a server's connection
+// threads are its parallelism.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +38,6 @@ struct QueryOptions {
   std::size_t entity_mode = 0;
   /// Mode ranked by topk (the "item" mode).
   std::size_t item_mode = 1;
-  /// OpenMP threads for the batched endpoints (0 = runtime default).
-  int num_threads = 0;
 };
 
 struct CacheStats {
@@ -75,14 +72,9 @@ class QueryEngine {
   std::vector<Scored> topk(index_t entity, std::size_t k,
                            std::span<const index_t> rest = {});
 
-  /// Batched point queries; bit-identical to calling score() per row.
+  /// Batched point queries: score() per row, in order.
   std::vector<double> score_batch(
       const std::vector<std::vector<index_t>>& queries);
-
-  /// Batched top-k; bit-identical to calling topk() per entity.
-  std::vector<std::vector<Scored>> topk_batch(
-      std::span<const index_t> entities, std::size_t k,
-      std::span<const index_t> rest = {});
 
   [[nodiscard]] CacheStats cache_stats() const;
   void clear_cache();
@@ -96,11 +88,6 @@ class QueryEngine {
   /// placeholder item index.
   void full_idx(index_t entity, std::span<const index_t> rest,
                 std::vector<index_t>& idx) const;
-  /// One top-k evaluation on a caller-provided workspace (the unit the
-  /// batched endpoint parallelizes).
-  std::vector<Scored> topk_one(index_t entity, std::size_t k,
-                               std::span<const index_t> rest,
-                               core::ReconstructWorkspace& ws);
 
   std::shared_ptr<const ServeModel> model_;
   QueryOptions options_;

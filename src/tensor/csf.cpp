@@ -24,7 +24,7 @@ double CsfTree::prefix_sharing_ratio() const {
          static_cast<double>(levels() - 1) / static_cast<double>(stored);
 }
 
-CsfTree CsfTree::build_pattern(const CooTensor& x, std::size_t root) {
+CsfTree CsfTree::build(const CooTensor& x, std::size_t root) {
   const std::size_t order = x.order();
   HT_CHECK_MSG(order >= 2, "CSF needs at least 2 modes");
   HT_CHECK(root < order);
@@ -81,7 +81,6 @@ CsfTree CsfTree::build_pattern(const CooTensor& x, std::size_t root) {
 
   t.idx.resize(L);
   t.ptr.resize(L);
-  t.leaf_entry = std::move(perm);
   for (std::size_t d = 0; d < L; ++d) {
     // Nodes at level d, and the CSR split of level-d nodes by their
     // level-(d-1) parent. Parent starts are a subset of child starts
@@ -91,10 +90,16 @@ CsfTree CsfTree::build_pattern(const CooTensor& x, std::size_t root) {
     for (std::size_t s = 0; s < nslots; ++s) {
       const bool starts = d + 1 == L || break_level[s] <= d;
       if (d >= 1 && break_level[s] <= d - 1) parent_ptr.push_back(ids.size());
-      if (starts) ids.push_back(coord[d][t.leaf_entry[s]]);
+      if (starts) ids.push_back(coord[d][perm[s]]);
     }
     if (d >= 1) parent_ptr.push_back(ids.size());
   }
+
+  // Values in leaf order: the walk streams them, so the permutation itself
+  // is not kept.
+  const auto vals = x.values();
+  t.values.resize(nslots);
+  for (std::size_t s = 0; s < nslots; ++s) t.values[s] = vals[perm[s]];
 
   std::vector<nnz_t>& root_ptr = t.root_leaf_ptr;
   root_ptr.reserve(t.num_roots() + 1);
@@ -105,27 +110,7 @@ CsfTree CsfTree::build_pattern(const CooTensor& x, std::size_t root) {
   return t;
 }
 
-void CsfTree::attach_values(const CooTensor& x) {
-  HT_CHECK_MSG(x.nnz() == leaf_entry.size(),
-               "value count does not match the CSF pattern");
-  const auto vals = x.values();
-  std::vector<double> gathered(leaf_entry.size());
-  const auto n = static_cast<std::ptrdiff_t>(leaf_entry.size());
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t s = 0; s < n; ++s) {
-    gathered[static_cast<std::size_t>(s)] =
-        vals[leaf_entry[static_cast<std::size_t>(s)]];
-  }
-  values = std::move(gathered);
-}
-
 CsfTensor CsfTensor::build(const CooTensor& x) {
-  CsfTensor c = build_pattern(x);
-  c.attach_values(x);
-  return c;
-}
-
-CsfTensor CsfTensor::build_pattern(const CooTensor& x) {
   HT_CHECK_MSG(x.order() >= 2, "CSF needs at least 2 modes");
   CsfTensor c;
   c.modes.resize(x.order());
@@ -136,13 +121,9 @@ CsfTensor CsfTensor::build_pattern(const CooTensor& x) {
 #pragma omp parallel for schedule(dynamic, 1)
   for (int n = 0; n < order; ++n) {
     c.modes[static_cast<std::size_t>(n)] =
-        CsfTree::build_pattern(x, static_cast<std::size_t>(n));
+        CsfTree::build(x, static_cast<std::size_t>(n));
   }
   return c;
-}
-
-void CsfTensor::attach_values(const CooTensor& x) {
-  for (auto& t : modes) t.attach_values(x);
 }
 
 }  // namespace ht::tensor

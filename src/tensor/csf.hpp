@@ -22,13 +22,11 @@
 // kernel un-permutes at the root: a served row is produced in tree Kronecker
 // order and scattered once into ttmc_mode's increasing-mode layout.
 //
-// Construction is pattern-only: the tree structure and the leaf gather map
-// (`leaf_entry`) depend on the nonzero pattern alone, so one CsfTensor is
-// reused across HOOI iterations, HOOI runs, and the rank grid of a
-// rank_sweep; attach_values() re-gathers values without rebuilding (the
-// tensor values never change inside a decomposition, so build() does both
-// once). Trees live on the heap of the process that built them
-// (core::TtmcPlan); they are not part of a saved model.
+// Each tree copies the tensor's values into leaf order when it is built,
+// so one CsfTensor is reused across HOOI iterations, HOOI runs, and the
+// rank grid of a rank_sweep over the tensor it was built from. Trees live
+// on the heap of the process that built them (core::TtmcPlan); they are
+// not part of a saved model.
 //
 // Determinism: the lexicographic sort breaks ties by nonzero ordinal, so
 // the tree — and therefore the kCsf kernel's per-row accumulation order —
@@ -58,13 +56,10 @@ struct CsfTree {
   /// ptr[d] (d >= 1, size num_nodes(d-1) + 1): node k at level d-1 owns the
   /// level-d children [ptr[d][k], ptr[d][k+1]). ptr[0] is empty.
   std::vector<std::vector<nnz_t>> ptr;
-  /// Leaf slot -> original nonzero ordinal (the pattern-only gather map).
-  std::vector<nnz_t> leaf_entry;
   /// Leaf span under each root subtree (size num_roots() + 1): the nnz
   /// weights the kernel's tile scheduler balances on.
   std::vector<nnz_t> root_leaf_ptr;
-  /// Tensor values gathered into leaf order; empty until attach_values()
-  /// (or build(), which gathers immediately).
+  /// Tensor values in leaf order.
   std::vector<double> values;
 
   [[nodiscard]] std::size_t levels() const { return level_modes.size(); }
@@ -75,10 +70,7 @@ struct CsfTree {
   [[nodiscard]] std::size_t num_roots() const {
     return idx.empty() ? 0 : idx[0].size();
   }
-  [[nodiscard]] std::size_t num_leaves() const { return leaf_entry.size(); }
-  [[nodiscard]] bool has_values() const {
-    return values.size() == leaf_entry.size() && !leaf_entry.empty();
-  }
+  [[nodiscard]] std::size_t num_leaves() const { return values.size(); }
 
   /// Mean leaves per deepest internal node: how many nonzeros share each
   /// leaf-level prefix under the tree's own level order. bench_ablation
@@ -97,11 +89,9 @@ struct CsfTree {
     return root_leaf_ptr[k + 1] - root_leaf_ptr[k];
   }
 
-  /// Pattern-only build (no values). Requires order >= 2, root < order.
-  static CsfTree build_pattern(const CooTensor& x, std::size_t root);
-
-  /// Gather `x`'s values into leaf order through leaf_entry.
-  void attach_values(const CooTensor& x);
+  /// Build the tree rooted at `root` with `x`'s values in leaf order.
+  /// Requires order >= 2, root < order.
+  static CsfTree build(const CooTensor& x, std::size_t root);
 };
 
 /// One CSF tree per root mode. Built once per tensor and shared across
@@ -111,15 +101,8 @@ struct CsfTensor {
 
   [[nodiscard]] std::size_t order() const { return modes.size(); }
 
-  /// Build all per-mode trees with values attached (modes in parallel).
+  /// Build all per-mode trees (modes in parallel).
   static CsfTensor build(const CooTensor& x);
-
-  /// Pattern-only variant; call attach_values() before handing the trees
-  /// to a numeric kernel.
-  static CsfTensor build_pattern(const CooTensor& x);
-
-  /// Gather values into every tree.
-  void attach_values(const CooTensor& x);
 };
 
 }  // namespace ht::tensor

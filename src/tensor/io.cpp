@@ -349,123 +349,4 @@ void write_tns_file(const std::string& path, const CooTensor& x) {
   if (!out) throw IoError("write failed: " + path);
 }
 
-namespace {
-constexpr char kMagic[6] = {'H', 'T', 'N', 'S', 'B', '1'};
-
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T v;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw IoError("truncated binary tensor file");
-  return v;
-}
-
-// Reads n elements of T straight into a new column.
-template <typename T>
-std::vector<T> read_column(std::istream& in, std::uint64_t n,
-                           const std::string& what) {
-  std::vector<T> column(n);
-  const auto bytes = static_cast<std::streamsize>(n * sizeof(T));
-  in.read(reinterpret_cast<char*>(column.data()), bytes);
-  if (!in || in.gcount() != bytes) throw IoError("truncated " + what);
-  return column;
-}
-}  // namespace
-
-void write_binary_file(const std::string& path, const CooTensor& x) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw IoError("cannot open " + path + " for writing");
-  out.write(kMagic, sizeof kMagic);
-  write_pod<std::uint64_t>(out, x.order());
-  for (index_t d : x.shape()) write_pod<std::uint32_t>(out, d);
-  write_pod<std::uint64_t>(out, x.nnz());
-  for (std::size_t n = 0; n < x.order(); ++n) {
-    const auto idx = x.indices(n);
-    out.write(reinterpret_cast<const char*>(idx.data()),
-              static_cast<std::streamsize>(idx.size() * sizeof(index_t)));
-  }
-  const auto vals = x.values();
-  out.write(reinterpret_cast<const char*>(vals.data()),
-            static_cast<std::streamsize>(vals.size() * sizeof(value_t)));
-  if (!out) throw IoError("write failed: " + path);
-}
-
-CooTensor read_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open " + path);
-  char magic[6];
-  in.read(magic, sizeof magic);
-  if (!in || std::string(magic, 6) != std::string(kMagic, 6)) {
-    throw IoError("bad magic in " + path);
-  }
-  const auto order = read_pod<std::uint64_t>(in);
-  if (order == 0 || order > kMaxOrder) throw IoError("implausible tensor order");
-  Shape shape(order);
-  for (std::size_t n = 0; n < order; ++n) {
-    shape[n] = read_pod<std::uint32_t>(in);
-    if (shape[n] == 0) {
-      throw IoError("zero-sized mode " + std::to_string(n) + " in " + path);
-    }
-  }
-  const auto nnz = read_pod<std::uint64_t>(in);
-
-  // Validate the declared payload against the bytes actually present before
-  // trusting nnz for allocation: a corrupt or truncated header would
-  // otherwise drive a multi-GB allocation (or bad_alloc) instead of a clean
-  // IoError.
-  const std::streamoff header_end = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::streamoff file_end = in.tellg();
-  in.seekg(header_end, std::ios::beg);
-  if (header_end < 0 || file_end < header_end) {
-    throw IoError("cannot determine payload size of " + path);
-  }
-  const auto available = static_cast<std::uint64_t>(file_end - header_end);
-  const std::uint64_t bytes_per_nnz =
-      order * sizeof(index_t) + sizeof(value_t);
-  if (nnz > available / bytes_per_nnz) {
-    throw IoError("header of " + path + " declares " + std::to_string(nnz) +
-                  " nonzeros but only " + std::to_string(available) +
-                  " payload bytes are present");
-  }
-  // The payload must also not be *longer* than declared: trailing bytes mean
-  // the header and body disagree (e.g. an interrupted rewrite over a larger
-  // file), and silently ignoring them would return a tensor that matches
-  // neither the old nor the new contents.
-  if (available != nnz * bytes_per_nnz) {
-    throw IoError("payload of " + path + " has " + std::to_string(available) +
-                  " bytes, expected exactly " +
-                  std::to_string(nnz * bytes_per_nnz));
-  }
-
-  std::vector<storage::Span<index_t>> idx;
-  idx.reserve(order);
-  for (std::size_t n = 0; n < order; ++n) {
-    idx.emplace_back(read_column<index_t>(in, nnz, "index data in " + path));
-  }
-  storage::Span<value_t> vals(
-      read_column<value_t>(in, nnz, "value data in " + path));
-
-  for (nnz_t t = 0; t < nnz; ++t) {
-    for (std::size_t n = 0; n < order; ++n) {
-      if (idx[n][t] >= shape[n]) {
-        throw IoError("nonzero " + std::to_string(t) + " of " + path +
-                      " has mode-" + std::to_string(n) +
-                      " index outside the declared shape");
-      }
-    }
-    if (!std::isfinite(vals[t])) {
-      throw IoError("nonzero " + std::to_string(t) + " of " + path +
-                    " has a non-finite value");
-    }
-  }
-  return CooTensor::from_columns(std::move(shape), std::move(idx),
-                                 std::move(vals));
-}
-
 }  // namespace ht::tensor

@@ -10,9 +10,6 @@
 // else throws ht::IoError naming the line. The text is parsed in fixed
 // byte blocks over the ambient OpenMP team; the tensor and the first error
 // are the same at any thread count.
-//
-// Binary format: "HTNSB1" magic, little-endian u64 order/shape/nnz, then
-// per-mode u32 index arrays and f64 values. Used to cache generated tensors.
 #pragma once
 
 #include <iosfwd>
@@ -31,9 +28,5 @@ CooTensor read_tns_file(const std::string& path, Shape shape = {});
 /// Write .tns text (1-based indices).
 void write_tns(std::ostream& out, const CooTensor& x);
 void write_tns_file(const std::string& path, const CooTensor& x);
-
-/// Binary round-trip.
-void write_binary_file(const std::string& path, const CooTensor& x);
-CooTensor read_binary_file(const std::string& path);
 
 }  // namespace ht::tensor

@@ -346,18 +346,14 @@ TEST(HooiTest, PlanRecordsPreprocessingDecisions) {
        {ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 6, 29),
         ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47)}) {
     const TtmcPlan plan = TtmcPlan::build(x);
-    ASSERT_TRUE(plan.csf.has_value());
     EXPECT_GT(plan.build_seconds, 0.0);
-    for (std::size_t n = 0; n < x.order(); ++n) {
-      EXPECT_EQ(plan.kernel(n), ht::core::TtmcKernel::kCsf) << "mode " << n;
-    }
+    EXPECT_EQ(plan.kernel(), ht::core::TtmcKernel::kCsf);
   }
 
   const CooTensor x = ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
   const TtmcPlan direct =
       TtmcPlan::build(x, {.kernel = ht::core::TtmcKernel::kPerNnz});
-  EXPECT_FALSE(direct.csf.has_value());
-  EXPECT_EQ(direct.kernel(0), ht::core::TtmcKernel::kPerNnz);
+  EXPECT_EQ(direct.kernel(), ht::core::TtmcKernel::kPerNnz);
 }
 
 TEST(HooiTest, PlanForOtherOptionsIsRejected) {
@@ -370,23 +366,37 @@ TEST(HooiTest, PlanForOtherOptionsIsRejected) {
 
 // Order and nonzero count do not identify a tensor: the same 400 nonzeros
 // spread over 400^3 give a plan whose compact rows lie past a 20^3
-// tensor's factor rows.
+// tensor's factor rows. Nor do order and rows: dropping one nonzero keeps
+// them but leaves the plan covering a nonzero the tensor lacks. Both
+// indexes are checked.
 TEST(HooiTest, PlanFromAnotherTensorIsRejected) {
-  auto grid = [](index_t stride, index_t dim) {
+  auto grid = [](index_t stride, index_t dim, index_t count) {
     CooTensor x(Shape{dim, dim, dim});
-    for (index_t k = 0; k < 400; ++k) {
+    for (index_t k = 0; k < count; ++k) {
       const std::vector<index_t> idx = {(k % 20) * stride, (k / 20) * stride,
                                         (k * 7 % 20) * stride};
       x.push_back(idx, 1.0 + k % 3);
     }
     return x;
   };
-  const CooTensor big = grid(20, 400);
-  const CooTensor small = grid(1, 20);
+  const CooTensor big = grid(20, 400, 400);
+  const CooTensor small = grid(1, 20, 400);
+  const CooTensor dropped = grid(1, 20, 399);
   ASSERT_EQ(big.nnz(), small.nnz());
-  EXPECT_THROW(ht::core::hooi(small, basic_options({2, 2, 2}, 1),
-                              TtmcPlan::build(big)),
-               ht::InvalidArgument);
+  for (const auto kernel :
+       {ht::core::TtmcKernel::kAuto, ht::core::TtmcKernel::kPerNnz}) {
+    HooiOptions opt = basic_options({2, 2, 2}, 1);
+    opt.ttmc.kernel = kernel;
+    const TtmcPlan from_big = TtmcPlan::build(big, opt.ttmc);
+    const TtmcPlan from_small = TtmcPlan::build(small, opt.ttmc);
+    ASSERT_EQ(from_big.kernel(), kernel == ht::core::TtmcKernel::kAuto
+                                     ? ht::core::TtmcKernel::kCsf
+                                     : ht::core::TtmcKernel::kPerNnz);
+    EXPECT_THROW(ht::core::hooi(small, opt, from_big), ht::InvalidArgument);
+    EXPECT_THROW(ht::core::hooi(dropped, opt, from_small),
+                 ht::InvalidArgument);
+    EXPECT_NO_THROW(ht::core::hooi(small, opt, from_small));
+  }
 }
 
 TEST(HooiTest, TimersArePopulated) {

@@ -1,9 +1,11 @@
 // CSF tree invariants, golden equivalence of the CSF TTMc kernel against
 // the per-nnz kernel across orders and entry points, the kAuto selection,
-// and thread-count determinism.
+// the plan's one index, and thread-count determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/hooi.hpp"
@@ -109,8 +111,8 @@ TEST(CsfTreeTest, StructureInvariantsHoldPerMode) {
         ASSERT_EQ(t.idx[0][k], sym.modes[n].rows[k]);
       }
 
-      // CSR nesting: ptr[d] spans cover the next level exactly, leaves
-      // count the nonzeros, and leaf_entry is a permutation.
+      // CSR nesting: ptr[d] spans cover the next level exactly, and the
+      // leaves count the nonzeros.
       ASSERT_EQ(t.num_leaves(), x.nnz());
       for (std::size_t d = 1; d < L; ++d) {
         ASSERT_EQ(t.ptr[d].size(), t.num_nodes(d - 1) + 1);
@@ -120,53 +122,50 @@ TEST(CsfTreeTest, StructureInvariantsHoldPerMode) {
           ASSERT_LT(t.ptr[d][k], t.ptr[d][k + 1]) << "empty node";
         }
       }
-      std::vector<nnz_t> perm_sorted = t.leaf_entry;
-      std::sort(perm_sorted.begin(), perm_sorted.end());
-      for (nnz_t e = 0; e < x.nnz(); ++e) ASSERT_EQ(perm_sorted[e], e);
-
-      // Every leaf below a node shares the node's prefix coordinates, and
-      // values were gathered through the same permutation.
-      for (nnz_t s = 0; s < t.num_leaves(); ++s) {
-        const nnz_t e = t.leaf_entry[s];
-        ASSERT_EQ(t.values[s], x.value(e));
-        ASSERT_EQ(t.idx[L - 1][s], x.index(t.level_modes[L - 1], e));
-      }
-      // Walk each level's spans down to leaves and compare coordinates.
-      for (std::size_t d = 0; d + 1 < L; ++d) {
-        // leaf span of node k at level d: compose ptr[d+1..L-1].
-        for (std::size_t k = 0; k < t.num_nodes(d); ++k) {
-          nnz_t lo = k, hi = k + 1;
-          for (std::size_t e = d + 1; e < L; ++e) {
-            lo = t.ptr[e][lo];
-            hi = t.ptr[e][hi];
-          }
-          for (nnz_t s = lo; s < hi; ++s) {
-            ASSERT_EQ(x.index(t.level_modes[d], t.leaf_entry[s]), t.idx[d][k])
-                << c.name << " mode " << n << " level " << d;
-          }
-          if (d == 0) {
-            ASSERT_EQ(t.root_leaf_ptr[k], lo);
-            ASSERT_EQ(t.root_leaf_ptr[k + 1], hi);
-          }
+      // root_leaf_ptr is each root's leaf span: compose ptr[1..L-1].
+      for (std::size_t k = 0; k < t.num_roots(); ++k) {
+        nnz_t lo = k, hi = k + 1;
+        for (std::size_t d = 1; d < L; ++d) {
+          lo = t.ptr[d][lo];
+          hi = t.ptr[d][hi];
         }
+        ASSERT_EQ(t.root_leaf_ptr[k], lo);
+        ASSERT_EQ(t.root_leaf_ptr[k + 1], hi);
       }
+
+      // The root-to-leaf paths, as (coordinates, value) tuples, are exactly
+      // the tensor's nonzeros: every leaf below a node shares the node's
+      // prefix, and the values were gathered in leaf order.
+      std::vector<nnz_t> node(L);  // current node per level on the path
+      std::vector<std::pair<std::vector<index_t>, double>> paths, entries;
+      for (nnz_t s = 0; s < t.num_leaves(); ++s) {
+        node[L - 1] = s;
+        for (std::size_t d = L - 1; d-- > 0;) {
+          // Parent of node[d + 1]: the last level-d node whose child span
+          // starts at or before it.
+          const auto& cp = t.ptr[d + 1];
+          node[d] = static_cast<nnz_t>(
+              std::upper_bound(cp.begin(), cp.end(), node[d + 1]) -
+              cp.begin() - 1);
+        }
+        std::vector<index_t> coords(L);
+        for (std::size_t d = 0; d < L; ++d) {
+          coords[t.level_modes[d]] = t.idx[d][node[d]];
+        }
+        paths.emplace_back(std::move(coords), t.values[s]);
+      }
+      for (nnz_t e = 0; e < x.nnz(); ++e) {
+        std::vector<index_t> coords(L);
+        for (std::size_t m = 0; m < L; ++m) coords[m] = x.index(m, e);
+        entries.emplace_back(std::move(coords), x.value(e));
+      }
+      std::sort(paths.begin(), paths.end());
+      std::sort(entries.begin(), entries.end());
+      ASSERT_EQ(paths, entries) << c.name << " mode " << n;
 
       EXPECT_GT(t.prefix_sharing_ratio(), 0.99);
       EXPECT_GT(t.avg_leaf_fiber_length(), 0.0);
     }
-  }
-}
-
-TEST(CsfTreeTest, PatternThenAttachMatchesBuild) {
-  const CooTensor x = ht::tensor::random_fibered(Shape{20, 25, 30}, 120, 5, 7);
-  const CsfTensor full = CsfTensor::build(x);
-  CsfTensor pattern = CsfTensor::build_pattern(x);
-  for (const auto& t : pattern.modes) EXPECT_FALSE(t.has_values());
-  pattern.attach_values(x);
-  for (std::size_t n = 0; n < x.order(); ++n) {
-    ASSERT_TRUE(pattern.modes[n].has_values());
-    EXPECT_EQ(pattern.modes[n].values, full.modes[n].values);
-    EXPECT_EQ(pattern.modes[n].leaf_entry, full.modes[n].leaf_entry);
   }
 }
 
@@ -179,10 +178,8 @@ TEST(CsfTtmcTest, MatchesOtherKernelsFullModeAllSchedules) {
     for (std::size_t n = 0; n < x.order(); ++n) {
       for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
         Matrix y_nnz, y_csf;
-        ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_nnz,
-                            {s, TtmcKernel::kPerNnz});
-        ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_csf,
-                            {s, TtmcKernel::kCsf}, &csf.modes[n]);
+        ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_nnz, s);
+        ht::core::ttmc_mode(x, factors, n, csf.modes[n], y_csf, s);
         ASSERT_EQ(y_nnz.rows(), y_csf.rows());
         ASSERT_EQ(y_nnz.cols(), y_csf.cols());
         EXPECT_TRUE(y_nnz.approx_equal(y_csf, kTol))
@@ -208,53 +205,27 @@ TEST(CsfTtmcTest, MatchesPerNnzSubsetPath) {
       for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
         Matrix y_nnz, y_csf;
         ht::core::ttmc_mode_subset(x, factors, n, sym.modes[n], positions,
-                                   y_nnz, {s, TtmcKernel::kPerNnz});
-        ht::core::ttmc_mode_subset(x, factors, n, sym.modes[n], positions,
-                                   y_csf, {s, TtmcKernel::kCsf},
-                                   &csf.modes[n]);
+                                   y_nnz, s);
+        ht::core::ttmc_mode_subset(x, factors, n, csf.modes[n], positions,
+                                   y_csf, s);
         EXPECT_TRUE(y_nnz.approx_equal(y_csf, kTol)) << c.name << " mode " << n;
       }
     }
   }
 }
 
-TEST(CsfTtmcTest, CsfRequestWithoutTreeDegradesExactly) {
-  const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 200, 5, 43);
-  const auto factors = random_factors(x.shape(), {3, 3, 3}, 47);
-  const SymbolicTtmc sym = SymbolicTtmc::build(x);
-  // No tree supplied: kCsf runs per-nnz.
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {.kernel = TtmcKernel::kCsf}),
-            TtmcKernel::kPerNnz);
-  Matrix y_nnz, y_csf;
-  ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y_nnz,
-                      {Schedule::kDynamic, TtmcKernel::kPerNnz});
-  ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y_csf,
-                      {Schedule::kDynamic, TtmcKernel::kCsf});
-  EXPECT_TRUE(y_nnz.approx_equal(y_csf, 0.0));  // same kernel ran
-}
-
 TEST(CsfTtmcTest, AutoSelectionPinsPrefixRegimes) {
-  // kAuto runs the forest the plan holds on every mode, prefix-heavy or
-  // prefix-free; without a tree (or under an explicit kPerNnz) it runs
-  // per-nnz. No tensor statistic enters the choice.
+  // kAuto builds and runs the forest, prefix-heavy or prefix-free. No
+  // tensor statistic enters the choice.
   const CooTensor heavy =
       ht::tensor::random_fibered(Shape{30, 30, 60}, 200, 8, 43);
   const CooTensor free_ =
       ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
   for (const CooTensor* x : {&heavy, &free_}) {
     const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(*x);
-    ASSERT_TRUE(plan.csf.has_value());
-    for (std::size_t n = 0; n < x->order(); ++n) {
-      EXPECT_EQ(plan.kernel(n), TtmcKernel::kCsf) << "mode " << n;
-    }
+    EXPECT_TRUE(std::holds_alternative<CsfTensor>(plan.index));
+    EXPECT_EQ(plan.kernel(), TtmcKernel::kCsf);
   }
-  const CsfTensor csf_free = CsfTensor::build(free_);
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {}, &csf_free.modes[0]),
-            TtmcKernel::kCsf);
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {}), TtmcKernel::kPerNnz);
-  EXPECT_EQ(ht::core::ttmc_selected_kernel(3, {.kernel = TtmcKernel::kPerNnz},
-                                           &csf_free.modes[0]),
-            TtmcKernel::kPerNnz);
 
   // ttmc_wants_csf: kAuto and kCsf on orders 2..8; never for kPerNnz.
   for (std::size_t order = 2; order <= 8; ++order) {
@@ -264,6 +235,48 @@ TEST(CsfTtmcTest, AutoSelectionPinsPrefixRegimes) {
   EXPECT_FALSE(ht::core::ttmc_wants_csf(9, {}));
   EXPECT_FALSE(ht::core::ttmc_wants_csf(1, {}));
   EXPECT_FALSE(ht::core::ttmc_wants_csf(3, {.kernel = TtmcKernel::kPerNnz}));
+}
+
+TEST(TtmcPlanTest, HoldsOneIndex) {
+  // Whichever index the plan holds, rows(n) is the mode's compact row set
+  // and kernel() names the index.
+  const auto expect_rows = [](const ht::core::TtmcPlan& plan,
+                              const CooTensor& x) {
+    for (std::size_t n = 0; n < x.order(); ++n) {
+      EXPECT_EQ(plan.rows(n), ht::core::build_mode_symbolic(x, n).rows)
+          << "mode " << n;
+    }
+  };
+
+  // kAuto on 3- and 4-mode tensors: the forest and no lists.
+  const CooTensor x3 =
+      ht::tensor::random_fibered(Shape{25, 20, 40}, 300, 5, 81);
+  const CooTensor x4 =
+      ht::tensor::random_fibered(Shape{12, 10, 8, 25}, 300, 5, 83);
+  for (const CooTensor* x : {&x3, &x4}) {
+    const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(*x);
+    EXPECT_TRUE(std::holds_alternative<CsfTensor>(plan.index));
+    EXPECT_FALSE(std::holds_alternative<SymbolicTtmc>(plan.index));
+    EXPECT_EQ(plan.kernel(), TtmcKernel::kCsf);
+    expect_rows(plan, *x);
+  }
+
+  // kPerNnz, an order past the walk's depth and an empty tensor: the lists
+  // and no forest, whatever kernel was asked for.
+  const CooTensor order9 = ht::tensor::random_uniform(Shape(9, 4), 60, 85);
+  const CooTensor empty(Shape{5, 6, 7});
+  const std::vector<std::pair<const CooTensor*, TtmcOptions>> lists_cases = {
+      {&x3, {.kernel = TtmcKernel::kPerNnz}},
+      {&order9, {}},
+      {&order9, {.kernel = TtmcKernel::kCsf}},
+      {&empty, {}}};
+  for (const auto& [x, options] : lists_cases) {
+    const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(*x, options);
+    EXPECT_TRUE(std::holds_alternative<SymbolicTtmc>(plan.index));
+    EXPECT_FALSE(std::holds_alternative<CsfTensor>(plan.index));
+    EXPECT_EQ(plan.kernel(), TtmcKernel::kPerNnz);
+    expect_rows(plan, *x);
+  }
 }
 
 TEST(CsfTtmcTest, DeterministicAcrossThreadCounts) {
@@ -279,22 +292,21 @@ TEST(CsfTtmcTest, DeterministicAcrossThreadCounts) {
   for (std::uint32_t p = 1; p < sym.modes[0].num_rows(); p += 3) {
     positions.push_back(p);
   }
-  for (const TtmcKernel kernel : {TtmcKernel::kCsf, TtmcKernel::kPerNnz}) {
+  const auto check = [&](const auto& index) {
     for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
       Matrix y1, y4, sub1, sub4;
       for (const int threads : {1, 4}) {
         ht::parallel::ThreadScope scope(threads);
-        ht::core::ttmc_mode(x, factors, 0, sym.modes[0],
-                            threads == 1 ? y1 : y4, {s, kernel},
-                            &csf.modes[0]);
-        ht::core::ttmc_mode_subset(x, factors, 0, sym.modes[0], positions,
-                                   threads == 1 ? sub1 : sub4, {s, kernel},
-                                   &csf.modes[0]);
+        ht::core::ttmc_mode(x, factors, 0, index, threads == 1 ? y1 : y4, s);
+        ht::core::ttmc_mode_subset(x, factors, 0, index, positions,
+                                   threads == 1 ? sub1 : sub4, s);
       }
       EXPECT_TRUE(y1.approx_equal(y4, 0.0));
       EXPECT_TRUE(sub1.approx_equal(sub4, 0.0));
     }
-  }
+  };
+  check(csf.modes[0]);
+  check(sym.modes[0]);
 }
 
 TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
@@ -317,12 +329,10 @@ TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
       EXPECT_NEAR(a.fits[i], b.fits[i], 1e-8) << "sweep " << i;
     }
 
-    // A hand-assembled plan through the plan overload runs the same
-    // computation as the plan hooi builds itself.
-    const ht::core::TtmcPlan plan{
-        .options = with_csf.ttmc,
-        .symbolic = SymbolicTtmc::build(x),
-        .csf = CsfTensor::build(x)};
+    // A hand-assembled forest-only plan through the plan overload runs the
+    // same computation as the plan hooi builds itself.
+    const ht::core::TtmcPlan plan{.options = with_csf.ttmc,
+                                  .index = CsfTensor::build(x)};
     const auto c = ht::core::hooi(x, with_csf, plan);
     EXPECT_EQ(b.fits, c.fits) << x.order() << "-mode";
   }

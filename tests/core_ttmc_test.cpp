@@ -100,9 +100,9 @@ TEST(TtmcTest, StaticAndDynamicSchedulesAgree) {
   const SymbolicTtmc sym = SymbolicTtmc::build(x);
   Matrix yd, ys;
   ht::core::ttmc_mode(x, factors, 0, sym.modes[0], yd,
-                      {ht::core::Schedule::kDynamic});
+                      ht::core::Schedule::kDynamic);
   ht::core::ttmc_mode(x, factors, 0, sym.modes[0], ys,
-                      {ht::core::Schedule::kStatic});
+                      ht::core::Schedule::kStatic);
   EXPECT_TRUE(yd.approx_equal(ys, 0.0));  // identical row sums, exact match
 }
 

@@ -164,27 +164,6 @@ TEST(QueryEngineTest, TopkMatchesBruteForceOracle) {
   }
 }
 
-TEST(QueryEngineTest, TopkBatchMatchesSequential) {
-  QueryOptions opts;
-  opts.cache_entries = 8;
-  QueryEngine engine(shared_model(), opts);
-  QueryEngine sequential(shared_model(), opts);
-
-  std::vector<index_t> entities;
-  for (index_t u = 0; u < 30; ++u) entities.push_back(u % 15);  // repeats
-  const std::vector<index_t> rest = {3};
-  const auto batched = engine.topk_batch(entities, 5, rest);
-  ASSERT_EQ(batched.size(), entities.size());
-  for (std::size_t e = 0; e < entities.size(); ++e) {
-    const auto seq = sequential.topk(entities[e], 5, rest);
-    ASSERT_EQ(batched[e].size(), seq.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      EXPECT_EQ(batched[e][i].item, seq[i].item);
-      EXPECT_EQ(batched[e][i].score, seq[i].score);
-    }
-  }
-}
-
 TEST(QueryEngineTest, TopkClampsKToItemCount) {
   QueryEngine engine(shared_model(), QueryOptions{});
   const auto top = engine.topk(0, 10000, std::vector<index_t>{0});

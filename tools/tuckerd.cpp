@@ -8,7 +8,7 @@
 // with `tucker_cli ... --save-model model.htb` and the daemon picks it up.
 //
 //   tuckerd --model model.htb --socket /tmp/tuckerd.sock
-//   tuckerd --model model.htb --port 7075 --threads 4
+//   tuckerd --model model.htb --port 7075
 //           --cache-entries 8192 --reload-interval 2.0
 //
 // Query it with `tucker_cli --query /tmp/tuckerd.sock "SCORE 3 17 5"` or
@@ -40,7 +40,6 @@ struct Options {
   std::string model_path;
   std::string socket_path;
   int port = -1;
-  int threads = 0;
   std::size_t cache_entries = 4096;
   double reload_interval = 2.0;
   bool verify = true;
@@ -50,7 +49,7 @@ struct Options {
 void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: tuckerd --model FILE.htb (--socket PATH | --port N)\n"
-               "               [--threads T] [--cache-entries N]\n"
+               "               [--cache-entries N]\n"
                "               [--reload-interval SECONDS] [--no-verify]\n"
                "               [--print-port]\n"
                "\n"
@@ -97,8 +96,6 @@ int main(int argc, char** argv) {
       opt.socket_path = next();
     } else if (arg == "--port") {
       opt.port = std::atoi(next());
-    } else if (arg == "--threads") {
-      opt.threads = std::atoi(next());
     } else if (arg == "--cache-entries") {
       opt.cache_entries = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--reload-interval") {
@@ -143,7 +140,6 @@ int main(int argc, char** argv) {
 
     ht::serve::QueryOptions qopt;
     qopt.cache_entries = opt.cache_entries;
-    qopt.num_threads = opt.threads;
     ht::serve::DispatcherHooks hooks;
     hooks.reload = [&handle, &opt] {
       handle.load_and_publish(opt.model_path, opt.verify);
