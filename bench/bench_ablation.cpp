@@ -459,9 +459,11 @@ void model_store_ablation(bool smoke, htb::JsonReport& report) {
 // users dominate, the regime the per-user contraction cache targets. The
 // cached arm re-uses each hot user's core contraction (rank-sized dots per
 // query); the uncached arm pays the full prod(R) contraction every time.
-// Batched submission amortizes the cache lock and lets OpenMP spread the
-// trace; answers are bit-identical across all four arms, so the numbers
-// compare pure serving overhead.
+// Batched submission goes through score_batch, the single-query loop run
+// in the caller's thread, so the batched rows should track the single
+// rows. Answers are bit-identical across all four arms, and all four are
+// measured the same way (run_mode), so the numbers compare pure serving
+// overhead.
 void serve_qps_ablation(bool smoke, htb::JsonReport& report) {
   using namespace ht;
   std::printf("=== Ablation 9: serve-path QPS (Zipf user trace) ===\n");
@@ -510,6 +512,51 @@ void serve_qps_ablation(bool smoke, htb::JsonReport& report) {
     return lat[i] * 1e6;
   };
 
+  // Both modes run one protocol, so their rows differ only in how queries
+  // are submitted: a warm-up pass over the first tenth of the trace
+  // (steady-state serving, not cold start, is what the arm measures); QPS
+  // from the trace in kBatch-query chunks, one clock pair per chunk; and
+  // latency percentiles from every kLatencyStride-th query timed alone.
+  constexpr std::size_t kBatch = 1024;
+  constexpr std::size_t kLatencyStride = 64;
+  auto run_mode = [&](serve::QueryEngine& engine, bool batched) {
+    double sink = 0;
+    for (std::size_t q = 0; q < trace.size() / 10; ++q) {
+      sink += engine.score(trace[q]);
+    }
+    std::vector<std::vector<tensor::index_t>> chunk;
+    chunk.reserve(kBatch);
+    double busy_s = 0;
+    for (std::size_t begin = 0; begin < trace.size(); begin += kBatch) {
+      const std::size_t end = std::min(trace.size(), begin + kBatch);
+      chunk.assign(trace.begin() + begin, trace.begin() + end);
+      WallTimer t;
+      if (batched) {
+        for (const double score : engine.score_batch(chunk)) sink += score;
+      } else {
+        for (const auto& q : chunk) sink += engine.score(q);
+      }
+      busy_s += t.seconds();
+    }
+    std::vector<double> lat;
+    for (std::size_t q = 0; q < trace.size(); q += kLatencyStride) {
+      chunk.assign(1, trace[q]);
+      WallTimer t;
+      sink += batched ? engine.score_batch(chunk)[0] : engine.score(trace[q]);
+      lat.push_back(t.seconds());
+    }
+    if (sink == 1e300) std::printf("unreachable\n");  // keep queries live
+    const auto cs = engine.cache_stats();
+    ArmResult r;
+    r.qps = static_cast<double>(trace.size()) / busy_s;
+    r.p50_us = percentile(lat, 0.50);
+    r.p99_us = percentile(lat, 0.99);
+    r.hit_rate = cs.hits + cs.misses
+                     ? static_cast<double>(cs.hits) / (cs.hits + cs.misses)
+                     : 0.0;
+    return r;
+  };
+
   std::printf("%-9s %-8s %12s %10s %10s %9s\n", "cache", "mode", "qps",
               "p50(us)", "p99(us)", "hit_rate");
   ArmResult cached_single, uncached_single;
@@ -517,94 +564,26 @@ void serve_qps_ablation(bool smoke, htb::JsonReport& report) {
     serve::QueryOptions qopt;
     qopt.cache_entries = cache_entries;
     const char* cache_name = cache_entries ? "on" : "off";
-
-    // Single-query submission: per-query latency percentiles + QPS.
-    {
+    for (const bool batched : {false, true}) {
       serve::QueryEngine engine(served, qopt);
-      double sink = 0;
-      // Warm-up pass populates the cache (steady-state serving, not cold
-      // start, is what the arm measures).
-      for (std::size_t q = 0; q < trace.size() / 10; ++q) {
-        sink += engine.score(trace[q]);
-      }
-      std::vector<double> lat;
-      lat.reserve(trace.size());
-      WallTimer total;
-      for (const auto& q : trace) {
-        WallTimer t;
-        sink += engine.score(q);
-        lat.push_back(t.seconds());
-      }
-      const double wall = total.seconds();
-      const auto cs = engine.cache_stats();
-      ArmResult r;
-      r.qps = static_cast<double>(trace.size()) / wall;
-      r.p50_us = percentile(lat, 0.50);
-      r.p99_us = percentile(lat, 0.99);
-      r.hit_rate = cs.hits + cs.misses
-                       ? static_cast<double>(cs.hits) / (cs.hits + cs.misses)
-                       : 0.0;
-      (cache_entries ? cached_single : uncached_single) = r;
-      if (sink == 1e300) std::printf("unreachable\n");  // keep queries live
+      const ArmResult r = run_mode(engine, batched);
+      if (!batched) (cache_entries ? cached_single : uncached_single) = r;
+      const char* mode = batched ? "batched" : "single";
       std::printf("%-9s %-8s %12.0f %10.3f %10.3f %8.1f%%\n", cache_name,
-                  "single", r.qps, r.p50_us, r.p99_us, 100 * r.hit_rate);
+                  mode, r.qps, r.p50_us, r.p99_us, 100 * r.hit_rate);
       report.add()
           .str("arm", "serve_qps")
           .str("cache", cache_name)
-          .str("mode", "single")
+          .str("mode", mode)
           .num("cache_entries", static_cast<double>(cache_entries))
           .num("trace_len", static_cast<double>(trace.size()))
+          .num("batch", static_cast<double>(kBatch))
+          .num("latency_stride", static_cast<double>(kLatencyStride))
           .num("zipf_theta", 1.1)
           .num("qps", r.qps)
           .num("p50_us", r.p50_us)
           .num("p99_us", r.p99_us)
           .num("cache_hit_rate", r.hit_rate);
-    }
-
-    // Batched submission: the trace in page-sized chunks through
-    // score_batch (per-chunk latency spread over its queries).
-    {
-      serve::QueryEngine engine(served, qopt);
-      const std::size_t batch = 1024;
-      std::vector<std::vector<tensor::index_t>> chunk;
-      chunk.reserve(batch);
-      std::vector<double> lat;
-      double sink = 0;
-      WallTimer total;
-      for (std::size_t begin = 0; begin < trace.size(); begin += batch) {
-        const std::size_t end = std::min(trace.size(), begin + batch);
-        chunk.assign(trace.begin() + begin, trace.begin() + end);
-        WallTimer t;
-        const auto scores = engine.score_batch(chunk);
-        const double per_query = t.seconds() / chunk.size();
-        for (std::size_t q = 0; q < chunk.size(); ++q) {
-          sink += scores[q];
-          lat.push_back(per_query);
-        }
-      }
-      const double wall = total.seconds();
-      const auto cs = engine.cache_stats();
-      const double qps = static_cast<double>(trace.size()) / wall;
-      const double hit_rate =
-          cs.hits + cs.misses
-              ? static_cast<double>(cs.hits) / (cs.hits + cs.misses)
-              : 0.0;
-      if (sink == 1e300) std::printf("unreachable\n");
-      std::printf("%-9s %-8s %12.0f %10.3f %10.3f %8.1f%%\n", cache_name,
-                  "batched", qps, percentile(lat, 0.50), percentile(lat, 0.99),
-                  100 * hit_rate);
-      report.add()
-          .str("arm", "serve_qps")
-          .str("cache", cache_name)
-          .str("mode", "batched")
-          .num("cache_entries", static_cast<double>(cache_entries))
-          .num("trace_len", static_cast<double>(trace.size()))
-          .num("batch", static_cast<double>(batch))
-          .num("zipf_theta", 1.1)
-          .num("qps", qps)
-          .num("p50_us", percentile(lat, 0.50))
-          .num("p99_us", percentile(lat, 0.99))
-          .num("cache_hit_rate", hit_rate);
     }
   }
   const double cache_win = cached_single.qps / uncached_single.qps;

@@ -6,14 +6,19 @@
 // shows large imbalance on skewed modes; fine-rd inflates W_TRSVD and comm
 // volume by roughly an order of magnitude over fine-hp; fine-hp communicates
 // the least.
+//
+// --json PATH writes one `table3_comm_stats` record per config and mode
+// (the six printed columns) and one `table3_comm_total` record per config:
+// its total comm volume and its build_global_plan seconds.
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "dist/dist_hooi.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ht;
 
+  htb::JsonReport report(htb::json_path_from_args(argc, argv));
   htb::enable_network_model_default();
   const std::string name = env_string("HT_TENSOR", "flickr");
   const int p = htb::bench_nprocs();
@@ -44,7 +49,18 @@ int main() {
     options.max_iterations = 1;  // Table III reports one iteration
     // The paper's SLEPc configuration: Lanczos on every solve.
     options.trsvd_method = core::TrsvdMethod::kLanczos;
-    const auto result = dist::dist_hooi(bt.tensor, options);
+    dist::PlanOptions plan_options;
+    plan_options.grain = options.grain;
+    plan_options.method = options.method;
+    plan_options.num_ranks = p;
+    plan_options.seed = options.seed;
+    plan_options.epsilon = options.epsilon;
+    WallTimer plan_timer;
+    const auto gplan = dist::build_global_plan(bt.tensor, plan_options);
+    const double plan_s = plan_timer.seconds();
+    const auto rplans =
+        dist::build_rank_plans(bt.tensor, gplan, options.ranks, options.seed);
+    const auto result = dist::dist_hooi(bt.tensor, options, gplan, rplans);
 
     TextTable table({"mode", "W_TTMc max", "W_TTMc avg", "W_TRSVD max",
                      "W_TRSVD avg", "Comm max", "Comm avg"});
@@ -56,9 +72,33 @@ int main() {
                      human_count(ttmc.avg), human_count(trsvd.max),
                      human_count(trsvd.avg), human_count(comm.max),
                      human_count(comm.avg)});
+      report.add()
+          .str("bench", "table3_comm_stats")
+          .str("tensor", name)
+          .num("nprocs", p)
+          .str("config", result.label)
+          .num("mode", static_cast<double>(n + 1))
+          .num("w_ttmc_max", ttmc.max)
+          .num("w_ttmc_avg", ttmc.avg)
+          .num("w_trsvd_max", trsvd.max)
+          .num("w_trsvd_avg", trsvd.avg)
+          .num("comm_max", comm.max)
+          .num("comm_avg", comm.avg);
     }
     std::printf("\n--- %s ---\n%s", result.label.c_str(),
                 table.to_string().c_str());
+    std::printf("total comm %llu entries, build_global_plan %.3f s\n",
+                static_cast<unsigned long long>(
+                    result.stats.total_comm_entries()),
+                plan_s);
+    report.add()
+        .str("bench", "table3_comm_total")
+        .str("tensor", name)
+        .num("nprocs", p)
+        .str("config", result.label)
+        .num("comm_total", static_cast<double>(result.stats.total_comm_entries()))
+        .num("build_global_plan_s", plan_s);
   }
+  report.write();
   return 0;
 }

@@ -19,11 +19,23 @@ using vid_t = std::uint32_t;     // vertex id
 using nid_t = std::uint32_t;     // net id
 using weight_t = std::int64_t;   // vertex weight / net cost
 
+/// "No vertex": an unmatched vertex, or a pin a relabelling drops.
+inline constexpr vid_t kNoVertex = static_cast<vid_t>(-1);
+
 class Hypergraph {
  public:
   Hypergraph() = default;
 
-  /// Build from net pin lists. Vertex weights default to 1; net costs to 1.
+  /// Build from CSR net pin lists: net n's pins are
+  /// pins[net_ptr[n] .. net_ptr[n + 1]). `net_ptr` starts at 0, never
+  /// decreases and ends at pins.size(); every pin is below num_vertices
+  /// (violations throw ht::Error). Vertex weights default to 1; net costs
+  /// to 1.
+  Hypergraph(std::size_t num_vertices, std::vector<std::size_t> net_ptr,
+             std::vector<vid_t> pins, std::vector<weight_t> vertex_weights = {},
+             std::vector<weight_t> net_costs = {});
+
+  /// Build from nested net pin lists (flattened into the CSR constructor).
   static Hypergraph build(std::size_t num_vertices,
                           const std::vector<std::vector<vid_t>>& net_pins,
                           std::vector<weight_t> vertex_weights = {},

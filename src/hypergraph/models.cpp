@@ -1,7 +1,6 @@
 #include "hypergraph/models.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 namespace ht::hypergraph {
 
@@ -12,31 +11,40 @@ using tensor::nnz_t;
 FineGrainModel build_fine_grain_model(const CooTensor& x) {
   HT_CHECK_MSG(x.nnz() < (nnz_t{1} << 32),
                "fine-grain model limited to 2^32 nonzeros");
+  constexpr std::size_t kNoNet = static_cast<std::size_t>(-1);
   FineGrainModel model;
-  std::vector<std::vector<vid_t>> nets;
+  std::vector<std::size_t> net_ptr{0};
+  std::vector<vid_t> pins;
+  std::vector<std::size_t> slot;
 
   for (std::size_t mode = 0; mode < x.order(); ++mode) {
     const auto idx = x.indices(mode);
-    // Counting sort of nonzero ordinals by row index.
-    std::vector<nnz_t> row_ptr(x.dim(mode) + 1, 0);
-    for (index_t i : idx) ++row_ptr[i + 1];
-    std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
-    std::vector<vid_t> by_row(x.nnz());
-    std::vector<nnz_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-    for (nnz_t t = 0; t < x.nnz(); ++t) {
-      by_row[cursor[idx[t]]++] = static_cast<vid_t>(t);
-    }
+    // Count each row's nonzeros, then turn the count of every row with at
+    // least two into the start of its pin range (single-pin nets can't be
+    // cut), and scatter the nonzero ordinals in order.
+    slot.assign(x.dim(mode), 0);
+    for (index_t i : idx) ++slot[i];
+    std::size_t end = pins.size();
     for (index_t i = 0; i < x.dim(mode); ++i) {
-      const nnz_t begin = row_ptr[i], end = row_ptr[i + 1];
-      if (end - begin < 2) continue;  // single-pin nets can't be cut
-      nets.emplace_back(by_row.begin() + static_cast<long>(begin),
-                        by_row.begin() + static_cast<long>(end));
+      if (slot[i] < 2) {
+        slot[i] = kNoNet;
+        continue;
+      }
+      const std::size_t begin = end;
+      end += slot[i];
+      slot[i] = begin;
+      net_ptr.push_back(end);
       model.net_mode.push_back(static_cast<std::uint8_t>(mode));
       model.net_index.push_back(i);
     }
+    pins.resize(end);
+    for (nnz_t t = 0; t < x.nnz(); ++t) {
+      std::size_t& s = slot[idx[t]];
+      if (s != kNoNet) pins[s++] = static_cast<vid_t>(t);
+    }
   }
 
-  model.hg = Hypergraph::build(x.nnz(), nets);
+  model.hg = Hypergraph(x.nnz(), std::move(net_ptr), std::move(pins));
   return model;
 }
 
@@ -59,7 +67,8 @@ CoarseGrainModel build_coarse_grain_model(const CooTensor& x,
     weights.push_back(static_cast<weight_t>(hist[i]));
   }
 
-  std::vector<std::vector<vid_t>> nets;
+  std::vector<std::size_t> net_ptr{0};
+  std::vector<vid_t> pins;
   const auto mode_idx = x.indices(mode);
   std::vector<std::uint64_t> pairs;
   pairs.reserve(x.nnz());
@@ -82,18 +91,17 @@ CoarseGrainModel build_coarse_grain_model(const CooTensor& x,
       std::size_t end = begin;
       while (end < pairs.size() && (pairs[end] >> 32) == j) ++end;
       if (end - begin >= 2 && end - begin <= max_net_pins) {
-        std::vector<vid_t> pins;
-        pins.reserve(end - begin);
         for (std::size_t k = begin; k < end; ++k) {
           pins.push_back(static_cast<vid_t>(pairs[k] & 0xffffffffULL));
         }
-        nets.push_back(std::move(pins));
+        net_ptr.push_back(pins.size());
       }
       begin = end;
     }
   }
 
-  model.hg = Hypergraph::build(model.rows.size(), nets, std::move(weights));
+  model.hg = Hypergraph(model.rows.size(), std::move(net_ptr), std::move(pins),
+                        std::move(weights));
   return model;
 }
 

@@ -19,11 +19,13 @@ constexpr std::size_t kCoarsenTo = 160;
 // the level early).
 constexpr int kRefinePasses = 4;
 // Greedy-growth bisections tried at the coarsest level; the best cut wins.
-constexpr int kInitialTries = 4;
+// One: on the dist-2rank inputs and the preset cut table, four tries moved
+// the cut by under 0.5% and cost ~0.025 s each (docs/TUNING.md).
+constexpr int kInitialTries = 1;
 // coarsen_once scores match candidates only through nets of at most this
 // many pins: a huge net says little about which pair belongs together and
 // would make the scoring quadratic in its size.
-constexpr std::size_t kMatchMaxNetSize = 512;
+constexpr std::size_t kMatchMaxNetSize = 128;
 
 // ---------------------------------------------------------------------------
 // Bisection working state: a (possibly coarsened) hypergraph plus 0/1 labels.
@@ -291,7 +293,7 @@ struct CoarseLevel {
 
 CoarseLevel coarsen_once(const Hypergraph& h, ht::Rng& rng) {
   const std::size_t nv = h.num_vertices();
-  std::vector<vid_t> match(nv, static_cast<vid_t>(-1));
+  std::vector<vid_t> match(nv, kNoVertex);
 
   std::vector<vid_t> order(nv);
   std::iota(order.begin(), order.end(), 0);
@@ -304,7 +306,7 @@ CoarseLevel coarsen_once(const Hypergraph& h, ht::Rng& rng) {
   std::vector<vid_t> touched;
 
   for (vid_t v : order) {
-    if (match[v] != static_cast<vid_t>(-1)) continue;
+    if (match[v] != kNoVertex) continue;
     touched.clear();
     for (nid_t n : h.vertex_nets(v)) {
       const auto pins = h.net_pins(n);
@@ -312,12 +314,12 @@ CoarseLevel coarsen_once(const Hypergraph& h, ht::Rng& rng) {
       const double w =
           static_cast<double>(h.net_cost(n)) / static_cast<double>(pins.size() - 1);
       for (vid_t u : pins) {
-        if (u == v || match[u] != static_cast<vid_t>(-1)) continue;
+        if (u == v || match[u] != kNoVertex) continue;
         if (score[u] == 0.0) touched.push_back(u);
         score[u] += w;
       }
     }
-    vid_t best = static_cast<vid_t>(-1);
+    vid_t best = kNoVertex;
     double best_score = 0.0;
     for (vid_t u : touched) {
       if (score[u] > best_score) {
@@ -326,7 +328,7 @@ CoarseLevel coarsen_once(const Hypergraph& h, ht::Rng& rng) {
       }
       score[u] = 0.0;
     }
-    if (best == static_cast<vid_t>(-1)) {
+    if (best == kNoVertex) {
       // No candidate through small nets (vertex only touches huge nets):
       // sample a random co-pin so the coarsening keeps shrinking.
       const auto nets = h.vertex_nets(v);
@@ -334,57 +336,35 @@ CoarseLevel coarsen_once(const Hypergraph& h, ht::Rng& rng) {
         const nid_t n = nets[rng.below(nets.size())];
         const auto pins = h.net_pins(n);
         const vid_t u = pins[rng.below(pins.size())];
-        if (u != v && match[u] == static_cast<vid_t>(-1)) {
+        if (u != v && match[u] == kNoVertex) {
           best = u;
           break;
         }
       }
     }
-    if (best != static_cast<vid_t>(-1)) {
+    if (best != kNoVertex) {
       match[v] = best;
       match[best] = v;
     }
   }
 
-  // Assign coarse ids.
+  // Assign coarse ids: a pair takes the id of its lower vertex.
   CoarseLevel out;
   out.fine_to_coarse.assign(nv, 0);
   vid_t nc = 0;
   for (vid_t v = 0; v < nv; ++v) {
-    if (match[v] == static_cast<vid_t>(-1) || match[v] > v) {
+    if (match[v] == kNoVertex || match[v] > v) {
       out.fine_to_coarse[v] = nc++;
-    }
-  }
-  for (vid_t v = 0; v < nv; ++v) {
-    if (match[v] != static_cast<vid_t>(-1) && match[v] < v) {
+    } else {
       out.fine_to_coarse[v] = out.fine_to_coarse[match[v]];
     }
   }
 
-  // Coarse vertex weights.
   std::vector<weight_t> cw(nc, 0);
   for (vid_t v = 0; v < nv; ++v) {
     cw[out.fine_to_coarse[v]] += h.vertex_weight(v);
   }
-
-  // Coarse nets: translate pins, dedupe, drop singletons.
-  std::vector<std::vector<vid_t>> cnets;
-  std::vector<weight_t> ccosts;
-  cnets.reserve(h.num_nets());
-  std::vector<vid_t> buf;
-  for (nid_t n = 0; n < h.num_nets(); ++n) {
-    const auto pins = h.net_pins(n);
-    buf.clear();
-    for (vid_t v : pins) buf.push_back(out.fine_to_coarse[v]);
-    std::sort(buf.begin(), buf.end());
-    buf.erase(std::unique(buf.begin(), buf.end()), buf.end());
-    if (buf.size() >= 2) {
-      cnets.push_back(buf);
-      ccosts.push_back(h.net_cost(n));
-    }
-  }
-
-  out.coarse = Hypergraph::build(nc, cnets, std::move(cw), std::move(ccosts));
+  out.coarse = detail::relabel(h, out.fine_to_coarse, nc, std::move(cw));
   return out;
 }
 
@@ -467,7 +447,7 @@ struct SubHypergraph {
 SubHypergraph induce(const Hypergraph& h, const std::vector<int>& side,
                      int which) {
   SubHypergraph out;
-  std::vector<vid_t> to_sub(h.num_vertices(), static_cast<vid_t>(-1));
+  std::vector<vid_t> to_sub(h.num_vertices(), kNoVertex);
   std::vector<weight_t> weights;
   for (vid_t v = 0; v < h.num_vertices(); ++v) {
     if (side[v] == which) {
@@ -476,21 +456,7 @@ SubHypergraph induce(const Hypergraph& h, const std::vector<int>& side,
       weights.push_back(h.vertex_weight(v));
     }
   }
-  std::vector<std::vector<vid_t>> nets;
-  std::vector<weight_t> costs;
-  std::vector<vid_t> buf;
-  for (nid_t n = 0; n < h.num_nets(); ++n) {
-    buf.clear();
-    for (vid_t v : h.net_pins(n)) {
-      if (to_sub[v] != static_cast<vid_t>(-1)) buf.push_back(to_sub[v]);
-    }
-    if (buf.size() >= 2) {
-      nets.push_back(buf);
-      costs.push_back(h.net_cost(n));
-    }
-  }
-  out.h = Hypergraph::build(out.to_parent.size(), nets, std::move(weights),
-                            std::move(costs));
+  out.h = detail::relabel(h, to_sub, out.to_parent.size(), std::move(weights));
   return out;
 }
 
@@ -508,18 +474,58 @@ void recurse(const Hypergraph& h, int k, int part_offset, double epsilon,
   const std::vector<int> side = multilevel_bisect(h, fraction0, epsilon, rng);
 
   for (int which = 0; which < 2; ++which) {
+    const int sub_k = which == 0 ? k0 : k - k0;
+    const int sub_offset = which == 0 ? part_offset : part_offset + k0;
+    if (sub_k == 1) {  // a one-part side needs no sub-hypergraph
+      for (vid_t v = 0; v < h.num_vertices(); ++v) {
+        if (side[v] == which) result[to_root[v]] = sub_offset;
+      }
+      continue;
+    }
     SubHypergraph sub = induce(h, side, which);
     std::vector<vid_t> sub_to_root(sub.to_parent.size());
     for (std::size_t i = 0; i < sub.to_parent.size(); ++i) {
       sub_to_root[i] = to_root[sub.to_parent[i]];
     }
-    recurse(sub.h, which == 0 ? k0 : k - k0,
-            which == 0 ? part_offset : part_offset + k0, epsilon, rng,
-            sub_to_root, result);
+    recurse(sub.h, sub_k, sub_offset, epsilon, rng, sub_to_root, result);
   }
 }
 
 }  // namespace
+
+Hypergraph detail::relabel(const Hypergraph& h, std::span<const vid_t> map,
+                           std::size_t num_vertices,
+                           std::vector<weight_t> vertex_weights) {
+  HT_CHECK_MSG(map.size() == h.num_vertices(), "relabel map arity mismatch");
+  for (vid_t c : map) {
+    HT_CHECK_MSG(c == kNoVertex || c < num_vertices,
+                 "relabel target out of range");
+  }
+  std::vector<std::size_t> net_ptr{0};
+  std::vector<vid_t> pins;
+  pins.reserve(h.num_pins());
+  std::vector<weight_t> costs;
+  // last_net[c]: the net that last emitted new vertex c, so a pin pair
+  // contracted into one vertex is emitted once (no sort per net).
+  std::vector<nid_t> last_net(num_vertices, static_cast<nid_t>(-1));
+  for (nid_t n = 0; n < h.num_nets(); ++n) {
+    const std::size_t begin = pins.size();
+    for (vid_t v : h.net_pins(n)) {
+      const vid_t c = map[v];
+      if (c == kNoVertex || last_net[c] == n) continue;
+      last_net[c] = n;
+      pins.push_back(c);
+    }
+    if (pins.size() - begin < 2) {
+      pins.resize(begin);
+      continue;
+    }
+    net_ptr.push_back(pins.size());
+    costs.push_back(h.net_cost(n));
+  }
+  return {num_vertices, std::move(net_ptr), std::move(pins),
+          std::move(vertex_weights), std::move(costs)};
+}
 
 Partition partition_multilevel(const Hypergraph& h,
                                const PartitionerOptions& options) {

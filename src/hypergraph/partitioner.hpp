@@ -3,7 +3,7 @@
 //
 // partition_multilevel: recursive bisection with
 //   * heavy-connectivity agglomerative matching for coarsening,
-//   * portfolio of greedy-growth initial bisections,
+//   * greedy-growth initial bisection at the coarsest level,
 //   * boundary Fiduccia–Mattheyses refinement at every uncoarsening level,
 //   * net splitting across recursion levels, which makes the sum of level
 //     cuts equal the k-way (lambda - 1) connectivity cutsize.
@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "hypergraph/partition.hpp"
 
@@ -37,5 +38,19 @@ Partition partition_random(const Hypergraph& h, int num_parts,
 
 /// Contiguous blocks balanced by weight (paper's "coarse-bl").
 Partition partition_block(std::span<const weight_t> weights, int num_parts);
+
+namespace detail {
+
+/// The hypergraph whose nets are h's nets relabelled through `map` (vertex
+/// v becomes map[v]; kNoVertex drops the pin): each net keeps the first
+/// occurrence of every new vertex, in pin order, and nets left with fewer
+/// than 2 pins are dropped. Net costs carry over. Coarsening contracts a
+/// level with it (map = matching) and recursive bisection induces each side
+/// (map = the side's own numbering).
+Hypergraph relabel(const Hypergraph& h, std::span<const vid_t> map,
+                   std::size_t num_vertices,
+                   std::vector<weight_t> vertex_weights);
+
+}  // namespace detail
 
 }  // namespace ht::hypergraph

@@ -156,7 +156,9 @@ BundleReader::BundleReader(const std::string& path, LoadMode mode)
     throw IoError("bundle section table checksum mismatch: " + path);
   }
   table_.resize(header_.section_count);
-  std::memcpy(table_.data(), base + header_.table_offset, table_bytes);
+  if (table_bytes > 0) {  // an empty table has no storage to copy into
+    std::memcpy(table_.data(), base + header_.table_offset, table_bytes);
+  }
 
   for (const SectionEntry& e : table_) {
     if (e.offset % kBundleAlign != 0 || e.offset > header_.table_offset ||

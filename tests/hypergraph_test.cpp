@@ -1,17 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "hypergraph/hypergraph.hpp"
 #include "hypergraph/models.hpp"
 #include "hypergraph/partition.hpp"
 #include "hypergraph/partitioner.hpp"
+#include "parallel/thread_info.hpp"
 #include "tensor/generators.hpp"
 #include "util/random.hpp"
 
 namespace {
 
 using ht::hypergraph::Hypergraph;
+using ht::hypergraph::kNoVertex;
+using ht::hypergraph::nid_t;
 using ht::hypergraph::Partition;
 using ht::hypergraph::PartitionerOptions;
 using ht::hypergraph::vid_t;
@@ -47,6 +52,51 @@ TEST(HypergraphTest, CustomWeightsAndCosts) {
 
 TEST(HypergraphTest, RejectsBadPins) {
   EXPECT_THROW(Hypergraph::build(2, {{0, 5}}), ht::Error);
+}
+
+void expect_same_hypergraph(const Hypergraph& a, const Hypergraph& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  ASSERT_EQ(a.num_nets(), b.num_nets());
+  ASSERT_EQ(a.num_pins(), b.num_pins());
+  EXPECT_EQ(a.total_vertex_weight(), b.total_vertex_weight());
+  for (nid_t n = 0; n < a.num_nets(); ++n) {
+    const auto pa = a.net_pins(n), pb = b.net_pins(n);
+    EXPECT_EQ(std::vector<vid_t>(pa.begin(), pa.end()),
+              std::vector<vid_t>(pb.begin(), pb.end()))
+        << "net " << n;
+    EXPECT_EQ(a.net_cost(n), b.net_cost(n)) << "net " << n;
+  }
+  for (vid_t v = 0; v < a.num_vertices(); ++v) {
+    const auto na = a.vertex_nets(v), nb = b.vertex_nets(v);
+    EXPECT_EQ(std::vector<nid_t>(na.begin(), na.end()),
+              std::vector<nid_t>(nb.begin(), nb.end()))
+        << "vertex " << v;
+    EXPECT_EQ(a.vertex_weight(v), b.vertex_weight(v)) << "vertex " << v;
+  }
+}
+
+TEST(HypergraphTest, CsrConstructorMatchesNestedBuild) {
+  expect_same_hypergraph(Hypergraph(4, {0, 2, 5, 7}, {0, 1, 1, 2, 3, 0, 3}),
+                         tiny());
+  expect_same_hypergraph(
+      Hypergraph(3, {0, 2, 4}, {0, 1, 1, 2}, {5, 1, 2}, {10, 20}),
+      Hypergraph::build(3, {{0, 1}, {1, 2}}, {5, 1, 2}, {10, 20}));
+  expect_same_hypergraph(Hypergraph(4, {0}, {}, {1, 2, 3, 4}),
+                         Hypergraph::build(4, {}, {1, 2, 3, 4}));
+}
+
+TEST(HypergraphTest, CsrConstructorRejectsMalformedInput) {
+  // Pin out of range.
+  EXPECT_THROW(Hypergraph(2, {0, 2}, {0, 5}), ht::Error);
+  // Decreasing net_ptr.
+  EXPECT_THROW(Hypergraph(4, {0, 3, 2, 4}, {0, 1, 2, 3}), ht::Error);
+  // net_ptr must start at 0 and end at the pin count.
+  EXPECT_THROW(Hypergraph(4, {1, 4}, {0, 1, 2, 3}), ht::Error);
+  EXPECT_THROW(Hypergraph(4, {0, 3}, {0, 1, 2, 3}), ht::Error);
+  EXPECT_THROW(Hypergraph(4, {}, {}), ht::Error);
+  // Weight and cost arities.
+  EXPECT_THROW(Hypergraph(2, {0, 2}, {0, 1}, {1}), ht::Error);
+  EXPECT_THROW(Hypergraph(2, {0, 2}, {0, 1}, {}, {1, 1}), ht::Error);
 }
 
 TEST(PartitionMetricsTest, ConnectivityCutsize) {
@@ -180,6 +230,100 @@ TEST(PartitionerTest, DeterministicForSeed) {
   const Partition a = ht::hypergraph::partition_multilevel(h, opt);
   const Partition b = ht::hypergraph::partition_multilevel(h, opt);
   EXPECT_EQ(a.part_of, b.part_of);
+}
+
+TEST(PartitionerTest, SamePartitionAtAnyThreadCount) {
+  const auto x = ht::tensor::generate_preset(
+      ht::tensor::paper_preset("delicious", 0.02), /*seed=*/1);
+  const auto model = ht::hypergraph::build_fine_grain_model(x);
+  PartitionerOptions opt;
+  opt.num_parts = 4;
+  opt.seed = 42;
+  const Partition first = ht::hypergraph::partition_multilevel(model.hg, opt);
+  ht::hypergraph::validate_partition(model.hg, first);
+  EXPECT_EQ(ht::hypergraph::partition_multilevel(model.hg, opt).part_of,
+            first.part_of);
+  for (int threads : {1, 2, 4}) {
+    ht::parallel::ThreadScope scope(threads);
+    EXPECT_EQ(ht::hypergraph::partition_multilevel(model.hg, opt).part_of,
+              first.part_of)
+        << threads << " threads";
+  }
+}
+
+// ---------------------------------------------------------------- relabel
+
+TEST(RelabelTest, IdentityKeepsNetsOfTwoOrMorePins) {
+  const Hypergraph h = Hypergraph::build(4, {{0, 1}, {2}, {1, 2, 3}, {0, 3}},
+                                         {1, 2, 3, 4}, {5, 6, 7, 8});
+  const std::vector<vid_t> identity = {0, 1, 2, 3};
+  const Hypergraph r =
+      ht::hypergraph::detail::relabel(h, identity, 4, {1, 2, 3, 4});
+  expect_same_hypergraph(
+      r, Hypergraph::build(4, {{0, 1}, {1, 2, 3}, {0, 3}}, {1, 2, 3, 4},
+                           {5, 7, 8}));
+}
+
+TEST(RelabelTest, MergesContractedPinsAndDropsUnmapped) {
+  // Vertices 0 and 1 merge into 0; vertex 2 is dropped; 3 becomes 1.
+  const Hypergraph h =
+      Hypergraph::build(4, {{0, 1}, {1, 3, 0}, {2, 3}, {3, 2, 0}});
+  const std::vector<vid_t> map = {0, 0, kNoVertex, 1};
+  const Hypergraph r = ht::hypergraph::detail::relabel(h, map, 2, {2, 1});
+  // {0,1} -> {0}: dropped. {1,3,0} -> {0,1}. {2,3} -> {1}: dropped.
+  // {3,2,0} -> {1,0}: first occurrences in pin order.
+  expect_same_hypergraph(r, Hypergraph::build(2, {{0, 1}, {1, 0}}, {2, 1}));
+  EXPECT_THROW(ht::hypergraph::detail::relabel(h, map, 1, {3}), ht::Error);
+  const std::vector<vid_t> short_map = {0, 0};
+  EXPECT_THROW(ht::hypergraph::detail::relabel(h, short_map, 2, {2, 1}),
+               ht::Error);
+}
+
+// A contraction keeps every cut: labels on the coarse vertices give the
+// same connectivity cut as the same labels projected onto the fine ones.
+TEST(RelabelTest, ContractionKeepsConnectivityCut) {
+  const auto x = ht::tensor::random_zipf(ht::tensor::Shape{40, 50, 30}, 3000,
+                                         {1.0, 0.8, 0.5}, 17);
+  const auto model = ht::hypergraph::build_fine_grain_model(x);
+  const Hypergraph& fine = model.hg;
+  ht::Rng rng(23);
+  for (int trial = 0; trial < 5; ++trial) {
+    // Random matching: shuffle, pair neighbours in the order, leave some
+    // vertices single; a pair takes the coarse id of its first member.
+    std::vector<vid_t> order(fine.num_vertices());
+    std::iota(order.begin(), order.end(), 0);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.below(i)]);
+    }
+    std::vector<vid_t> map(fine.num_vertices());
+    vid_t nc = 0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      map[order[i]] = nc;
+      if (i + 1 < order.size() && rng.below(4) != 0) map[order[++i]] = nc;
+      ++nc;
+    }
+    std::vector<weight_t> weights(nc, 0);
+    for (vid_t v = 0; v < fine.num_vertices(); ++v) {
+      weights[map[v]] += fine.vertex_weight(v);
+    }
+    const Hypergraph coarse =
+        ht::hypergraph::detail::relabel(fine, map, nc, weights);
+    EXPECT_EQ(coarse.total_vertex_weight(), fine.total_vertex_weight());
+    EXPECT_LE(coarse.num_pins(), fine.num_pins());
+
+    const int k = 2 + trial;
+    Partition on_coarse{k, std::vector<int>(nc)};
+    for (int& part : on_coarse.part_of) {
+      part = static_cast<int>(rng.below(static_cast<std::uint64_t>(k)));
+    }
+    Partition projected{k, std::vector<int>(fine.num_vertices())};
+    for (vid_t v = 0; v < fine.num_vertices(); ++v) {
+      projected.part_of[v] = on_coarse.part_of[map[v]];
+    }
+    EXPECT_EQ(ht::hypergraph::connectivity_cutsize(coarse, on_coarse),
+              ht::hypergraph::connectivity_cutsize(fine, projected))
+        << "trial " << trial;
+  }
 }
 
 TEST(PartitionerTest, RandomPartitionIsBalanced) {
