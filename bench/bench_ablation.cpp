@@ -324,8 +324,8 @@ void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
           warm.load(factors[0], rows);
           la::DenseOperator op(y);
           const bool kept = core::warm_trsvd(op, warm, trsvd_opts);
-          res = core::scatter_trsvd_solution(warm.basis, rank, rows,
-                                             x.dim(0), rank);
+          res.compact_u = warm.basis.u;
+          res.solver_steps = warm.basis.steps;
           b.resolved = kept ? "warm" : "lanczos";
         } else {
           res = core::trsvd_factor(y, rows, x.dim(0), rank, b.method,

@@ -9,7 +9,10 @@
 //
 // --json PATH writes one `table3_comm_stats` record per config and mode
 // (the six printed columns) and one `table3_comm_total` record per config:
-// its total comm volume and its build_global_plan seconds.
+// its total modeled comm volume, the bytes the factor update's expand
+// exchange moved as counted by the communicator and as modeled from the
+// plan's lists (the two must be equal), and its build_global_plan seconds.
+#include <cstdint>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -85,18 +88,37 @@ int main(int argc, char** argv) {
           .num("comm_max", comm.max)
           .num("comm_avg", comm.avg);
     }
+    // The factor update's expand exchange: the bytes the communicator
+    // counted against the plan's model, 8 R_n bytes per factor_send and
+    // factor_recv position per sweep.
+    std::uint64_t expand_counted = 0;
+    std::uint64_t expand_modeled = 0;
+    for (std::size_t n = 0; n < result.stats.modes(); ++n) {
+      for (int r = 0; r < p; ++r) {
+        expand_counted += result.stats.at(n, r).expand_bytes;
+        std::uint64_t rows = 0;
+        for (const auto& l : rplans[r].modes[n].factor_send) rows += l.positions.size();
+        for (const auto& l : rplans[r].modes[n].factor_recv) rows += l.positions.size();
+        expand_modeled += static_cast<std::uint64_t>(result.iterations) * 8 *
+                          options.ranks[n] * rows;
+      }
+    }
     std::printf("\n--- %s ---\n%s", result.label.c_str(),
                 table.to_string().c_str());
-    std::printf("total comm %llu entries, build_global_plan %.3f s\n",
-                static_cast<unsigned long long>(
-                    result.stats.total_comm_entries()),
-                plan_s);
+    std::printf(
+        "total comm %llu entries; expand bytes counted %llu, modeled %llu; "
+        "build_global_plan %.3f s\n",
+        static_cast<unsigned long long>(result.stats.total_comm_entries()),
+        static_cast<unsigned long long>(expand_counted),
+        static_cast<unsigned long long>(expand_modeled), plan_s);
     report.add()
         .str("bench", "table3_comm_total")
         .str("tensor", name)
         .num("nprocs", p)
         .str("config", result.label)
         .num("comm_total", static_cast<double>(result.stats.total_comm_entries()))
+        .num("expand_bytes_counted", static_cast<double>(expand_counted))
+        .num("expand_bytes_modeled", static_cast<double>(expand_modeled))
         .num("build_global_plan_s", plan_s);
   }
   report.write();

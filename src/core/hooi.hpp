@@ -2,11 +2,14 @@
 //
 // TTMc preprocessing (core::TtmcPlan) runs once; each ALS sweep then
 // performs, per mode,
-//   (i)  numeric TTMc into the compact Y(n)            [lock-free parfor]
-//   (ii) TRSVD of Y(n) -> U_n                          [kAuto, trsvd.hpp]
+//   (i)   numeric TTMc into the compact Y(n)          [lock-free parfor]
+//   (ii)  TRSVD of Y(n)                               [kAuto, trsvd.hpp]
+//   (iii) U_n zeroed and its compact rows written in place; a rank-deficient
+//         or unconverged solve completed to orthonormal columns
 // and forms the core G = Y x_N U_N^T after the last mode (one GEMM, since
 // Y(N) already holds X x_{-N} U). Convergence is monitored through the fit
 // 1 - ||X - Xhat||/||X||, evaluated exactly from ||G|| (paper's check).
+// This is core/sweep.hpp's loop, run at one rank in the caller's thread.
 //
 // The default TRSVD (kAuto) is matrix-free Lanczos for every solve of the
 // first two sweeps and for every small mode. From the third sweep on, a

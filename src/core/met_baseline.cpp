@@ -1,16 +1,12 @@
 #include "core/met_baseline.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <vector>
 
-#include "core/hosvd.hpp"
-#include "la/blas.hpp"
-#include "parallel/thread_info.hpp"
+#include "core/sweep.hpp"
 #include "tensor/radix_sort.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace ht::core {
 
@@ -99,75 +95,38 @@ ChainTensor ttm(const ChainTensor& in, std::size_t mode, const la::Matrix& u) {
 
 HooiResult hooi_met_baseline(const CooTensor& x, const HooiOptions& options) {
   validate_hooi_options(x, options);
-  parallel::ThreadScope threads(options.num_threads);
-
   const std::size_t order = x.order();
-  HooiResult result;
-
-  std::vector<la::Matrix> factors =
-      options.init == HooiInit::kRandom
-          ? random_orthonormal_factors(x.shape(), options.ranks, options.seed)
-          : randomized_range_factors(x, options.ranks, options.seed);
-
-  const double x_norm2 = x.norm2_squared();
-  const ChainTensor lifted = lift(x);
-
-  la::Matrix y;
-  la::Matrix last_compact_u;
-  std::vector<index_t> rows;
-  double previous_fit = -1.0;
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    for (std::size_t n = 0; n < order; ++n) {
-      WallTimer t_ttmc;
-      // Materialized TTM chain over all modes but n, in increasing order —
-      // the dense block dimension ordering then matches ttmc_mode's. Each
-      // contraction sorts and merges its input anew: MET's cost model.
-      const ChainTensor* chain = &lifted;
-      ChainTensor z;
-      for (std::size_t t = 0; t < order; ++t) {
-        if (t == n) continue;
-        z = ttm(*chain, t, factors[t]);
-        chain = &z;
-      }
-      // z is now sparse in mode n only, merged and sorted by row index: its
-      // entries are exactly the compact rows of Y(n).
-      HT_CHECK(z.modes.size() == 1 && z.modes[0] == n);
-      rows.assign(z.idx[0].begin(), z.idx[0].end());
-      y.resize(rows.size(), z.block);
-      std::copy(z.values.begin(), z.values.end(), y.data());
-      result.timers.ttmc += t_ttmc.seconds();
-
-      WallTimer t_trsvd;
-      FactorTrsvd svd = trsvd_factor(y, rows, x.dim(n), options.ranks[n],
-                                     options.trsvd_method, options.trsvd);
-      result.timers.trsvd += t_trsvd.seconds();
-      factors[n] = std::move(svd.factor);
-      if (n + 1 == order) last_compact_u = std::move(svd.compact_u);
+  // The chain's last contraction leaves one entry per non-empty row, in
+  // increasing order: Y(n)'s compact rows.
+  std::vector<std::vector<index_t>> nonempty(order);
+  std::vector<std::span<const index_t>> rows;
+  for (std::size_t n = 0; n < order; ++n) {
+    const auto counts = x.slice_nnz(n);
+    for (index_t g = 0; g < x.dim(n); ++g) {
+      if (counts[g] > 0) nonempty[n].push_back(g);
     }
-
-    WallTimer t_core;
-    const la::Matrix g_mat = la::gemm_tn(last_compact_u, y);
-    tensor::Shape core_shape(options.ranks.begin(), options.ranks.end());
-    result.decomposition.core =
-        tensor::DenseTensor::dematricize(g_mat, core_shape, order - 1);
-    result.timers.core += t_core.seconds();
-
-    const double core_norm = result.decomposition.core.frobenius_norm();
-    const double fit = fit_from_core_norm(x_norm2, core_norm * core_norm);
-    result.fits.push_back(fit);
-    result.iterations = iter + 1;
-
-    if (previous_fit >= 0.0 &&
-        std::abs(fit - previous_fit) < options.fit_tolerance) {
-      result.converged = true;
-      break;
-    }
-    previous_fit = fit;
+    rows.emplace_back(nonempty[n]);
   }
-
-  result.decomposition.factors = std::move(factors);
-  return result;
+  const ChainTensor lifted = lift(x);
+  return hooi_one_rank(
+      x, options, rows,
+      [&](const std::vector<la::Matrix>& factors, std::size_t n,
+          la::Matrix& y) {
+        // TTM chain over all modes but n in increasing order (the block
+        // layout of ttmc_mode's Y), each contraction sorting and merging
+        // its input anew: MET's cost model.
+        const ChainTensor* chain = &lifted;
+        ChainTensor z;
+        for (std::size_t t = 0; t < order; ++t) {
+          if (t == n) continue;
+          z = ttm(*chain, t, factors[t]);
+          chain = &z;
+        }
+        HT_CHECK(z.modes.size() == 1 && z.modes[0] == n &&
+                 z.idx[0].size() == nonempty[n].size());
+        y.resize(nonempty[n].size(), z.block);
+        std::copy(z.values.begin(), z.values.end(), y.data());
+      });
 }
 
 }  // namespace ht::core

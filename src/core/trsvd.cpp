@@ -57,11 +57,15 @@ la::TrsvdResult run_trsvd_backend(la::TrsvdOperator& op, TrsvdMethod method,
 }
 
 void WarmStart::load(const la::Matrix& factor, std::span<const index_t> rows) {
-  la::Matrix& w = basis.u;
-  w.resize(rows.size(), factor.cols());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const auto src = factor.row(rows[r]);
-    std::copy(src.begin(), src.end(), w.row(r).begin());
+  gather_rows(factor, rows, basis.u);
+}
+
+void gather_rows(const la::Matrix& src, std::span<const index_t> rows,
+                 la::Matrix& dst) {
+  dst.resize(rows.size(), src.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto row = src.row(rows[i]);
+    std::copy(row.begin(), row.end(), dst.row(i).begin());
   }
 }
 
@@ -120,11 +124,7 @@ FactorTrsvd trsvd_factor(const la::Matrix& y, std::span<const index_t> rows,
   HT_CHECK_MSG(y.rows() == rows.size(), "compact row map arity mismatch");
 
 #ifndef NDEBUG
-  // Debug-only: HOOI calls this once per mode per iteration with the
-  // symbolic row map, which is fixed at symbolic construction; a serial
-  // O(|J_n|) scan per call sits needlessly in the per-mode hot path (same
-  // bug class as the subset bounds scan ttmc_mode_subset used to pay).
-  // Callers own the contract; CI's Debug job keeps the check live.
+  // Debug-only: callers own the contract; CI's Debug job keeps it checked.
   for (index_t r : rows) {
     HT_CHECK_MSG(r < dim, "compact row index out of range");
   }
@@ -144,47 +144,22 @@ FactorTrsvd trsvd_factor(const la::Matrix& y, std::span<const index_t> rows,
       solved = run_trsvd_backend(op, resolved, solvable, options);
     }
   }
-  FactorTrsvd out = scatter_trsvd_solution(solved, solvable, rows, dim, rank);
-  out.method_used = resolved;
-  return out;
-}
-
-FactorTrsvd scatter_trsvd_solution(const la::TrsvdResult& solved,
-                                   std::size_t solvable,
-                                   std::span<const index_t> rows, index_t dim,
-                                   std::size_t rank) {
   FactorTrsvd out;
+  out.method_used = resolved;
   out.solver_steps = solved.steps;
-
   out.sigma.assign(rank, 0.0);
   std::copy(solved.sigma.begin(), solved.sigma.end(), out.sigma.begin());
-
-  // O(|J_n|*R) per mode per HOOI iteration; rows are distinct by the
-  // compact-row-map contract, so the scatter is race-free.
-  const std::size_t nrows = rows.size();
-  [[maybe_unused]] const bool par =
-      la::blas_threading() && nrows * rank >= (std::size_t{1} << 14);
   out.factor.resize_zero(dim, rank);
-#pragma omp parallel for schedule(static) if (par)
-  for (std::size_t r = 0; r < nrows; ++r) {
-    for (std::size_t j = 0; j < solvable; ++j) {
-      out.factor(rows[r], j) = solved.u(r, j);
-    }
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::copy_n(solved.u.row(r).begin(), solvable,
+                out.factor.row(rows[r]).begin());
   }
-
   if (solvable < rank || !solved.converged) {
     // Rank-deficient or unconverged compact problem: make sure the factor
     // still has orthonormal columns (HOOI's fit formula depends on it).
     la::orthonormalize_columns(out.factor);
   }
-
-  out.compact_u.resize_zero(nrows, rank);
-#pragma omp parallel for schedule(static) if (par)
-  for (std::size_t r = 0; r < nrows; ++r) {
-    for (std::size_t j = 0; j < rank; ++j) {
-      out.compact_u(r, j) = out.factor(rows[r], j);
-    }
-  }
+  gather_rows(out.factor, rows, out.compact_u);
   return out;
 }
 

@@ -78,8 +78,8 @@ std::optional<TrsvdMethod> parse_trsvd_method(std::string_view name);
 const char* trsvd_method_name(TrsvdMethod method);
 
 /// Run a cold *matrix-free* solver (kLanczos/kRandomized) over an operator.
-/// Shared by the shared-memory dispatch below and the distributed driver,
-/// so a solver is wired in exactly one place. kGram (needs the assembled
+/// Shared by trsvd_factor and the HOOI sweep (core/sweep.hpp), so a solver
+/// is wired in exactly one place. kGram (needs the assembled
 /// matrix) and unresolved kAuto are programming errors here.
 la::TrsvdResult run_trsvd_backend(la::TrsvdOperator& op, TrsvdMethod method,
                                   std::size_t rank,
@@ -97,6 +97,10 @@ struct WarmStart {
   /// operator's row space each).
   void load(const la::Matrix& factor, std::span<const index_t> rows);
 };
+
+/// dst's row i = src's row rows[i] (dst is resized).
+void gather_rows(const la::Matrix& src, std::span<const index_t> rows,
+                 la::Matrix& dst);
 
 /// kAuto's warm solve over `op`, whose rank is warm.basis.u.cols():
 /// kWarmSteps block power steps W <- orth(A A^T W) in place in
@@ -118,8 +122,8 @@ struct FactorTrsvd {
   /// compact row set are zero (or canonical completions when the compact
   /// problem is rank-deficient).
   la::Matrix factor;
-  /// Compact left singular vectors (rows.size() x rank) — the rows of
-  /// `factor` at the compact row positions; the HOOI core step uses this.
+  /// Compact left singular vectors (rows.size() x rank): the rows of
+  /// `factor` at the compact row positions.
   la::Matrix compact_u;
   /// Leading singular values; zero after a warm solve.
   std::vector<double> sigma;
@@ -136,16 +140,5 @@ FactorTrsvd trsvd_factor(const la::Matrix& y, std::span<const index_t> rows,
                          index_t dim, std::size_t rank,
                          TrsvdMethod method = TrsvdMethod::kLanczos,
                          const la::TrsvdOptions& options = {});
-
-/// Scatter an already-solved compact SVD (`solved.u`: rows.size() x
-/// >=solvable) into a full dim x rank factor, completing rank-deficient or
-/// unconverged solutions to orthonormal columns. This is the tail of
-/// trsvd_factor, exposed so the distributed driver — which obtains
-/// `solved` from a solve over a row-distributed operator — goes through
-/// the exact same completion path as the shared-memory solver.
-FactorTrsvd scatter_trsvd_solution(const la::TrsvdResult& solved,
-                                   std::size_t solvable,
-                                   std::span<const index_t> rows, index_t dim,
-                                   std::size_t rank);
 
 }  // namespace ht::core

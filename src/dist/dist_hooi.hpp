@@ -3,7 +3,7 @@
 //
 // `num_ranks` SPMD ranks run as threads over smp::Communicator. Each rank
 // holds a reindexed local tensor and local factor slices from a
-// partition_plan; one ALS sweep then performs, per mode,
+// partition_plan and runs core/sweep.hpp's loop, which performs, per mode,
 //   (i)   local TTMc over the rank's nonzeros (partial rows under the fine
 //         grain, complete owned rows under the coarse grain),
 //   (ii)  distributed TRSVD over a row-distributed operator whose apply()
@@ -15,15 +15,21 @@
 //         energy check reads allreduced blocks, so every rank also reruns
 //         Lanczos together); a checkpoint restart counts the checkpointed
 //         sweeps,
-//   (iii) factor-row exchange and, after the last mode, an allreduce'd core
-//         tensor G = U_N^T Y(N) from which the exact fit is monitored.
-// With num_ranks = 1 every collective degenerates to the identity and the
-// iteration reproduces core::hooi bit for bit.
+//   (iii) owners write their rows of U_n in place, and one expand exchange
+//         over the plan's factor lists copies them to the ranks whose
+//         local tensor touches them (a rank-deficient or unconverged solve
+//         is completed over the whole factor, assembled on every rank);
+//         after the last mode, an allreduce'd core tensor G = U_N^T Y(N)
+//         gives the exact fit.
+// Rank 0 assembles the full factors once, after the last sweep. With
+// num_ranks = 1 every collective degenerates to the identity and the run
+// reproduces core::hooi bit for bit.
 //
 // Per-mode/per-rank computation and communication loads (paper Table III)
-// are reported in DistStats; communication volumes are derived from the
-// partition's fold/expand lists, so they are a property of the data
-// distribution, not of the simulated network speed.
+// are reported in DistStats. The modeled volumes come from the partition's
+// fold/expand lists, a property of the data distribution, not of the
+// simulated network speed; DistLoad::expand_bytes counts what the factor
+// update's expand exchange moved (smp::CommStats), its modeled share.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +37,6 @@
 #include <vector>
 
 #include "core/hooi.hpp"
-#include "core/tucker.hpp"
 #include "dist/partition_plan.hpp"
 #include "la/lanczos.hpp"
 #include "util/stats.hpp"
@@ -95,6 +100,10 @@ struct DistLoad {
   /// solves batch b vectors per round, so it drops by ~b versus scalar
   /// Lanczos on the same partition.
   std::uint64_t trsvd_rounds = 0;
+  /// Counted bytes the factor update's expand exchange sent plus received
+  /// (smp::CommStats deltas around it), summed over iterations: 8 R_n
+  /// bytes per factor_send and factor_recv position per sweep.
+  std::uint64_t expand_bytes = 0;
 };
 
 class DistStats {
@@ -131,24 +140,16 @@ class DistStats {
   std::vector<DistLoad> cells_;
 };
 
-struct DistHooiResult {
-  core::TuckerDecomposition decomposition;
-  /// Fit after each completed sweep (identical on every rank).
-  std::vector<double> fits;
+/// core::HooiResult (`timers` are the slowest rank's: the paper's Table IV
+/// breakdown) plus what distribution adds.
+struct DistHooiResult : core::HooiResult {
   DistStats stats;
   /// Per mode, the solver of the cold solves (kAuto resolves to kLanczos).
   std::vector<core::TrsvdMethod> trsvd_methods;
-  /// Per mode, how many solves kept kAuto's warm power steps, as in
-  /// core::HooiResult (identical on every rank).
-  std::vector<int> warm_solves;
   /// Paper configuration label, e.g. "fine-hp".
   std::string label;
-  int iterations = 0;
-  bool converged = false;
   /// Wall time of the slowest rank's iteration loop divided by iterations.
   double seconds_per_iteration = 0.0;
-  /// Slowest-rank per-step times (paper Table IV breakdown).
-  core::HooiTimers timers;
 };
 
 /// Run distributed HOOI; partitions the tensor internally with the options'
@@ -156,7 +157,9 @@ struct DistHooiResult {
 DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options);
 
 /// Run distributed HOOI over prebuilt plans (the paper partitions offline;
-/// bench_table2 reuses plans across timing runs).
+/// bench_table2 reuses plans across timing runs). Plans that do not fit
+/// `x` (order, mode sizes, nonzero count, rows past a mode's size) or the
+/// options (rank count, factor widths) throw ht::InvalidArgument.
 DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
                          const GlobalPlan& gplan,
                          const std::vector<RankPlan>& rplans);

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sweep.hpp"
 #include "la/matrix.hpp"
 #include "tensor/coo_tensor.hpp"
 
@@ -85,29 +86,18 @@ struct GlobalPlan {
 /// partitions each mode's slices independently (owners hold whole slices).
 GlobalPlan build_global_plan(const CooTensor& x, const PlanOptions& options);
 
-/// One direction of a point-to-point exchange: the local row positions
-/// (indices into ModePlan::local_rows, equivalently rows of the local
-/// compact Y / factor slice) to be sent to / received from `peer`. Matching
-/// send and recv lists enumerate the same global rows in the same
-/// (ascending) order.
-struct CommList {
-  int peer = -1;
-  std::vector<std::uint32_t> positions;
-};
+using core::CommList;
 
-/// Per-mode view of one rank's plan.
-struct ModePlan {
+/// Per-mode view of one rank's plan: its exchange lists (core::ModeLists,
+/// whose positions index local_rows, equivalently the rows of the local
+/// compact Y / factor slice) and the rows behind them.
+struct ModePlan : core::ModeLists {
   /// Sorted global rows this rank owns (covers all globally non-empty rows
   /// exactly once across ranks).
   std::vector<index_t> owned_rows;
   /// Sorted global rows referenced by this rank's local nonzeros; local row
   /// id i corresponds to global row local_rows[i].
   std::vector<index_t> local_rows;
-  /// Expand phase: owner sends the updated factor row to every replica.
-  std::vector<CommList> factor_send, factor_recv;
-  /// Fold phase (fine grain only): replicas send partial row results to the
-  /// owner, which accumulates them in ascending peer order.
-  std::vector<CommList> fold_send, fold_recv;
 };
 
 /// Everything one simulated rank needs to run HOOI.

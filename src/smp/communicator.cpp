@@ -1,5 +1,6 @@
 #include "smp/communicator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -160,58 +161,38 @@ void Communicator::allreduce_sum(std::span<double> inout) {
   world_.sync();  // slots reusable
 }
 
-double Communicator::allreduce_max(double value) {
+template <typename T, typename Combine>
+T Communicator::reduce_scalar(T value, T init, Combine combine) {
   ++stats_.collectives;
   const int p = size();
   if (p == 1) return value;
   world_.slots_[rank_] = &value;
   world_.sync();
-  double m = value;
+  T acc = init;
   for (int r = 0; r < p; ++r) {
-    m = std::max(m, *static_cast<const double*>(world_.slots_[r]));
+    acc = combine(acc, *static_cast<const T*>(world_.slots_[r]));
   }
   world_.sync();
-  stats_.bytes_sent += sizeof(double);
-  stats_.bytes_received += sizeof(double);
-  world_.charge_transfer(sizeof(double));
+  stats_.bytes_sent += sizeof(T);
+  stats_.bytes_received += sizeof(T);
+  world_.charge_transfer(sizeof(T));
   world_.sync();
-  return m;
+  return acc;
+}
+
+double Communicator::allreduce_max(double value) {
+  return reduce_scalar(value, value,
+                       [](double a, double b) { return std::max(a, b); });
 }
 
 std::uint64_t Communicator::allreduce_max_u64(std::uint64_t value) {
-  ++stats_.collectives;
-  const int p = size();
-  if (p == 1) return value;
-  world_.slots_[rank_] = &value;
-  world_.sync();
-  std::uint64_t m = value;
-  for (int r = 0; r < p; ++r) {
-    m = std::max(m, *static_cast<const std::uint64_t*>(world_.slots_[r]));
-  }
-  world_.sync();
-  stats_.bytes_sent += sizeof value;
-  stats_.bytes_received += sizeof value;
-  world_.charge_transfer(sizeof value);
-  world_.sync();
-  return m;
+  return reduce_scalar(value, value, [](std::uint64_t a, std::uint64_t b) {
+    return std::max(a, b);
+  });
 }
 
 double Communicator::allreduce_sum_scalar(double value) {
-  ++stats_.collectives;
-  const int p = size();
-  if (p == 1) return value;
-  world_.slots_[rank_] = &value;
-  world_.sync();
-  double s = 0.0;
-  for (int r = 0; r < p; ++r) {
-    s += *static_cast<const double*>(world_.slots_[r]);
-  }
-  world_.sync();
-  stats_.bytes_sent += sizeof(double);
-  stats_.bytes_received += sizeof(double);
-  world_.charge_transfer(sizeof(double));
-  world_.sync();
-  return s;
+  return reduce_scalar(value, 0.0, [](double a, double b) { return a + b; });
 }
 
 std::vector<double> Communicator::allgatherv(std::span<const double> local) {
@@ -234,34 +215,6 @@ std::vector<double> Communicator::allgatherv(std::span<const double> local) {
   world_.sync();
 
   const std::uint64_t v = (total - local.size()) * sizeof(double);
-  stats_.bytes_sent += v;
-  stats_.bytes_received += v;
-  world_.charge_transfer(v);
-  world_.sync();
-  return out;
-}
-
-std::vector<std::uint64_t> Communicator::allgatherv_u64(
-    std::span<const std::uint64_t> local) {
-  ++stats_.collectives;
-  const int p = size();
-  if (p == 1) return {local.begin(), local.end()};
-
-  world_.slots_[rank_] = local.data();
-  world_.slot_sizes_[rank_] = local.size();
-  world_.sync();
-
-  std::size_t total = 0;
-  for (int r = 0; r < p; ++r) total += world_.slot_sizes_[r];
-  std::vector<std::uint64_t> out;
-  out.reserve(total);
-  for (int r = 0; r < p; ++r) {
-    const auto* src = static_cast<const std::uint64_t*>(world_.slots_[r]);
-    out.insert(out.end(), src, src + world_.slot_sizes_[r]);
-  }
-  world_.sync();
-
-  const std::uint64_t v = (total - local.size()) * sizeof(std::uint64_t);
   stats_.bytes_sent += v;
   stats_.bytes_received += v;
   world_.charge_transfer(v);

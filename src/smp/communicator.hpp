@@ -81,7 +81,6 @@ class Communicator {
 
   /// Concatenate per-rank blocks in rank order (blocks may differ in size).
   std::vector<double> allgatherv(std::span<const double> local);
-  std::vector<std::uint64_t> allgatherv_u64(std::span<const std::uint64_t> local);
 
   /// Personalized all-to-all: sendbufs[r] goes to rank r; returns what each
   /// rank sent to this one, indexed by source rank.
@@ -98,6 +97,10 @@ class Communicator {
 
  private:
   friend class World;
+
+  /// combine(...combine(init, v_0)..., v_{p-1}) over every rank's value.
+  template <typename T, typename Combine>
+  T reduce_scalar(T value, T init, Combine combine);
 
   World& world_;
   int rank_;

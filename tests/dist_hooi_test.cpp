@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <span>
 #include <string>
 
 #include "core/hooi.hpp"
@@ -537,6 +539,208 @@ TEST(DistHooiTest, HybridThreadsPerRankAgrees) {
   for (std::size_t i = 0; i < a.fits.size(); ++i) {
     EXPECT_NEAR(a.fits[i], b.fits[i], 1e-9);
   }
+}
+
+
+// ---- the factor update: completion across ranks, counted expand bytes ------
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Fits, factors and core byte for byte.
+void expect_same_run(const HooiResult& shared, const DistHooiResult& dist,
+                     const std::string& what) {
+  EXPECT_TRUE(same_bits(shared.fits, dist.fits)) << what << ": fits";
+  ASSERT_EQ(shared.decomposition.factors.size(),
+            dist.decomposition.factors.size());
+  for (std::size_t n = 0; n < shared.decomposition.factors.size(); ++n) {
+    const Matrix& a = shared.decomposition.factors[n];
+    const Matrix& b = dist.decomposition.factors[n];
+    EXPECT_TRUE(a.rows() == b.rows() && a.cols() == b.cols() &&
+                same_bits(a.flat(), b.flat()))
+        << what << ": factor " << n;
+  }
+  EXPECT_TRUE(same_bits(shared.decomposition.core.flat(),
+                        dist.decomposition.core.flat()))
+      << what << ": core";
+}
+
+void expect_orthonormal(const Matrix& f, double tol, const std::string& what) {
+  const Matrix g = ht::la::gemm_tn(f, f);
+  for (std::size_t i = 0; i < g.rows(); ++i) {
+    for (std::size_t j = 0; j < g.cols(); ++j) {
+      EXPECT_NEAR(g(i, j), i == j ? 1.0 : 0.0, tol) << what;
+    }
+  }
+}
+
+// Mode 0 has 12 rows, but nonzeros in only three of them (0, 4 and 8): at
+// R_0 = 5 the completion puts two canonical columns on rows no rank holds.
+CooTensor narrow_mode_tensor() {
+  const CooTensor src = ht::tensor::random_uniform(Shape{12, 10, 8}, 200, 7);
+  CooTensor x(src.shape());
+  std::vector<index_t> idx(3);
+  for (ht::tensor::nnz_t e = 0; e < src.nnz(); ++e) {
+    idx = {src.index(0, e) % 3 * 4, src.index(1, e), src.index(2, e)};
+    x.push_back(idx, src.value(e));
+  }
+  x.sum_duplicates();
+  return x;
+}
+
+// Solves that take the completion path on every sweep: at ranks {2, 2, 5}
+// mode 2's compact problem has width 2 * 2 = 4 < 5; at max_steps = 5 every
+// Lanczos solve stops unconverged; the narrow mode has fewer non-empty rows
+// than its rank.
+struct CompletionCase {
+  std::string name;
+  CooTensor x;
+  std::vector<index_t> ranks;
+  std::size_t max_steps;
+};
+
+std::vector<CompletionCase> completion_cases() {
+  return {{"width-deficient", test_tensor(), {2, 2, 5}, 0},
+          {"unconverged", test_tensor(), {4, 4, 4}, 5},
+          {"narrow-mode", narrow_mode_tensor(), {5, 3, 3}, 0}};
+}
+
+HooiResult completion_reference(const CompletionCase& c) {
+  HooiOptions opt;
+  opt.ranks = c.ranks;
+  opt.max_iterations = 3;
+  opt.fit_tolerance = 0.0;
+  opt.seed = 42;
+  opt.trsvd.max_steps = c.max_steps;
+  return ht::core::hooi(c.x, opt);
+}
+
+DistHooiResult completion_dist(const CompletionCase& c, Grain grain, int p) {
+  DistHooiOptions opt =
+      dist_options(c.ranks, grain, Method::kHypergraph, p, 3, 42);
+  opt.trsvd.max_steps = c.max_steps;
+  return ht::dist::dist_hooi(c.x, opt);
+}
+
+TEST(DistCompletion, SingleRankBitMatchesSharedMemory) {
+  for (const CompletionCase& c : completion_cases()) {
+    const HooiResult shared = completion_reference(c);
+    for (const auto grain : {Grain::kFine, Grain::kCoarse}) {
+      expect_same_run(shared, completion_dist(c, grain, 1),
+                      c.name + (grain == Grain::kFine ? " fine" : " coarse"));
+    }
+  }
+}
+
+TEST(DistCompletion, MatchesSharedMemoryAcrossRanks) {
+  for (const CompletionCase& c : completion_cases()) {
+    const HooiResult shared = completion_reference(c);
+    for (const int p : {2, 4}) {
+      for (const auto grain : {Grain::kFine, Grain::kCoarse}) {
+        const std::string what = c.name + " p=" + std::to_string(p) +
+                                 (grain == Grain::kFine ? " fine" : " coarse");
+        const DistHooiResult dist = completion_dist(c, grain, p);
+        ASSERT_EQ(dist.fits.size(), shared.fits.size()) << what;
+        for (std::size_t i = 0; i < dist.fits.size(); ++i) {
+          EXPECT_NEAR(dist.fits[i], shared.fits[i], 1e-6) << what;
+        }
+        for (const Matrix& f : dist.decomposition.factors) {
+          expect_orthonormal(f, 1e-10, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(DistWarmTrsvd, SingleRankBitMatchesSharedMemoryInBothGrains) {
+  const CooTensor x = warm_mode_tensor();
+  const std::vector<index_t> r = {4, 8, 8};
+  const HooiResult shared = reference_hooi(x, r, 4, 42);
+  ASSERT_EQ(shared.warm_solves, (std::vector<int>{2, 0, 0}));
+  for (const auto grain : {Grain::kFine, Grain::kCoarse}) {
+    const DistHooiResult dist = ht::dist::dist_hooi(
+        x, dist_options(r, grain, Method::kHypergraph, 1, 4, 42));
+    EXPECT_EQ(dist.warm_solves, shared.warm_solves);
+    expect_same_run(shared, dist, grain == Grain::kFine ? "fine" : "coarse");
+  }
+}
+
+TEST(DistHooiTest, ExpandBytesMatchTheModel) {
+  // The factor update moves R_n doubles per factor_send and factor_recv
+  // position per sweep, counted by the communicator.
+  const CooTensor x = test_tensor();
+  const std::vector<index_t> r = {4, 3, 5};
+  const int iters = 2;
+  for (const int p : {2, 4}) {
+    for (const auto grain : {Grain::kFine, Grain::kCoarse}) {
+      const auto opt = dist_options(r, grain, Method::kHypergraph, p, iters, 42);
+      ht::dist::PlanOptions popt;
+      popt.grain = grain;
+      popt.method = opt.method;
+      popt.num_ranks = p;
+      popt.seed = opt.seed;
+      const auto gplan = ht::dist::build_global_plan(x, popt);
+      const auto rplans = ht::dist::build_rank_plans(x, gplan, r, opt.seed);
+      const DistHooiResult dist = ht::dist::dist_hooi(x, opt, gplan, rplans);
+      std::uint64_t total = 0;
+      for (std::size_t n = 0; n < 3; ++n) {
+        for (int k = 0; k < p; ++k) {
+          const auto& mp = rplans[k].modes[n];
+          std::uint64_t rows = 0;
+          for (const auto& l : mp.factor_send) rows += l.positions.size();
+          for (const auto& l : mp.factor_recv) rows += l.positions.size();
+          const std::uint64_t modeled = iters * 8 * r[n] * rows;
+          EXPECT_EQ(dist.stats.at(n, k).expand_bytes, modeled)
+              << dist.label << " p=" << p << " mode " << n << " rank " << k;
+          total += dist.stats.at(n, k).expand_bytes;
+        }
+      }
+      EXPECT_GT(total, 0u) << dist.label << " p=" << p;
+    }
+  }
+}
+
+TEST(DistHooiTest, PlansThatDoNotFitAreRejected) {
+  const CooTensor x = test_tensor();  // 50 x 40 x 30
+  const std::vector<index_t> r = {4, 4, 4};
+  const auto opt = dist_options(r, Grain::kFine, Method::kRandom, 2, 1, 42);
+  ht::dist::PlanOptions popt;
+  popt.grain = opt.grain;
+  popt.method = opt.method;
+  popt.num_ranks = opt.num_ranks;
+  popt.seed = opt.seed;
+
+  // Plans of a larger tensor: their rows run past x's modes.
+  CooTensor big = ht::tensor::random_zipf(Shape{60, 48, 30}, 1500,
+                                          {0.9, 0.5, 0.2}, 3);
+  ht::tensor::plant_low_rank_values(big, 4, 0.1, 4);
+  const auto gbig = ht::dist::build_global_plan(big, popt);
+  const auto rbig = ht::dist::build_rank_plans(big, gbig, r, opt.seed);
+  EXPECT_THROW(ht::dist::dist_hooi(x, opt, gbig, rbig), ht::InvalidArgument);
+
+  // Plans for ranks {3, 3, 3}, run with ranks {4, 4, 4}.
+  const auto gplan = ht::dist::build_global_plan(x, popt);
+  const auto r3 = ht::dist::build_rank_plans(x, gplan, {3, 3, 3}, opt.seed);
+  EXPECT_THROW(ht::dist::dist_hooi(x, opt, gplan, r3), ht::InvalidArgument);
+
+  // One field out of place at a time.
+  const auto good = ht::dist::build_rank_plans(x, gplan, r, opt.seed);
+  auto nnz_short = gplan;
+  nnz_short.nnz_owner.pop_back();
+  EXPECT_THROW(ht::dist::dist_hooi(x, opt, nnz_short, good),
+               ht::InvalidArgument);
+  auto row_past = good;
+  row_past[1].modes[0].local_rows.back() = x.dim(0);
+  EXPECT_THROW(ht::dist::dist_hooi(x, opt, gplan, row_past),
+               ht::InvalidArgument);
+  auto order_short = good;
+  order_short[0].modes.pop_back();
+  EXPECT_THROW(ht::dist::dist_hooi(x, opt, gplan, order_short),
+               ht::InvalidArgument);
+  EXPECT_NO_THROW(ht::dist::dist_hooi(x, opt, gplan, good));
 }
 
 }  // namespace
