@@ -3,18 +3,14 @@
 //   1. symbolic TTMc reuse — preprocessing cost vs per-iteration cost, and
 //      its amortization across HOOI runs with different ranks (the paper's
 //      Sec. V argument for reusing the symbolic structure);
-//   2. dynamic vs static OpenMP scheduling of the loop a kAuto plan's TTMc
-//      runs (the CSF tile loop) on a skewed tensor (the paper chooses
-//      dynamic);
-//   3. Lanczos vs Gram-matrix TRSVD (the matrix-free choice);
-//   4. per-nnz vs CSF TTMc kernels across fiber-length regimes, and what
-//      a kAuto plan runs in each (the perf-trajectory entry: the CSF walk
-//      must win on fiber-dense tensors and must not lose to per-nnz on
-//      singleton fibers, where kAuto still runs it);
+//   4. per-nnz vs CSF TTMc kernels across fiber-length regimes (the
+//      perf-trajectory entry: the CSF walk must win on fiber-dense tensors
+//      and must not lose to per-nnz on singleton fibers, where the default
+//      plan still runs it);
 //   6. TRSVD solvers on the huge-mode regime where Table IV says TRSVD
 //      dominates, on the Y(n) of HOOI's third sweep: scalar Lanczos
 //      (bandwidth-bound gemv per step) vs randomized subspace iteration vs
-//      Gram vs kAuto's warm power steps from the current factor, with the
+//      kAuto's warm power steps from the current factor, with the
 //      energy each basis captures relative to Lanczos (perf-trajectory
 //      entry: kAuto's warm solve must end at >= 0.99 of Lanczos's energy,
 //      keeping its steps where they settle and rerunning Lanczos where
@@ -22,8 +18,7 @@
 //      stay on Lanczos for the small mode);
 //   7. CSF-tree TTMc against the flat per-nnz kernel across prefix-sharing
 //      regimes (perf-trajectory entry: CSF must beat per-nnz on
-//      prefix-heavy tensors and kAuto must stay within noise of the
-//      per-tensor winner everywhere);
+//      prefix-heavy tensors);
 //   8. model-store load path — heap (kCopy, checksummed owned buffers) vs
 //      mmap (kMap, zero-copy views) bundle loads, cold and warm, plus the
 //      first-query latency after each (perf-trajectory entry: the mmap
@@ -41,7 +36,7 @@
 //      masked training must reach held-out RMSE within 1.15x the noise
 //      floor while unmasked HOOI — fitting the zeros — must not, matching
 //      the core_completion_test acceptance pin).
-// Arms 5 and 10 are retired (docs/BENCHMARKS.md).
+// Arms 2, 3, 5 and 10 are retired (docs/BENCHMARKS.md).
 //
 // With --json PATH, every arm also appends machine-readable records so CI
 // publishes BENCH_ablation.json instead of hand-copied tables.
@@ -50,7 +45,6 @@
 #include <cstdio>
 #include <memory>
 #include <random>
-#include <type_traits>
 #include <variant>
 
 #include "bench_common.hpp"
@@ -73,10 +67,10 @@
 
 namespace {
 
-// Time the mode-`n` TTMc over `index`, best of `reps`: a mode's update
-// lists or CSF tree, or a whole TtmcPlan (what HOOI runs). Per-mode timing
-// shows where a kernel wins: a tensor's modes can sit in different fiber
-// regimes (the generator's last mode sees singleton fibers).
+// Time the mode-`n` TTMc over `index` (a mode's update lists or CSF
+// tree), best of `reps`. Per-mode timing shows where a kernel wins: a
+// tensor's modes can sit in different fiber regimes (the generator's last
+// mode sees singleton fibers).
 template <typename Index>
 double time_ttmc_mode(const ht::tensor::CooTensor& x,
                       const std::vector<ht::la::Matrix>& factors,
@@ -85,18 +79,10 @@ double time_ttmc_mode(const ht::tensor::CooTensor& x,
   ht::la::Matrix y;
   for (int rep = 0; rep < reps; ++rep) {
     ht::WallTimer t;
-    if constexpr (std::is_same_v<Index, ht::core::TtmcPlan>) {
-      index.ttmc(x, factors, n, y);
-    } else {
-      ht::core::ttmc_mode(x, factors, n, index, y);
-    }
+    ht::core::ttmc_mode(x, factors, n, index, y);
     best = std::min(best, t.seconds());
   }
   return best;
-}
-
-const char* kernel_name(ht::core::TtmcKernel kernel) {
-  return kernel == ht::core::TtmcKernel::kCsf ? "csf" : "nnz";
 }
 
 void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
@@ -110,8 +96,8 @@ void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
 
   // Mode 0's tree has the last mode at its leaf level, so its leaf runs are
   // the generator's ~fiber_len-long fibers; fiber_len 1 is prefix-free.
-  std::printf("%-10s %10s %12s %12s %9s %6s\n", "fiber_len", "avg_len",
-              "per-nnz(s)", "csf(s)", "speedup", "auto");
+  std::printf("%-10s %10s %12s %12s %9s\n", "fiber_len", "avg_len",
+              "per-nnz(s)", "csf(s)", "speedup");
   for (const tensor::index_t fiber_len : {1, 2, 4, 8, 16}) {
     const auto x = tensor::random_fibered(shape, target_nnz / fiber_len,
                                           fiber_len, 97);
@@ -126,12 +112,9 @@ void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
       t_nnz = std::min(t_nnz, time_ttmc_mode(x, factors, sym.modes[0], 0, 1));
       t_csf = std::min(t_csf, time_ttmc_mode(x, factors, csf.modes[0], 0, 1));
     }
-    // What HOOI's kAuto plan runs: whatever structure it built.
-    const bool plan_csf = core::ttmc_wants_csf(x.order(), core::TtmcOptions{});
-    const char* pick = plan_csf ? "csf" : "nnz";
     const double avg_len = csf.modes[0].avg_leaf_fiber_length();
-    std::printf("%-10u %10.2f %12.4f %12.4f %8.2fx %6s\n", fiber_len, avg_len,
-                t_nnz, t_csf, t_nnz / t_csf, pick);
+    std::printf("%-10u %10.2f %12.4f %12.4f %8.2fx\n", fiber_len, avg_len,
+                t_nnz, t_csf, t_nnz / t_csf);
     report.add()
         .str("arm", "fiber_length")
         .num("fiber_len", fiber_len)
@@ -139,8 +122,7 @@ void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
         .num("avg_leaf_fiber_length", avg_len)
         .num("t_per_nnz_s", t_nnz)
         .num("t_csf_s", t_csf)
-        .num("speedup", t_nnz / t_csf)
-        .str("auto_pick", pick);
+        .num("speedup", t_nnz / t_csf);
   }
   std::printf("\n");
 }
@@ -154,7 +136,8 @@ void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
 // match at most one mode's iteration order, so even when the flat kernels
 // stream one mode they scatter on the rest; CSF's per-mode trees stream
 // all of them. The prefix-free control is the regime with no shared prefix
-// to amortize; kAuto runs the walk there too, and it must hold its own.
+// to amortize; the default plan runs the walk there too, and it must hold
+// its own.
 void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
   using namespace ht;
   std::printf("=== Ablation 7: CSF vs per-nnz TTMc kernels ===\n");
@@ -164,9 +147,8 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
   const std::vector<tensor::index_t> ranks(3, 10);
   const int reps = smoke ? 1 : 5;
 
-  std::printf("%-14s %6s %8s %12s %12s %12s %9s %9s %s\n", "tensor",
-              "mode", "avg_len", "per-nnz(s)", "csf(s)", "auto(s)",
-              "vs_nnz", "auto_spd", "auto");
+  std::printf("%-14s %6s %8s %12s %12s %9s\n", "tensor", "mode", "avg_len",
+              "per-nnz(s)", "csf(s)", "vs_nnz");
   struct Arm {
     std::string name;
     tensor::CooTensor tensor;
@@ -183,33 +165,27 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
   for (const Arm& arm : arms) {
     const auto& x = arm.tensor;
     const core::SymbolicTtmc sym = core::SymbolicTtmc::build(x);
-    // The kAuto plan holds the forest alone, so its build time is the
+    // The default plan holds the forest alone, so its build time is the
     // forest's.
     const core::TtmcPlan plan = core::TtmcPlan::build(x);
     const auto& csf = std::get<tensor::CsfTensor>(plan.index);
     const double csf_build_s = plan.build_seconds;
     const auto factors = core::random_orthonormal_factors(x.shape(), ranks, 7);
-    const char* pick_name = kernel_name(plan.kernel());
 
-    // Per mode: interleaved best-of-reps so drift hits all three alike;
-    // sweep totals are the per-iteration numbers HOOI sees.
-    double s_nnz = 0, s_csf = 0, s_auto = 0;
-    std::string picks;
+    // Per mode: interleaved best-of-reps so drift hits both alike; sweep
+    // totals are the per-iteration numbers HOOI sees.
+    double s_nnz = 0, s_csf = 0;
     for (std::size_t n = 0; n < x.order(); ++n) {
-      double t_nnz = 1e300, t_csf = 1e300, t_auto = 1e300;
+      double t_nnz = 1e300, t_csf = 1e300;
       for (int rep = 0; rep < reps; ++rep) {
         t_nnz =
             std::min(t_nnz, time_ttmc_mode(x, factors, sym.modes[n], n, 1));
         t_csf =
             std::min(t_csf, time_ttmc_mode(x, factors, csf.modes[n], n, 1));
-        t_auto = std::min(t_auto, time_ttmc_mode(x, factors, plan, n, 1));
       }
-      picks += pick_name[0];
-      const double t_best = std::min(t_nnz, t_csf);
-      std::printf("%-14s %6zu %8.2f %12.4f %12.4f %12.4f %8.2fx %8.2fx %s\n",
-                  arm.name.c_str(), n, csf.modes[n].avg_leaf_fiber_length(),
-                  t_nnz, t_csf, t_auto, t_nnz / t_csf, t_best / t_auto,
-                  pick_name);
+      std::printf("%-14s %6zu %8.2f %12.4f %12.4f %8.2fx\n", arm.name.c_str(),
+                  n, csf.modes[n].avg_leaf_fiber_length(), t_nnz, t_csf,
+                  t_nnz / t_csf);
       report.add()
           .str("arm", "csf_kernel")
           .str("tensor", arm.name)
@@ -219,36 +195,27 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
           .num("prefix_sharing_ratio", csf.modes[n].prefix_sharing_ratio())
           .num("t_per_nnz_s", t_nnz)
           .num("t_csf_s", t_csf)
-          .num("t_auto_s", t_auto)
-          .num("csf_vs_per_nnz", t_nnz / t_csf)
-          .num("auto_vs_winner", t_best / t_auto)
-          .str("auto_pick", pick_name);
+          .num("csf_vs_per_nnz", t_nnz / t_csf);
       s_nnz += t_nnz;
       s_csf += t_csf;
-      s_auto += t_auto;
     }
-    const double s_winner = std::min(s_nnz, s_csf);
-    std::printf("%-14s  sweep          %12.4f %12.4f %12.4f %8.2fx %8.2fx %s "
-                "(csf build %.2fs)\n",
-                arm.name.c_str(), s_nnz, s_csf, s_auto, s_nnz / s_csf,
-                s_winner / s_auto, picks.c_str(), csf_build_s);
+    std::printf(
+        "%-14s  sweep          %12.4f %12.4f %8.2fx (csf build %.2fs)\n",
+        arm.name.c_str(), s_nnz, s_csf, s_nnz / s_csf, csf_build_s);
     report.add()
         .str("arm", "csf_kernel_sweep")
         .str("tensor", arm.name)
         .num("nnz", static_cast<double>(x.nnz()))
         .num("t_per_nnz_s", s_nnz)
         .num("t_csf_s", s_csf)
-        .num("t_auto_s", s_auto)
         .num("csf_build_s", csf_build_s)
-        .num("csf_vs_per_nnz", s_nnz / s_csf)
-        .num("auto_vs_winner", s_winner / s_auto)
-        .str("auto_picks", picks);
+        .num("csf_vs_per_nnz", s_nnz / s_csf);
   }
   std::printf("\n");
 }
 
 // Time one TRSVD solve per solver on a fixed compact Y(n), interleaved
-// (lanczos, gram, rand, auto, warm, repeat) best-of-`reps` so machine drift
+// (lanczos, rand, auto, warm, repeat) best-of-`reps` so machine drift
 // hits every solver alike. Y(n) is the mode-0 TTMc after two Lanczos HOOI
 // sweeps: the point where HOOI's kAuto starts handing out warm starts, here
 // the compact rows of the current U_0. "auto" is a cold kAuto solve and
@@ -305,7 +272,6 @@ void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
 
     std::vector<Solver> solvers = {
         {"lanczos", core::TrsvdMethod::kLanczos},
-        {"gram", core::TrsvdMethod::kGram},
         {"rand", core::TrsvdMethod::kRandomized},
         {"auto", core::TrsvdMethod::kAuto},
         {"warm", core::TrsvdMethod::kAuto, true}};
@@ -318,24 +284,25 @@ void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
     core::WarmStart warm;
     for (int rep = 0; rep < reps; ++rep) {
       for (Solver& b : solvers) {
+        const bool warm_solve = b.warm_start && warm_applies;
+        const core::TrsvdMethod cold_method =
+            core::resolve_trsvd_method(b.method);
         WallTimer t;
-        core::FactorTrsvd res;
-        if (b.warm_start && warm_applies) {
+        la::DenseOperator op(y);
+        la::TrsvdResult cold;
+        if (warm_solve) {
           warm.load(factors[0], rows);
-          la::DenseOperator op(y);
           const bool kept = core::warm_trsvd(op, warm, trsvd_opts);
-          res.compact_u = warm.basis.u;
-          res.solver_steps = warm.basis.steps;
           b.resolved = kept ? "warm" : "lanczos";
         } else {
-          res = core::trsvd_factor(y, rows, x.dim(0), rank, b.method,
-                                   trsvd_opts);
-          b.resolved = core::trsvd_method_name(res.method_used);
+          cold = core::run_trsvd_backend(op, cold_method, rank, trsvd_opts);
+          b.resolved = core::trsvd_method_name(cold_method);
         }
         b.best = std::min(b.best, t.seconds());
-        b.energy = la::gemm_tn(res.compact_u, y).frobenius_norm();
+        const la::TrsvdResult& res = warm_solve ? warm.basis : cold;
+        b.energy = la::gemm_tn(res.u, y).frobenius_norm();
         b.energy *= b.energy;
-        b.steps = res.solver_steps;
+        b.steps = res.steps;
       }
     }
 
@@ -715,7 +682,7 @@ int main(int argc, char** argv) {
   serve_qps_ablation(htb::bench_smoke(), report);
   completion_ablation(htb::bench_smoke(), report);
 
-  // Arms 1-3 run on the netflix preset; smoke shrinks it to ~8k nonzeros.
+  // Arm 1 runs on the netflix preset; smoke shrinks it to ~8k nonzeros.
   const auto bt = htb::load_preset("netflix", htb::bench_smoke() ? 0.02 : 0.25);
   const auto& x = bt.tensor;
   const auto& ranks = bt.spec.ranks;
@@ -770,60 +737,6 @@ int main(int argc, char** argv) {
       .num("rebuild_s", rebuild_s)
       .num("speedup", rebuild_s / reuse_s);
 
-  // ---- 2. dynamic vs static scheduling -----------------------------------
-  std::printf("=== Ablation 2: TTMc row-loop scheduling (skewed tensor) ===\n");
-  std::vector<la::Matrix> factors;
-  {
-    core::HooiOptions o = options;
-    o.max_iterations = 1;
-    factors = core::hooi(x, o, plan).decomposition.factors;
-  }
-  // One kAuto plan per schedule: the arm times the kernel HOOI runs.
-  for (const auto schedule :
-       {core::Schedule::kDynamic, core::Schedule::kStatic}) {
-    const core::TtmcPlan sched_plan =
-        core::TtmcPlan::build(x, {.schedule = schedule});
-    la::Matrix y;
-    WallTimer t;
-    const int reps = 5;
-    for (int rep = 0; rep < reps; ++rep) {
-      for (std::size_t n = 0; n < x.order(); ++n) {
-        sched_plan.ttmc(x, factors, n, y);
-      }
-    }
-    std::printf("%s: %.3fs for %d full TTMc sweeps (%s kernel)\n",
-                schedule == core::Schedule::kDynamic ? "dynamic" : "static ",
-                t.seconds(), reps, kernel_name(sched_plan.kernel()));
-    report.add()
-        .str("arm", "schedule")
-        .str("schedule",
-             schedule == core::Schedule::kDynamic ? "dynamic" : "static")
-        .str("kernel", kernel_name(sched_plan.kernel()))
-        .num("seconds", t.seconds())
-        .num("sweeps", reps);
-  }
-  std::printf("\n");
-
-  // ---- 3. Lanczos vs Gram TRSVD -------------------------------------------
-  std::printf("=== Ablation 3: TRSVD method on Y(1) ===\n");
-  la::Matrix y;
-  plan.ttmc(x, factors, 0, y);
-  for (const auto method :
-       {core::TrsvdMethod::kLanczos, core::TrsvdMethod::kGram}) {
-    WallTimer t;
-    const auto res =
-        core::trsvd_factor(y, plan.rows(0), x.dim(0), ranks[0], method);
-    std::printf("%s: %.3fs (sigma_1 = %.4f, steps = %zu)\n",
-                method == core::TrsvdMethod::kLanczos ? "lanczos" : "gram   ",
-                t.seconds(), res.sigma[0], res.solver_steps);
-    report.add()
-        .str("arm", "trsvd_method")
-        .str("method",
-             method == core::TrsvdMethod::kLanczos ? "lanczos" : "gram")
-        .num("seconds", t.seconds())
-        .num("sigma_1", res.sigma[0])
-        .num("steps", static_cast<double>(res.solver_steps));
-  }
   report.write();
   return 0;
 }

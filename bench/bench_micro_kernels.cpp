@@ -115,18 +115,6 @@ void BM_SymbolicTtmc(benchmark::State& state) {
 }
 BENCHMARK(BM_SymbolicTtmc)->Unit(benchmark::kMillisecond);
 
-void BM_AccumulateKron(benchmark::State& state) {
-  const auto& f = TtmcFixture::instance();
-  std::vector<double> out(100, 0.0);
-  ht::tensor::nnz_t e = 0;
-  for (auto _ : state) {
-    ht::core::accumulate_kron(f.x, e, f.factors, 0, out);
-    e = (e + 1) % f.x.nnz();
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_AccumulateKron);
-
 Matrix tall_skinny(std::size_t m, std::size_t c, std::uint64_t seed) {
   ht::Rng rng(seed);
   Matrix a(m, c);

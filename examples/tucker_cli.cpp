@@ -3,8 +3,8 @@
 //
 //   ./tucker_cli INPUT.tns R1,R2,...  [--iters N] [--tol T] [--threads P]
 //                [--init random|range]
-//                [--ttmc-kernel auto|nnz|csf]
-//                [--trsvd-method lanczos|gram|rand|auto]
+//                [--ttmc-kernel csf|nnz]
+//                [--trsvd-method lanczos|rand|auto]
 //                [--trsvd-oversample P] [--trsvd-power Q]
 //                [--export PREFIX] [--sweep] [--save-model FILE.htb]
 //   ./tucker_cli INPUT.tns R1,R2,... --completion [--holdout FRAC]
@@ -90,25 +90,12 @@ void export_factors(const ht::core::TuckerDecomposition& t,
   }
 }
 
-// The --ttmc-kernel spelling of the kernel a mode ran.
-const char* kernel_name(ht::core::TtmcKernel kernel) {
-  switch (kernel) {
-    case ht::core::TtmcKernel::kCsf:
-      return "csf";
-    case ht::core::TtmcKernel::kPerNnz:
-      return "nnz";
-    case ht::core::TtmcKernel::kAuto:
-      break;
-  }
-  return "auto";
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: tucker_cli INPUT.tns R1,R2,... [--iters N] [--tol T]"
                " [--threads P] [--init random|range]"
-               " [--ttmc-kernel auto|nnz|csf]"
-               " [--trsvd-method lanczos|gram|rand|auto]"
+               " [--ttmc-kernel csf|nnz]"
+               " [--trsvd-method lanczos|rand|auto]"
                " [--trsvd-oversample P] [--trsvd-power Q]"
                " [--export PREFIX] [--sweep] [--save-model FILE.htb]\n"
                "       tucker_cli INPUT.tns R1,R2,... --completion"
@@ -308,16 +295,19 @@ int main(int argc, char** argv) {
       options.num_threads = std::atoi(next());
     } else if (arg == "--init") {
       const std::string v = next();
-      options.init = v == "range" ? ht::core::HooiInit::kRandomizedRange
-                                  : ht::core::HooiInit::kRandom;
+      if (v == "random") {
+        options.init = ht::core::HooiInit::kRandom;
+      } else if (v == "range") {
+        options.init = ht::core::HooiInit::kRandomizedRange;
+      } else {
+        return usage();
+      }
     } else if (arg == "--ttmc-kernel") {
       const std::string v = next();
-      if (v == "auto") {
-        options.ttmc.kernel = ht::core::TtmcKernel::kAuto;
+      if (v == "csf") {
+        options.ttmc_kernel = ht::core::TtmcKernel::kCsf;
       } else if (v == "nnz") {
-        options.ttmc.kernel = ht::core::TtmcKernel::kPerNnz;
-      } else if (v == "csf") {
-        options.ttmc.kernel = ht::core::TtmcKernel::kCsf;
+        options.ttmc_kernel = ht::core::TtmcKernel::kPerNnz;
       } else {
         return usage();
       }
@@ -422,7 +412,7 @@ int main(int argc, char** argv) {
     // Build the preprocessing here rather than inside hooi so the timers
     // line can name the kernel the plan runs.
     ht::parallel::ThreadScope threads(options.num_threads);
-    const auto plan = ht::core::TtmcPlan::build(x, options.ttmc);
+    const auto plan = ht::core::TtmcPlan::build(x, options.ttmc_kernel);
     ht::core::HooiResult result = ht::core::hooi(x, options, plan);
     std::printf("fit %.6f after %d sweeps (converged=%s)\n",
                 result.final_fit(), result.iterations,
@@ -436,7 +426,8 @@ int main(int argc, char** argv) {
         "timers: symbolic %.3fs ttmc %.3fs trsvd %.3fs core %.3fs"
         " (ttmc kernel %s; warm trsvd solves per mode: %s)\n",
         plan.build_seconds, result.timers.ttmc, result.timers.trsvd,
-        result.timers.core, kernel_name(plan.kernel()), warm.c_str());
+        result.timers.core, ht::core::ttmc_kernel_name(plan.kernel()),
+        warm.c_str());
     if (!export_prefix.empty()) {
       export_factors(result.decomposition, export_prefix);
     }

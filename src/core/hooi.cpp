@@ -39,7 +39,7 @@ void validate_hooi_options(const CooTensor& x, const HooiOptions& options) {
 HooiResult hooi(const CooTensor& x, const HooiOptions& options) {
   validate_hooi_options(x, options);
   parallel::ThreadScope threads(options.num_threads);
-  const TtmcPlan plan = TtmcPlan::build(x, options.ttmc);
+  const TtmcPlan plan = TtmcPlan::build(x, options.ttmc_kernel);
   HooiResult result = hooi(x, options, plan);
   result.timers.symbolic = plan.build_seconds;
   return result;
@@ -48,15 +48,16 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options) {
 HooiResult hooi(const CooTensor& x, const HooiOptions& options,
                 const TtmcPlan& plan) {
   validate_hooi_options(x, options);
-  if (plan.options != options.ttmc) {
-    throw InvalidArgument("TTMc plan was built for other TTMc options");
+  const std::size_t order = x.order();
+  if ((plan.kernel() == TtmcKernel::kCsf) !=
+      ttmc_wants_csf(order, options.ttmc_kernel)) {
+    throw InvalidArgument("TTMc plan runs another kernel than requested");
   }
   // Whichever index the plan holds covers x's nonzeros (the lists index
   // them, the trees copy their values) and its compact rows index x's
   // factor rows: a plan built from another tensor would read and write out
   // of bounds or fit other data. Rows are sorted, so the last one bounds
   // them all.
-  const std::size_t order = x.order();
   const bool same_tensor = std::visit(
       [&](const auto& idx) {
         if (idx.modes.size() != order) return false;

@@ -43,9 +43,9 @@ struct HooiOptions {
   /// (trsvd.hpp), and kLanczos runs Lanczos on every solve. The randomized
   /// solver's oversample/power knobs live in `trsvd` below.
   TrsvdMethod trsvd_method = TrsvdMethod::kAuto;
-  /// TTMc kernel family and schedule (TtmcOptions documents each;
-  /// docs/TUNING.md the kAuto rule).
-  TtmcOptions ttmc;
+  /// TTMc kernel family: kCsf runs the CSF forest wherever it can
+  /// (TtmcKernel documents the rule), kPerNnz the update lists.
+  TtmcKernel ttmc_kernel = TtmcKernel::kCsf;
   /// OpenMP threads (0 = runtime default). Paper Table V sweeps this.
   int num_threads = 0;
   std::uint64_t seed = 42;
@@ -79,15 +79,16 @@ struct HooiResult {
   }
 };
 
-/// Run HOOI; builds the TTMc plan for options.ttmc internally (its build
-/// time lands in timers.symbolic).
+/// Run HOOI; builds the TTMc plan for options.ttmc_kernel internally (its
+/// build time lands in timers.symbolic).
 HooiResult hooi(const CooTensor& x, const HooiOptions& options);
 
 /// Run HOOI over a prebuilt plan (the paper reuses the symbolic structure
 /// across runs with different ranks; rank_sweep shares one plan across its
-/// grid). `plan` must be built from `x` with options.ttmc; a plan for other
-/// TTMc options, or one whose lists or structures do not fit `x`'s order,
-/// nonzero count or mode sizes, throws ht::InvalidArgument.
+/// grid). `plan` must be built from `x` with options.ttmc_kernel; a plan
+/// that runs another kernel than options.ttmc_kernel asks for on `x`, or
+/// one whose lists or structures do not fit `x`'s order, nonzero count or
+/// mode sizes, throws ht::InvalidArgument.
 /// timers.symbolic stays 0: the caller paid the build.
 HooiResult hooi(const CooTensor& x, const HooiOptions& options,
                 const TtmcPlan& plan);

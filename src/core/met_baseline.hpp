@@ -17,8 +17,8 @@ namespace ht::core {
 
 /// HOOI with TTM-chain (materialized) TTMc: hooi's sweep (core/sweep.hpp)
 /// with the chain as its TTMc step, so the same options/result contract as
-/// hooi(); options.ttmc is ignored (the chain parallelizes per merge
-/// group).
+/// hooi(); options.ttmc_kernel is ignored (the chain parallelizes per
+/// merge group).
 HooiResult hooi_met_baseline(const CooTensor& x, const HooiOptions& options);
 
 }  // namespace ht::core

@@ -36,7 +36,7 @@ RankSweepResult rank_sweep(const CooTensor& x,
   RankSweepResult result;
   // Every preprocessing structure is rank-independent: one plan serves the
   // whole rank grid.
-  const TtmcPlan plan = TtmcPlan::build(x, base.ttmc);
+  const TtmcPlan plan = TtmcPlan::build(x, base.ttmc_kernel);
   result.symbolic_seconds = plan.build_seconds;
 
   double best_fit = -1.0;

@@ -213,8 +213,6 @@ SweepResult hooi_sweeps(smp::Communicator& comm, const TtmcStep& ttmc,
         static_cast<double>(modes[n].owned.size())));
   }
   const TrsvdMethod cold_method = resolve_trsvd_method(options.trsvd_method);
-  HT_CHECK_MSG(cold_method != TrsvdMethod::kGram || comm.size() == 1,
-               "Gram TRSVD needs the assembled Y(n): one rank only");
   const tensor::Shape core_shape(options.ranks.begin(), options.ranks.end());
   la::Matrix y;       // this rank's rows of the compact Y(n), reused
   la::Matrix u_core;  // the last mode's factor rows behind Y's rows
@@ -243,8 +241,6 @@ SweepResult hooi_sweeps(smp::Communicator& comm, const TtmcStep& ttmc,
       if (warm_solve) {
         warm.load(factors[n], mode.factor_rows);
         result.warm_solves[n] += warm_trsvd(op, warm, options.trsvd);
-      } else if (cold_method == TrsvdMethod::kGram) {
-        cold = la::gram_trsvd(y, solvable);
       } else {
         cold = run_trsvd_backend(op, cold_method, solvable, options.trsvd);
       }

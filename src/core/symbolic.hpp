@@ -12,7 +12,7 @@
 // function of the tensor.
 //
 // The lists are the index of a per-nnz core::TtmcPlan (kPerNnz, orders past
-// 8, empty tensors); a kAuto plan holds the CSF forest instead, whose
+// 8, empty tensors); a kCsf plan holds the CSF forest instead, whose
 // root nodes are the same compact rows. Masked completion reads the lists
 // directly for its per-row normal equations.
 #pragma once

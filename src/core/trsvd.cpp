@@ -5,8 +5,6 @@
 
 #include "la/blas.hpp"
 #include "la/block_ops.hpp"
-#include "la/linear_operator.hpp"
-#include "la/qr.hpp"
 #include "la/randomized_trsvd.hpp"
 #include "util/error.hpp"
 
@@ -24,7 +22,6 @@ bool warm_trsvd_applies(TrsvdMethod method, std::size_t rows,
 
 std::optional<TrsvdMethod> parse_trsvd_method(std::string_view name) {
   if (name == "lanczos") return TrsvdMethod::kLanczos;
-  if (name == "gram") return TrsvdMethod::kGram;
   if (name == "rand" || name == "randomized") return TrsvdMethod::kRandomized;
   if (name == "auto") return TrsvdMethod::kAuto;
   return std::nullopt;
@@ -33,7 +30,6 @@ std::optional<TrsvdMethod> parse_trsvd_method(std::string_view name) {
 const char* trsvd_method_name(TrsvdMethod method) {
   switch (method) {
     case TrsvdMethod::kLanczos: return "lanczos";
-    case TrsvdMethod::kGram: return "gram";
     case TrsvdMethod::kRandomized: return "rand";
     case TrsvdMethod::kAuto: return "auto";
   }
@@ -48,11 +44,10 @@ la::TrsvdResult run_trsvd_backend(la::TrsvdOperator& op, TrsvdMethod method,
       return la::lanczos_trsvd(op, rank, options);
     case TrsvdMethod::kRandomized:
       return la::randomized_trsvd(op, rank, options);
-    case TrsvdMethod::kGram:
     case TrsvdMethod::kAuto:
       break;
   }
-  HT_CHECK_MSG(false, "run_trsvd_backend needs a resolved matrix-free method");
+  HT_CHECK_MSG(false, "run_trsvd_backend needs a resolved method");
   return {};
 }
 
@@ -114,53 +109,6 @@ bool warm_trsvd(la::TrsvdOperator& op, WarmStart& warm,
   }
   warm.basis = run_trsvd_backend(op, TrsvdMethod::kLanczos, rank, options);
   return false;
-}
-
-FactorTrsvd trsvd_factor(const la::Matrix& y, std::span<const index_t> rows,
-                         index_t dim, std::size_t rank, TrsvdMethod method,
-                         const la::TrsvdOptions& options) {
-  HT_CHECK_MSG(rank >= 1, "rank must be positive");
-  HT_CHECK_MSG(rank <= dim, "rank " << rank << " exceeds mode size " << dim);
-  HT_CHECK_MSG(y.rows() == rows.size(), "compact row map arity mismatch");
-
-#ifndef NDEBUG
-  // Debug-only: callers own the contract; CI's Debug job keeps it checked.
-  for (index_t r : rows) {
-    HT_CHECK_MSG(r < dim, "compact row index out of range");
-  }
-#endif
-
-  // The compact problem can only deliver min(y.rows, y.cols) directions;
-  // remaining columns are completed over the empty rows afterwards.
-  const std::size_t solvable = std::min({rank, y.rows(), y.cols()});
-  const TrsvdMethod resolved = resolve_trsvd_method(method);
-
-  la::TrsvdResult solved;
-  if (solvable >= 1) {
-    if (resolved == TrsvdMethod::kGram) {
-      solved = la::gram_trsvd(y, solvable);
-    } else {
-      la::DenseOperator op(y);
-      solved = run_trsvd_backend(op, resolved, solvable, options);
-    }
-  }
-  FactorTrsvd out;
-  out.method_used = resolved;
-  out.solver_steps = solved.steps;
-  out.sigma.assign(rank, 0.0);
-  std::copy(solved.sigma.begin(), solved.sigma.end(), out.sigma.begin());
-  out.factor.resize_zero(dim, rank);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    std::copy_n(solved.u.row(r).begin(), solvable,
-                out.factor.row(rows[r]).begin());
-  }
-  if (solvable < rank || !solved.converged) {
-    // Rank-deficient or unconverged compact problem: make sure the factor
-    // still has orthonormal columns (HOOI's fit formula depends on it).
-    la::orthonormalize_columns(out.factor);
-  }
-  gather_rows(out.factor, rows, out.compact_u);
-  return out;
 }
 
 }  // namespace ht::core

@@ -1,15 +1,11 @@
 // TRSVD step of HOOI: leading left singular vectors of the (compact)
 // matricized TTMc result Y(n) (paper Section III-A.2).
 //
-// Three solvers sit behind TrsvdMethod:
-//   kLanczos     matrix-free scalar Golub–Kahan–Lanczos (the paper's SLEPc
+// TrsvdMethod names two matrix-free solvers and HOOI's rule over them; no
+// solve assembles Y(n), the paper's argument against Gram methods:
+//   kLanczos     scalar Golub–Kahan–Lanczos (the paper's SLEPc
 //                substitute), iterated to tolerance; every step is a
 //                bandwidth-bound gemv pass over Y(n);
-//   kGram        eigendecomposition of Y^T Y (prod-of-ranks sized);
-//                cross-check/ablation only — the paper's argument against
-//                Gram methods concerns Y Y^T and, in the fine-grain
-//                distributed setting, any method that would require
-//                assembling Y(n);
 //   kRandomized  HMT randomized subspace iteration: a fixed budget of 2q+2
 //                block passes, accuracy set by oversampling/power
 //                iterations;
@@ -37,7 +33,6 @@
 #include <optional>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "la/lanczos.hpp"
 #include "la/matrix.hpp"
@@ -47,7 +42,7 @@ namespace ht::core {
 
 using tensor::index_t;
 
-enum class TrsvdMethod { kLanczos, kGram, kRandomized, kAuto };
+enum class TrsvdMethod { kLanczos, kRandomized, kAuto };
 
 /// Compact Y(n) entries (rows x cols) from which a warm-started kAuto solve
 /// takes the power steps.
@@ -72,15 +67,14 @@ TrsvdMethod resolve_trsvd_method(TrsvdMethod method);
 bool warm_trsvd_applies(TrsvdMethod method, std::size_t rows,
                         std::size_t cols, std::size_t rank);
 
-/// CLI/bench name <-> enum helpers ("lanczos", "gram", "rand", "auto");
-/// parse returns nullopt on unknown names.
+/// CLI/bench name <-> enum helpers ("lanczos", "rand", "auto"); parse
+/// returns nullopt on unknown names.
 std::optional<TrsvdMethod> parse_trsvd_method(std::string_view name);
 const char* trsvd_method_name(TrsvdMethod method);
 
-/// Run a cold *matrix-free* solver (kLanczos/kRandomized) over an operator.
-/// Shared by trsvd_factor and the HOOI sweep (core/sweep.hpp), so a solver
-/// is wired in exactly one place. kGram (needs the assembled
-/// matrix) and unresolved kAuto are programming errors here.
+/// Run a cold solver (kLanczos/kRandomized) over an operator: the HOOI
+/// sweep's (core/sweep.hpp) one wiring of the solvers. Unresolved kAuto is
+/// a programming error here.
 la::TrsvdResult run_trsvd_backend(la::TrsvdOperator& op, TrsvdMethod method,
                                   std::size_t rank,
                                   const la::TrsvdOptions& options);
@@ -116,29 +110,5 @@ void gather_rows(const la::Matrix& src, std::span<const index_t> rows,
 /// false.
 bool warm_trsvd(la::TrsvdOperator& op, WarmStart& warm,
                 const la::TrsvdOptions& options);
-
-struct FactorTrsvd {
-  /// Full factor U_n: dim x rank, orthonormal columns. Rows outside the
-  /// compact row set are zero (or canonical completions when the compact
-  /// problem is rank-deficient).
-  la::Matrix factor;
-  /// Compact left singular vectors (rows.size() x rank): the rows of
-  /// `factor` at the compact row positions.
-  la::Matrix compact_u;
-  /// Leading singular values; zero after a warm solve.
-  std::vector<double> sigma;
-  std::size_t solver_steps = 0;
-  /// Backend that actually ran (kAuto resolved).
-  TrsvdMethod method_used = TrsvdMethod::kLanczos;
-};
-
-/// Compute the leading `rank` left singular vectors of the compact matrix
-/// `y` whose row r is global row rows[r] of the full (dim x y.cols())
-/// matricized tensor, and scatter them into a dim x rank factor. This is
-/// a cold solve: kAuto runs Lanczos.
-FactorTrsvd trsvd_factor(const la::Matrix& y, std::span<const index_t> rows,
-                         index_t dim, std::size_t rank,
-                         TrsvdMethod method = TrsvdMethod::kLanczos,
-                         const la::TrsvdOptions& options = {});
 
 }  // namespace ht::core

@@ -87,18 +87,12 @@ inline OtherModes other_modes(std::size_t order, std::size_t skip) {
   return o;
 }
 
-// Run `body(r)` over [0, nrows) with the requested OpenMP schedule. The
-// dynamic/static choice is the paper's load-balancing knob (Sec. III-A.1);
-// the ablation bench compares both.
+// Run `body(r)` over [0, nrows), dynamically scheduled: rows differ in
+// nonzero count, and dynamic chunks absorb the skew (paper Sec. III-A.1).
 template <typename Body>
-void parallel_rows(std::ptrdiff_t nrows, Schedule schedule, Body&& body) {
-  if (schedule == Schedule::kDynamic) {
+void parallel_rows(std::ptrdiff_t nrows, Body&& body) {
 #pragma omp parallel for schedule(dynamic, 16)
-    for (std::ptrdiff_t r = 0; r < nrows; ++r) body(r);
-  } else {
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t r = 0; r < nrows; ++r) body(r);
-  }
+  for (std::ptrdiff_t r = 0; r < nrows; ++r) body(r);
 }
 
 // The full-mode and subset entry points share every kernel below through a
@@ -123,15 +117,14 @@ struct SubsetRowMap {
 template <typename RowMap>
 void ttmc3_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
                    std::size_t mode, const ModeSymbolic& sym,
-                   std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                   Schedule schedule) {
+                   std::ptrdiff_t nrows, RowMap map, la::Matrix& y) {
   const auto o = other_modes(x.order(), mode);
   const auto idx_a = x.indices(o.m[0]);
   const auto idx_b = x.indices(o.m[1]);
   const auto values = x.values();
   const la::Matrix& fa = factors[o.m[0]];
   const la::Matrix& fb = factors[o.m[1]];
-  parallel_rows(nrows, schedule, [&](std::ptrdiff_t r) {
+  parallel_rows(nrows, [&](std::ptrdiff_t r) {
     auto row = y.row(static_cast<std::size_t>(r));
     std::fill(row.begin(), row.end(), 0.0);
     for (nnz_t e : sym.update_list(map(r))) {
@@ -144,8 +137,7 @@ void ttmc3_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
 template <typename RowMap>
 void ttmc4_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
                    std::size_t mode, const ModeSymbolic& sym,
-                   std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                   Schedule schedule) {
+                   std::ptrdiff_t nrows, RowMap map, la::Matrix& y) {
   const auto o = other_modes(x.order(), mode);
   const auto idx_a = x.indices(o.m[0]);
   const auto idx_b = x.indices(o.m[1]);
@@ -154,7 +146,7 @@ void ttmc4_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
   const la::Matrix& fa = factors[o.m[0]];
   const la::Matrix& fb = factors[o.m[1]];
   const la::Matrix& fc = factors[o.m[2]];
-  parallel_rows(nrows, schedule, [&](std::ptrdiff_t r) {
+  parallel_rows(nrows, [&](std::ptrdiff_t r) {
     auto row = y.row(static_cast<std::size_t>(r));
     std::fill(row.begin(), row.end(), 0.0);
     for (nnz_t e : sym.update_list(map(r))) {
@@ -168,9 +160,8 @@ template <typename RowMap>
 void ttmc_general_per_nnz(const CooTensor& x,
                           const std::vector<la::Matrix>& factors,
                           std::size_t mode, const ModeSymbolic& sym,
-                          std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                          Schedule schedule) {
-  parallel_rows(nrows, schedule, [&](std::ptrdiff_t r) {
+                          std::ptrdiff_t nrows, RowMap map, la::Matrix& y) {
+  parallel_rows(nrows, [&](std::ptrdiff_t r) {
     auto row = y.row(static_cast<std::size_t>(r));
     std::fill(row.begin(), row.end(), 0.0);
     for (nnz_t e : sym.update_list(map(r))) {
@@ -247,8 +238,7 @@ constexpr nnz_t kCsfTileNnz = 8192;
 template <typename RowMap>
 void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
                    const tensor::CsfTree& tree, std::size_t mode,
-                   std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                   Schedule schedule) {
+                   std::ptrdiff_t nrows, RowMap map, la::Matrix& y) {
   const std::size_t L = tree.levels();
   HT_CHECK_MSG(L <= kCsfMaxOrder, "CSF kernel supports tensors up to order 8");
   CsfWalkCtx c;
@@ -329,13 +319,8 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
     }
   };
   // Chunk size 1: tiles are already coarse, nnz-balanced units.
-  if (schedule == Schedule::kDynamic) {
 #pragma omp parallel for schedule(dynamic, 1)
-    for (std::ptrdiff_t ti = 0; ti < ntiles; ++ti) body(ti);
-  } else {
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t ti = 0; ti < ntiles; ++ti) body(ti);
-  }
+  for (std::ptrdiff_t ti = 0; ti < ntiles; ++ti) body(ti);
 }
 
 // ---- dispatch --------------------------------------------------------------
@@ -343,14 +328,13 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
 template <typename RowMap>
 void ttmc_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
                   std::size_t mode, const ModeSymbolic& sym,
-                  std::ptrdiff_t nrows, RowMap map, la::Matrix& y,
-                  Schedule schedule) {
+                  std::ptrdiff_t nrows, RowMap map, la::Matrix& y) {
   if (x.order() == 3) {
-    ttmc3_per_nnz(x, factors, mode, sym, nrows, map, y, schedule);
+    ttmc3_per_nnz(x, factors, mode, sym, nrows, map, y);
   } else if (x.order() == 4) {
-    ttmc4_per_nnz(x, factors, mode, sym, nrows, map, y, schedule);
+    ttmc4_per_nnz(x, factors, mode, sym, nrows, map, y);
   } else {
-    ttmc_general_per_nnz(x, factors, mode, sym, nrows, map, y, schedule);
+    ttmc_general_per_nnz(x, factors, mode, sym, nrows, map, y);
   }
 }
 
@@ -399,30 +383,12 @@ std::size_t ttmc_row_width(const std::vector<la::Matrix>& factors,
   return width;
 }
 
-bool ttmc_wants_csf(std::size_t order, const TtmcOptions& options) {
-  return order >= 2 && order <= kCsfMaxOrder &&
-         options.kernel != TtmcKernel::kPerNnz;
+bool ttmc_wants_csf(std::size_t order, TtmcKernel kernel) {
+  return order >= 2 && order <= kCsfMaxOrder && kernel == TtmcKernel::kCsf;
 }
 
-void accumulate_kron(const CooTensor& x, nnz_t e,
-                     const std::vector<la::Matrix>& factors, std::size_t mode,
-                     std::span<double> out) {
-  const std::size_t order = x.order();
-  const double v = x.value(e);
-  if (order == 3) {
-    const auto o = other_modes(order, mode);
-    kron2_accumulate(v, factors[o.m[0]].row(x.index(o.m[0], e)),
-                     factors[o.m[1]].row(x.index(o.m[1], e)), out.data());
-    return;
-  }
-  if (order == 4) {
-    const auto o = other_modes(order, mode);
-    kron3_accumulate(v, factors[o.m[0]].row(x.index(o.m[0], e)),
-                     factors[o.m[1]].row(x.index(o.m[1], e)),
-                     factors[o.m[2]].row(x.index(o.m[2], e)), out.data());
-    return;
-  }
-  kron_general_accumulate(x, e, factors, mode, out, kernel_scratch());
+const char* ttmc_kernel_name(TtmcKernel kernel) {
+  return kernel == TtmcKernel::kCsf ? "csf" : "nnz";
 }
 
 // Capacity-preserving resizes below: every kernel zeroes each output row
@@ -430,49 +396,45 @@ void accumulate_kron(const CooTensor& x, nnz_t e,
 // waste when mode widths differ across modes/iterations.
 
 void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
-               std::size_t mode, const ModeSymbolic& sym, la::Matrix& y,
-               Schedule schedule) {
+               std::size_t mode, const ModeSymbolic& sym, la::Matrix& y) {
   check_inputs(x, factors, mode);
   y.resize(sym.num_rows(), ttmc_row_width(factors, mode));
   ttmc_per_nnz(x, factors, mode, sym,
                static_cast<std::ptrdiff_t>(sym.num_rows()), IdentityRowMap{},
-               y, schedule);
+               y);
 }
 
 void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
-               std::size_t mode, const tensor::CsfTree& tree, la::Matrix& y,
-               Schedule schedule) {
+               std::size_t mode, const tensor::CsfTree& tree, la::Matrix& y) {
   check_inputs(x, factors, mode, tree);
   y.resize(tree.num_roots(), ttmc_row_width(factors, mode));
   ttmc_csf_tree(factors, tree, mode,
                 static_cast<std::ptrdiff_t>(tree.num_roots()),
-                IdentityRowMap{}, y, schedule);
+                IdentityRowMap{}, y);
 }
 
 void ttmc_mode_subset(const CooTensor& x,
                       const std::vector<la::Matrix>& factors, std::size_t mode,
                       const ModeSymbolic& sym,
-                      std::span<const std::uint32_t> positions, la::Matrix& y,
-                      Schedule schedule) {
+                      std::span<const std::uint32_t> positions, la::Matrix& y) {
   check_inputs(x, factors, mode);
   check_positions(positions, sym.num_rows());
   y.resize(positions.size(), ttmc_row_width(factors, mode));
   ttmc_per_nnz(x, factors, mode, sym,
                static_cast<std::ptrdiff_t>(positions.size()),
-               SubsetRowMap{positions}, y, schedule);
+               SubsetRowMap{positions}, y);
 }
 
 void ttmc_mode_subset(const CooTensor& x,
                       const std::vector<la::Matrix>& factors, std::size_t mode,
                       const tensor::CsfTree& tree,
-                      std::span<const std::uint32_t> positions, la::Matrix& y,
-                      Schedule schedule) {
+                      std::span<const std::uint32_t> positions, la::Matrix& y) {
   check_inputs(x, factors, mode, tree);
   check_positions(positions, tree.num_roots());
   y.resize(positions.size(), ttmc_row_width(factors, mode));
   ttmc_csf_tree(factors, tree, mode,
                 static_cast<std::ptrdiff_t>(positions.size()),
-                SubsetRowMap{positions}, y, schedule);
+                SubsetRowMap{positions}, y);
 }
 
 }  // namespace ht::core

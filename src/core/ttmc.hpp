@@ -5,7 +5,8 @@
 //   Y(n)(i, :) = sum_{x in ul_n(i)} x * kron_{t != n} U_t(i_t, :)
 // with one dense row of width prod_{t != n} R_t per non-empty row i in J_n.
 // Rows are independent (single writer), so the loop is a lock-free OpenMP
-// parfor; the paper uses dynamic scheduling to absorb slice-size skew.
+// parfor, scheduled dynamically to absorb slice-size skew (the paper's
+// choice, Sec. III-A.1).
 //
 // Two kernel families are provided per mode, one per index a TtmcPlan can
 // hold; each ttmc_mode overload takes the index its kernel runs over:
@@ -35,22 +36,18 @@
 
 namespace ht::core {
 
-enum class Schedule { kDynamic, kStatic };
-
-/// Numeric kernel family. kAuto and kCsf build the CSF forest where it can
-/// run (orders 2..8, a nonempty tensor) and the update lists elsewhere.
-enum class TtmcKernel { kAuto, kPerNnz, kCsf };
-
-struct TtmcOptions {
-  Schedule schedule = Schedule::kDynamic;
-  TtmcKernel kernel = TtmcKernel::kAuto;
-
-  bool operator==(const TtmcOptions&) const = default;
-};
+/// Numeric kernel family. kCsf builds the CSF forest where it can run
+/// (orders 2..8, a nonempty tensor) and the update lists elsewhere; kPerNnz
+/// always builds the lists. A plan reports the kernel it runs in the same
+/// enum (TtmcPlan::kernel).
+enum class TtmcKernel { kCsf, kPerNnz };
 
 /// Whether TtmcPlan::build should build the CSF forest rather than the
-/// update lists: kAuto or kCsf on an order-2..8 tensor.
-bool ttmc_wants_csf(std::size_t order, const TtmcOptions& options);
+/// update lists: kCsf on an order-2..8 tensor.
+bool ttmc_wants_csf(std::size_t order, TtmcKernel kernel);
+
+/// CLI/bench name of a kernel: "csf" or "nnz".
+const char* ttmc_kernel_name(TtmcKernel kernel);
 
 /// Width of Y(n) rows: product of factor column counts over modes != n.
 std::size_t ttmc_row_width(const std::vector<la::Matrix>& factors,
@@ -60,21 +57,13 @@ std::size_t ttmc_row_width(const std::vector<la::Matrix>& factors,
 /// global row sym.rows[r]. `y` is resized to (sym.num_rows() x
 /// ttmc_row_width()). `sym` must be mode `mode`'s lists of `x`.
 void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
-               std::size_t mode, const ModeSymbolic& sym, la::Matrix& y,
-               Schedule schedule = Schedule::kDynamic);
+               std::size_t mode, const ModeSymbolic& sym, la::Matrix& y);
 
 /// Compute the compact Y(n) with the CSF walk: row r corresponds to global
 /// row tree.idx[0][r]. `tree` must be rooted at `mode` and built from `x`
 /// (it reads the values the tree copied, not x's).
 void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
-               std::size_t mode, const tensor::CsfTree& tree, la::Matrix& y,
-               Schedule schedule = Schedule::kDynamic);
-
-/// Single-nonzero contribution: out += value * kron_{t != n} U_t(idx_t, :).
-/// Exposed for tests and the fine-grain distributed path.
-void accumulate_kron(const CooTensor& x, nnz_t e,
-                     const std::vector<la::Matrix>& factors, std::size_t mode,
-                     std::span<double> out);
+               std::size_t mode, const tensor::CsfTree& tree, la::Matrix& y);
 
 /// TTMc restricted to a subset of the compact rows: row p of `y` is the
 /// compact row positions[p] of the full computation. The coarse-grain
@@ -83,12 +72,10 @@ void accumulate_kron(const CooTensor& x, nnz_t e,
 void ttmc_mode_subset(const CooTensor& x,
                       const std::vector<la::Matrix>& factors, std::size_t mode,
                       const ModeSymbolic& sym,
-                      std::span<const std::uint32_t> positions, la::Matrix& y,
-                      Schedule schedule = Schedule::kDynamic);
+                      std::span<const std::uint32_t> positions, la::Matrix& y);
 void ttmc_mode_subset(const CooTensor& x,
                       const std::vector<la::Matrix>& factors, std::size_t mode,
                       const tensor::CsfTree& tree,
-                      std::span<const std::uint32_t> positions, la::Matrix& y,
-                      Schedule schedule = Schedule::kDynamic);
+                      std::span<const std::uint32_t> positions, la::Matrix& y);
 
 }  // namespace ht::core

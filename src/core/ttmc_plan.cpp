@@ -4,12 +4,11 @@
 
 namespace ht::core {
 
-TtmcPlan TtmcPlan::build(const CooTensor& x, const TtmcOptions& options) {
+TtmcPlan TtmcPlan::build(const CooTensor& x, TtmcKernel kernel) {
   WallTimer timer;
   TtmcPlan plan;
-  plan.options = options;
   // An empty tensor (a rank-local slice can be one) has nothing to sort.
-  if (x.nnz() > 0 && ttmc_wants_csf(x.order(), options)) {
+  if (x.nnz() > 0 && ttmc_wants_csf(x.order(), kernel)) {
     plan.index = tensor::CsfTensor::build(x);
   } else {
     plan.index = SymbolicTtmc::build(x);

@@ -1,7 +1,7 @@
 // TTMc preprocessing, built once per tensor: the one object every HOOI
 // driver (hooi, rank_sweep, dist_hooi per rank, tucker_cli) consumes.
 //
-// TtmcPlan::build(x, options) builds exactly one index: the CSF forest when
+// TtmcPlan::build(x, kernel) builds exactly one index: the CSF forest when
 // ttmc_wants_csf says so and the tensor has nonzeros, otherwise the
 // symbolic update lists. This is the one place the TTMc kernel is decided:
 // every mode of every sweep runs the kernel of the index the plan holds
@@ -27,15 +27,14 @@
 namespace ht::core {
 
 struct TtmcPlan {
-  /// Options the plan was built for; every TTMc through it runs with them.
-  TtmcOptions options;
   /// The one index every mode runs over: the update lists (per-nnz kernel)
   /// or the CSF forest (CSF walk).
   std::variant<SymbolicTtmc, tensor::CsfTensor> index;
   /// Wall seconds build() took (charged to HooiTimers::symbolic).
   double build_seconds = 0.0;
 
-  static TtmcPlan build(const CooTensor& x, const TtmcOptions& options = {});
+  static TtmcPlan build(const CooTensor& x,
+                        TtmcKernel kernel = TtmcKernel::kCsf);
 
   /// Kernel every mode of this plan runs: kCsf over a forest, kPerNnz over
   /// the lists.
@@ -60,7 +59,7 @@ struct TtmcPlan {
             std::size_t mode, la::Matrix& y) const {
     std::visit(
         [&](const auto& idx) {
-          ttmc_mode(x, factors, mode, idx.modes[mode], y, options.schedule);
+          ttmc_mode(x, factors, mode, idx.modes[mode], y);
         },
         index);
   }
@@ -72,8 +71,7 @@ struct TtmcPlan {
                    la::Matrix& y) const {
     std::visit(
         [&](const auto& idx) {
-          ttmc_mode_subset(x, factors, mode, idx.modes[mode], positions, y,
-                           options.schedule);
+          ttmc_mode_subset(x, factors, mode, idx.modes[mode], positions, y);
         },
         index);
   }

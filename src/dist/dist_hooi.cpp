@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/sweep.hpp"
-#include "core/trsvd.hpp"
 #include "core/ttmc_plan.hpp"
 #include "core/tucker_model.hpp"
 #include "parallel/thread_info.hpp"
@@ -106,7 +105,7 @@ core::HooiOptions sweep_options(const DistHooiOptions& o) {
           .max_iterations = o.max_iterations,
           .fit_tolerance = o.fit_tolerance,
           .trsvd_method = o.trsvd_method,
-          .ttmc = o.ttmc,
+          .ttmc_kernel = o.ttmc_kernel,
           .seed = o.seed,
           .trsvd = o.trsvd};
 }
@@ -223,11 +222,6 @@ void validate_dist_options(const CooTensor& x, const DistHooiOptions& options) {
   if (options.num_ranks < 1) {
     throw InvalidArgument("num_ranks must be >= 1");
   }
-  if (options.trsvd_method == core::TrsvdMethod::kGram) {
-    throw InvalidArgument(
-        "Gram TRSVD would require assembling Y(n); pick a matrix-free "
-        "backend for distributed HOOI");
-  }
 }
 
 DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options) {
@@ -256,9 +250,6 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
 
   DistHooiResult result;
   result.label = config_label(gplan.grain, gplan.method);
-  // The solver of the cold solves (kAuto resolves to Lanczos).
-  result.trsvd_methods.assign(order,
-                              core::resolve_trsvd_method(options.trsvd_method));
 
   // Table III loads: a property of the partition, computed from the plans.
   result.stats = DistStats(order, static_cast<std::size_t>(p));
@@ -289,9 +280,10 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     const RankPlan& rp = rplans[static_cast<std::size_t>(rank)];
     parallel::ThreadScope threads(options.threads_per_rank);
 
-    // Each rank preprocesses its own local tensor: kAuto resolves the
-    // kernel and the structures to build per rank.
-    const core::TtmcPlan plan = core::TtmcPlan::build(rp.local, options.ttmc);
+    // Each rank preprocesses its own local tensor: the plan decides the
+    // kernel and the index to build per rank.
+    const core::TtmcPlan plan =
+        core::TtmcPlan::build(rp.local, options.ttmc_kernel);
 
     // Per mode, the owned rows' positions among the local rows (== rows of
     // the local compact Y and factor: every local row is non-empty). The

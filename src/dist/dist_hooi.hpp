@@ -58,18 +58,16 @@ struct DistHooiOptions {
   /// models the paper's hybrid MPI+OpenMP configurations.
   int threads_per_rank = 0;
   std::uint64_t seed = 42;
-  /// TTMc options for the per-rank local kernels (both grains). Each rank
-  /// builds its own core::TtmcPlan over its local tensor, so kAuto builds a
-  /// per-rank CSF forest and runs it. The coarse grain computes its owned
-  /// rows through TtmcPlan::ttmc_subset; the fine grain computes local
-  /// partial rows, which the fold later combines.
-  core::TtmcOptions ttmc;
+  /// TTMc kernel of every rank (both grains). Each rank builds its own
+  /// core::TtmcPlan over its local tensor, so kCsf builds a per-rank CSF
+  /// forest and runs it. The coarse grain computes its owned rows through
+  /// TtmcPlan::ttmc_subset; the fine grain computes local partial rows,
+  /// which the fold later combines.
+  core::TtmcKernel ttmc_kernel = core::TtmcKernel::kCsf;
   /// TRSVD solver, as in core::HooiOptions: kAuto warm-starts modes whose
   /// global compact Y(n) is large from the third sweep on. The blocked
   /// solves batch the fold/expand exchange into one message round per block
-  /// apply instead of one per Lanczos vector. kGram is rejected: it would
-  /// require assembling Y(n) (the paper's argument for matrix-free solvers
-  /// in the fine-grain setting).
+  /// apply instead of one per Lanczos vector.
   core::TrsvdMethod trsvd_method = core::TrsvdMethod::kAuto;
   /// Inner-solver controls; defaults match core::HooiOptions.
   la::TrsvdOptions trsvd = {.tol = 1e-7};
@@ -144,8 +142,6 @@ class DistStats {
 /// breakdown) plus what distribution adds.
 struct DistHooiResult : core::HooiResult {
   DistStats stats;
-  /// Per mode, the solver of the cold solves (kAuto resolves to kLanczos).
-  std::vector<core::TrsvdMethod> trsvd_methods;
   /// Paper configuration label, e.g. "fine-hp".
   std::string label;
   /// Wall time of the slowest rank's iteration loop divided by iterations.

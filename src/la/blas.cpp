@@ -318,20 +318,6 @@ void tn_blocked(const double* a, std::size_t k, const double* b,
 void set_blas_threading(bool enabled) { g_threaded.store(enabled); }
 bool blas_threading() { return g_threaded.load(); }
 
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  HT_CHECK(x.size() == y.size());
-  const std::size_t n = x.size();
-#ifdef _OPENMP
-  if (g_threaded.load() && n >= kParallelVecThreshold) {
-#pragma omp parallel for simd schedule(static)
-    for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-    return;
-  }
-#endif
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
 double dot(std::span<const double> x, std::span<const double> y) {
   HT_CHECK(x.size() == y.size());
   const std::size_t n = x.size();
@@ -353,19 +339,6 @@ double dot(std::span<const double> x, std::span<const double> y) {
 }
 
 double nrm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
-
-void scal(double alpha, std::span<double> x) {
-  const std::size_t n = x.size();
-#ifdef _OPENMP
-  if (g_threaded.load() && n >= kParallelVecThreshold) {
-#pragma omp parallel for simd schedule(static)
-    for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
-    return;
-  }
-#endif
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
-}
 
 void gemv(const Matrix& a, std::span<const double> x, std::span<double> y) {
   HT_CHECK(x.size() == a.cols());

@@ -12,17 +12,11 @@
 
 namespace ht::la {
 
-/// y += alpha * x (vector axpy).
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
 /// Dot product.
 double dot(std::span<const double> x, std::span<const double> y);
 
 /// Euclidean norm.
 double nrm2(std::span<const double> x);
-
-/// x *= alpha.
-void scal(double alpha, std::span<double> x);
 
 // The level-1 kernels above parallelize over entries once the vector
 // crosses an OpenMP-worthwhile size; they sit on the Lanczos /

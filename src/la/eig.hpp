@@ -1,7 +1,8 @@
 // Symmetric eigensolver (cyclic Jacobi) for small dense matrices.
 //
-// Used by the Gram-based TRSVD cross-check (eigenpairs of Y^T Y, which is
-// only prod-of-ranks sized) and by tests.
+// Used by the blocked TRSVD solvers' orthonormalization (la/block_ops.*,
+// a block-width Gram matrix) and by la::gram_trsvd, the tests' oracle
+// (eigenpairs of Y^T Y, which is only prod-of-ranks sized).
 #pragma once
 
 #include <vector>

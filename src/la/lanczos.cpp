@@ -14,6 +14,12 @@ namespace ht::la {
 
 namespace {
 
+// Steps between convergence tests. The test costs an SVD of the projected
+// (steps x steps) matrix: running it every step would dominate the solve
+// for small operators (and is replicated on every rank in the distributed
+// setting).
+constexpr std::size_t kCheckInterval = 4;
+
 // Orthogonalize `x` against the first `count` columns of basis (c x cap),
 // two passes of classical Gram-Schmidt (enough at these sizes).
 void reorthogonalize(std::span<double> x, const Matrix& basis,
@@ -121,9 +127,8 @@ TrsvdResult lanczos_trsvd(TrsvdOperator& op, std::size_t rank,
     // Convergence test on the projected bidiagonal matrix B (steps x steps):
     // residual of triplet i is beta * |last entry of left vector of B|.
     // Tested periodically (and whenever beta collapses or steps run out).
-    const std::size_t interval = std::max<std::size_t>(1, options.check_interval);
     const bool do_check =
-        steps >= rank && ((steps - rank) % interval == 0 ||
+        steps >= rank && ((steps - rank) % kCheckInterval == 0 ||
                           steps == max_steps || beta <= 1e-13);
     if (do_check) {
       Matrix b(steps, steps);

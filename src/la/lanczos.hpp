@@ -25,10 +25,10 @@ namespace ht::la {
 TrsvdResult lanczos_trsvd(TrsvdOperator& op, std::size_t rank,
                           const TrsvdOptions& options = {});
 
-/// Gram-matrix TRSVD baseline: forms A^T A (c x c), eigendecomposes it, and
-/// recovers U = A V S^{-1}. Used as a cross-check and in ablation benches;
-/// *not* usable in the fine-grain distributed setting (the paper's point:
-/// it would require assembling Y(n)).
+/// Gram-matrix TRSVD: forms A^T A (c x c), eigendecomposes it, and
+/// recovers U = A V S^{-1}. The tests' oracle and bench_micro_kernels'
+/// reference, not a HOOI solver: it needs the assembled matrix, which the
+/// fine-grain distributed setting never forms (the paper's point).
 TrsvdResult gram_trsvd(const Matrix& a, std::size_t rank);
 
 }  // namespace ht::la

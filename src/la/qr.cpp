@@ -1,77 +1,10 @@
 #include "la/qr.hpp"
 
 #include <cmath>
-#include <vector>
 
-#include "la/blas.hpp"
 #include "util/error.hpp"
 
 namespace ht::la {
-
-namespace {
-
-// Apply Householder reflector H = I - tau v v^T (v stored in col j of
-// `house`, rows j..m-1, v[j] implicitly 1) to columns jc..n-1 of `a`.
-void apply_reflector(Matrix& a, const std::vector<double>& v, double tau,
-                     std::size_t j, std::size_t jc_begin) {
-  const std::size_t m = a.rows(), n = a.cols();
-  for (std::size_t c = jc_begin; c < n; ++c) {
-    double s = a(j, c);
-    for (std::size_t i = j + 1; i < m; ++i) s += v[i] * a(i, c);
-    s *= tau;
-    a(j, c) -= s;
-    for (std::size_t i = j + 1; i < m; ++i) a(i, c) -= s * v[i];
-  }
-}
-
-}  // namespace
-
-QrResult qr_thin(const Matrix& a_in) {
-  const std::size_t m = a_in.rows(), n = a_in.cols();
-  HT_CHECK_MSG(m >= n, "qr_thin requires rows >= cols, got " << m << "x" << n);
-
-  Matrix a = a_in;  // working copy, becomes R in upper triangle
-  std::vector<std::vector<double>> vs(n);
-  std::vector<double> taus(n, 0.0);
-
-  for (std::size_t j = 0; j < n; ++j) {
-    // Build reflector for column j, rows j..m-1.
-    double norm2 = 0.0;
-    for (std::size_t i = j; i < m; ++i) norm2 += a(i, j) * a(i, j);
-    const double norm = std::sqrt(norm2);
-    std::vector<double> v(m, 0.0);
-    double tau = 0.0;
-    if (norm > 0.0) {
-      const double alpha = a(j, j);
-      const double beta = alpha >= 0 ? -norm : norm;
-      const double denom = alpha - beta;
-      if (std::abs(denom) > 0.0) {
-        for (std::size_t i = j + 1; i < m; ++i) v[i] = a(i, j) / denom;
-        double vtv = 1.0;
-        for (std::size_t i = j + 1; i < m; ++i) vtv += v[i] * v[i];
-        tau = 2.0 / vtv;
-        apply_reflector(a, v, tau, j, j);
-      }
-    }
-    vs[j] = std::move(v);
-    taus[j] = tau;
-  }
-
-  QrResult out;
-  out.r.resize_zero(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) out.r(i, j) = a(i, j);
-  }
-
-  // Accumulate Q by applying reflectors to the first n columns of I.
-  Matrix q(m, n);
-  for (std::size_t j = 0; j < n; ++j) q(j, j) = 1.0;
-  for (std::size_t j = n; j-- > 0;) {
-    if (taus[j] != 0.0) apply_reflector(q, vs[j], taus[j], j, 0);
-  }
-  out.q = std::move(q);
-  return out;
-}
 
 void orthonormalize_columns(Matrix& a) {
   const std::size_t m = a.rows(), n = a.cols();

@@ -1,21 +1,12 @@
-// Householder QR factorization and orthonormalization.
-//
-// Used to (re)orthonormalize Lanczos bases and HOOI factor initializations.
+// Column orthonormalization of a tall matrix. HOOI's starting factors
+// (core/hosvd.*) and the completion of a rank-deficient or unconverged
+// TRSVD solve (core/sweep.*) use it; Lanczos reorthogonalizes its bases
+// with its own Gram–Schmidt loop.
 #pragma once
 
 #include "la/matrix.hpp"
 
 namespace ht::la {
-
-/// Result of a thin QR factorization A = Q R with Q: m x k, R: k x k,
-/// k = min(m, n).
-struct QrResult {
-  Matrix q;
-  Matrix r;
-};
-
-/// Thin Householder QR of an m x n matrix (m >= n required for thin form).
-QrResult qr_thin(const Matrix& a);
 
 /// Replace the columns of `a` (m x n, m >= n) with an orthonormal basis of
 /// their span (thin Q of the QR factorization). Columns that are numerically

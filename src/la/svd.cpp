@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/error.hpp"
-
 namespace ht::la {
 
 SvdResult svd_jacobi(const Matrix& a_in) {
@@ -91,22 +89,6 @@ SvdResult svd_jacobi(const Matrix& a_in) {
     out.v = std::move(vs);
   }
   out.s = std::move(ss);
-  return out;
-}
-
-SvdResult svd_truncated_dense(const Matrix& a, std::size_t rank) {
-  HT_CHECK_MSG(rank >= 1 && rank <= std::min(a.rows(), a.cols()),
-               "invalid truncation rank " << rank << " for " << a.rows() << "x"
-                                          << a.cols());
-  SvdResult full = svd_jacobi(a);
-  SvdResult out;
-  out.u.resize_zero(a.rows(), rank);
-  out.v.resize_zero(a.cols(), rank);
-  out.s.assign(full.s.begin(), full.s.begin() + static_cast<long>(rank));
-  for (std::size_t j = 0; j < rank; ++j) {
-    for (std::size_t i = 0; i < a.rows(); ++i) out.u(i, j) = full.u(i, j);
-    for (std::size_t i = 0; i < a.cols(); ++i) out.v(i, j) = full.v(i, j);
-  }
   return out;
 }
 

@@ -1,8 +1,8 @@
 // Dense SVD via one-sided Jacobi rotations.
 //
 // Only used on small matrices: the k x k projected bidiagonal problem inside
-// the Lanczos TRSVD, reference checks in tests, and the Gram-based TRSVD
-// cross-check. Accuracy over speed.
+// the Lanczos TRSVD, the projected sketch of the randomized TRSVD, and
+// reference checks in tests. Accuracy over speed.
 #pragma once
 
 #include "la/matrix.hpp"
@@ -21,9 +21,5 @@ struct SvdResult {
 
 /// One-sided Jacobi SVD. Intended for min(m, n) up to a few hundred.
 SvdResult svd_jacobi(const Matrix& a);
-
-/// Leading `rank` left singular vectors/values of A (m x n) computed by
-/// svd_jacobi; rank must be <= min(m, n). Convenience for tests/baselines.
-SvdResult svd_truncated_dense(const Matrix& a, std::size_t rank);
 
 }  // namespace ht::la

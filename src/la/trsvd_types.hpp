@@ -1,5 +1,5 @@
 // Options and result types shared by every TRSVD solver (scalar Lanczos,
-// randomized subspace iteration, Gram cross-check, HOOI's warm power
+// randomized subspace iteration, the Gram oracle, HOOI's warm power
 // steps).
 //
 // Split out of lanczos.hpp so the blocked solvers do not depend on the
@@ -18,13 +18,9 @@ namespace ht::la {
 struct TrsvdOptions {
   /// Residual tolerance relative to the largest singular value.
   double tol = 1e-10;
-  /// Hard cap on bidiagonalization steps (0 = automatic: min(c, 2*rank+20)).
+  /// Hard cap on bidiagonalization steps (0 = automatic:
+  /// min(c, max(2*rank+20, 30))).
   std::size_t max_steps = 0;
-  /// Steps between convergence tests. The test costs an SVD of the
-  /// projected (steps x steps) matrix — running it every step would
-  /// dominate the solve for small operators (and is replicated on every
-  /// rank in the distributed setting).
-  std::size_t check_interval = 4;
   /// Seed for the deterministic starting vector / sketch.
   std::uint64_t seed = 0x5eed5eedULL;
 

@@ -222,56 +222,4 @@ std::vector<double> Communicator::allgatherv(std::span<const double> local) {
   return out;
 }
 
-std::vector<std::vector<double>> Communicator::alltoallv(
-    const std::vector<std::vector<double>>& sendbufs) {
-  const int p = size();
-  HT_CHECK_MSG(static_cast<int>(sendbufs.size()) == p,
-               "alltoallv needs one buffer per rank");
-  ++stats_.collectives;
-
-  world_.slots_[rank_] = &sendbufs;
-  world_.sync();
-
-  std::vector<std::vector<double>> out(p);
-  for (int r = 0; r < p; ++r) {
-    const auto* theirs =
-        static_cast<const std::vector<std::vector<double>>*>(world_.slots_[r]);
-    out[r] = (*theirs)[rank_];
-    if (r != rank_) stats_.bytes_received += out[r].size() * sizeof(double);
-  }
-  std::uint64_t sent = 0;
-  for (int r = 0; r < p; ++r) {
-    if (r != rank_) sent += sendbufs[r].size() * sizeof(double);
-  }
-  stats_.bytes_sent += sent;
-  world_.charge_transfer(sent);
-  world_.sync();
-  world_.sync();
-  return out;
-}
-
-void Communicator::bcast(std::vector<double>& data, int root) {
-  const int p = size();
-  HT_CHECK(root >= 0 && root < p);
-  ++stats_.collectives;
-  if (p == 1) return;
-
-  if (rank_ == root) {
-    world_.slots_[root] = data.data();
-    world_.slot_sizes_[root] = data.size();
-  }
-  world_.sync();
-  if (rank_ != root) {
-    const auto* src = static_cast<const double*>(world_.slots_[root]);
-    data.assign(src, src + world_.slot_sizes_[root]);
-    stats_.bytes_received += data.size() * sizeof(double);
-    world_.charge_transfer(data.size() * sizeof(double));
-  } else {
-    stats_.bytes_sent += data.size() * sizeof(double) * (p - 1);
-    world_.charge_transfer(data.size() * sizeof(double) * (p - 1));
-  }
-  world_.sync();
-  world_.sync();
-}
-
 }  // namespace ht::smp

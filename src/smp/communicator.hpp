@@ -82,14 +82,6 @@ class Communicator {
   /// Concatenate per-rank blocks in rank order (blocks may differ in size).
   std::vector<double> allgatherv(std::span<const double> local);
 
-  /// Personalized all-to-all: sendbufs[r] goes to rank r; returns what each
-  /// rank sent to this one, indexed by source rank.
-  std::vector<std::vector<double>> alltoallv(
-      const std::vector<std::vector<double>>& sendbufs);
-
-  /// Broadcast from root (resizes `data` on non-roots).
-  void bcast(std::vector<double>& data, int root);
-
   // -- instrumentation -------------------------------------------------------
 
   [[nodiscard]] const CommStats& stats() const { return stats_; }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -103,18 +104,6 @@ TEST(HooiTest, FactorsAreOrthonormal) {
       }
     }
   }
-}
-
-TEST(HooiTest, GramAndLanczosMethodsAgree) {
-  CooTensor x = ht::tensor::random_zipf(Shape{30, 30, 30}, 1200,
-                                        {0.6, 0.6, 0.6}, 7);
-  ht::tensor::plant_low_rank_values(x, 5, 0.05, 8);
-  HooiOptions lanczos = basic_options({4, 4, 4}, 4);
-  HooiOptions gram = basic_options({4, 4, 4}, 4);
-  gram.trsvd_method = ht::core::TrsvdMethod::kGram;
-  const HooiResult rl = ht::core::hooi(x, lanczos);
-  const HooiResult rg = ht::core::hooi(x, gram);
-  EXPECT_NEAR(rl.final_fit(), rg.final_fit(), 1e-5);
 }
 
 // The MET chain's Y(n) equals the fused kernel's up to rounding, rows and
@@ -316,32 +305,27 @@ TEST(HooiTest, PlanReuseAcrossRankChoices) {
   EXPECT_EQ(r5.timers.symbolic, 0.0);  // the caller paid the build
 }
 
-// A prebuilt plan runs exactly the computation hooi(x, options) runs, and
-// kAuto runs exactly what an explicit kCsf request runs: the plan builds
-// the forest for both and every mode resolves to the CSF walk.
+// A prebuilt plan runs exactly the computation hooi(x, options) runs.
 TEST(HooiTest, PrebuiltPlanMatchesInternalPlanBitwise) {
   const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 5, 23);
-  std::vector<std::vector<double>> fits;
   for (const ht::core::TtmcKernel kernel :
-       {ht::core::TtmcKernel::kAuto, ht::core::TtmcKernel::kCsf}) {
+       {ht::core::TtmcKernel::kCsf, ht::core::TtmcKernel::kPerNnz}) {
     HooiOptions opt = basic_options({3, 3, 3}, 3);
-    opt.ttmc.kernel = kernel;
+    opt.ttmc_kernel = kernel;
     const HooiResult internal = ht::core::hooi(x, opt);
     const HooiResult external =
-        ht::core::hooi(x, opt, TtmcPlan::build(x, opt.ttmc));
+        ht::core::hooi(x, opt, TtmcPlan::build(x, kernel));
     ASSERT_EQ(internal.fits, external.fits);
     for (std::size_t n = 0; n < x.order(); ++n) {
       EXPECT_TRUE(internal.decomposition.factors[n].approx_equal(
           external.decomposition.factors[n], 0.0));
     }
-    fits.push_back(internal.fits);
   }
-  EXPECT_EQ(fits[0], fits[1]) << "kAuto must run the kCsf computation";
 }
 
 TEST(HooiTest, PlanRecordsPreprocessingDecisions) {
-  // kAuto builds the CSF forest whenever it can — prefix-heavy or not —
-  // and every mode runs it.
+  // The default plan builds the CSF forest whenever it can — prefix-heavy
+  // or not — and every mode runs it.
   for (const CooTensor& x :
        {ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 6, 29),
         ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47)}) {
@@ -351,17 +335,27 @@ TEST(HooiTest, PlanRecordsPreprocessingDecisions) {
   }
 
   const CooTensor x = ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
-  const TtmcPlan direct =
-      TtmcPlan::build(x, {.kernel = ht::core::TtmcKernel::kPerNnz});
+  const TtmcPlan direct = TtmcPlan::build(x, ht::core::TtmcKernel::kPerNnz);
   EXPECT_EQ(direct.kernel(), ht::core::TtmcKernel::kPerNnz);
 }
 
+// A plan must run the kernel the options ask for on the tensor: on an
+// order-9 tensor kCsf asks for the lists, which is what its plan holds.
 TEST(HooiTest, PlanForOtherOptionsIsRejected) {
   const CooTensor x = ht::tensor::random_uniform(Shape{10, 10, 10}, 200, 31);
-  const TtmcPlan plan = TtmcPlan::build(x);
   HooiOptions opt = basic_options({2, 2, 2}, 1);
-  opt.ttmc.kernel = ht::core::TtmcKernel::kPerNnz;
-  EXPECT_THROW(ht::core::hooi(x, opt, plan), ht::InvalidArgument);
+  opt.ttmc_kernel = ht::core::TtmcKernel::kPerNnz;
+  EXPECT_THROW(ht::core::hooi(x, opt, TtmcPlan::build(x)),
+               ht::InvalidArgument);
+  EXPECT_THROW(ht::core::hooi(x, basic_options({2, 2, 2}, 1),
+                              TtmcPlan::build(x, opt.ttmc_kernel)),
+               ht::InvalidArgument);
+
+  const CooTensor order9 = ht::tensor::random_uniform(Shape(9, 4), 60, 85);
+  const TtmcPlan lists = TtmcPlan::build(order9);
+  ASSERT_EQ(lists.kernel(), ht::core::TtmcKernel::kPerNnz);
+  EXPECT_NO_THROW(ht::core::hooi(
+      order9, basic_options(std::vector<index_t>(9, 1), 1), lists));
 }
 
 // Order and nonzero count do not identify a tensor: the same 400 nonzeros
@@ -384,14 +378,12 @@ TEST(HooiTest, PlanFromAnotherTensorIsRejected) {
   const CooTensor dropped = grid(1, 20, 399);
   ASSERT_EQ(big.nnz(), small.nnz());
   for (const auto kernel :
-       {ht::core::TtmcKernel::kAuto, ht::core::TtmcKernel::kPerNnz}) {
+       {ht::core::TtmcKernel::kCsf, ht::core::TtmcKernel::kPerNnz}) {
     HooiOptions opt = basic_options({2, 2, 2}, 1);
-    opt.ttmc.kernel = kernel;
-    const TtmcPlan from_big = TtmcPlan::build(big, opt.ttmc);
-    const TtmcPlan from_small = TtmcPlan::build(small, opt.ttmc);
-    ASSERT_EQ(from_big.kernel(), kernel == ht::core::TtmcKernel::kAuto
-                                     ? ht::core::TtmcKernel::kCsf
-                                     : ht::core::TtmcKernel::kPerNnz);
+    opt.ttmc_kernel = kernel;
+    const TtmcPlan from_big = TtmcPlan::build(big, kernel);
+    const TtmcPlan from_small = TtmcPlan::build(small, kernel);
+    ASSERT_EQ(from_big.kernel(), kernel);
     EXPECT_THROW(ht::core::hooi(small, opt, from_big), ht::InvalidArgument);
     EXPECT_THROW(ht::core::hooi(dropped, opt, from_small),
                  ht::InvalidArgument);
@@ -424,70 +416,30 @@ TEST(HooiTest, ValidationRejectsBadInput) {
                ht::InvalidArgument);
 }
 
-// ------------------------------------------------------------ trsvd_factor
-
-TEST(TrsvdFactorTest, ScattersRowsToGlobalPositions) {
-  // Compact 3-row problem living on global rows {1, 4, 7} of dim 9.
-  ht::Rng rng(20);
-  Matrix y(3, 5);
-  for (auto& v : y.flat()) v = rng.uniform(-1, 1);
-  const std::vector<index_t> rows = {1, 4, 7};
-  const auto res = ht::core::trsvd_factor(y, rows, 9, 2);
-  EXPECT_EQ(res.factor.rows(), 9u);
-  EXPECT_EQ(res.factor.cols(), 2u);
-  for (index_t i : {0, 2, 3, 5, 6, 8}) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      EXPECT_DOUBLE_EQ(res.factor(i, j), 0.0) << "row " << i;
+// Factor rows outside J_n, the mode's non-empty slices, stay zero: the
+// sweep writes only the compact rows. Mode 0 has ~4000 non-empty rows of
+// 10000, so at rank 5 the update takes its parallel path.
+TEST(HooiTest, RowsOutsideNonemptySlicesAreZero) {
+  const CooTensor src =
+      ht::tensor::random_uniform(Shape{5000, 20, 20}, 20000, 23);
+  CooTensor x(Shape{10000, 20, 20});
+  for (ht::tensor::nnz_t e = 0; e < src.nnz(); ++e) {
+    x.push_back(std::vector<index_t>{2 * src.index(0, e), src.index(1, e),
+                                     src.index(2, e)},
+                src.value(e));
+  }
+  HooiOptions opt = basic_options({5, 4, 4}, 2);
+  opt.num_threads = 2;
+  const HooiResult r = ht::core::hooi(x, opt);
+  const auto rows = ht::core::build_mode_symbolic(x, 0).rows;
+  ASSERT_GE(rows.size() * 5, std::size_t{1} << 14);
+  const Matrix& u = r.decomposition.factors[0];
+  for (index_t i = 0; i < x.dim(0); ++i) {
+    if (std::binary_search(rows.begin(), rows.end(), i)) continue;
+    for (std::size_t j = 0; j < u.cols(); ++j) {
+      ASSERT_EQ(u(i, j), 0.0) << "row " << i;
     }
   }
-  // compact_u mirrors the occupied rows.
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      EXPECT_DOUBLE_EQ(res.compact_u(r, j), res.factor(rows[r], j));
-    }
-  }
-}
-
-TEST(TrsvdFactorTest, CompletesWhenRankExceedsCompactRows) {
-  ht::Rng rng(21);
-  Matrix y(2, 6);  // only 2 compact rows but rank 4 requested
-  for (auto& v : y.flat()) v = rng.uniform(-1, 1);
-  const std::vector<index_t> rows = {0, 3};
-  const auto res = ht::core::trsvd_factor(y, rows, 10, 4);
-  const Matrix g = ht::la::gemm_tn(res.factor, res.factor);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_NEAR(g(i, j), i == j ? 1.0 : 0.0, 1e-8);
-    }
-  }
-}
-
-TEST(TrsvdFactorTest, MethodsAgreeOnWellConditionedProblem) {
-  ht::Rng rng(22);
-  Matrix y(40, 12);
-  for (auto& v : y.flat()) v = rng.uniform(-1, 1);
-  std::vector<index_t> rows(40);
-  for (index_t i = 0; i < 40; ++i) rows[i] = i;
-  const auto lz =
-      ht::core::trsvd_factor(y, rows, 40, 3, ht::core::TrsvdMethod::kLanczos);
-  const auto gr =
-      ht::core::trsvd_factor(y, rows, 40, 3, ht::core::TrsvdMethod::kGram);
-  for (std::size_t j = 0; j < 3; ++j) {
-    EXPECT_NEAR(lz.sigma[j], gr.sigma[j], 1e-6);
-  }
-}
-
-TEST(TrsvdFactorTest, RejectsBadArguments) {
-  Matrix y(3, 4);
-  const std::vector<index_t> rows = {0, 1, 2};
-  EXPECT_THROW(ht::core::trsvd_factor(y, rows, 9, 0), ht::Error);
-#ifndef NDEBUG
-  // The per-row bounds scan is debug-only: it is a serial O(|J_n|) loop in
-  // HOOI's per-mode hot path, so Release builds trust the symbolic row map.
-  EXPECT_THROW(ht::core::trsvd_factor(y, rows, 2, 1), ht::Error);  // row 2 >= dim
-#endif
-  const std::vector<index_t> short_rows = {0, 1};
-  EXPECT_THROW(ht::core::trsvd_factor(y, short_rows, 9, 1), ht::Error);
 }
 
 }  // namespace

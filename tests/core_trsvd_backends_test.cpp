@@ -1,11 +1,12 @@
 // HOOI-level equivalence suite for the TRSVD solvers: every solver must
 // drive HOOI to the same fit as the scalar Lanczos solver across tensor
-// orders 3/4/5, the kAuto rule must resolve as documented, and the
-// trsvd_factor dispatch/scatter must behave identically across methods
-// (including the parallelized scatter path).
+// orders 3/4/5, the iterated solvers' last factor must capture the Gram
+// oracle's energy, the kAuto rule must resolve as documented, and
+// run_trsvd_backend must run the solver it names.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/hooi.hpp"
@@ -14,7 +15,9 @@
 #include "core/trsvd.hpp"
 #include "core/ttmc.hpp"
 #include "la/blas.hpp"
+#include "la/lanczos.hpp"
 #include "la/linear_operator.hpp"
+#include "la/randomized_trsvd.hpp"
 #include "tensor/generators.hpp"
 #include "util/random.hpp"
 
@@ -28,8 +31,7 @@ using ht::tensor::index_t;
 using ht::tensor::Shape;
 
 const std::vector<TrsvdMethod> kAllBackends = {
-    TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kRandomized,
-    TrsvdMethod::kAuto};
+    TrsvdMethod::kLanczos, TrsvdMethod::kRandomized, TrsvdMethod::kAuto};
 
 CooTensor planted_tensor(const Shape& shape, std::size_t nnz, int rank,
                          std::uint64_t seed) {
@@ -37,6 +39,29 @@ CooTensor planted_tensor(const Shape& shape, std::size_t nnz, int rank,
   CooTensor x = ht::tensor::random_zipf(shape, nnz, skews, seed);
   ht::tensor::plant_low_rank_values(x, rank, 0.1, seed + 1);
   return x;
+}
+
+// Energy ||U^T Y||_F^2 a basis with orthonormal columns captures.
+double captured_energy(const Matrix& u, const Matrix& y) {
+  const double f = ht::la::gemm_tn(u, y).frobenius_norm();
+  return f * f;
+}
+
+// Y(N) recomputed from the returned U_1..U_{N-1} is the matrix the last
+// solve saw; U_N must capture the energy of its best rank-R_N subspace,
+// which la::gram_trsvd finds from the assembled Y(N), to solver tolerance.
+void expect_last_factor_captures_gram_energy(
+    const CooTensor& x, const ht::core::HooiResult& r,
+    const std::string& what) {
+  const std::size_t last = x.order() - 1;
+  const auto& factors = r.decomposition.factors;
+  const ht::core::ModeSymbolic sym = ht::core::build_mode_symbolic(x, last);
+  Matrix y, u;
+  ht::core::ttmc_mode(x, factors, last, sym, y);
+  ht::core::gather_rows(factors[last], sym.rows, u);
+  double best = 0.0;
+  for (const double s : ht::la::gram_trsvd(y, u.cols()).sigma) best += s * s;
+  EXPECT_GE(captured_energy(u, y), (1 - 1e-6) * best) << what;
 }
 
 struct OrderCase {
@@ -71,10 +96,14 @@ TEST_P(BackendsReachSameFit, AcrossOrders) {
       // fit-tolerance grade.
       EXPECT_GT(result.final_fit(), lanczos_fit - 5e-4);
     } else {
-      // Krylov/Gram backends iterate the same problem to tolerance and
-      // must track the scalar solver tightly.
+      // kAuto iterates the same problem to tolerance and must track the
+      // scalar solver tightly.
       EXPECT_NEAR(result.final_fit(), lanczos_fit, 1e-7)
           << "method " << ht::core::trsvd_method_name(method);
+    }
+    if (method != TrsvdMethod::kRandomized) {
+      expect_last_factor_captures_gram_energy(
+          x, result, ht::core::trsvd_method_name(method));
     }
     // HOOI's fit formula requires orthonormal factors whatever the backend.
     for (const auto& f : result.decomposition.factors) {
@@ -95,46 +124,23 @@ INSTANTIATE_TEST_SUITE_P(
                       OrderCase{{14, 12, 10, 9}, 1800, 3},
                       OrderCase{{9, 8, 7, 6, 5}, 1200, 2}));
 
-TEST(TrsvdFactorDispatch, AllBackendsMatchGramOnCompactProblem) {
-  // A tall/skinny compact Y with a well-separated planted spectrum.
+TEST(TrsvdBackendDispatch, RunsTheNamedSolver) {
+  // Each method runs exactly its la solver; la_lanczos_test and
+  // la_trsvd_backends_test check both solvers against the Gram oracle.
   ht::Rng rng(5);
-  Matrix u(800, 6), v(20, 6);
-  for (auto& x : u.flat()) x = rng.normal();
-  for (auto& x : v.flat()) x = rng.normal();
   Matrix y(800, 20);
-  for (std::size_t i = 0; i < 800; ++i) {
-    for (std::size_t j = 0; j < 20; ++j) {
-      double s = 0;
-      for (std::size_t k = 0; k < 6; ++k) {
-        s += u(i, k) * v(j, k) * std::pow(0.5, k);
-      }
-      y(i, j) = s;
-    }
-  }
-  std::vector<index_t> rows(800);
-  for (std::size_t r = 0; r < 800; ++r) rows[r] = static_cast<index_t>(2 * r);
-
-  const auto ref = ht::core::trsvd_factor(y, rows, 1600, 4,
-                                          TrsvdMethod::kGram);
-  for (const TrsvdMethod method :
-       {TrsvdMethod::kLanczos, TrsvdMethod::kRandomized}) {
-    const auto got = ht::core::trsvd_factor(y, rows, 1600, 4, method);
-    EXPECT_EQ(got.method_used, method);
-    for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_NEAR(got.sigma[i], ref.sigma[i], 1e-6 * ref.sigma[0])
-          << ht::core::trsvd_method_name(method) << " sigma_" << i;
-    }
-    // Scatter invariants: compact rows land at the mapped positions (the
-    // parallel scatter path: 800*4 >= the parallel threshold), odd rows
-    // stay zero, and compact_u mirrors the scattered rows.
-    ASSERT_EQ(got.factor.rows(), 1600u);
-    for (std::size_t r = 0; r < 800; ++r) {
-      for (std::size_t j = 0; j < 4; ++j) {
-        EXPECT_DOUBLE_EQ(got.factor(2 * r, j), got.compact_u(r, j));
-        EXPECT_DOUBLE_EQ(got.factor(2 * r + 1, j), 0.0);
-      }
-    }
-  }
+  for (auto& x : y.flat()) x = rng.normal();
+  const ht::la::TrsvdOptions options;
+  ht::la::DenseOperator op(y);
+  EXPECT_EQ(
+      ht::core::run_trsvd_backend(op, TrsvdMethod::kLanczos, 4, options).sigma,
+      ht::la::lanczos_trsvd(op, 4, options).sigma);
+  EXPECT_EQ(
+      ht::core::run_trsvd_backend(op, TrsvdMethod::kRandomized, 4, options)
+          .sigma,
+      ht::la::randomized_trsvd(op, 4, options).sigma);
+  EXPECT_THROW(ht::core::run_trsvd_backend(op, TrsvdMethod::kAuto, 4, options),
+               ht::Error);
 }
 
 // 17000 x 64 Gaussian Y whose column j is scaled by scale(j).
@@ -162,15 +168,14 @@ TEST(WarmTrsvd, SettledStepsKeepTheirBasis) {
   const std::size_t rank = 4;
   const Matrix y = scaled_gaussian(
       rng, [](std::size_t j) { return std::pow(0.8, static_cast<double>(j)); });
-  const auto rows = identity_rows(y.rows());
-  const auto lanczos =
-      ht::core::trsvd_factor(y, rows, y.rows(), rank, TrsvdMethod::kLanczos);
-  ht::core::WarmStart warm;
-  Matrix start = lanczos.factor;
-  for (auto& v : start.flat()) v += 1e-3 * rng.normal();
-  warm.load(start, rows);
-
   ht::la::DenseOperator op(y);
+  const auto lanczos =
+      ht::core::run_trsvd_backend(op, TrsvdMethod::kLanczos, rank, {});
+  ht::core::WarmStart warm;
+  Matrix start = lanczos.u;
+  for (auto& v : start.flat()) v += 1e-3 * rng.normal();
+  warm.load(start, identity_rows(y.rows()));
+
   ASSERT_TRUE(ht::core::warm_trsvd(op, warm, {}));
   EXPECT_EQ(warm.basis.steps, ht::core::kWarmSteps);
   EXPECT_TRUE(warm.basis.sigma.empty());
@@ -182,11 +187,7 @@ TEST(WarmTrsvd, SettledStepsKeepTheirBasis) {
     }
   }
   // Energy captured, ||Q^T Y||_F^2: the warm basis matches Lanczos's.
-  const auto energy = [&](const Matrix& b) {
-    const double f = ht::la::gemm_tn(b, y).frobenius_norm();
-    return f * f;
-  };
-  EXPECT_GE(energy(q), (1 - 1e-6) * energy(lanczos.compact_u));
+  EXPECT_GE(captured_energy(q, y), (1 - 1e-6) * captured_energy(lanczos.u, y));
 }
 
 TEST(WarmTrsvd, UnsettledStepsRerunLanczos) {
@@ -216,7 +217,7 @@ TEST(TrsvdAutoModel, ResolvesAsDocumented) {
   EXPECT_EQ(ht::core::resolve_trsvd_method(TrsvdMethod::kAuto),
             TrsvdMethod::kLanczos);
   for (const TrsvdMethod m :
-       {TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kRandomized}) {
+       {TrsvdMethod::kLanczos, TrsvdMethod::kRandomized}) {
     EXPECT_EQ(ht::core::resolve_trsvd_method(m), m);
   }
 
@@ -229,7 +230,7 @@ TEST(TrsvdAutoModel, ResolvesAsDocumented) {
                                             floor / 64 - 1, 64, 5));
   EXPECT_FALSE(ht::core::warm_trsvd_applies(TrsvdMethod::kAuto, floor, 4, 5));
   for (const TrsvdMethod m :
-       {TrsvdMethod::kLanczos, TrsvdMethod::kGram, TrsvdMethod::kRandomized}) {
+       {TrsvdMethod::kLanczos, TrsvdMethod::kRandomized}) {
     EXPECT_FALSE(ht::core::warm_trsvd_applies(m, 1000000, 100, 10));
   }
 }
@@ -242,6 +243,7 @@ TEST(TrsvdMethodNames, ParseAndFormatRoundTrip) {
     EXPECT_EQ(*parsed, m);
   }
   EXPECT_FALSE(ht::core::parse_trsvd_method("block").has_value());
+  EXPECT_FALSE(ht::core::parse_trsvd_method("gram").has_value());
   EXPECT_EQ(ht::core::parse_trsvd_method("randomized"),
             TrsvdMethod::kRandomized);
   EXPECT_FALSE(ht::core::parse_trsvd_method("krylov").has_value());

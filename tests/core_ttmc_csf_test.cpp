@@ -1,6 +1,6 @@
 // CSF tree invariants, golden equivalence of the CSF TTMc kernel against
-// the per-nnz kernel across orders and entry points, the kAuto selection,
-// the plan's one index, and thread-count determinism.
+// the per-nnz kernel across orders and entry points, the plan's kernel
+// selection and one index, and thread-count determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,10 +23,8 @@
 namespace {
 
 using ht::core::ModeSymbolic;
-using ht::core::Schedule;
 using ht::core::SymbolicTtmc;
 using ht::core::TtmcKernel;
-using ht::core::TtmcOptions;
 using ht::la::Matrix;
 using ht::tensor::CooTensor;
 using ht::tensor::CsfTensor;
@@ -169,23 +167,20 @@ TEST(CsfTreeTest, StructureInvariantsHoldPerMode) {
   }
 }
 
-TEST(CsfTtmcTest, MatchesOtherKernelsFullModeAllSchedules) {
+TEST(CsfTtmcTest, MatchesOtherKernelsFullMode) {
   for (const auto& c : equivalence_cases()) {
     const auto& x = c.tensor;
     const auto factors = random_factors(x.shape(), c.ranks, 31);
     const SymbolicTtmc sym = SymbolicTtmc::build(x);
     const CsfTensor csf = CsfTensor::build(x);
     for (std::size_t n = 0; n < x.order(); ++n) {
-      for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
-        Matrix y_nnz, y_csf;
-        ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_nnz, s);
-        ht::core::ttmc_mode(x, factors, n, csf.modes[n], y_csf, s);
-        ASSERT_EQ(y_nnz.rows(), y_csf.rows());
-        ASSERT_EQ(y_nnz.cols(), y_csf.cols());
-        EXPECT_TRUE(y_nnz.approx_equal(y_csf, kTol))
-            << c.name << " mode " << n << " vs per-nnz, schedule "
-            << (s == Schedule::kDynamic ? "dynamic" : "static");
-      }
+      Matrix y_nnz, y_csf;
+      ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_nnz);
+      ht::core::ttmc_mode(x, factors, n, csf.modes[n], y_csf);
+      ASSERT_EQ(y_nnz.rows(), y_csf.rows());
+      ASSERT_EQ(y_nnz.cols(), y_csf.cols());
+      EXPECT_TRUE(y_nnz.approx_equal(y_csf, kTol))
+          << c.name << " mode " << n << " vs per-nnz";
     }
   }
 }
@@ -202,21 +197,19 @@ TEST(CsfTtmcTest, MatchesPerNnzSubsetPath) {
       for (std::uint32_t p = 0; p < sym.modes[n].num_rows(); p += 2) {
         positions.push_back(p);
       }
-      for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
-        Matrix y_nnz, y_csf;
-        ht::core::ttmc_mode_subset(x, factors, n, sym.modes[n], positions,
-                                   y_nnz, s);
-        ht::core::ttmc_mode_subset(x, factors, n, csf.modes[n], positions,
-                                   y_csf, s);
-        EXPECT_TRUE(y_nnz.approx_equal(y_csf, kTol)) << c.name << " mode " << n;
-      }
+      Matrix y_nnz, y_csf;
+      ht::core::ttmc_mode_subset(x, factors, n, sym.modes[n], positions,
+                                 y_nnz);
+      ht::core::ttmc_mode_subset(x, factors, n, csf.modes[n], positions,
+                                 y_csf);
+      EXPECT_TRUE(y_nnz.approx_equal(y_csf, kTol)) << c.name << " mode " << n;
     }
   }
 }
 
-TEST(CsfTtmcTest, AutoSelectionPinsPrefixRegimes) {
-  // kAuto builds and runs the forest, prefix-heavy or prefix-free. No
-  // tensor statistic enters the choice.
+TEST(CsfTtmcTest, DefaultSelectionPinsPrefixRegimes) {
+  // The default plan (kCsf) builds and runs the forest, prefix-heavy or
+  // prefix-free. No tensor statistic enters the choice.
   const CooTensor heavy =
       ht::tensor::random_fibered(Shape{30, 30, 60}, 200, 8, 43);
   const CooTensor free_ =
@@ -227,14 +220,13 @@ TEST(CsfTtmcTest, AutoSelectionPinsPrefixRegimes) {
     EXPECT_EQ(plan.kernel(), TtmcKernel::kCsf);
   }
 
-  // ttmc_wants_csf: kAuto and kCsf on orders 2..8; never for kPerNnz.
+  // ttmc_wants_csf: kCsf on orders 2..8; never for kPerNnz.
   for (std::size_t order = 2; order <= 8; ++order) {
-    EXPECT_TRUE(ht::core::ttmc_wants_csf(order, {})) << order;
-    EXPECT_TRUE(ht::core::ttmc_wants_csf(order, {.kernel = TtmcKernel::kCsf}));
+    EXPECT_TRUE(ht::core::ttmc_wants_csf(order, TtmcKernel::kCsf)) << order;
   }
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(9, {}));
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(1, {}));
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(3, {.kernel = TtmcKernel::kPerNnz}));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(9, TtmcKernel::kCsf));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(1, TtmcKernel::kCsf));
+  EXPECT_FALSE(ht::core::ttmc_wants_csf(3, TtmcKernel::kPerNnz));
 }
 
 TEST(TtmcPlanTest, HoldsOneIndex) {
@@ -248,7 +240,7 @@ TEST(TtmcPlanTest, HoldsOneIndex) {
     }
   };
 
-  // kAuto on 3- and 4-mode tensors: the forest and no lists.
+  // The default kCsf on 3- and 4-mode tensors: the forest and no lists.
   const CooTensor x3 =
       ht::tensor::random_fibered(Shape{25, 20, 40}, 300, 5, 81);
   const CooTensor x4 =
@@ -265,13 +257,13 @@ TEST(TtmcPlanTest, HoldsOneIndex) {
   // and no forest, whatever kernel was asked for.
   const CooTensor order9 = ht::tensor::random_uniform(Shape(9, 4), 60, 85);
   const CooTensor empty(Shape{5, 6, 7});
-  const std::vector<std::pair<const CooTensor*, TtmcOptions>> lists_cases = {
-      {&x3, {.kernel = TtmcKernel::kPerNnz}},
-      {&order9, {}},
-      {&order9, {.kernel = TtmcKernel::kCsf}},
-      {&empty, {}}};
-  for (const auto& [x, options] : lists_cases) {
-    const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(*x, options);
+  const std::vector<std::pair<const CooTensor*, TtmcKernel>> lists_cases = {
+      {&x3, TtmcKernel::kPerNnz},
+      {&order9, TtmcKernel::kPerNnz},
+      {&order9, TtmcKernel::kCsf},
+      {&empty, TtmcKernel::kCsf}};
+  for (const auto& [x, kernel] : lists_cases) {
+    const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(*x, kernel);
     EXPECT_TRUE(std::holds_alternative<SymbolicTtmc>(plan.index));
     EXPECT_FALSE(std::holds_alternative<CsfTensor>(plan.index));
     EXPECT_EQ(plan.kernel(), TtmcKernel::kPerNnz);
@@ -283,7 +275,7 @@ TEST(CsfTtmcTest, DeterministicAcrossThreadCounts) {
   // One row is accumulated by exactly one thread, in tree order or update
   // list order, and the CSF tile boundaries do not depend on the team
   // size: both kernels give bitwise identical results for any thread
-  // count, under both schedules, on the full mode and on a row subset.
+  // count, on the full mode and on a row subset.
   const CooTensor x = ht::tensor::random_fibered(Shape{40, 30, 50}, 400, 6, 61);
   const auto factors = random_factors(x.shape(), {4, 3, 5}, 67);
   const SymbolicTtmc sym = SymbolicTtmc::build(x);
@@ -293,17 +285,15 @@ TEST(CsfTtmcTest, DeterministicAcrossThreadCounts) {
     positions.push_back(p);
   }
   const auto check = [&](const auto& index) {
-    for (const Schedule s : {Schedule::kDynamic, Schedule::kStatic}) {
-      Matrix y1, y4, sub1, sub4;
-      for (const int threads : {1, 4}) {
-        ht::parallel::ThreadScope scope(threads);
-        ht::core::ttmc_mode(x, factors, 0, index, threads == 1 ? y1 : y4, s);
-        ht::core::ttmc_mode_subset(x, factors, 0, index, positions,
-                                   threads == 1 ? sub1 : sub4, s);
-      }
-      EXPECT_TRUE(y1.approx_equal(y4, 0.0));
-      EXPECT_TRUE(sub1.approx_equal(sub4, 0.0));
+    Matrix y1, y4, sub1, sub4;
+    for (const int threads : {1, 4}) {
+      ht::parallel::ThreadScope scope(threads);
+      ht::core::ttmc_mode(x, factors, 0, index, threads == 1 ? y1 : y4);
+      ht::core::ttmc_mode_subset(x, factors, 0, index, positions,
+                                 threads == 1 ? sub1 : sub4);
     }
+    EXPECT_TRUE(y1.approx_equal(y4, 0.0));
+    EXPECT_TRUE(sub1.approx_equal(sub4, 0.0));
   };
   check(csf.modes[0]);
   check(sym.modes[0]);
@@ -318,9 +308,9 @@ TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
     base.fit_tolerance = 0.0;
 
     ht::core::HooiOptions per_nnz = base;
-    per_nnz.ttmc.kernel = TtmcKernel::kPerNnz;
+    per_nnz.ttmc_kernel = TtmcKernel::kPerNnz;
     ht::core::HooiOptions with_csf = base;
-    with_csf.ttmc.kernel = TtmcKernel::kCsf;
+    with_csf.ttmc_kernel = TtmcKernel::kCsf;
 
     const auto a = ht::core::hooi(x, per_nnz);
     const auto b = ht::core::hooi(x, with_csf);
@@ -331,8 +321,7 @@ TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
 
     // A hand-assembled forest-only plan through the plan overload runs the
     // same computation as the plan hooi builds itself.
-    const ht::core::TtmcPlan plan{.options = with_csf.ttmc,
-                                  .index = CsfTensor::build(x)};
+    const ht::core::TtmcPlan plan{.index = CsfTensor::build(x)};
     const auto c = ht::core::hooi(x, with_csf, plan);
     EXPECT_EQ(b.fits, c.fits) << x.order() << "-mode";
   }
@@ -342,7 +331,7 @@ TEST(CsfTtmcTest, RankSweepReusesTreesAcrossGrid) {
   const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 300, 5, 71);
   ht::core::HooiOptions base;
   base.max_iterations = 2;
-  base.ttmc.kernel = TtmcKernel::kCsf;
+  base.ttmc_kernel = TtmcKernel::kCsf;
   const std::vector<std::vector<index_t>> grid = {{2, 2, 2}, {3, 3, 3}};
   const auto swept = ht::core::rank_sweep(x, grid, base);
   ASSERT_EQ(swept.entries.size(), grid.size());
@@ -364,9 +353,9 @@ TEST(CsfTtmcTest, DistHooiMatchesUnderCsfKernelBothGrains) {
     base.grain = grain;  // coarse exercises the CSF subset path
 
     ht::dist::DistHooiOptions per_nnz = base;
-    per_nnz.ttmc.kernel = TtmcKernel::kPerNnz;
+    per_nnz.ttmc_kernel = TtmcKernel::kPerNnz;
     ht::dist::DistHooiOptions with_csf = base;
-    with_csf.ttmc.kernel = TtmcKernel::kCsf;
+    with_csf.ttmc_kernel = TtmcKernel::kCsf;
 
     const auto a = ht::dist::dist_hooi(x, per_nnz);
     const auto b = ht::dist::dist_hooi(x, with_csf);

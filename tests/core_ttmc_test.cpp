@@ -93,48 +93,34 @@ TEST(TtmcTest, RowWidth) {
   EXPECT_EQ(ht::core::ttmc_row_width(factors, 2), 6u);
 }
 
-TEST(TtmcTest, StaticAndDynamicSchedulesAgree) {
-  const CooTensor x = ht::tensor::random_zipf(Shape{50, 40, 30}, 2000,
-                                              {1.0, 0.5, 0.0}, 29);
-  const auto factors = random_factors(x.shape(), {4, 4, 4}, 31);
-  const SymbolicTtmc sym = SymbolicTtmc::build(x);
-  Matrix yd, ys;
-  ht::core::ttmc_mode(x, factors, 0, sym.modes[0], yd,
-                      ht::core::Schedule::kDynamic);
-  ht::core::ttmc_mode(x, factors, 0, sym.modes[0], ys,
-                      ht::core::Schedule::kStatic);
-  EXPECT_TRUE(yd.approx_equal(ys, 0.0));  // identical row sums, exact match
-}
-
-TEST(TtmcTest, AccumulateKronSingleNonzero) {
-  CooTensor x(Shape{3, 4, 5});
-  x.push_back(std::vector<index_t>{1, 2, 3}, 2.0);
-  const auto factors = random_factors(x.shape(), {2, 2, 2}, 37);
-  std::vector<double> out(4, 0.0);
-  ht::core::accumulate_kron(x, 0, factors, 0, out);
-  // out[j*2+k] = 2 * U1(2,j) * U2(3,k)
-  for (std::size_t j = 0; j < 2; ++j) {
-    for (std::size_t k = 0; k < 2; ++k) {
-      EXPECT_NEAR(out[j * 2 + k], 2.0 * factors[1](2, j) * factors[2](3, k),
-                  1e-14);
+TEST(TtmcTest, OneNonzeroGivesItsKroneckerRow) {
+  // One nonzero v at (1, 2, 3, ...): Y(0) is one row, v times the
+  // Kronecker product of the other modes' factor rows, later modes
+  // fastest. Orders 3, 4 and 5 reach the 3-mode, 4-mode and general
+  // kernels.
+  for (const Shape& shape : {Shape{3, 4, 5}, Shape{3, 4, 5, 6},
+                             Shape{3, 4, 5, 6, 4}}) {
+    CooTensor x(shape);
+    std::vector<index_t> idx(shape.size());
+    for (std::size_t t = 0; t < shape.size(); ++t) idx[t] = 1 + t % 3;
+    x.push_back(idx, 2.0);
+    const auto factors = random_factors(
+        shape, std::vector<index_t>(shape.size(), 2), 37);
+    std::vector<double> expect = {2.0};
+    for (std::size_t t = 1; t < shape.size(); ++t) {
+      std::vector<double> next;
+      for (const double e : expect) {
+        for (const double u : factors[t].row(idx[t])) next.push_back(e * u);
+      }
+      expect = std::move(next);
     }
-  }
-}
-
-TEST(TtmcTest, AccumulateKronIsAdditive) {
-  const CooTensor x = ht::tensor::random_uniform(Shape{6, 6, 6, 6}, 50, 41);
-  const auto factors = random_factors(x.shape(), {2, 3, 2, 2}, 43);
-  // Accumulating all nonzeros with mode-0 index i must equal the ttmc row.
-  const SymbolicTtmc sym = SymbolicTtmc::build(x);
-  Matrix y;
-  ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y);
-  for (std::size_t r = 0; r < sym.modes[0].num_rows(); ++r) {
-    std::vector<double> acc(y.cols(), 0.0);
-    for (auto e : sym.modes[0].update_list(r)) {
-      ht::core::accumulate_kron(x, e, factors, 0, acc);
-    }
-    for (std::size_t c = 0; c < y.cols(); ++c) {
-      EXPECT_NEAR(acc[c], y(r, c), 1e-12);
+    const SymbolicTtmc sym = SymbolicTtmc::build(x);
+    Matrix y;
+    ht::core::ttmc_mode(x, factors, 0, sym.modes[0], y);
+    ASSERT_EQ(y.rows(), 1u);
+    ASSERT_EQ(y.cols(), expect.size());
+    for (std::size_t c = 0; c < expect.size(); ++c) {
+      EXPECT_NEAR(y(0, c), expect[c], 1e-14) << shape.size() << "-mode";
     }
   }
 }

@@ -367,26 +367,6 @@ TEST(DistTrsvdBackends, RandomizedSketchDeterministicAcrossRunsAndRanks) {
   }
 }
 
-TEST(DistTrsvdBackends, AutoResolutionIsRecorded) {
-  const CooTensor x = test_tensor();
-  const std::vector<index_t> r = {4, 4, 4};
-  auto opt = dist_options(r, Grain::kCoarse, Method::kBlock, 3, 1, 42);
-  opt.trsvd_method = ht::core::TrsvdMethod::kAuto;
-  const DistHooiResult dist = ht::dist::dist_hooi(x, opt);
-  ASSERT_EQ(dist.trsvd_methods.size(), 3u);
-  for (const auto m : dist.trsvd_methods) {
-    // Small compact problems resolve to the scalar solver.
-    EXPECT_EQ(m, ht::core::TrsvdMethod::kLanczos);
-  }
-}
-
-TEST(DistTrsvdBackends, GramIsRejected) {
-  const CooTensor x = test_tensor();
-  auto opt = dist_options({4, 4, 4}, Grain::kFine, Method::kRandom, 2, 1, 42);
-  opt.trsvd_method = ht::core::TrsvdMethod::kGram;
-  EXPECT_THROW(ht::dist::dist_hooi(x, opt), ht::Error);
-}
-
 TEST(DistHooiTest, CheckpointRestartContinuesFitTrajectory) {
   // A 2-iteration run that checkpoints, restarted for 2 more iterations
   // over the same plan, must walk the same fit trajectory as 4 straight
@@ -628,6 +608,10 @@ DistHooiResult completion_dist(const CompletionCase& c, Grain grain, int p) {
 TEST(DistCompletion, SingleRankBitMatchesSharedMemory) {
   for (const CompletionCase& c : completion_cases()) {
     const HooiResult shared = completion_reference(c);
+    // core::hooi completes each such factor to orthonormal columns.
+    for (const Matrix& f : shared.decomposition.factors) {
+      expect_orthonormal(f, 1e-10, c.name);
+    }
     for (const auto grain : {Grain::kFine, Grain::kCoarse}) {
       expect_same_run(shared, completion_dist(c, grain, 1),
                       c.name + (grain == Grain::kFine ? " fine" : " coarse"));

@@ -32,34 +32,7 @@ double orthonormality_error(const Matrix& q) {
   return err;
 }
 
-// ---------------------------------------------------------------- QR
-
-class QrShapes : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(QrShapes, ReconstructsAndOrthogonal) {
-  const auto [m, n] = GetParam();
-  const Matrix a = random_matrix(m, n, 1000 + m * 31 + n);
-  const auto [q, r] = ht::la::qr_thin(a);
-  EXPECT_EQ(q.rows(), static_cast<std::size_t>(m));
-  EXPECT_EQ(q.cols(), static_cast<std::size_t>(n));
-  EXPECT_LT(orthonormality_error(q), 1e-10);
-  const Matrix qr = ht::la::gemm(q, r);
-  EXPECT_TRUE(qr.approx_equal(a, 1e-10));
-  // R upper triangular
-  for (std::size_t i = 0; i < r.rows(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) EXPECT_NEAR(r(i, j), 0.0, 1e-12);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, QrShapes,
-                         ::testing::Values(std::pair{1, 1}, std::pair{5, 5},
-                                           std::pair{10, 3}, std::pair{40, 7},
-                                           std::pair{100, 20},
-                                           std::pair{64, 64}));
-
-TEST(QrTest, RequiresTallMatrix) {
-  EXPECT_THROW(ht::la::qr_thin(Matrix(2, 3)), ht::Error);
-}
+// ---------------------------------------------------------- Orthonormalize
 
 TEST(OrthonormalizeTest, ProducesOrthonormalColumns) {
   Matrix a = random_matrix(30, 6, 2);
@@ -141,26 +114,6 @@ TEST(SvdTest, RankDeficientMatrixHasZeroSingularValues) {
   EXPECT_GT(svd.s[0], 0.1);
   EXPECT_NEAR(svd.s[1], 0.0, 1e-10);
   EXPECT_NEAR(svd.s[2], 0.0, 1e-10);
-}
-
-TEST(SvdTest, TruncatedMatchesLeadingColumns) {
-  const Matrix a = random_matrix(20, 8, 21);
-  const auto full = ht::la::svd_jacobi(a);
-  const auto trunc = ht::la::svd_truncated_dense(a, 3);
-  ASSERT_EQ(trunc.s.size(), 3u);
-  for (std::size_t j = 0; j < 3; ++j) {
-    EXPECT_NEAR(trunc.s[j], full.s[j], 1e-10);
-    // Columns match up to sign.
-    double dot = 0;
-    for (std::size_t i = 0; i < 20; ++i) dot += trunc.u(i, j) * full.u(i, j);
-    EXPECT_NEAR(std::abs(dot), 1.0, 1e-9);
-  }
-}
-
-TEST(SvdTest, TruncatedRejectsBadRank) {
-  const Matrix a = random_matrix(5, 4, 22);
-  EXPECT_THROW(ht::la::svd_truncated_dense(a, 0), ht::Error);
-  EXPECT_THROW(ht::la::svd_truncated_dense(a, 5), ht::Error);
 }
 
 // ---------------------------------------------------------------- Eig

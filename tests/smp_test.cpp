@@ -105,33 +105,6 @@ TEST_P(SmpCollectives, Allgatherv) {
   });
 }
 
-TEST_P(SmpCollectives, Alltoallv) {
-  const int p = GetParam();
-  ht::smp::run_spmd(p, [p](Communicator& comm) {
-    std::vector<std::vector<double>> send(p);
-    for (int r = 0; r < p; ++r) {
-      send[r] = {static_cast<double>(comm.rank() * 100 + r)};
-    }
-    const auto recv = comm.alltoallv(send);
-    ASSERT_EQ(static_cast<int>(recv.size()), p);
-    for (int r = 0; r < p; ++r) {
-      ASSERT_EQ(recv[r].size(), 1u);
-      EXPECT_DOUBLE_EQ(recv[r][0], r * 100 + comm.rank());
-    }
-  });
-}
-
-TEST_P(SmpCollectives, Bcast) {
-  const int p = GetParam();
-  ht::smp::run_spmd(p, [](Communicator& comm) {
-    std::vector<double> data;
-    if (comm.rank() == 0) data = {3.0, 1.0, 4.0};
-    comm.bcast(data, 0);
-    ASSERT_EQ(data.size(), 3u);
-    EXPECT_DOUBLE_EQ(data[2], 4.0);
-  });
-}
-
 TEST_P(SmpCollectives, BarrierOrdersPhases) {
   const int p = GetParam();
   std::atomic<int> phase1{0};
