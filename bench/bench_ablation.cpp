@@ -5,8 +5,8 @@
 //      Sec. V argument for reusing the symbolic structure);
 //   4. per-nnz vs CSF TTMc kernels across fiber-length regimes (the
 //      perf-trajectory entry: the CSF walk must win on fiber-dense tensors
-//      and must not lose to per-nnz on singleton fibers, where the default
-//      plan still runs it);
+//      and must not lose to per-nnz on singleton fibers, where HOOI still
+//      runs it);
 //   6. TRSVD solvers on the huge-mode regime where Table IV says TRSVD
 //      dominates, on the Y(n) of HOOI's third sweep: scalar Lanczos
 //      (bandwidth-bound gemv per step) vs randomized subspace iteration vs
@@ -45,7 +45,6 @@
 #include <cstdio>
 #include <memory>
 #include <random>
-#include <variant>
 
 #include "bench_common.hpp"
 #include "core/completion.hpp"
@@ -55,7 +54,6 @@
 #include "core/symbolic.hpp"
 #include "core/trsvd.hpp"
 #include "core/ttmc.hpp"
-#include "core/ttmc_plan.hpp"
 #include "core/tucker_model.hpp"
 #include "la/lanczos.hpp"
 #include "la/linear_operator.hpp"
@@ -136,8 +134,7 @@ void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
 // match at most one mode's iteration order, so even when the flat kernels
 // stream one mode they scatter on the rest; CSF's per-mode trees stream
 // all of them. The prefix-free control is the regime with no shared prefix
-// to amortize; the default plan runs the walk there too, and it must hold
-// its own.
+// to amortize; HOOI runs the walk there too, and it must hold its own.
 void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
   using namespace ht;
   std::printf("=== Ablation 7: CSF vs per-nnz TTMc kernels ===\n");
@@ -165,11 +162,9 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
   for (const Arm& arm : arms) {
     const auto& x = arm.tensor;
     const core::SymbolicTtmc sym = core::SymbolicTtmc::build(x);
-    // The default plan holds the forest alone, so its build time is the
-    // forest's.
-    const core::TtmcPlan plan = core::TtmcPlan::build(x);
-    const auto& csf = std::get<tensor::CsfTensor>(plan.index);
-    const double csf_build_s = plan.build_seconds;
+    WallTimer t_build;
+    const tensor::CsfTensor csf = tensor::CsfTensor::build(x);
+    const double csf_build_s = t_build.seconds();
     const auto factors = core::random_orthonormal_factors(x.shape(), ranks, 7);
 
     // Per mode: interleaved best-of-reps so drift hits both alike; sweep
@@ -689,18 +684,19 @@ int main(int argc, char** argv) {
 
   // ---- 1. symbolic reuse --------------------------------------------------
   std::printf("=== Ablation 1: symbolic TTMc reuse ===\n");
-  // The reusable preprocessing is the whole TTMc plan (kAuto's CSF forest,
-  // not rank-dependent); the reuse arms below pass it to hooi so no
-  // per-call rebuild pollutes the numbers.
-  const core::TtmcPlan plan = core::TtmcPlan::build(x);
-  const double sym_s = plan.build_seconds;
+  // The reusable preprocessing is the CSF forest (not rank-dependent); the
+  // reuse arms below pass it to hooi so no per-call rebuild pollutes the
+  // numbers.
+  WallTimer t_build;
+  const tensor::CsfTensor forest = tensor::CsfTensor::build(x);
+  const double sym_s = t_build.seconds();
 
   core::HooiOptions options;
   options.ranks = ranks;
   options.max_iterations = htb::bench_iters();
   options.fit_tolerance = 0.0;
   WallTimer t_iters;
-  const auto run = core::hooi(x, options, plan);
+  const auto run = core::hooi(x, options, forest);
   const double per_iter = t_iters.seconds() / run.iterations;
   std::printf("symbolic build: %.3fs; numeric iteration: %.3fs "
               "(symbolic pays for itself after %.1f iterations)\n",
@@ -718,7 +714,7 @@ int main(int argc, char** argv) {
     core::HooiOptions o = options;
     o.ranks.assign(x.order(), r);
     o.max_iterations = 2;
-    (void)core::hooi(x, o, plan);
+    (void)core::hooi(x, o, forest);
   }
   const double reuse_s = t_reuse.seconds();
   WallTimer t_rebuild;
@@ -726,7 +722,7 @@ int main(int argc, char** argv) {
     core::HooiOptions o = options;
     o.ranks.assign(x.order(), r);
     o.max_iterations = 2;
-    (void)core::hooi(x, o);  // rebuilds the plan internally
+    (void)core::hooi(x, o);  // rebuilds the forest internally
   }
   const double rebuild_s = t_rebuild.seconds();
   std::printf("3 rank sweeps: reuse %.2fs vs rebuild %.2fs (%.2fx)\n\n",

@@ -3,7 +3,6 @@
 //
 //   ./tucker_cli INPUT.tns R1,R2,...  [--iters N] [--tol T] [--threads P]
 //                [--init random|range]
-//                [--ttmc-kernel csf|nnz]
 //                [--trsvd-method lanczos|rand|auto]
 //                [--trsvd-oversample P] [--trsvd-power Q]
 //                [--export PREFIX] [--sweep] [--save-model FILE.htb]
@@ -16,8 +15,12 @@
 //   ./tucker_cli --query TARGET "SCORE 3 17 5" ["TOPK 3 10" ...]
 //   ./tucker_cli --version
 //
+// Ranks are comma-separated integers in 1..2^32-1. Every numeric argument
+// must be a whole number token in its flag's range (counts >= 0, real
+// values finite and >= 0); anything else exits 2 with the usage message.
+//
 // With --sweep, the ranks argument is treated as the *maximum* per mode and
-// HOOI is run for a ladder of candidate ranks (reusing one TTMc plan),
+// HOOI is run for a ladder of candidate ranks (reusing one CSF forest),
 // reporting the fit of each — the rank-selection workflow from the paper
 // (--save-model then stores the sweep's best model).
 //
@@ -41,8 +44,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/completion.hpp"
@@ -50,29 +55,30 @@
 #include "core/rank_sweep.hpp"
 #include "core/split.hpp"
 #include "core/tucker_model.hpp"
-#include "parallel/thread_info.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "storage/bundle.hpp"
 #include "tensor/io.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "util/version.hpp"
 
 namespace {
 
-std::vector<ht::tensor::index_t> parse_ranks(const std::string& csv) {
-  std::vector<ht::tensor::index_t> ranks;
-  std::size_t begin = 0;
-  while (begin < csv.size()) {
-    const std::size_t comma = csv.find(',', begin);
-    const std::string item = csv.substr(begin, comma == std::string::npos
-                                                   ? std::string::npos
-                                                   : comma - begin);
-    ranks.push_back(static_cast<ht::tensor::index_t>(std::stoul(item)));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
+using ht::tensor::index_t;
+
+// Comma-separated ranks, each in 1..2^32-1; nullopt if any item is not.
+std::optional<std::vector<index_t>> parse_ranks(std::string_view csv) {
+  std::vector<index_t> ranks;
+  while (true) {
+    const std::size_t comma = csv.find(',');
+    const auto rank = ht::parse_number<index_t>(
+        csv.substr(0, comma), 1, std::numeric_limits<index_t>::max());
+    if (!rank) return std::nullopt;
+    ranks.push_back(*rank);
+    if (comma == std::string_view::npos) return ranks;
+    csv.remove_prefix(comma + 1);
   }
-  return ranks;
 }
 
 void export_factors(const ht::core::TuckerDecomposition& t,
@@ -94,7 +100,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: tucker_cli INPUT.tns R1,R2,... [--iters N] [--tol T]"
                " [--threads P] [--init random|range]"
-               " [--ttmc-kernel csf|nnz]"
                " [--trsvd-method lanczos|rand|auto]"
                " [--trsvd-oversample P] [--trsvd-power Q]"
                " [--export PREFIX] [--sweep] [--save-model FILE.htb]\n"
@@ -107,6 +112,14 @@ int usage() {
                "       tucker_cli --query TARGET LINE [LINE...]\n"
                "       tucker_cli --version\n");
   return 2;
+}
+
+// A numeric argument in [lo, hi], or exit 2 with the usage message.
+template <typename T>
+T number_or_exit(const char* text, T lo, T hi) {
+  const std::optional<T> value = ht::parse_number<T>(text, lo, hi);
+  if (!value) std::exit(usage());
+  return *value;
 }
 
 int run_query(const std::string& target, int argc, char** argv, int first) {
@@ -268,7 +281,9 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage();
 
   const std::string input = argv[1];
-  const auto max_ranks = parse_ranks(argv[2]);
+  const auto parsed_ranks = parse_ranks(argv[2]);
+  if (!parsed_ranks) return usage();
+  const std::vector<index_t>& max_ranks = *parsed_ranks;
 
   ht::core::HooiOptions options;
   options.max_iterations = 20;
@@ -284,15 +299,22 @@ int main(int argc, char** argv) {
   for (int a = 3; a < argc; ++a) {
     const std::string arg = argv[a];
     auto next = [&]() -> const char* {
-      if (a + 1 >= argc) { usage(); std::exit(2); }
+      if (a + 1 >= argc) std::exit(usage());
       return argv[++a];
     };
+    // Counts are >= 0; real values are finite and >= 0.
+    auto count = [&] {
+      return number_or_exit(next(), 0, std::numeric_limits<int>::max());
+    };
+    auto real = [&] {
+      return number_or_exit(next(), 0.0, std::numeric_limits<double>::max());
+    };
     if (arg == "--iters") {
-      options.max_iterations = std::atoi(next());
+      options.max_iterations = count();
     } else if (arg == "--tol") {
-      options.fit_tolerance = std::atof(next());
+      options.fit_tolerance = real();
     } else if (arg == "--threads") {
-      options.num_threads = std::atoi(next());
+      options.num_threads = count();
     } else if (arg == "--init") {
       const std::string v = next();
       if (v == "random") {
@@ -302,27 +324,14 @@ int main(int argc, char** argv) {
       } else {
         return usage();
       }
-    } else if (arg == "--ttmc-kernel") {
-      const std::string v = next();
-      if (v == "csf") {
-        options.ttmc_kernel = ht::core::TtmcKernel::kCsf;
-      } else if (v == "nnz") {
-        options.ttmc_kernel = ht::core::TtmcKernel::kPerNnz;
-      } else {
-        return usage();
-      }
     } else if (arg == "--trsvd-method") {
       const auto method = ht::core::parse_trsvd_method(next());
       if (!method) return usage();
       options.trsvd_method = *method;
     } else if (arg == "--trsvd-oversample") {
-      const int v = std::atoi(next());
-      if (v < 0) return usage();
-      options.trsvd.oversample = static_cast<std::size_t>(v);
+      options.trsvd.oversample = static_cast<std::size_t>(count());
     } else if (arg == "--trsvd-power") {
-      const int v = std::atoi(next());
-      if (v < 0) return usage();
-      options.trsvd.power_iterations = static_cast<std::size_t>(v);
+      options.trsvd.power_iterations = static_cast<std::size_t>(count());
     } else if (arg == "--export") {
       export_prefix = next();
     } else if (arg == "--save-model") {
@@ -332,21 +341,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--completion") {
       completion = true;
     } else if (arg == "--holdout") {
-      holdout_fraction = std::atof(next());
+      holdout_fraction = real();
     } else if (arg == "--val") {
-      validation_fraction = std::atof(next());
+      validation_fraction = real();
     } else if (arg == "--lambda") {
-      completion_options.lambda = std::atof(next());
+      completion_options.lambda = real();
     } else if (arg == "--anneal") {
-      completion_options.lambda_anneal_factor = std::atof(next());
-      completion_options.lambda_anneal_sweeps = std::atoi(next());
+      completion_options.lambda_anneal_factor = real();
+      completion_options.lambda_anneal_sweeps = count();
     } else if (arg == "--sweeps") {
-      completion_options.max_sweeps = std::atoi(next());
+      completion_options.max_sweeps = count();
     } else if (arg == "--cg") {
-      completion_options.core_cg_iterations = std::atoi(next());
+      completion_options.core_cg_iterations = count();
     } else if (arg == "--seed") {
-      completion_options.seed =
-          static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
+      completion_options.seed = number_or_exit<std::uint64_t>(
+          next(), 0, std::numeric_limits<std::uint64_t>::max());
     } else {
       return usage();
     }
@@ -376,13 +385,12 @@ int main(int argc, char** argv) {
                             save_model_path);
     }
     if (sweep) {
-      // Ladder of candidates up to the requested maximum, shared plan.
-      std::vector<std::vector<ht::tensor::index_t>> candidates;
+      // Ladder of candidates up to the requested maximum, shared forest.
+      std::vector<std::vector<index_t>> candidates;
       for (double frac : {0.25, 0.5, 0.75, 1.0}) {
-        std::vector<ht::tensor::index_t> r;
+        std::vector<index_t> r;
         for (auto m : max_ranks) {
-          r.push_back(std::max<ht::tensor::index_t>(
-              1, static_cast<ht::tensor::index_t>(m * frac)));
+          r.push_back(std::max<index_t>(1, static_cast<index_t>(m * frac)));
         }
         if (candidates.empty() || r != candidates.back()) {
           candidates.push_back(std::move(r));
@@ -399,7 +407,7 @@ int main(int argc, char** argv) {
         table.add_row({rs, ht::fmt_fixed(e.fit, 5), std::to_string(e.iterations),
                        ht::fmt_time_s(e.seconds)});
       }
-      std::printf("%s(TTMc plan built once: %.3fs)\n",
+      std::printf("%s(CSF forest built once: %.3fs)\n",
                   table.to_string().c_str(), sweep_result.symbolic_seconds);
       if (!save_model_path.empty() && sweep_result.best_model) {
         ht::storage::save_bundle(*sweep_result.best_model, save_model_path);
@@ -409,11 +417,7 @@ int main(int argc, char** argv) {
     }
 
     options.ranks = max_ranks;
-    // Build the preprocessing here rather than inside hooi so the timers
-    // line can name the kernel the plan runs.
-    ht::parallel::ThreadScope threads(options.num_threads);
-    const auto plan = ht::core::TtmcPlan::build(x, options.ttmc_kernel);
-    ht::core::HooiResult result = ht::core::hooi(x, options, plan);
+    ht::core::HooiResult result = ht::core::hooi(x, options);
     std::printf("fit %.6f after %d sweeps (converged=%s)\n",
                 result.final_fit(), result.iterations,
                 result.converged ? "yes" : "no");
@@ -424,10 +428,9 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "timers: symbolic %.3fs ttmc %.3fs trsvd %.3fs core %.3fs"
-        " (ttmc kernel %s; warm trsvd solves per mode: %s)\n",
-        plan.build_seconds, result.timers.ttmc, result.timers.trsvd,
-        result.timers.core, ht::core::ttmc_kernel_name(plan.kernel()),
-        warm.c_str());
+        " (warm trsvd solves per mode: %s)\n",
+        result.timers.symbolic, result.timers.ttmc, result.timers.trsvd,
+        result.timers.core, warm.c_str());
     if (!export_prefix.empty()) {
       export_factors(result.decomposition, export_prefix);
     }

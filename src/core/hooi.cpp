@@ -1,28 +1,18 @@
 #include "core/hooi.hpp"
 
 #include <span>
-#include <variant>
 
 #include "core/sweep.hpp"
+#include "core/ttmc.hpp"
 #include "parallel/thread_info.hpp"
 #include "util/error.hpp"
+#include "util/timer.hpp"
 
 namespace ht::core {
 
-namespace {
-
-// Nonzeros one mode's index covers.
-std::size_t index_entries(const ModeSymbolic& sym) {
-  return sym.nnz_order.size();
-}
-std::size_t index_entries(const tensor::CsfTree& tree) {
-  return tree.num_leaves();
-}
-
-}  // namespace
-
 void validate_hooi_options(const CooTensor& x, const HooiOptions& options) {
   if (x.nnz() == 0) throw InvalidArgument("HOOI needs a nonempty tensor");
+  if (x.order() < 2) throw InvalidArgument("HOOI needs an order >= 2 tensor");
   if (options.ranks.size() != x.order()) {
     throw InvalidArgument("need one rank per tensor mode");
   }
@@ -39,47 +29,39 @@ void validate_hooi_options(const CooTensor& x, const HooiOptions& options) {
 HooiResult hooi(const CooTensor& x, const HooiOptions& options) {
   validate_hooi_options(x, options);
   parallel::ThreadScope threads(options.num_threads);
-  const TtmcPlan plan = TtmcPlan::build(x, options.ttmc_kernel);
-  HooiResult result = hooi(x, options, plan);
-  result.timers.symbolic = plan.build_seconds;
+  WallTimer timer;
+  const tensor::CsfTensor forest = tensor::CsfTensor::build(x);
+  const double build_seconds = timer.seconds();
+  HooiResult result = hooi(x, options, forest);
+  result.timers.symbolic = build_seconds;
   return result;
 }
 
 HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const TtmcPlan& plan) {
+                const tensor::CsfTensor& forest) {
   validate_hooi_options(x, options);
   const std::size_t order = x.order();
-  if ((plan.kernel() == TtmcKernel::kCsf) !=
-      ttmc_wants_csf(order, options.ttmc_kernel)) {
-    throw InvalidArgument("TTMc plan runs another kernel than requested");
+  // The trees copy x's values and their root rows index x's factor rows: a
+  // forest built from another tensor would read and write out of bounds or
+  // fit other data. Root rows are sorted, so the last one bounds them all.
+  bool same_tensor = forest.order() == order;
+  for (std::size_t n = 0; same_tensor && n < order; ++n) {
+    const tensor::CsfTree& tree = forest.modes[n];
+    same_tensor = tree.num_leaves() == x.nnz() && tree.num_roots() > 0 &&
+                  tree.idx[0].back() < x.dim(n);
   }
-  // Whichever index the plan holds covers x's nonzeros (the lists index
-  // them, the trees copy their values) and its compact rows index x's
-  // factor rows: a plan built from another tensor would read and write out
-  // of bounds or fit other data. Rows are sorted, so the last one bounds
-  // them all.
-  const bool same_tensor = std::visit(
-      [&](const auto& idx) {
-        if (idx.modes.size() != order) return false;
-        for (std::size_t n = 0; n < order; ++n) {
-          const auto& rows = plan.rows(n);
-          if (index_entries(idx.modes[n]) != x.nnz() ||
-              (!rows.empty() && rows.back() >= x.dim(n))) {
-            return false;
-          }
-        }
-        return true;
-      },
-      plan.index);
   if (!same_tensor) {
-    throw InvalidArgument("TTMc plan was built for another tensor");
+    throw InvalidArgument("CSF forest was built for another tensor");
   }
+  // Each tree's level 0 is its mode's compact rows, increasing.
   std::vector<std::span<const index_t>> rows;
-  for (std::size_t n = 0; n < order; ++n) rows.emplace_back(plan.rows(n));
+  for (std::size_t n = 0; n < order; ++n) {
+    rows.emplace_back(forest.modes[n].idx[0]);
+  }
   return hooi_one_rank(x, options, rows,
                        [&](const std::vector<la::Matrix>& factors,
                            std::size_t mode, la::Matrix& y) {
-                         plan.ttmc(x, factors, mode, y);
+                         ttmc_mode(x, factors, mode, forest.modes[mode], y);
                        });
 }
 

@@ -1,8 +1,9 @@
 // Shared-memory parallel HOOI (paper Algorithm 3).
 //
-// TTMc preprocessing (core::TtmcPlan) runs once; each ALS sweep then
-// performs, per mode,
-//   (i)   numeric TTMc into the compact Y(n)          [lock-free parfor]
+// TTMc preprocessing (the CSF forest, tensor::CsfTensor) runs once; each
+// ALS sweep then performs, per mode,
+//   (i)   numeric TTMc into the compact Y(n): the CSF walk over the mode's
+//         tree                                        [lock-free parfor]
 //   (ii)  TRSVD of Y(n)                               [kAuto, trsvd.hpp]
 //   (iii) U_n zeroed and its compact rows written in place; a rank-deficient
 //         or unconverged solve completed to orthonormal columns
@@ -24,11 +25,15 @@
 #include <vector>
 
 #include "core/trsvd.hpp"
-#include "core/ttmc_plan.hpp"
 #include "core/tucker.hpp"
 #include "tensor/coo_tensor.hpp"
+#include "tensor/csf.hpp"
 
 namespace ht::core {
+
+using tensor::CooTensor;
+using tensor::index_t;
+using tensor::nnz_t;
 
 enum class HooiInit { kRandom, kRandomizedRange };
 
@@ -43,9 +48,6 @@ struct HooiOptions {
   /// (trsvd.hpp), and kLanczos runs Lanczos on every solve. The randomized
   /// solver's oversample/power knobs live in `trsvd` below.
   TrsvdMethod trsvd_method = TrsvdMethod::kAuto;
-  /// TTMc kernel family: kCsf runs the CSF forest wherever it can
-  /// (TtmcKernel documents the rule), kPerNnz the update lists.
-  TtmcKernel ttmc_kernel = TtmcKernel::kCsf;
   /// OpenMP threads (0 = runtime default). Paper Table V sweeps this.
   int num_threads = 0;
   std::uint64_t seed = 42;
@@ -79,21 +81,20 @@ struct HooiResult {
   }
 };
 
-/// Run HOOI; builds the TTMc plan for options.ttmc_kernel internally (its
-/// build time lands in timers.symbolic).
+/// Run HOOI; builds the CSF forest of `x` internally (its build time lands
+/// in timers.symbolic).
 HooiResult hooi(const CooTensor& x, const HooiOptions& options);
 
-/// Run HOOI over a prebuilt plan (the paper reuses the symbolic structure
-/// across runs with different ranks; rank_sweep shares one plan across its
-/// grid). `plan` must be built from `x` with options.ttmc_kernel; a plan
-/// that runs another kernel than options.ttmc_kernel asks for on `x`, or
-/// one whose lists or structures do not fit `x`'s order, nonzero count or
-/// mode sizes, throws ht::InvalidArgument.
-/// timers.symbolic stays 0: the caller paid the build.
+/// Run HOOI over a prebuilt forest (the paper reuses the symbolic structure
+/// across runs with different ranks; rank_sweep shares one forest across
+/// its grid). `forest` must be tensor::CsfTensor::build(x): one whose order,
+/// nonzeros per tree or root rows do not fit `x` throws
+/// ht::InvalidArgument. timers.symbolic stays 0: the caller paid the build.
 HooiResult hooi(const CooTensor& x, const HooiOptions& options,
-                const TtmcPlan& plan);
+                const tensor::CsfTensor& forest);
 
-/// Validate options against the tensor; throws ht::InvalidArgument.
+/// Validate options against the tensor (nonempty, order >= 2, one rank in
+/// 1..I_n per mode, at least one iteration); throws ht::InvalidArgument.
 void validate_hooi_options(const CooTensor& x, const HooiOptions& options);
 
 }  // namespace ht::core

@@ -17,8 +17,7 @@ namespace ht::core {
 
 /// HOOI with TTM-chain (materialized) TTMc: hooi's sweep (core/sweep.hpp)
 /// with the chain as its TTMc step, so the same options/result contract as
-/// hooi(); options.ttmc_kernel is ignored (the chain parallelizes per
-/// merge group).
+/// hooi(). No CSF forest is built; the chain parallelizes per merge group.
 HooiResult hooi_met_baseline(const CooTensor& x, const HooiOptions& options);
 
 }  // namespace ht::core

@@ -34,17 +34,17 @@ RankSweepResult rank_sweep(const CooTensor& x,
   HT_CHECK_MSG(!candidates.empty(), "need at least one rank candidate");
 
   RankSweepResult result;
-  // Every preprocessing structure is rank-independent: one plan serves the
-  // whole rank grid.
-  const TtmcPlan plan = TtmcPlan::build(x, base.ttmc_kernel);
-  result.symbolic_seconds = plan.build_seconds;
+  // The forest is rank-independent: one build serves the whole rank grid.
+  WallTimer build_timer;
+  const tensor::CsfTensor forest = tensor::CsfTensor::build(x);
+  result.symbolic_seconds = build_timer.seconds();
 
   double best_fit = -1.0;
   for (const auto& ranks : candidates) {
     HooiOptions options = base;
     options.ranks = ranks;
     WallTimer t;
-    HooiResult run = hooi(x, options, plan);
+    HooiResult run = hooi(x, options, forest);
     RankSweepEntry entry;
     entry.ranks = ranks;
     entry.fit = run.final_fit();

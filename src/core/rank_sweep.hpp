@@ -23,7 +23,7 @@ struct RankSweepEntry {
 
 struct RankSweepResult {
   std::vector<RankSweepEntry> entries;
-  /// Seconds spent building the shared TTMc plan (paid once).
+  /// Seconds spent building the shared CSF forest (paid once).
   double symbolic_seconds = 0.0;
   /// The best-fit run packaged as a first-class model (provenance stamped),
   /// ready for storage::save_bundle. Only the winner is kept — the sweep
@@ -35,7 +35,7 @@ struct RankSweepResult {
   [[nodiscard]] const RankSweepEntry& pick(double fit_fraction = 0.95) const;
 };
 
-/// Run HOOI for every candidate rank vector, reusing one TtmcPlan.
+/// Run HOOI for every candidate rank vector, reusing one CSF forest.
 /// `base` supplies everything except the ranks.
 RankSweepResult rank_sweep(const CooTensor& x,
                            const std::vector<std::vector<index_t>>& candidates,

@@ -58,9 +58,9 @@ std::size_t slice_size(const tensor::Shape& core_shape, std::size_t mode);
 /// Step 1 for entity mode 0 — and the shared inner kernel for any
 /// precomputed unfolding: out[q] = sum_r row[r] * unfold[r*cols + q] with
 /// `unfold` an (row.size() x cols) row-major matrix. The mode-0 unfolding
-/// of the core is its flat buffer, so the train-time path passes
-/// core.flat() directly; ServeModel passes its precomputed per-mode
-/// unfoldings. Ascending-r summation order per output element.
+/// of the core is its flat buffer, so the train-time path and ServeModel
+/// pass core.flat() directly. Ascending-r summation order per output
+/// element.
 void contract_unfolding(std::span<const double> unfold,
                         std::span<const double> row, std::span<double> out);
 

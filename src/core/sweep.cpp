@@ -196,7 +196,7 @@ void complete_factor(smp::Communicator& comm, const SweepMode& mode,
 
 SweepResult hooi_sweeps(smp::Communicator& comm, const TtmcStep& ttmc,
                         std::span<const SweepMode> modes, double x_norm2,
-                        const HooiOptions& options, int first_sweep,
+                        const HooiOptions& options,
                         std::vector<la::Matrix>& factors) {
   const std::size_t order = modes.size();
   SweepResult out;
@@ -234,7 +234,7 @@ SweepResult hooi_sweeps(smp::Communicator& comm, const TtmcStep& ttmc,
       DistYOperator op(y, mode.partial ? mode.lists : nullptr, mode.owned,
                        compact_rows[n], comm, tag);
       const bool warm_solve =
-          first_sweep + iter >= kWarmFirstSweep &&
+          iter >= kWarmFirstSweep &&
           warm_trsvd_applies(options.trsvd_method, compact_rows[n], width,
                              rank);
       la::TrsvdResult cold;
@@ -322,8 +322,8 @@ HooiResult hooi_one_rank(const CooTensor& x, const HooiOptions& options,
   }
   smp::World world(1);
   smp::Communicator comm(world, 0);
-  SweepResult sweep = hooi_sweeps(comm, ttmc, modes, x.norm2_squared(),
-                                  options, 0, factors);
+  SweepResult sweep =
+      hooi_sweeps(comm, ttmc, modes, x.norm2_squared(), options, factors);
   sweep.result.decomposition.factors = std::move(factors);
   return std::move(sweep.result);
 }

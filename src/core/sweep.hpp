@@ -3,9 +3,11 @@
 // the fit and the stopping test (hooi.hpp and dist_hooi.hpp describe the
 // steps). hooi and the MET baseline run it at one rank in the calling
 // thread (hooi_one_rank), dist_hooi on every rank inside smp::run_spmd.
-// The callers differ in their TTMc step and per-mode data, not in code; at
-// one rank there are no lists and every collective returns at once, so the
-// TRSVD operator runs exactly la::DenseOperator's kernels.
+// The callers differ in their TTMc step (the CSF walk over the caller's
+// forest, or the MET baseline's TTM chain) and per-mode data, not in code;
+// at one rank there are no lists and every collective returns at once, so
+// the TRSVD operator runs exactly la::DenseOperator's kernels. kAuto's warm
+// rule reads the loop's own sweep index.
 #pragma once
 
 #include <cstdint>
@@ -68,13 +70,12 @@ struct SweepResult {
 };
 
 /// Run HOOI sweeps on this rank of `comm`, updating `factors` (the rank's,
-/// one per mode) in place. `x_norm2` is the whole tensor's squared norm and
-/// `first_sweep` the number of sweeps the factors have been through
-/// (kAuto's warm rule). Reads options.ranks, max_iterations, fit_tolerance,
-/// trsvd_method and trsvd.
+/// one per mode) in place. `x_norm2` is the whole tensor's squared norm.
+/// Reads options.ranks, max_iterations, fit_tolerance, trsvd_method and
+/// trsvd.
 SweepResult hooi_sweeps(smp::Communicator& comm, const TtmcStep& ttmc,
                         std::span<const SweepMode> modes, double x_norm2,
-                        const HooiOptions& options, int first_sweep,
+                        const HooiOptions& options,
                         std::vector<la::Matrix>& factors);
 
 /// HOOI over `x` (validated options) at one rank in the calling thread,

@@ -11,10 +11,11 @@
 // ordinals ascend, so the per-nnz kernel's accumulation order is a pure
 // function of the tensor.
 //
-// The lists are the index of a per-nnz core::TtmcPlan (kPerNnz, orders past
-// 8, empty tensors); a kCsf plan holds the CSF forest instead, whose
-// root nodes are the same compact rows. Masked completion reads the lists
-// directly for its per-row normal equations.
+// HOOI runs the CSF forest (tensor/csf.*), whose root nodes are the same
+// compact rows; the lists are the index of the per-nnz reference kernel
+// (core/ttmc.hpp), which the CSF walk is tested and benchmarked against.
+// Masked completion reads the lists directly for its per-row normal
+// equations.
 #pragma once
 
 #include <cstddef>

@@ -49,8 +49,7 @@ enum class TrsvdMethod { kLanczos, kRandomized, kAuto };
 inline constexpr std::size_t kWarmMinEntries = std::size_t{1} << 20;
 /// Block power steps of a warm solve.
 inline constexpr std::size_t kWarmSteps = 4;
-/// First sweep (0-based, counting every sweep the factors have been
-/// through) from which HOOI solves warm: the third.
+/// First sweep (0-based) from which HOOI solves warm: the third.
 inline constexpr int kWarmFirstSweep = 2;
 /// A warm solve keeps its power steps' basis when the captured energy the
 /// steps are estimated to still be missing is at most this share of what

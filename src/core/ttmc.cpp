@@ -13,13 +13,19 @@ namespace ht::core {
 namespace {
 
 // One scratch buffer per thread, shared by every kernel in this translation
-// unit. The kernels are function templates (one instantiation per row map),
-// so a thread_local inside each body would be duplicated per instantiation
-// and per kernel; routing them all through one buffer means it grows once
-// and is reused across rows, calls, kernels, and modes.
+// unit. A thread_local inside each body would be duplicated per kernel (and
+// per instantiation of the CSF walk); routing them all through one buffer
+// means it grows once and is reused across rows, calls, kernels, and modes.
 inline std::vector<double>& kernel_scratch() {
   thread_local std::vector<double> scratch;
   return scratch;
+}
+
+// The CSF walk's per-level partial pointers into kernel_scratch(), per
+// thread for the same reason: a tile allocates nothing once it has grown.
+inline std::vector<double*>& walk_parts() {
+  thread_local std::vector<double*> parts;
+  return parts;
 }
 
 // Specialized 3-mode kernel: y[ja * Rb + jb] += v * ua[ja] * ub[jb].
@@ -90,14 +96,15 @@ inline OtherModes other_modes(std::size_t order, std::size_t skip) {
 // Run `body(r)` over [0, nrows), dynamically scheduled: rows differ in
 // nonzero count, and dynamic chunks absorb the skew (paper Sec. III-A.1).
 template <typename Body>
-void parallel_rows(std::ptrdiff_t nrows, Body&& body) {
+void parallel_rows(std::size_t nrows, Body&& body) {
+  const auto n = static_cast<std::ptrdiff_t>(nrows);
 #pragma omp parallel for schedule(dynamic, 16)
-  for (std::ptrdiff_t r = 0; r < nrows; ++r) body(r);
+  for (std::ptrdiff_t r = 0; r < n; ++r) body(static_cast<std::size_t>(r));
 }
 
-// The full-mode and subset entry points share every kernel below through a
-// row map: the loop index r runs over output rows, map(r) names the compact
-// symbolic row it computes.
+// The CSF full-mode and subset entry points share the walk through a row
+// map: the loop index r runs over output rows, map(r) names the compact row
+// it computes.
 
 struct IdentityRowMap {
   std::size_t operator()(std::ptrdiff_t r) const {
@@ -114,30 +121,26 @@ struct SubsetRowMap {
 
 // ---- per-nonzero kernels --------------------------------------------------
 
-template <typename RowMap>
 void ttmc3_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
-                   std::size_t mode, const ModeSymbolic& sym,
-                   std::ptrdiff_t nrows, RowMap map, la::Matrix& y) {
+                   std::size_t mode, const ModeSymbolic& sym, la::Matrix& y) {
   const auto o = other_modes(x.order(), mode);
   const auto idx_a = x.indices(o.m[0]);
   const auto idx_b = x.indices(o.m[1]);
   const auto values = x.values();
   const la::Matrix& fa = factors[o.m[0]];
   const la::Matrix& fb = factors[o.m[1]];
-  parallel_rows(nrows, [&](std::ptrdiff_t r) {
-    auto row = y.row(static_cast<std::size_t>(r));
+  parallel_rows(sym.num_rows(), [&](std::size_t r) {
+    auto row = y.row(r);
     std::fill(row.begin(), row.end(), 0.0);
-    for (nnz_t e : sym.update_list(map(r))) {
+    for (nnz_t e : sym.update_list(r)) {
       kron2_accumulate(values[e], fa.row(idx_a[e]), fb.row(idx_b[e]),
                        row.data());
     }
   });
 }
 
-template <typename RowMap>
 void ttmc4_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
-                   std::size_t mode, const ModeSymbolic& sym,
-                   std::ptrdiff_t nrows, RowMap map, la::Matrix& y) {
+                   std::size_t mode, const ModeSymbolic& sym, la::Matrix& y) {
   const auto o = other_modes(x.order(), mode);
   const auto idx_a = x.indices(o.m[0]);
   const auto idx_b = x.indices(o.m[1]);
@@ -146,36 +149,30 @@ void ttmc4_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
   const la::Matrix& fa = factors[o.m[0]];
   const la::Matrix& fb = factors[o.m[1]];
   const la::Matrix& fc = factors[o.m[2]];
-  parallel_rows(nrows, [&](std::ptrdiff_t r) {
-    auto row = y.row(static_cast<std::size_t>(r));
+  parallel_rows(sym.num_rows(), [&](std::size_t r) {
+    auto row = y.row(r);
     std::fill(row.begin(), row.end(), 0.0);
-    for (nnz_t e : sym.update_list(map(r))) {
+    for (nnz_t e : sym.update_list(r)) {
       kron3_accumulate(values[e], fa.row(idx_a[e]), fb.row(idx_b[e]),
                        fc.row(idx_c[e]), row.data());
     }
   });
 }
 
-template <typename RowMap>
 void ttmc_general_per_nnz(const CooTensor& x,
                           const std::vector<la::Matrix>& factors,
                           std::size_t mode, const ModeSymbolic& sym,
-                          std::ptrdiff_t nrows, RowMap map, la::Matrix& y) {
-  parallel_rows(nrows, [&](std::ptrdiff_t r) {
-    auto row = y.row(static_cast<std::size_t>(r));
+                          la::Matrix& y) {
+  parallel_rows(sym.num_rows(), [&](std::size_t r) {
+    auto row = y.row(r);
     std::fill(row.begin(), row.end(), 0.0);
-    for (nnz_t e : sym.update_list(map(r))) {
+    for (nnz_t e : sym.update_list(r)) {
       kron_general_accumulate(x, e, factors, mode, row, kernel_scratch());
     }
   });
 }
 
 // ---- CSF kernel ------------------------------------------------------------
-
-// Deepest CSF tree the kernel's fixed-size per-level arrays accommodate;
-// higher orders stay on the general per-nnz kernel (ttmc_wants_csf never
-// asks for a forest past this depth).
-constexpr std::size_t kCsfMaxOrder = 8;
 
 // Read-only per-invocation context of the CSF depth-first walk, shared by
 // every thread (per-thread state is only the partial buffers).
@@ -184,8 +181,8 @@ struct CsfWalkCtx {
   std::size_t nlevels = 0;
   // Per tree level: factor of that level's mode, and the width of a node
   // partial at that level (product of the ranks of all deeper levels).
-  const la::Matrix* u[kCsfMaxOrder] = {};
-  std::size_t width[kCsfMaxOrder] = {};
+  std::vector<const la::Matrix*> u;
+  std::vector<std::size_t> width;
 };
 
 // DFS over one subtree: fills part[d] (width[d] doubles) with the node's
@@ -240,10 +237,11 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
                    const tensor::CsfTree& tree, std::size_t mode,
                    std::ptrdiff_t nrows, RowMap map, la::Matrix& y) {
   const std::size_t L = tree.levels();
-  HT_CHECK_MSG(L <= kCsfMaxOrder, "CSF kernel supports tensors up to order 8");
   CsfWalkCtx c;
   c.tree = &tree;
   c.nlevels = L;
+  c.u.resize(L);
+  c.width.resize(L);
   for (std::size_t d = 0; d < L; ++d) c.u[d] = &factors[tree.level_modes[d]];
   c.width[L - 1] = 1;
   for (std::size_t d = L - 1; d-- > 0;) {
@@ -259,7 +257,7 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
                                        tree.level_modes.end());
   std::vector<std::uint32_t> perm;
   if (!identity) {
-    std::size_t stride_y[kCsfMaxOrder] = {};  // per tree level, stride in Y(n)'s layout
+    std::vector<std::size_t> stride_y(L);  // per tree level, stride in Y(n)'s layout
     for (std::size_t d = 1; d < L; ++d) {
       std::size_t stride = 1;
       for (std::size_t t = factors.size(); t-- > 0;) {
@@ -293,7 +291,7 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
   const auto ntiles = static_cast<std::ptrdiff_t>(tile.size() - 1);
 
   // Per-thread partial buffers, one per level 0..L-2, from the shared arena.
-  std::size_t off[kCsfMaxOrder] = {};
+  std::vector<std::size_t> off(L);
   std::size_t total = 0;
   for (std::size_t d = 0; d + 1 < L; ++d) {
     off[d] = total;
@@ -303,16 +301,17 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
   const auto body = [&](std::ptrdiff_t ti) {
     std::vector<double>& buf = kernel_scratch();
     buf.resize(total);
-    double* part[kCsfMaxOrder] = {};
+    std::vector<double*>& part = walk_parts();
+    part.resize(L);
     for (std::size_t d = 0; d + 1 < L; ++d) part[d] = buf.data() + off[d];
     for (std::ptrdiff_t r = tile[ti]; r < tile[ti + 1]; ++r) {
       auto row = y.row(static_cast<std::size_t>(r));
       if (identity) {
         part[0] = row.data();  // csf_walk zero-fills before accumulating
-        csf_walk(c, 0, map(r), part);
+        csf_walk(c, 0, map(r), part.data());
       } else {
         part[0] = buf.data() + off[0];
-        csf_walk(c, 0, map(r), part);
+        csf_walk(c, 0, map(r), part.data());
         const double* src = part[0];
         for (std::size_t p = 0; p < perm.size(); ++p) row[perm[p]] = src[p];
       }
@@ -324,19 +323,6 @@ void ttmc_csf_tree(const std::vector<la::Matrix>& factors,
 }
 
 // ---- dispatch --------------------------------------------------------------
-
-template <typename RowMap>
-void ttmc_per_nnz(const CooTensor& x, const std::vector<la::Matrix>& factors,
-                  std::size_t mode, const ModeSymbolic& sym,
-                  std::ptrdiff_t nrows, RowMap map, la::Matrix& y) {
-  if (x.order() == 3) {
-    ttmc3_per_nnz(x, factors, mode, sym, nrows, map, y);
-  } else if (x.order() == 4) {
-    ttmc4_per_nnz(x, factors, mode, sym, nrows, map, y);
-  } else {
-    ttmc_general_per_nnz(x, factors, mode, sym, nrows, map, y);
-  }
-}
 
 void check_inputs(const CooTensor& x, const std::vector<la::Matrix>& factors,
                   std::size_t mode) {
@@ -357,7 +343,7 @@ void check_inputs(const CooTensor& x, const std::vector<la::Matrix>& factors,
                "CSF tree was not built from this tensor and mode");
 }
 
-// Debug-only: dist_hooi calls the subset entry points once per mode per
+// Debug-only: dist_hooi calls the subset entry point once per mode per
 // HOOI iteration with plan-derived positions that are fixed at plan
 // construction; an O(|positions|) per-call scan would serialize the hot
 // loop for nothing. In Release an out-of-range position is undefined
@@ -383,14 +369,6 @@ std::size_t ttmc_row_width(const std::vector<la::Matrix>& factors,
   return width;
 }
 
-bool ttmc_wants_csf(std::size_t order, TtmcKernel kernel) {
-  return order >= 2 && order <= kCsfMaxOrder && kernel == TtmcKernel::kCsf;
-}
-
-const char* ttmc_kernel_name(TtmcKernel kernel) {
-  return kernel == TtmcKernel::kCsf ? "csf" : "nnz";
-}
-
 // Capacity-preserving resizes below: every kernel zeroes each output row
 // before accumulating, so the realloc+memset of resize_zero would be pure
 // waste when mode widths differ across modes/iterations.
@@ -399,9 +377,13 @@ void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
                std::size_t mode, const ModeSymbolic& sym, la::Matrix& y) {
   check_inputs(x, factors, mode);
   y.resize(sym.num_rows(), ttmc_row_width(factors, mode));
-  ttmc_per_nnz(x, factors, mode, sym,
-               static_cast<std::ptrdiff_t>(sym.num_rows()), IdentityRowMap{},
-               y);
+  if (x.order() == 3) {
+    ttmc3_per_nnz(x, factors, mode, sym, y);
+  } else if (x.order() == 4) {
+    ttmc4_per_nnz(x, factors, mode, sym, y);
+  } else {
+    ttmc_general_per_nnz(x, factors, mode, sym, y);
+  }
 }
 
 void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
@@ -411,18 +393,6 @@ void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
   ttmc_csf_tree(factors, tree, mode,
                 static_cast<std::ptrdiff_t>(tree.num_roots()),
                 IdentityRowMap{}, y);
-}
-
-void ttmc_mode_subset(const CooTensor& x,
-                      const std::vector<la::Matrix>& factors, std::size_t mode,
-                      const ModeSymbolic& sym,
-                      std::span<const std::uint32_t> positions, la::Matrix& y) {
-  check_inputs(x, factors, mode);
-  check_positions(positions, sym.num_rows());
-  y.resize(positions.size(), ttmc_row_width(factors, mode));
-  ttmc_per_nnz(x, factors, mode, sym,
-               static_cast<std::ptrdiff_t>(positions.size()),
-               SubsetRowMap{positions}, y);
 }
 
 void ttmc_mode_subset(const CooTensor& x,

@@ -1,5 +1,5 @@
 // Numeric TTMc: the nonzero-based formulation of paper Eq. (4) /
-// Algorithm 2, evaluated with the precomputed symbolic update lists.
+// Algorithm 2.
 //
 // For mode n, computes the compact matricized product
 //   Y(n)(i, :) = sum_{x in ul_n(i)} x * kron_{t != n} U_t(i_t, :)
@@ -8,25 +8,29 @@
 // parfor, scheduled dynamically to absorb slice-size skew (the paper's
 // choice, Sec. III-A.1).
 //
-// Two kernel families are provided per mode, one per index a TtmcPlan can
-// hold; each ttmc_mode overload takes the index its kernel runs over:
-//   per-nnz (ModeSymbolic): every nonzero pays the full Kronecker-row
+// Two kernel families are provided per mode; each ttmc_mode overload takes
+// the index its kernel runs over:
+//   CSF (tensor::CsfTree): the kernel of every HOOI driver, at any order
+//                   >= 2. A depth-first walk of the mode's compressed fiber
+//                   tree (tensor/csf.*): leaf runs accumulate the
+//                   trailing-rank partial from *streamed* values and
+//                   coordinates, every internal node expands its partial
+//                   into its parent's once, and finished root rows are
+//                   scattered from tree Kronecker order into Y(n)'s layout.
+//                   Root subtrees are dispatched in nnz-balanced tiles so
+//                   skewed rows cannot serialize a thread. ttmc_mode_subset
+//                   computes only listed rows (the coarse grain's owned
+//                   rows).
+//   per-nnz (ModeSymbolic): the paper's Algorithm 2 over the symbolic
+//                   update lists; every nonzero pays the full Kronecker-row
 //                   expansion (R_a*R_b flops for 3-mode, R_a*R_b*R_c for
-//                   4-mode) — the reference the CSF walk is tested
-//                   against, and the kernel for orders past 8;
-//   CSF (tensor::CsfTree): a depth-first walk of the mode's compressed
-//                   fiber tree (tensor/csf.*, orders 2..8): leaf runs
-//                   accumulate the trailing-rank partial from *streamed*
-//                   values and coordinates, every internal node expands its
-//                   partial into its parent's once, and finished root rows
-//                   are scattered from tree Kronecker order into Y(n)'s
-//                   layout. Root subtrees are dispatched in nnz-balanced
-//                   tiles so skewed rows cannot serialize a thread.
-// The kernel choice is made once, when TtmcPlan::build decides which index
-// to build (ttmc_wants_csf).
+//                   4-mode). It is the reference the CSF walk is tested
+//                   and benchmarked against.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/symbolic.hpp"
@@ -35,19 +39,6 @@
 #include "tensor/csf.hpp"
 
 namespace ht::core {
-
-/// Numeric kernel family. kCsf builds the CSF forest where it can run
-/// (orders 2..8, a nonempty tensor) and the update lists elsewhere; kPerNnz
-/// always builds the lists. A plan reports the kernel it runs in the same
-/// enum (TtmcPlan::kernel).
-enum class TtmcKernel { kCsf, kPerNnz };
-
-/// Whether TtmcPlan::build should build the CSF forest rather than the
-/// update lists: kCsf on an order-2..8 tensor.
-bool ttmc_wants_csf(std::size_t order, TtmcKernel kernel);
-
-/// CLI/bench name of a kernel: "csf" or "nnz".
-const char* ttmc_kernel_name(TtmcKernel kernel);
 
 /// Width of Y(n) rows: product of factor column counts over modes != n.
 std::size_t ttmc_row_width(const std::vector<la::Matrix>& factors,
@@ -65,14 +56,10 @@ void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
 void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
                std::size_t mode, const tensor::CsfTree& tree, la::Matrix& y);
 
-/// TTMc restricted to a subset of the compact rows: row p of `y` is the
+/// CSF TTMc restricted to a subset of the compact rows: row p of `y` is the
 /// compact row positions[p] of the full computation. The coarse-grain
 /// distributed algorithm computes only its owned rows this way (paper
-/// Algorithm 4, K_n = I_n^k). One overload per index, as for ttmc_mode.
-void ttmc_mode_subset(const CooTensor& x,
-                      const std::vector<la::Matrix>& factors, std::size_t mode,
-                      const ModeSymbolic& sym,
-                      std::span<const std::uint32_t> positions, la::Matrix& y);
+/// Algorithm 4, K_n = I_n^k).
 void ttmc_mode_subset(const CooTensor& x,
                       const std::vector<la::Matrix>& factors, std::size_t mode,
                       const tensor::CsfTree& tree,

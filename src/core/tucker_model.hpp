@@ -6,8 +6,9 @@
 // without re-deriving context from the training call site: the
 // decomposition itself, the original tensor dimensions, the achieved fit,
 // and build provenance (which build produced it, from util/version.hpp).
-// The training tensor's preprocessing (core::TtmcPlan) is not part of a
-// model: it is rebuilt from the tensor whenever training resumes.
+// The training tensor's preprocessing (its CSF forest, tensor::CsfTensor)
+// is not part of a model: it is rebuilt from the tensor whenever training
+// runs.
 //
 // Models round-trip through the versioned binary bundle format of
 // storage/bundle.hpp: save_bundle() writes every array verbatim,

@@ -1,16 +1,14 @@
 #include "dist/dist_hooi.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <numeric>
 #include <utility>
 
 #include "core/sweep.hpp"
-#include "core/ttmc_plan.hpp"
-#include "core/tucker_model.hpp"
+#include "core/ttmc.hpp"
 #include "parallel/thread_info.hpp"
 #include "smp/communicator.hpp"
-#include "storage/bundle.hpp"
+#include "tensor/csf.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -33,79 +31,12 @@ LoadSummary summarize_cells(const DistStats& stats, std::size_t mode,
   return summarize_load(values);
 }
 
-// ---- rank-local restart checkpoints -----------------------------------------
-//
-// Each rank's checkpoint is a small model bundle holding only its local
-// factor slices plus provenance meta. Ranks write disjoint files, so there
-// is no cross-rank coordination; the atomic temp+rename inside the writer
-// means a run killed mid-checkpoint leaves the previous checkpoint intact.
-
-std::string checkpoint_path(const std::string& dir, int rank) {
-  return dir + "/rank" + std::to_string(rank) + ".htb";
-}
-
-// `sweeps` counts every sweep the stored factors have been through, across
-// restarts, so a resumed run takes kAuto's warm path from the same sweep a
-// straight run would.
-void save_checkpoint(const std::string& path,
-                     const std::vector<la::Matrix>& factors, int rank,
-                     int sweeps) {
-  const std::string tmp = path + ".tmp";
-  {
-    storage::BundleWriter w(tmp);
-    std::string meta = "kind=dist_checkpoint\nrank=" + std::to_string(rank) +
-                       "\nsweeps=" + std::to_string(sweeps) + "\n";
-    for (const auto& [key, value] : core::TuckerModel::build_provenance()) {
-      meta += "prov:" + key + "=" + value + "\n";
-    }
-    w.add_section(storage::SectionKind::kMeta, 0, 0, 1, meta.data(),
-                  meta.size(), meta.size(), 1);
-    for (std::size_t n = 0; n < factors.size(); ++n) {
-      const la::Matrix& f = factors[n];
-      w.add_section(storage::SectionKind::kFactor,
-                    static_cast<std::uint32_t>(n), 0, sizeof(double),
-                    f.data(), f.size() * sizeof(double), f.rows(), f.cols());
-    }
-    w.finish();
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError("cannot move checkpoint into place: " + path);
-  }
-}
-
-// Replace the plan's random initial slices with the checkpointed ones and
-// return the stored sweep count (0 when the checkpoint predates the key).
-// LoadMode::kCopy on purpose: the loop keeps mutating the factors.
-int load_checkpoint(const std::string& path,
-                    std::vector<la::Matrix>& factors) {
-  storage::BundleReader r(path, storage::LoadMode::kCopy);
-  int sweeps = 0;
-  for (const auto& [key, value] :
-       r.read_meta(r.require(storage::SectionKind::kMeta))) {
-    if (key == "sweeps") sweeps = std::stoi(value);
-  }
-  for (std::size_t n = 0; n < factors.size(); ++n) {
-    const storage::SectionEntry& e =
-        r.require(storage::SectionKind::kFactor, static_cast<std::uint32_t>(n));
-    HT_CHECK_MSG(e.rows == factors[n].rows() && e.cols == factors[n].cols(),
-                 "checkpoint factor " << n << " shape mismatch (got "
-                                      << e.rows << "x" << e.cols
-                                      << ", plan wants " << factors[n].rows()
-                                      << "x" << factors[n].cols() << ")");
-    storage::Span<double> s = r.load<double>(e);
-    factors[n] = la::Matrix(e.rows, e.cols, std::move(s.vec()));
-  }
-  return sweeps;
-}
-
 // The HOOI sweep options of a distributed run.
 core::HooiOptions sweep_options(const DistHooiOptions& o) {
   return {.ranks = o.ranks,
           .max_iterations = o.max_iterations,
           .fit_tolerance = o.fit_tolerance,
           .trsvd_method = o.trsvd_method,
-          .ttmc_kernel = o.ttmc_kernel,
           .seed = o.seed,
           .trsvd = o.trsvd};
 }
@@ -280,10 +211,11 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     const RankPlan& rp = rplans[static_cast<std::size_t>(rank)];
     parallel::ThreadScope threads(options.threads_per_rank);
 
-    // Each rank preprocesses its own local tensor: the plan decides the
-    // kernel and the index to build per rank.
-    const core::TtmcPlan plan =
-        core::TtmcPlan::build(rp.local, options.ttmc_kernel);
+    // Each rank builds the CSF forest of its own local tensor (an empty one
+    // when the rank holds no nonzeros).
+    WallTimer build_timer;
+    const tensor::CsfTensor forest = tensor::CsfTensor::build(rp.local);
+    const double build_seconds = build_timer.seconds();
 
     // Per mode, the owned rows' positions among the local rows (== rows of
     // the local compact Y and factor: every local row is non-empty). The
@@ -293,11 +225,12 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     std::vector<core::SweepMode> modes(order);
     for (std::size_t n = 0; n < order; ++n) {
       const ModePlan& mp = rp.modes[n];
-      HT_CHECK(plan.rows(n).size() == mp.local_rows.size());
+      const std::vector<index_t>& roots = forest.modes[n].idx[0];
+      HT_CHECK(roots.size() == mp.local_rows.size());
       for (index_t g : mp.owned_rows) {
         owned_pos[n].push_back(local_row_position(mp.local_rows, g));
       }
-      modes[n] = {.factor_rows = plan.rows(n),
+      modes[n] = {.factor_rows = roots,
                   .owned = owned_pos[n],
                   .owned_rows = mp.owned_rows,
                   .lists = &mp,
@@ -313,36 +246,18 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     const core::TtmcStep ttmc = [&](const std::vector<la::Matrix>& f,
                                     std::size_t n, la::Matrix& y) {
       if (fine) {
-        plan.ttmc(rp.local, f, n, y);
+        core::ttmc_mode(rp.local, f, n, forest.modes[n], y);
       } else {
-        plan.ttmc_subset(rp.local, f, n, owned_pos[n], y);
+        core::ttmc_mode_subset(rp.local, f, n, forest.modes[n], owned_pos[n],
+                               y);
       }
     };
 
     std::vector<la::Matrix> factors = rp.initial_factors;  // local slices
-    // Restart: adopt this rank's factor slices from a previous run's
-    // checkpoint when one exists, and count sweeps on from the stored
-    // number. Only the initialization and the sweep count change, so a
-    // 2-iteration checkpoint followed by a 2-iteration restart walks the
-    // same fit trajectory as 4 straight iterations. The ranks agree on the
-    // count so that they choose the same solver for every solve.
-    int first_sweep = 0;
-    if (!options.checkpoint_dir.empty()) {
-      const std::string ckpt = checkpoint_path(options.checkpoint_dir, rank);
-      if (std::filesystem::exists(ckpt)) first_sweep = load_checkpoint(ckpt, factors);
-      first_sweep = static_cast<int>(
-          comm.allreduce_max_u64(static_cast<std::uint64_t>(first_sweep)));
-    }
-
     WallTimer loop_timer;
-    core::SweepResult sweep = core::hooi_sweeps(
-        comm, ttmc, modes, x_norm2, sweep_opts, first_sweep, factors);
+    core::SweepResult sweep =
+        core::hooi_sweeps(comm, ttmc, modes, x_norm2, sweep_opts, factors);
     const double loop_seconds = loop_timer.seconds();
-
-    if (!options.checkpoint_dir.empty()) {
-      save_checkpoint(checkpoint_path(options.checkpoint_dir, rank), factors,
-                      rank, first_sweep + sweep.result.iterations);
-    }
 
     // Each rank owns its stats cells; writes from SPMD threads touch
     // disjoint DistLoad objects.
@@ -354,7 +269,7 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
 
     // Slowest-rank step times (every rank participates in the reductions).
     core::HooiTimers reduced;
-    reduced.symbolic = comm.allreduce_max(plan.build_seconds);
+    reduced.symbolic = comm.allreduce_max(build_seconds);
     reduced.ttmc = comm.allreduce_max(sweep.result.timers.ttmc);
     reduced.trsvd = comm.allreduce_max(sweep.result.timers.trsvd);
     reduced.core = comm.allreduce_max(sweep.result.timers.core);

@@ -3,9 +3,11 @@
 //
 // `num_ranks` SPMD ranks run as threads over smp::Communicator. Each rank
 // holds a reindexed local tensor and local factor slices from a
-// partition_plan and runs core/sweep.hpp's loop, which performs, per mode,
-//   (i)   local TTMc over the rank's nonzeros (partial rows under the fine
-//         grain, complete owned rows under the coarse grain),
+// partition_plan, builds the CSF forest of its local tensor, and runs
+// core/sweep.hpp's loop, which performs, per mode,
+//   (i)   local TTMc, the CSF walk over the rank's nonzeros (partial rows
+//         under the fine grain; complete owned rows under the coarse grain,
+//         through core::ttmc_mode_subset),
 //   (ii)  distributed TRSVD over a row-distributed operator whose apply()
 //         folds partial row results to row owners and expands them back to
 //         replicas — Y(n) is never assembled (the paper's argument for
@@ -13,8 +15,7 @@
 //         sweep on core::warm_trsvd on modes whose *global* compact Y(n)
 //         is large, so every rank makes the same choice (the steps'
 //         energy check reads allreduced blocks, so every rank also reruns
-//         Lanczos together); a checkpoint restart counts the checkpointed
-//         sweeps,
+//         Lanczos together),
 //   (iii) owners write their rows of U_n in place, and one expand exchange
 //         over the plan's factor lists copies them to the ranks whose
 //         local tensor touches them (a rank-deficient or unconverged solve
@@ -58,12 +59,6 @@ struct DistHooiOptions {
   /// models the paper's hybrid MPI+OpenMP configurations.
   int threads_per_rank = 0;
   std::uint64_t seed = 42;
-  /// TTMc kernel of every rank (both grains). Each rank builds its own
-  /// core::TtmcPlan over its local tensor, so kCsf builds a per-rank CSF
-  /// forest and runs it. The coarse grain computes its owned rows through
-  /// TtmcPlan::ttmc_subset; the fine grain computes local partial rows,
-  /// which the fold later combines.
-  core::TtmcKernel ttmc_kernel = core::TtmcKernel::kCsf;
   /// TRSVD solver, as in core::HooiOptions: kAuto warm-starts modes whose
   /// global compact Y(n) is large from the third sweep on. The blocked
   /// solves batch the fold/expand exchange into one message round per block
@@ -73,14 +68,6 @@ struct DistHooiOptions {
   la::TrsvdOptions trsvd = {.tol = 1e-7};
   /// Hypergraph partitioner imbalance tolerance (plan construction only).
   double epsilon = 0.10;
-  /// Directory for rank-local restart bundles ("" = no checkpointing).
-  /// When set, every rank writes its local factor slices and the number of
-  /// sweeps they have been through to <dir>/rank<r>.htb (storage/bundle.hpp
-  /// format) after its iteration loop, and a later run over the same plan
-  /// starts from those slices instead of the plan's random initialization,
-  /// counting its sweeps on from the stored number — the fit trajectory
-  /// continues exactly where the checkpointed run stopped.
-  std::string checkpoint_dir;
 };
 
 /// Per-mode/per-rank loads of one HOOI iteration (paper Table III).

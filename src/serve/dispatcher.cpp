@@ -118,18 +118,16 @@ std::string Dispatcher::handle_line(const std::string& line) {
         auto eng = engine();
         if (eng == nullptr) return format_err("no model published");
         const ServeModel& m = eng->model();
-        const QueryOptions& o = eng->options();
-        if (req.entity >= m.dims()[o.entity_mode]) {
+        if (req.entity >= m.dims()[kEntityMode]) {
           return format_err("entity out of range");
         }
         if (req.rest.size() != m.order() - 2) {
           return format_err("TOPK needs " + std::to_string(m.order() - 2) +
                             " fixed coordinates");
         }
-        std::size_t r = 0;
-        for (std::size_t n = 0; n < m.order(); ++n) {
-          if (n == o.entity_mode || n == o.item_mode) continue;
-          if (req.rest[r++] >= m.dims()[n]) {
+        // The fixed coordinates are those of modes 2..N-1.
+        for (std::size_t r = 0; r < req.rest.size(); ++r) {
+          if (req.rest[r] >= m.dims()[r + 2]) {
             return format_err("fixed coordinate out of range");
           }
         }

@@ -2,8 +2,9 @@
 // point scores over one immutable ServeModel snapshot, with a bounded LRU
 // cache of per-entity core contractions for hot users.
 //
-// Every query on entity e (default: mode 0, the user mode) factors into
-//   slice_e = G contracted with U_e(e, :)     [~prod(R) flops, cacheable]
+// The entity is mode 0 (the user mode) and topk ranks mode 1 (the item
+// mode). Every query on entity e factors into
+//   slice_e = G contracted with U_0(e, :)     [~prod(R) flops, cacheable]
 //   score   = slice_e contracted with the remaining factor rows [~sum R]
 // so for a hot user the expensive step is paid once and every subsequent
 // point/top-k query is rank-sized work. The cache stores slices as
@@ -30,14 +31,15 @@
 
 namespace ht::serve {
 
+/// Mode whose slices are cached (the "user" mode), and the mode topk
+/// ranks (the "item" mode).
+inline constexpr std::size_t kEntityMode = 0;
+inline constexpr std::size_t kItemMode = 1;
+
 struct QueryOptions {
   /// LRU capacity in entity slices (0 disables caching). A slice is
-  /// prod(ranks except entity mode) doubles — 800 B at R=10^3.
+  /// prod(ranks except the entity mode) doubles — 800 B at R=10^3.
   std::size_t cache_entries = 4096;
-  /// Mode whose slices are cached (the "user" mode).
-  std::size_t entity_mode = 0;
-  /// Mode ranked by topk (the "item" mode).
-  std::size_t item_mode = 1;
 };
 
 struct CacheStats {
@@ -65,9 +67,8 @@ class QueryEngine {
   /// Point query at full coordinates (uses the entity cache).
   double score(std::span<const index_t> idx);
 
-  /// Top-k items for an entity. `rest` holds the coordinates of every mode
-  /// that is neither the entity nor the item mode, in increasing mode
-  /// order (empty for 2-mode models). Results are sorted by score
+  /// Top-k items for an entity. `rest` holds the coordinates of modes
+  /// 2..N-1, in increasing mode order (empty for 2-mode models). Results are sorted by score
   /// descending, ties broken by ascending item index — fully deterministic.
   std::vector<Scored> topk(index_t entity, std::size_t k,
                            std::span<const index_t> rest = {});

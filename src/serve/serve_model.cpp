@@ -21,30 +21,6 @@ ServeModel::ServeModel(core::TuckerModel model) : model_(std::move(model)) {
                            << " != core dim " << d.core.shape()[n]);
   }
   ranks_ = d.core.shape();
-
-  // Precompute the per-mode core unfoldings (mode 0 is the flat layout
-  // itself). Each is prod(ranks) doubles — serving metadata, not model
-  // payload, so building them off a mapped core does not break the
-  // zero-copy contract (CopyStats counts load-path copies only).
-  unfold_.resize(ranks_.size());
-  const auto flat = d.core.flat();
-  for (std::size_t m = 1; m < ranks_.size(); ++m) {
-    auto& u = unfold_[m];
-    u.assign(flat.size(), 0.0);
-    std::size_t lead = 1, trail = 1;
-    for (std::size_t n = 0; n < m; ++n) lead *= ranks_[n];
-    for (std::size_t n = m + 1; n < ranks_.size(); ++n) trail *= ranks_[n];
-    const std::size_t rm = ranks_[m];
-    const std::size_t cols = lead * trail;
-    // G(m)[r][p*trail + q] = G[..., p fixed leading, r at mode m, q trailing]
-    for (std::size_t p = 0; p < lead; ++p) {
-      for (std::size_t r = 0; r < rm; ++r) {
-        const double* src = flat.data() + (p * rm + r) * trail;
-        double* dst = u.data() + r * cols + p * trail;
-        for (std::size_t q = 0; q < trail; ++q) dst[q] = src[q];
-      }
-    }
-  }
 }
 
 std::shared_ptr<const ServeModel> ServeModel::load(const std::string& path,
@@ -66,12 +42,6 @@ bool ServeModel::is_view() const {
   return false;
 }
 
-std::span<const double> ServeModel::unfolding(std::size_t mode) const {
-  HT_CHECK(mode < ranks_.size());
-  if (mode == 0) return model_.decomposition.core.flat();
-  return unfold_[mode];
-}
-
 double ServeModel::score(std::span<const index_t> idx,
                          core::ReconstructWorkspace& ws) const {
   return core::reconstruct_at(model_.decomposition.core,
@@ -82,33 +52,30 @@ double ServeModel::score(std::span<const index_t> idx) const {
   return score(idx, core::ReconstructWorkspace::tls());
 }
 
-std::size_t ServeModel::slice_size(std::size_t mode) const {
-  return core::slice_size(ranks_, mode);
+std::size_t ServeModel::slice_size() const {
+  return core::slice_size(ranks_, 0);
 }
 
-void ServeModel::entity_slice(std::size_t mode, index_t i,
-                              std::span<double> out) const {
-  HT_CHECK_MSG(i < model_.dims[mode],
-               "entity index " << i << " out of range for mode " << mode);
-  core::contract_unfolding(unfolding(mode),
-                           model_.decomposition.factors[mode].row(i), out);
+void ServeModel::entity_slice(index_t i, std::span<double> out) const {
+  HT_CHECK_MSG(i < model_.dims[0], "entity index " << i << " out of range");
+  // The mode-0 unfolding of the core is its flat buffer.
+  core::contract_unfolding(model_.decomposition.core.flat(),
+                           model_.decomposition.factors[0].row(i), out);
 }
 
-double ServeModel::score_from_slice(std::size_t mode,
-                                    std::span<const double> slice,
+double ServeModel::score_from_slice(std::span<const double> slice,
                                     std::span<const index_t> idx,
                                     core::ReconstructWorkspace& ws) const {
-  return core::score_slice(slice, ranks_, mode,
-                           model_.decomposition.factors, idx, ws);
+  return core::score_slice(slice, ranks_, 0, model_.decomposition.factors,
+                           idx, ws);
 }
 
-void ServeModel::mode_vector_from_slice(std::size_t mode,
-                                        std::span<const double> slice,
+void ServeModel::mode_vector_from_slice(std::span<const double> slice,
                                         std::size_t target,
                                         std::span<const index_t> idx,
                                         core::ReconstructWorkspace& ws,
                                         std::span<double> out) const {
-  core::slice_mode_vector(slice, ranks_, mode, target,
+  core::slice_mode_vector(slice, ranks_, 0, target,
                           model_.decomposition.factors, idx, ws, out);
 }
 

@@ -6,11 +6,12 @@
 // bundle (storage::LoadMode::kMap). ServeModel is that snapshot as a
 // first-class type:
 //
-//   - construction VALIDATES the model (factor/core/dims shape agreement)
-//     and precomputes the per-mode core unfoldings G(m) — small, rank-sized
-//     matrices that turn "contract the core against one factor row" into a
-//     contiguous gemv. After construction every query runs off const data:
-//     a ServeModel is safe for any number of concurrent reader threads.
+//   - construction VALIDATES the model (factor/core/dims shape agreement).
+//     Every query then runs off const data: a ServeModel is safe for any
+//     number of concurrent reader threads. The entity of a slice query is
+//     mode 0, whose core unfolding is the core's own flat layout, so
+//     "contract the core against one entity row" is a contiguous gemv over
+//     the (possibly mmap-backed) core with nothing precomputed.
 //   - the underlying TuckerModel keeps its storage arenas alive, so a
 //     ServeModel handed around by shared_ptr pins the mapped bundle (or
 //     heap copy) for exactly as long as any reader holds it — the RCU
@@ -67,23 +68,23 @@ class ServeModel {
                core::ReconstructWorkspace& ws) const;
   double score(std::span<const index_t> idx) const;
 
-  /// Elements of a mode-`mode` entity slice (prod of ranks except mode).
-  [[nodiscard]] std::size_t slice_size(std::size_t mode) const;
+  /// Elements of an entity slice (prod of the ranks of modes 1..N-1).
+  [[nodiscard]] std::size_t slice_size() const;
 
-  /// Step-1 contraction: the core contracted against U_mode(i, :) via the
-  /// precomputed unfolding. This is the per-user slice the QueryEngine
-  /// caches; out.size() must equal slice_size(mode).
-  void entity_slice(std::size_t mode, index_t i, std::span<double> out) const;
+  /// Step-1 contraction: the core contracted against U_0(i, :), the
+  /// mode-0 entity's row. This is the per-user slice the QueryEngine
+  /// caches; out.size() must equal slice_size().
+  void entity_slice(index_t i, std::span<double> out) const;
 
-  /// Finish a point query from a precomputed entity slice — bit-identical
-  /// to score() at the same coordinates (idx[mode] is ignored).
-  double score_from_slice(std::size_t mode, std::span<const double> slice,
+  /// Finish a point query from an entity slice — bit-identical to score()
+  /// at the same coordinates (idx[0] is ignored).
+  double score_from_slice(std::span<const double> slice,
                           std::span<const index_t> idx,
                           core::ReconstructWorkspace& ws) const;
 
   /// Collapse an entity slice to a vector over mode `target`'s rank (the
   /// top-k kernel input); out.size() must equal ranks()[target].
-  void mode_vector_from_slice(std::size_t mode, std::span<const double> slice,
+  void mode_vector_from_slice(std::span<const double> slice,
                               std::size_t target,
                               std::span<const index_t> idx,
                               core::ReconstructWorkspace& ws,
@@ -98,12 +99,6 @@ class ServeModel {
  private:
   core::TuckerModel model_;
   tensor::Shape ranks_;
-  /// Per-mode core unfoldings G(m), R_m x prod(other ranks) row-major.
-  /// unfold_[0] is empty: the mode-0 unfolding IS the core's flat layout,
-  /// so mode-0 queries read the (possibly mmap-backed) core directly.
-  std::vector<std::vector<double>> unfold_;
-
-  [[nodiscard]] std::span<const double> unfolding(std::size_t mode) const;
 };
 
 }  // namespace ht::serve

@@ -185,12 +185,6 @@ double Communicator::allreduce_max(double value) {
                        [](double a, double b) { return std::max(a, b); });
 }
 
-std::uint64_t Communicator::allreduce_max_u64(std::uint64_t value) {
-  return reduce_scalar(value, value, [](std::uint64_t a, std::uint64_t b) {
-    return std::max(a, b);
-  });
-}
-
 double Communicator::allreduce_sum_scalar(double value) {
   return reduce_scalar(value, 0.0, [](double a, double b) { return a + b; });
 }

@@ -74,7 +74,6 @@ class Communicator {
 
   /// Max reduction of a scalar.
   double allreduce_max(double value);
-  std::uint64_t allreduce_max_u64(std::uint64_t value);
 
   /// Sum reduction of a scalar.
   double allreduce_sum_scalar(double value);

@@ -11,7 +11,10 @@
 // chase a permutation (`nnz_order[i]` then `values[e]`, `idx[e]` — two
 // random reads per nonzero), a CSF walk streams coordinates and values
 // sequentially and pays each shared prefix's factor-row product once — the
-// locality the kCsf TTMc kernel in core/ttmc.cpp exploits.
+// locality the CSF TTMc kernel in core/ttmc.cpp exploits. The forest is the
+// one TTMc index of every HOOI driver (hooi, rank_sweep, each dist_hooi
+// rank), at any order >= 2; a tensor with no nonzeros (a rank-local slice
+// can be one) builds trees with no nodes.
 //
 // Internal level order (the mode-permutation heuristic): below the root the
 // remaining modes are sorted shortest-mode-first (ascending count of
@@ -25,11 +28,11 @@
 // Each tree copies the tensor's values into leaf order when it is built,
 // so one CsfTensor is reused across HOOI iterations, HOOI runs, and the
 // rank grid of a rank_sweep over the tensor it was built from. Trees live
-// on the heap of the process that built them (core::TtmcPlan); they are
-// not part of a saved model.
+// on the heap of the process that built them; they are not part of a saved
+// model.
 //
 // Determinism: the lexicographic sort breaks ties by nonzero ordinal, so
-// the tree — and therefore the kCsf kernel's per-row accumulation order —
+// the tree — and therefore the CSF kernel's per-row accumulation order —
 // is a pure function of the tensor, independent of thread count.
 // Thread-safety: CsfTree/CsfTensor are immutable after build and may be
 // shared by any number of concurrent readers.
@@ -74,7 +77,7 @@ struct CsfTree {
 
   /// Mean leaves per deepest internal node: how many nonzeros share each
   /// leaf-level prefix under the tree's own level order. bench_ablation
-  /// reports it per mode; the kernel choice does not consult it. Zero for
+  /// reports it per mode; the kernel does not consult it. Zero for
   /// an empty tree.
   [[nodiscard]] double avg_leaf_fiber_length() const;
 

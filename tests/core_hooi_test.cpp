@@ -12,6 +12,7 @@
 #include "la/blas.hpp"
 #include "la/qr.hpp"
 #include "la/svd.hpp"
+#include "tensor/csf.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/generators.hpp"
 #include "util/random.hpp"
@@ -20,10 +21,10 @@ namespace {
 
 using ht::core::HooiOptions;
 using ht::core::HooiResult;
-using ht::core::TtmcPlan;
 using ht::core::TuckerDecomposition;
 using ht::la::Matrix;
 using ht::tensor::CooTensor;
+using ht::tensor::CsfTensor;
 using ht::tensor::DenseTensor;
 using ht::tensor::index_t;
 using ht::tensor::Shape;
@@ -296,74 +297,34 @@ TEST(HooiTest, ConvergedFlagSetWhenFitStalls) {
   EXPECT_LT(r.iterations, 50);
 }
 
-TEST(HooiTest, PlanReuseAcrossRankChoices) {
+TEST(HooiTest, ForestReuseAcrossRankChoices) {
   CooTensor x = ht::tensor::random_uniform(Shape{30, 30, 30}, 900, 17);
-  const TtmcPlan plan = TtmcPlan::build(x);
-  const HooiResult r2 = ht::core::hooi(x, basic_options({2, 2, 2}, 2), plan);
-  const HooiResult r5 = ht::core::hooi(x, basic_options({5, 5, 5}, 2), plan);
+  const CsfTensor forest = CsfTensor::build(x);
+  const HooiResult r2 = ht::core::hooi(x, basic_options({2, 2, 2}, 2), forest);
+  const HooiResult r5 = ht::core::hooi(x, basic_options({5, 5, 5}, 2), forest);
   EXPECT_GE(r5.final_fit(), r2.final_fit() - 1e-9);  // more rank, better fit
   EXPECT_EQ(r5.timers.symbolic, 0.0);  // the caller paid the build
 }
 
-// A prebuilt plan runs exactly the computation hooi(x, options) runs.
-TEST(HooiTest, PrebuiltPlanMatchesInternalPlanBitwise) {
+// A prebuilt forest runs exactly the computation hooi(x, options) runs.
+TEST(HooiTest, PrebuiltForestMatchesInternalForestBitwise) {
   const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 5, 23);
-  for (const ht::core::TtmcKernel kernel :
-       {ht::core::TtmcKernel::kCsf, ht::core::TtmcKernel::kPerNnz}) {
-    HooiOptions opt = basic_options({3, 3, 3}, 3);
-    opt.ttmc_kernel = kernel;
-    const HooiResult internal = ht::core::hooi(x, opt);
-    const HooiResult external =
-        ht::core::hooi(x, opt, TtmcPlan::build(x, kernel));
-    ASSERT_EQ(internal.fits, external.fits);
-    for (std::size_t n = 0; n < x.order(); ++n) {
-      EXPECT_TRUE(internal.decomposition.factors[n].approx_equal(
-          external.decomposition.factors[n], 0.0));
-    }
+  const HooiOptions opt = basic_options({3, 3, 3}, 3);
+  const HooiResult internal = ht::core::hooi(x, opt);
+  const HooiResult external = ht::core::hooi(x, opt, CsfTensor::build(x));
+  ASSERT_EQ(internal.fits, external.fits);
+  for (std::size_t n = 0; n < x.order(); ++n) {
+    EXPECT_TRUE(internal.decomposition.factors[n].approx_equal(
+        external.decomposition.factors[n], 0.0));
   }
-}
-
-TEST(HooiTest, PlanRecordsPreprocessingDecisions) {
-  // The default plan builds the CSF forest whenever it can — prefix-heavy
-  // or not — and every mode runs it.
-  for (const CooTensor& x :
-       {ht::tensor::random_fibered(Shape{25, 20, 40}, 400, 6, 29),
-        ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47)}) {
-    const TtmcPlan plan = TtmcPlan::build(x);
-    EXPECT_GT(plan.build_seconds, 0.0);
-    EXPECT_EQ(plan.kernel(), ht::core::TtmcKernel::kCsf);
-  }
-
-  const CooTensor x = ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
-  const TtmcPlan direct = TtmcPlan::build(x, ht::core::TtmcKernel::kPerNnz);
-  EXPECT_EQ(direct.kernel(), ht::core::TtmcKernel::kPerNnz);
-}
-
-// A plan must run the kernel the options ask for on the tensor: on an
-// order-9 tensor kCsf asks for the lists, which is what its plan holds.
-TEST(HooiTest, PlanForOtherOptionsIsRejected) {
-  const CooTensor x = ht::tensor::random_uniform(Shape{10, 10, 10}, 200, 31);
-  HooiOptions opt = basic_options({2, 2, 2}, 1);
-  opt.ttmc_kernel = ht::core::TtmcKernel::kPerNnz;
-  EXPECT_THROW(ht::core::hooi(x, opt, TtmcPlan::build(x)),
-               ht::InvalidArgument);
-  EXPECT_THROW(ht::core::hooi(x, basic_options({2, 2, 2}, 1),
-                              TtmcPlan::build(x, opt.ttmc_kernel)),
-               ht::InvalidArgument);
-
-  const CooTensor order9 = ht::tensor::random_uniform(Shape(9, 4), 60, 85);
-  const TtmcPlan lists = TtmcPlan::build(order9);
-  ASSERT_EQ(lists.kernel(), ht::core::TtmcKernel::kPerNnz);
-  EXPECT_NO_THROW(ht::core::hooi(
-      order9, basic_options(std::vector<index_t>(9, 1), 1), lists));
 }
 
 // Order and nonzero count do not identify a tensor: the same 400 nonzeros
-// spread over 400^3 give a plan whose compact rows lie past a 20^3
-// tensor's factor rows. Nor do order and rows: dropping one nonzero keeps
-// them but leaves the plan covering a nonzero the tensor lacks. Both
-// indexes are checked.
-TEST(HooiTest, PlanFromAnotherTensorIsRejected) {
+// spread over 400^3 give a forest whose root rows lie past a 20^3 tensor's
+// factor rows. Nor do order and rows: dropping one nonzero keeps them but
+// leaves the forest holding a nonzero the tensor lacks. A forest of
+// another order is rejected too.
+TEST(HooiTest, ForestFromAnotherTensorIsRejected) {
   auto grid = [](index_t stride, index_t dim, index_t count) {
     CooTensor x(Shape{dim, dim, dim});
     for (index_t k = 0; k < count; ++k) {
@@ -377,18 +338,19 @@ TEST(HooiTest, PlanFromAnotherTensorIsRejected) {
   const CooTensor small = grid(1, 20, 400);
   const CooTensor dropped = grid(1, 20, 399);
   ASSERT_EQ(big.nnz(), small.nnz());
-  for (const auto kernel :
-       {ht::core::TtmcKernel::kCsf, ht::core::TtmcKernel::kPerNnz}) {
-    HooiOptions opt = basic_options({2, 2, 2}, 1);
-    opt.ttmc_kernel = kernel;
-    const TtmcPlan from_big = TtmcPlan::build(big, kernel);
-    const TtmcPlan from_small = TtmcPlan::build(small, kernel);
-    ASSERT_EQ(from_big.kernel(), kernel);
-    EXPECT_THROW(ht::core::hooi(small, opt, from_big), ht::InvalidArgument);
-    EXPECT_THROW(ht::core::hooi(dropped, opt, from_small),
-                 ht::InvalidArgument);
-    EXPECT_NO_THROW(ht::core::hooi(small, opt, from_small));
+  const HooiOptions opt = basic_options({2, 2, 2}, 1);
+  const CsfTensor from_big = CsfTensor::build(big);
+  const CsfTensor from_small = CsfTensor::build(small);
+  EXPECT_THROW(ht::core::hooi(small, opt, from_big), ht::InvalidArgument);
+  EXPECT_THROW(ht::core::hooi(dropped, opt, from_small), ht::InvalidArgument);
+  EXPECT_NO_THROW(ht::core::hooi(small, opt, from_small));
+
+  CooTensor flat(Shape{20, 20});
+  for (index_t k = 0; k < 400; ++k) {
+    flat.push_back(std::vector<index_t>{k % 20, k / 20}, 1.0);
   }
+  EXPECT_THROW(ht::core::hooi(small, opt, CsfTensor::build(flat)),
+               ht::InvalidArgument);
 }
 
 TEST(HooiTest, TimersArePopulated) {
@@ -408,6 +370,12 @@ TEST(HooiTest, ValidationRejectsBadInput) {
                ht::InvalidArgument);  // rank > dim
   EXPECT_THROW(ht::core::hooi(x, basic_options({0, 2, 2})),
                ht::InvalidArgument);  // zero rank
+  CooTensor vector(Shape{10});
+  for (index_t i = 0; i < 10; ++i) {
+    vector.push_back(std::vector<index_t>{i}, 1.0 + i);
+  }
+  EXPECT_THROW(ht::core::hooi(vector, basic_options({1})),
+               ht::InvalidArgument);  // order 1: no CSF tree holds it
   HooiOptions bad_iters = basic_options({2, 2, 2});
   bad_iters.max_iterations = 0;
   EXPECT_THROW(ht::core::hooi(x, bad_iters), ht::InvalidArgument);

@@ -1,18 +1,19 @@
 // CSF tree invariants, golden equivalence of the CSF TTMc kernel against
-// the per-nnz kernel across orders and entry points, the plan's kernel
-// selection and one index, and thread-count determinism.
+// the per-nnz reference across orders (2 up to the .tns reader's 16, and
+// empty tensors) and entry points, thread-count determinism, and HOOI over
+// the forest against HOOI with the per-nnz reference step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "core/hooi.hpp"
 #include "core/rank_sweep.hpp"
+#include "core/sweep.hpp"
 #include "core/symbolic.hpp"
 #include "core/ttmc.hpp"
-#include "core/ttmc_plan.hpp"
 #include "dist/dist_hooi.hpp"
 #include "la/matrix.hpp"
 #include "parallel/thread_info.hpp"
@@ -24,7 +25,6 @@ namespace {
 
 using ht::core::ModeSymbolic;
 using ht::core::SymbolicTtmc;
-using ht::core::TtmcKernel;
 using ht::la::Matrix;
 using ht::tensor::CooTensor;
 using ht::tensor::CsfTensor;
@@ -78,6 +78,47 @@ std::vector<CsfCase> equivalence_cases() {
                    ht::tensor::random_fibered(Shape{8, 7, 6, 5, 20}, 150, 4, 23),
                    {2, 2, 2, 2, 3}});
   return cases;
+}
+
+// The orders the equivalence cases leave out: the shallowest tree, orders
+// past 8, the .tns reader's maximum, and a tensor with no nonzeros (a
+// rank-local slice can be one).
+std::vector<CsfCase> edge_order_cases() {
+  std::vector<CsfCase> cases;
+  cases.push_back({"order2", ht::tensor::random_uniform(Shape{30, 40}, 200, 87),
+                   {3, 4}});
+  cases.push_back({"order9", ht::tensor::random_uniform(Shape(9, 4), 60, 85),
+                   {2, 1, 2, 1, 2, 1, 1, 3, 1}});
+  std::vector<index_t> ranks16(16, 1);
+  ranks16[0] = ranks16[5] = ranks16[15] = 2;
+  cases.push_back({"order16",
+                   ht::tensor::random_uniform(Shape(16, 3), 300, 89), ranks16});
+  cases.push_back({"empty", CooTensor(Shape{5, 6, 7}), {2, 3, 4}});
+  return cases;
+}
+
+// HOOI with the per-nnz reference TTMc step: the sweep hooi runs, over the
+// update lists instead of the forest.
+ht::core::HooiResult per_nnz_hooi(const CooTensor& x,
+                                  const ht::core::HooiOptions& options) {
+  const SymbolicTtmc sym = SymbolicTtmc::build(x);
+  std::vector<std::span<const index_t>> rows;
+  for (const ModeSymbolic& m : sym.modes) rows.emplace_back(m.rows);
+  return ht::core::hooi_one_rank(
+      x, options, rows,
+      [&](const std::vector<Matrix>& factors, std::size_t mode, Matrix& y) {
+        ht::core::ttmc_mode(x, factors, mode, sym.modes[mode], y);
+      });
+}
+
+// The listed rows of a full Y(n).
+Matrix select_rows(const Matrix& y, const std::vector<std::uint32_t>& rows) {
+  Matrix out(rows.size(), y.cols());
+  for (std::size_t p = 0; p < rows.size(); ++p) {
+    const auto src = y.row(rows[p]);
+    std::copy(src.begin(), src.end(), out.row(p).begin());
+  }
+  return out;
 }
 
 TEST(CsfTreeTest, StructureInvariantsHoldPerMode) {
@@ -198,76 +239,62 @@ TEST(CsfTtmcTest, MatchesPerNnzSubsetPath) {
         positions.push_back(p);
       }
       Matrix y_nnz, y_csf;
-      ht::core::ttmc_mode_subset(x, factors, n, sym.modes[n], positions,
-                                 y_nnz);
+      ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_nnz);
       ht::core::ttmc_mode_subset(x, factors, n, csf.modes[n], positions,
                                  y_csf);
-      EXPECT_TRUE(y_nnz.approx_equal(y_csf, kTol)) << c.name << " mode " << n;
+      EXPECT_TRUE(select_rows(y_nnz, positions).approx_equal(y_csf, kTol))
+          << c.name << " mode " << n;
     }
   }
 }
 
-TEST(CsfTtmcTest, DefaultSelectionPinsPrefixRegimes) {
-  // The default plan (kCsf) builds and runs the forest, prefix-heavy or
-  // prefix-free. No tensor statistic enters the choice.
-  const CooTensor heavy =
-      ht::tensor::random_fibered(Shape{30, 30, 60}, 200, 8, 43);
-  const CooTensor free_ =
-      ht::tensor::random_uniform(Shape{200, 200, 200}, 500, 47);
-  for (const CooTensor* x : {&heavy, &free_}) {
-    const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(*x);
-    EXPECT_TRUE(std::holds_alternative<CsfTensor>(plan.index));
-    EXPECT_EQ(plan.kernel(), TtmcKernel::kCsf);
-  }
-
-  // ttmc_wants_csf: kCsf on orders 2..8; never for kPerNnz.
-  for (std::size_t order = 2; order <= 8; ++order) {
-    EXPECT_TRUE(ht::core::ttmc_wants_csf(order, TtmcKernel::kCsf)) << order;
-  }
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(9, TtmcKernel::kCsf));
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(1, TtmcKernel::kCsf));
-  EXPECT_FALSE(ht::core::ttmc_wants_csf(3, TtmcKernel::kPerNnz));
-}
-
-TEST(TtmcPlanTest, HoldsOneIndex) {
-  // Whichever index the plan holds, rows(n) is the mode's compact row set
-  // and kernel() names the index.
-  const auto expect_rows = [](const ht::core::TtmcPlan& plan,
-                              const CooTensor& x) {
+TEST(CsfTtmcTest, MatchesPerNnzOnEveryOrder) {
+  // The walk sizes its per-level state from the tree, so it runs any order
+  // >= 2 and empty trees: on the full Y(n) and on a subset it equals the
+  // per-nnz reference, and it is bitwise identical at 1 and 4 threads.
+  for (const auto& c : edge_order_cases()) {
+    const auto& x = c.tensor;
+    const auto factors = random_factors(x.shape(), c.ranks, 91);
+    const SymbolicTtmc sym = SymbolicTtmc::build(x);
+    const CsfTensor csf = CsfTensor::build(x);
+    ASSERT_EQ(csf.order(), x.order()) << c.name;
     for (std::size_t n = 0; n < x.order(); ++n) {
-      EXPECT_EQ(plan.rows(n), ht::core::build_mode_symbolic(x, n).rows)
-          << "mode " << n;
+      std::vector<std::uint32_t> positions;
+      for (std::uint32_t p = 1; p < sym.modes[n].num_rows(); p += 2) {
+        positions.push_back(p);
+      }
+      Matrix y_nnz;
+      ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_nnz);
+      Matrix y1, y4, sub1, sub4;
+      for (const int threads : {1, 4}) {
+        ht::parallel::ThreadScope scope(threads);
+        ht::core::ttmc_mode(x, factors, n, csf.modes[n],
+                            threads == 1 ? y1 : y4);
+        ht::core::ttmc_mode_subset(x, factors, n, csf.modes[n], positions,
+                                   threads == 1 ? sub1 : sub4);
+      }
+      ASSERT_EQ(y1.rows(), y_nnz.rows()) << c.name << " mode " << n;
+      ASSERT_EQ(y1.cols(), y_nnz.cols()) << c.name << " mode " << n;
+      EXPECT_TRUE(y_nnz.approx_equal(y1, kTol)) << c.name << " mode " << n;
+      EXPECT_TRUE(select_rows(y_nnz, positions).approx_equal(sub1, kTol))
+          << c.name << " mode " << n;
+      EXPECT_TRUE(y1.approx_equal(y4, 0.0)) << c.name << " mode " << n;
+      EXPECT_TRUE(sub1.approx_equal(sub4, 0.0)) << c.name << " mode " << n;
     }
-  };
-
-  // The default kCsf on 3- and 4-mode tensors: the forest and no lists.
-  const CooTensor x3 =
-      ht::tensor::random_fibered(Shape{25, 20, 40}, 300, 5, 81);
-  const CooTensor x4 =
-      ht::tensor::random_fibered(Shape{12, 10, 8, 25}, 300, 5, 83);
-  for (const CooTensor* x : {&x3, &x4}) {
-    const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(*x);
-    EXPECT_TRUE(std::holds_alternative<CsfTensor>(plan.index));
-    EXPECT_FALSE(std::holds_alternative<SymbolicTtmc>(plan.index));
-    EXPECT_EQ(plan.kernel(), TtmcKernel::kCsf);
-    expect_rows(plan, *x);
   }
+}
 
-  // kPerNnz, an order past the walk's depth and an empty tensor: the lists
-  // and no forest, whatever kernel was asked for.
-  const CooTensor order9 = ht::tensor::random_uniform(Shape(9, 4), 60, 85);
-  const CooTensor empty(Shape{5, 6, 7});
-  const std::vector<std::pair<const CooTensor*, TtmcKernel>> lists_cases = {
-      {&x3, TtmcKernel::kPerNnz},
-      {&order9, TtmcKernel::kPerNnz},
-      {&order9, TtmcKernel::kCsf},
-      {&empty, TtmcKernel::kCsf}};
-  for (const auto& [x, kernel] : lists_cases) {
-    const ht::core::TtmcPlan plan = ht::core::TtmcPlan::build(*x, kernel);
-    EXPECT_TRUE(std::holds_alternative<SymbolicTtmc>(plan.index));
-    EXPECT_FALSE(std::holds_alternative<CsfTensor>(plan.index));
-    EXPECT_EQ(plan.kernel(), TtmcKernel::kPerNnz);
-    expect_rows(plan, *x);
+TEST(CsfTreeTest, RootLevelIsCompactRows) {
+  // Level 0 of each tree is its mode's compact row set J_n, increasing:
+  // hooi and dist_hooi read the rows of Y(n) from it. The equivalence
+  // cases check it in StructureInvariantsHoldPerMode.
+  for (const auto& c : edge_order_cases()) {
+    const CsfTensor csf = CsfTensor::build(c.tensor);
+    for (std::size_t n = 0; n < c.tensor.order(); ++n) {
+      EXPECT_EQ(csf.modes[n].idx[0],
+                ht::core::build_mode_symbolic(c.tensor, n).rows)
+          << c.name << " mode " << n;
+    }
   }
 }
 
@@ -275,7 +302,7 @@ TEST(CsfTtmcTest, DeterministicAcrossThreadCounts) {
   // One row is accumulated by exactly one thread, in tree order or update
   // list order, and the CSF tile boundaries do not depend on the team
   // size: both kernels give bitwise identical results for any thread
-  // count, on the full mode and on a row subset.
+  // count (the walk on the full mode and on a row subset).
   const CooTensor x = ht::tensor::random_fibered(Shape{40, 30, 50}, 400, 6, 61);
   const auto factors = random_factors(x.shape(), {4, 3, 5}, 67);
   const SymbolicTtmc sym = SymbolicTtmc::build(x);
@@ -284,46 +311,51 @@ TEST(CsfTtmcTest, DeterministicAcrossThreadCounts) {
   for (std::uint32_t p = 1; p < sym.modes[0].num_rows(); p += 3) {
     positions.push_back(p);
   }
-  const auto check = [&](const auto& index) {
-    Matrix y1, y4, sub1, sub4;
-    for (const int threads : {1, 4}) {
-      ht::parallel::ThreadScope scope(threads);
-      ht::core::ttmc_mode(x, factors, 0, index, threads == 1 ? y1 : y4);
-      ht::core::ttmc_mode_subset(x, factors, 0, index, positions,
-                                 threads == 1 ? sub1 : sub4);
-    }
-    EXPECT_TRUE(y1.approx_equal(y4, 0.0));
-    EXPECT_TRUE(sub1.approx_equal(sub4, 0.0));
-  };
-  check(csf.modes[0]);
-  check(sym.modes[0]);
+  Matrix y1, y4, sub1, sub4, nnz1, nnz4;
+  for (const int threads : {1, 4}) {
+    ht::parallel::ThreadScope scope(threads);
+    ht::core::ttmc_mode(x, factors, 0, csf.modes[0], threads == 1 ? y1 : y4);
+    ht::core::ttmc_mode_subset(x, factors, 0, csf.modes[0], positions,
+                               threads == 1 ? sub1 : sub4);
+    ht::core::ttmc_mode(x, factors, 0, sym.modes[0],
+                        threads == 1 ? nnz1 : nnz4);
+  }
+  EXPECT_TRUE(y1.approx_equal(y4, 0.0));
+  EXPECT_TRUE(sub1.approx_equal(sub4, 0.0));
+  EXPECT_TRUE(nnz1.approx_equal(nnz4, 0.0));
 }
 
 TEST(CsfTtmcTest, HooiConvergesIdenticallyUnderCsfKernel) {
   for (const Shape& shape : {Shape{25, 20, 40}, Shape{12, 10, 8, 25}}) {
     const CooTensor x = ht::tensor::random_fibered(shape, 300, 5, 53);
-    ht::core::HooiOptions base;
-    base.ranks.assign(x.order(), 3);
-    base.max_iterations = 3;
-    base.fit_tolerance = 0.0;
+    ht::core::HooiOptions options;
+    options.ranks.assign(x.order(), 3);
+    options.max_iterations = 3;
+    options.fit_tolerance = 0.0;
 
-    ht::core::HooiOptions per_nnz = base;
-    per_nnz.ttmc_kernel = TtmcKernel::kPerNnz;
-    ht::core::HooiOptions with_csf = base;
-    with_csf.ttmc_kernel = TtmcKernel::kCsf;
-
-    const auto a = ht::core::hooi(x, per_nnz);
-    const auto b = ht::core::hooi(x, with_csf);
-    ASSERT_EQ(a.fits.size(), b.fits.size()) << x.order() << "-mode";
-    for (std::size_t i = 0; i < a.fits.size(); ++i) {
-      EXPECT_NEAR(a.fits[i], b.fits[i], 1e-8) << "sweep " << i;
+    const auto reference = per_nnz_hooi(x, options);
+    const auto forest = ht::core::hooi(x, options);
+    ASSERT_EQ(reference.fits.size(), forest.fits.size())
+        << x.order() << "-mode";
+    for (std::size_t i = 0; i < reference.fits.size(); ++i) {
+      EXPECT_NEAR(reference.fits[i], forest.fits[i], 1e-8) << "sweep " << i;
     }
+  }
+}
 
-    // A hand-assembled forest-only plan through the plan overload runs the
-    // same computation as the plan hooi builds itself.
-    const ht::core::TtmcPlan plan{.index = CsfTensor::build(x)};
-    const auto c = ht::core::hooi(x, with_csf, plan);
-    EXPECT_EQ(b.fits, c.fits) << x.order() << "-mode";
+TEST(CsfTtmcTest, HooiTrainsPastOrderEight) {
+  // An order-9 tensor runs the forest like any other, and matches HOOI
+  // with the per-nnz reference step.
+  const CooTensor x = ht::tensor::random_uniform(Shape(9, 4), 60, 85);
+  ht::core::HooiOptions options;
+  options.ranks = {2, 1, 2, 1, 2, 1, 1, 2, 1};
+  options.max_iterations = 2;
+  options.fit_tolerance = 0.0;
+  const auto reference = per_nnz_hooi(x, options);
+  const auto forest = ht::core::hooi(x, options);
+  ASSERT_EQ(forest.fits.size(), 2u);
+  for (std::size_t i = 0; i < forest.fits.size(); ++i) {
+    EXPECT_NEAR(reference.fits[i], forest.fits[i], 1e-8) << "sweep " << i;
   }
 }
 
@@ -331,7 +363,6 @@ TEST(CsfTtmcTest, RankSweepReusesTreesAcrossGrid) {
   const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 300, 5, 71);
   ht::core::HooiOptions base;
   base.max_iterations = 2;
-  base.ttmc_kernel = TtmcKernel::kCsf;
   const std::vector<std::vector<index_t>> grid = {{2, 2, 2}, {3, 3, 3}};
   const auto swept = ht::core::rank_sweep(x, grid, base);
   ASSERT_EQ(swept.entries.size(), grid.size());
@@ -345,23 +376,22 @@ TEST(CsfTtmcTest, RankSweepReusesTreesAcrossGrid) {
 
 TEST(CsfTtmcTest, DistHooiMatchesUnderCsfKernelBothGrains) {
   const CooTensor x = ht::tensor::random_fibered(Shape{25, 20, 40}, 250, 5, 59);
+  ht::core::HooiOptions shared;
+  shared.ranks = {3, 3, 3};
+  shared.max_iterations = 2;
+  shared.fit_tolerance = 0.0;
+  const auto reference = per_nnz_hooi(x, shared);
   for (const auto grain : {ht::dist::Grain::kCoarse, ht::dist::Grain::kFine}) {
-    ht::dist::DistHooiOptions base;
-    base.ranks = {3, 3, 3};
-    base.max_iterations = 2;
-    base.num_ranks = 4;
-    base.grain = grain;  // coarse exercises the CSF subset path
+    ht::dist::DistHooiOptions options;
+    options.ranks = shared.ranks;
+    options.max_iterations = shared.max_iterations;
+    options.num_ranks = 4;
+    options.grain = grain;  // coarse exercises the CSF subset path
 
-    ht::dist::DistHooiOptions per_nnz = base;
-    per_nnz.ttmc_kernel = TtmcKernel::kPerNnz;
-    ht::dist::DistHooiOptions with_csf = base;
-    with_csf.ttmc_kernel = TtmcKernel::kCsf;
-
-    const auto a = ht::dist::dist_hooi(x, per_nnz);
-    const auto b = ht::dist::dist_hooi(x, with_csf);
-    ASSERT_EQ(a.fits.size(), b.fits.size());
-    for (std::size_t i = 0; i < a.fits.size(); ++i) {
-      EXPECT_NEAR(a.fits[i], b.fits[i], 1e-8)
+    const auto dist = ht::dist::dist_hooi(x, options);
+    ASSERT_EQ(reference.fits.size(), dist.fits.size());
+    for (std::size_t i = 0; i < dist.fits.size(); ++i) {
+      EXPECT_NEAR(reference.fits[i], dist.fits[i], 1e-8)
           << (grain == ht::dist::Grain::kCoarse ? "coarse" : "fine")
           << " sweep " << i;
     }

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
@@ -228,6 +226,14 @@ TEST(DistHooiTest, InvalidOptionsThrow) {
   EXPECT_THROW(ht::dist::dist_hooi(x, opt2), ht::Error);  // rank too large
   auto opt3 = dist_options({4, 4, 4}, Grain::kFine, Method::kRandom, 2, 0, 1);
   EXPECT_THROW(ht::dist::dist_hooi(x, opt3), ht::Error);  // no iterations
+  CooTensor vector(Shape{10});
+  for (index_t i = 0; i < 10; ++i) {
+    vector.push_back(std::vector<index_t>{i}, 1.0 + i);
+  }
+  EXPECT_THROW(
+      ht::dist::dist_hooi(
+          vector, dist_options({1}, Grain::kFine, Method::kRandom, 2, 2, 1)),
+      ht::InvalidArgument);  // order 1: no CSF tree holds it
 }
 
 TEST(DistHooiTest, PrebuiltPlansCanBeReused) {
@@ -367,56 +373,6 @@ TEST(DistTrsvdBackends, RandomizedSketchDeterministicAcrossRunsAndRanks) {
   }
 }
 
-TEST(DistHooiTest, CheckpointRestartContinuesFitTrajectory) {
-  // A 2-iteration run that checkpoints, restarted for 2 more iterations
-  // over the same plan, must walk the same fit trajectory as 4 straight
-  // iterations: the checkpoint replaces only the random initialization.
-  const CooTensor x = test_tensor();
-  const std::vector<index_t> r = {4, 4, 4};
-  const std::string dir = ::testing::TempDir() + "ht_dist_ckpt";
-  (void)std::system(("mkdir -p " + dir).c_str());
-
-  auto cold = dist_options(r, Grain::kFine, Method::kRandom, 2, 4, 42);
-  const DistHooiResult straight = ht::dist::dist_hooi(x, cold);
-
-  auto first = dist_options(r, Grain::kFine, Method::kRandom, 2, 2, 42);
-  first.checkpoint_dir = dir;
-  const DistHooiResult half = ht::dist::dist_hooi(x, first);
-  const DistHooiResult resumed = ht::dist::dist_hooi(x, first);
-
-  ASSERT_EQ(straight.fits.size(), 4u);
-  ASSERT_EQ(half.fits.size(), 2u);
-  ASSERT_EQ(resumed.fits.size(), 2u);
-  EXPECT_NEAR(half.fits[0], straight.fits[0], 1e-12);
-  EXPECT_NEAR(half.fits[1], straight.fits[1], 1e-12);
-  EXPECT_NEAR(resumed.fits[0], straight.fits[2], 1e-12);
-  EXPECT_NEAR(resumed.fits[1], straight.fits[3], 1e-12);
-
-  for (int rank = 0; rank < 2; ++rank) {
-    std::remove((dir + "/rank" + std::to_string(rank) + ".htb").c_str());
-  }
-}
-
-TEST(DistHooiTest, StaleCheckpointShapeIsRejected) {
-  const CooTensor x = test_tensor();
-  const std::string dir = ::testing::TempDir() + "ht_dist_ckpt_stale";
-  (void)std::system(("mkdir -p " + dir).c_str());
-
-  auto opt = dist_options({4, 4, 4}, Grain::kFine, Method::kRandom, 2, 1, 42);
-  opt.checkpoint_dir = dir;
-  (void)ht::dist::dist_hooi(x, opt);
-
-  // Same directory, different ranks: the stored slices no longer match the
-  // plan and must be rejected loudly instead of silently corrupting a run.
-  auto other = dist_options({5, 5, 5}, Grain::kFine, Method::kRandom, 2, 1, 42);
-  other.checkpoint_dir = dir;
-  EXPECT_THROW(ht::dist::dist_hooi(x, other), ht::Error);
-
-  for (int rank = 0; rank < 2; ++rank) {
-    std::remove((dir + "/rank" + std::to_string(rank) + ".htb").c_str());
-  }
-}
-
 // Mode 0 is above kAuto's warm floor at ranks {4, 8, 8} (its global
 // compact Y(0) has >= 16384 rows of 64 columns); from the third sweep on
 // its solves take the warm power steps over the distributed operator. At
@@ -470,41 +426,6 @@ TEST(DistWarmTrsvd, UnsettledSolvesRerunLanczosOnEveryRank) {
   const DistHooiResult lanczos = ht::dist::dist_hooi(x, opt);
   EXPECT_EQ(automatic.warm_solves, (std::vector<int>{0, 0, 0}));
   EXPECT_EQ(automatic.fits, lanczos.fits);
-}
-
-TEST(DistWarmTrsvd, CheckpointRestartResumesWarm) {
-  // The checkpoint stores the sweeps its factors have been through, so the
-  // resumed run's first sweep (the third overall) is already warm and the
-  // trajectory matches 4 straight sweeps.
-  const CooTensor x = warm_mode_tensor();
-  const std::vector<index_t> r = {4, 8, 8};
-  const std::string dir = ::testing::TempDir() + "ht_dist_ckpt_warm";
-  (void)std::system(("mkdir -p " + dir).c_str());
-  for (int rank = 0; rank < 2; ++rank) {
-    std::remove((dir + "/rank" + std::to_string(rank) + ".htb").c_str());
-  }
-
-  const DistHooiResult straight = ht::dist::dist_hooi(
-      x, dist_options(r, Grain::kFine, Method::kRandom, 2, 4, 42));
-  auto half = dist_options(r, Grain::kFine, Method::kRandom, 2, 2, 42);
-  half.checkpoint_dir = dir;
-  const DistHooiResult first = ht::dist::dist_hooi(x, half);
-  const DistHooiResult resumed = ht::dist::dist_hooi(x, half);
-
-  EXPECT_EQ(straight.warm_solves, (std::vector<int>{2, 0, 0}));
-  EXPECT_EQ(first.warm_solves, (std::vector<int>{0, 0, 0}));
-  EXPECT_EQ(resumed.warm_solves, (std::vector<int>{2, 0, 0}));
-  ASSERT_EQ(straight.fits.size(), 4u);
-  ASSERT_EQ(first.fits.size(), 2u);
-  ASSERT_EQ(resumed.fits.size(), 2u);
-  EXPECT_NEAR(first.fits[0], straight.fits[0], 1e-12);
-  EXPECT_NEAR(first.fits[1], straight.fits[1], 1e-12);
-  EXPECT_NEAR(resumed.fits[0], straight.fits[2], 1e-12);
-  EXPECT_NEAR(resumed.fits[1], straight.fits[3], 1e-12);
-
-  for (int rank = 0; rank < 2; ++rank) {
-    std::remove((dir + "/rank" + std::to_string(rank) + ".htb").c_str());
-  }
 }
 
 TEST(DistHooiTest, HybridThreadsPerRankAgrees) {

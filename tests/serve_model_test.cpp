@@ -6,7 +6,6 @@
 // == point score).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -121,24 +120,12 @@ TEST(ServeModelTest, EntitySliceDecompositionIsExact) {
   const auto served =
       std::make_shared<const ServeModel>(TuckerModel(trained_model()));
   ReconstructWorkspace ws;
-  // Any mode can play the entity. Mode 0 is the canonical contraction
-  // order score() itself uses, so slice + finish is BITWISE identical;
-  // other entity modes contract in a different association order and are
-  // only guaranteed equal up to rounding.
-  for (std::size_t mode = 0; mode < served->order(); ++mode) {
-    std::vector<double> slice(served->slice_size(mode));
-    for (const auto& idx : probe_coords(served->dims(), 50, 7 + mode)) {
-      served->entity_slice(mode, idx[mode], slice);
-      const double direct = served->score(idx);
-      const double via_slice =
-          served->score_from_slice(mode, slice, idx, ws);
-      if (mode == 0) {
-        EXPECT_EQ(direct, via_slice);
-      } else {
-        EXPECT_NEAR(direct, via_slice, 1e-12 * (1.0 + std::abs(direct)))
-            << "entity mode " << mode;
-      }
-    }
+  // The entity is mode 0, the canonical contraction order score() itself
+  // uses, so slice + finish is BITWISE identical.
+  std::vector<double> slice(served->slice_size());
+  for (const auto& idx : probe_coords(served->dims(), 50, 7)) {
+    served->entity_slice(idx[0], slice);
+    EXPECT_EQ(served->score(idx), served->score_from_slice(slice, idx, ws));
   }
 }
 
@@ -146,12 +133,12 @@ TEST(ServeModelTest, ModeVectorMatchesPointScores) {
   const auto served =
       std::make_shared<const ServeModel>(TuckerModel(trained_model()));
   ReconstructWorkspace ws;
-  const std::size_t entity = 0, target = 1;
-  std::vector<double> slice(served->slice_size(entity));
+  const std::size_t target = 1;
+  std::vector<double> slice(served->slice_size());
   std::vector<double> v(served->ranks()[target]);
   for (const auto& idx : probe_coords(served->dims(), 30, 13)) {
-    served->entity_slice(entity, idx[entity], slice);
-    served->mode_vector_from_slice(entity, slice, target, idx, ws, v);
+    served->entity_slice(idx[0], slice);
+    served->mode_vector_from_slice(slice, target, idx, ws, v);
     // v dot U_target(i, :) must equal the point score for every item i —
     // this identity is what makes topk() scores point-score-exact.
     for (index_t item = 0; item < served->dims()[target]; ++item) {
@@ -197,11 +184,11 @@ TEST(ServeModelTest, TwoModeAndFourModeModels) {
     const auto served =
         std::make_shared<const ServeModel>(std::move(model));
     ReconstructWorkspace ws;
-    std::vector<double> slice(served->slice_size(0));
+    std::vector<double> slice(served->slice_size());
     for (const auto& idx : probe_coords(served->dims(), 40, 23)) {
       const double direct = served->score(idx);
-      served->entity_slice(0, idx[0], slice);
-      EXPECT_EQ(direct, served->score_from_slice(0, slice, idx, ws));
+      served->entity_slice(idx[0], slice);
+      EXPECT_EQ(direct, served->score_from_slice(slice, idx, ws));
     }
   }
 }

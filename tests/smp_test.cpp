@@ -84,7 +84,6 @@ TEST_P(SmpCollectives, AllreduceScalars) {
   ht::smp::run_spmd(p, [p](Communicator& comm) {
     EXPECT_DOUBLE_EQ(comm.allreduce_max(static_cast<double>(comm.rank())),
                      p - 1);
-    EXPECT_EQ(comm.allreduce_max_u64(100 - comm.rank()), 100u);
     EXPECT_DOUBLE_EQ(comm.allreduce_sum_scalar(1.5), 1.5 * p);
   });
 }

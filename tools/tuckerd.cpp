@@ -13,18 +13,25 @@
 //
 // Query it with `tucker_cli --query /tmp/tuckerd.sock "SCORE 3 17 5"` or
 // anything that can write lines to a socket (nc, socat).
+//
+// Numeric flags take a whole number token in range: --port 0..65535 (0
+// binds a free port), --cache-entries >= 0 (0 disables the cache),
+// --reload-interval in (0, 1e9] seconds. Anything else exits 2 with the
+// usage message.
 #include <atomic>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 
 #include "serve/dispatcher.hpp"
 #include "serve/model_handle.hpp"
 #include "serve/net.hpp"
+#include "util/parse.hpp"
 #include "util/version.hpp"
 
 #if !HT_HAVE_SOCKETS
@@ -56,7 +63,22 @@ void usage(std::FILE* out) {
                "Serves SCORE/SCOREB/TOPK/INFO/STATS/RELOAD/SHUTDOWN requests\n"
                "(one per line) against a Tucker model bundle. The bundle is\n"
                "mmap'd zero-copy and re-read automatically when the file\n"
-               "changes; --port 0 binds a free port (use --print-port).\n");
+               "changes; --port 0 binds a free port (use --print-port).\n"
+               "Ranges: --port 0..65535, --cache-entries >= 0,\n"
+               "--reload-interval in (0, 1e9].\n");
+}
+
+// The value of `flag` in [lo, hi], or exit 2 with the usage message.
+template <typename T>
+T number_or_exit(const std::string& flag, const char* text, T lo, T hi) {
+  const std::optional<T> value = ht::parse_number<T>(text, lo, hi);
+  if (!value) {
+    std::fprintf(stderr, "tuckerd: bad value '%s' for %s\n", text,
+                 flag.c_str());
+    usage(stderr);
+    std::exit(2);
+  }
+  return *value;
 }
 
 // SHUTDOWN is handled on a connection thread, but SocketServer::shutdown()
@@ -95,11 +117,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--socket") {
       opt.socket_path = next();
     } else if (arg == "--port") {
-      opt.port = std::atoi(next());
+      opt.port = number_or_exit(arg, next(), 0, 65535);
     } else if (arg == "--cache-entries") {
-      opt.cache_entries = static_cast<std::size_t>(std::atoll(next()));
+      opt.cache_entries = number_or_exit<std::size_t>(
+          arg, next(), 0, std::numeric_limits<std::size_t>::max());
     } else if (arg == "--reload-interval") {
-      opt.reload_interval = std::atof(next());
+      // Past 1e9 s the watcher's wait overflows the clock's nanosecond
+      // count and it polls without waiting.
+      opt.reload_interval = number_or_exit(
+          arg, next(), std::numeric_limits<double>::min(), 1e9);
     } else if (arg == "--no-verify") {
       opt.verify = false;
     } else if (arg == "--print-port") {
