@@ -101,14 +101,17 @@ void fiber_length_ablation(bool smoke, htb::JsonReport& report) {
                                           fiber_len, 97);
     const core::SymbolicTtmc sym = core::SymbolicTtmc::build(x);
     const tensor::CsfTensor csf = tensor::CsfTensor::build(x);
+    // The per-nnz kernel reads whole factors, the walk their non-empty rows.
     const auto factors =
         core::random_orthonormal_factors(x.shape(), ranks, 7);
+    const auto compact = core::random_orthonormal_factors(
+        x.shape(), ranks, 7, csf.nonempty_rows());
 
     // Interleaved best-of-reps so drift hits both kernels alike.
     double t_nnz = 1e300, t_csf = 1e300;
     for (int rep = 0; rep < reps; ++rep) {
       t_nnz = std::min(t_nnz, time_ttmc_mode(x, factors, sym.modes[0], 0, 1));
-      t_csf = std::min(t_csf, time_ttmc_mode(x, factors, csf.modes[0], 0, 1));
+      t_csf = std::min(t_csf, time_ttmc_mode(x, compact, csf.modes[0], 0, 1));
     }
     const double avg_len = csf.modes[0].avg_leaf_fiber_length();
     std::printf("%-10u %10.2f %12.4f %12.4f %8.2fx\n", fiber_len, avg_len,
@@ -166,6 +169,8 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
     const tensor::CsfTensor csf = tensor::CsfTensor::build(x);
     const double csf_build_s = t_build.seconds();
     const auto factors = core::random_orthonormal_factors(x.shape(), ranks, 7);
+    const auto compact = core::random_orthonormal_factors(
+        x.shape(), ranks, 7, csf.nonempty_rows());
 
     // Per mode: interleaved best-of-reps so drift hits both alike; sweep
     // totals are the per-iteration numbers HOOI sees.
@@ -176,7 +181,7 @@ void csf_kernel_ablation(bool smoke, htb::JsonReport& report) {
         t_nnz =
             std::min(t_nnz, time_ttmc_mode(x, factors, sym.modes[n], n, 1));
         t_csf =
-            std::min(t_csf, time_ttmc_mode(x, factors, csf.modes[n], n, 1));
+            std::min(t_csf, time_ttmc_mode(x, compact, csf.modes[n], n, 1));
       }
       std::printf("%-14s %6zu %8.2f %12.4f %12.4f %8.2fx\n", arm.name.c_str(),
                   n, csf.modes[n].avg_leaf_fiber_length(), t_nnz, t_csf,
@@ -261,7 +266,12 @@ void trsvd_backend_ablation(bool smoke, htb::JsonReport& report) {
     hooi_opts.max_iterations = 2;
     hooi_opts.fit_tolerance = 0.0;
     hooi_opts.trsvd_method = core::TrsvdMethod::kLanczos;
-    const auto factors = core::hooi(x, hooi_opts).decomposition.factors;
+    const core::TuckerDecomposition trained =
+        core::hooi(x, hooi_opts).decomposition;
+    std::vector<la::Matrix> factors;
+    for (std::size_t n = 0; n < x.order(); ++n) {
+      factors.push_back(trained.dense_factor(n, x.dim(n)));
+    }
     la::Matrix y;
     core::ttmc_mode(x, factors, 0, sym.modes[0], y);
 

@@ -64,7 +64,8 @@ struct FiberFixture {
   CooTensor x;
   SymbolicTtmc sym;
   ht::tensor::CsfTensor csf;
-  std::vector<Matrix> factors;
+  std::vector<Matrix> factors;  // whole, for the per-nnz kernel
+  std::vector<Matrix> compact;  // non-empty rows, for the CSF walk
 };
 
 const FiberFixture& fiber_fixture(index_t fiber_len) {
@@ -78,6 +79,9 @@ const FiberFixture& fiber_fixture(index_t fiber_len) {
     fx.csf = ht::tensor::CsfTensor::build(fx.x);
     fx.factors = ht::core::random_orthonormal_factors(
         fx.x.shape(), std::vector<index_t>{10, 10, 10}, 7);
+    fx.compact = ht::core::random_orthonormal_factors(
+        fx.x.shape(), std::vector<index_t>{10, 10, 10}, 7,
+        fx.csf.nonempty_rows());
     it = cache.emplace(fiber_len, std::move(fx)).first;
   }
   return it->second;
@@ -90,7 +94,7 @@ void BM_TtmcKernelByFiberLength(benchmark::State& state) {
   Matrix y;
   for (auto _ : state) {
     if (csf_kernel) {
-      ht::core::ttmc_mode(f.x, f.factors, 0, f.csf.modes[0], y);
+      ht::core::ttmc_mode(f.x, f.compact, 0, f.csf.modes[0], y);
     } else {
       ht::core::ttmc_mode(f.x, f.factors, 0, f.sym.modes[0], y);
     }

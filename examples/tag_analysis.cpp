@@ -73,7 +73,7 @@ int main() {
   // Show the strongest tags per latent concept (note: factor columns are an
   // arbitrary rotation of the latent subspace, so one column need not equal
   // one community).
-  const la::Matrix& tags = result.decomposition.factors[3];
+  const la::Matrix tags = result.decomposition.dense_factor(3, x.dim(3));
   for (std::size_t concept_id = 0; concept_id < 4; ++concept_id) {
     std::vector<tensor::index_t> order(tags.rows());
     std::iota(order.begin(), order.end(), 0);

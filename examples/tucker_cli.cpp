@@ -81,12 +81,14 @@ std::optional<std::vector<index_t>> parse_ranks(std::string_view csv) {
   }
 }
 
+// One dense text file per I_n x R_n factor: rows the model does not keep
+// are written as the zeros they stand for.
 void export_factors(const ht::core::TuckerDecomposition& t,
-                    const std::string& prefix) {
+                    const ht::tensor::Shape& dims, const std::string& prefix) {
   for (std::size_t n = 0; n < t.order(); ++n) {
     const std::string path = prefix + ".U" + std::to_string(n + 1) + ".txt";
     std::ofstream out(path);
-    const auto& f = t.factors[n];
+    const ht::la::Matrix f = t.dense_factor(n, dims[n]);
     for (std::size_t i = 0; i < f.rows(); ++i) {
       for (std::size_t j = 0; j < f.cols(); ++j) {
         out << f(i, j) << (j + 1 == f.cols() ? '\n' : ' ');
@@ -432,7 +434,7 @@ int main(int argc, char** argv) {
         result.timers.symbolic, result.timers.ttmc, result.timers.trsvd,
         result.timers.core, warm.c_str());
     if (!export_prefix.empty()) {
-      export_factors(result.decomposition, export_prefix);
+      export_factors(result.decomposition, x.shape(), export_prefix);
     }
     if (!save_model_path.empty()) {
       const auto model =

@@ -113,6 +113,7 @@ struct RowScratch {
   std::vector<double> b_mat;   // R_n x R_n normal matrix
   std::vector<double> rhs;     // right-hand side / solution
   std::vector<index_t> idx;    // coordinates of one nonzero
+  std::vector<std::span<const double>> rows;  // its factor rows
   ReconstructWorkspace rws;
 };
 
@@ -167,8 +168,7 @@ void predict_all(const CooTensor& x, const TuckerDecomposition& t,
 #pragma omp for schedule(static)
     for (nnz_t e = 0; e < n; ++e) {
       for (std::size_t m = 0; m < order; ++m) idx[m] = x.index(m, e);
-      preds[e] = reconstruct_at(t.core, t.factors, idx,
-                                ReconstructWorkspace::tls());
+      preds[e] = t.reconstruct_at(idx);
     }
   }
 }
@@ -241,6 +241,7 @@ void validate_completion_options(const CooTensor& x,
   if (x.order() < 2) {
     throw InvalidArgument("completion needs an order >= 2 tensor");
   }
+  x.validate_values();
   if (options.ranks.size() != x.order()) {
     throw InvalidArgument("need one rank per tensor mode");
   }
@@ -293,11 +294,14 @@ void masked_update_rows(const CooTensor& x, const ModeSymbolic& sym,
     ws.b_mat.assign(r_n * r_n, 0.0);
     ws.rhs.assign(r_n, 0.0);
     ws.idx.resize(order);
+    ws.rows.resize(order);
     for (const nnz_t e : sym.update_list(r)) {
-      for (std::size_t m = 0; m < order; ++m) ws.idx[m] = x.index(m, e);
-      contract_entity(core, cs, entity, factors[entity].row(ws.idx[entity]),
-                      ws.slice);
-      slice_mode_vector(ws.slice, cs, entity, mode, factors, ws.idx, ws.rws,
+      for (std::size_t m = 0; m < order; ++m) {
+        ws.idx[m] = x.index(m, e);
+        ws.rows[m] = factors[m].row(ws.idx[m]);
+      }
+      contract_entity(core, cs, entity, ws.rows[entity], ws.slice);
+      slice_mode_vector(ws.slice, cs, entity, mode, ws.rows, ws.rws,
                         ws.delta);
       const double v = x.value(e);
       for (std::size_t i = 0; i < r_n; ++i) {
@@ -423,22 +427,20 @@ CompletionResult tucker_complete(const CooTensor& train,
   result.timers.symbolic = t_sym.seconds();
 
   // Init: random orthonormal factors; rows with no observed entries are
-  // zeroed so unobserved entities predict 0 (the regularized solution they
+  // zero so unobserved entities predict 0 (the regularized solution they
   // would converge to anyway — and the sane serving default after mean
-  // centering). The core starts from the ridge LS fit to those factors.
+  // centering): only the observed rows are cut from the whole random
+  // factors. The core starts from the ridge LS fit to those factors.
   TuckerDecomposition& t = result.decomposition;
-  t.factors = random_orthonormal_factors(train.shape(), options.ranks,
-                                         options.seed);
+  std::vector<std::span<const index_t>> observed;
+  for (const ModeSymbolic& m : symbolic.modes) observed.emplace_back(m.rows);
+  const std::vector<la::Matrix> kept = random_orthonormal_factors(
+      train.shape(), options.ranks, options.seed, observed);
   for (std::size_t n = 0; n < train.order(); ++n) {
-    const auto& observed = symbolic.modes[n].rows;
-    std::size_t next = 0;
-    for (index_t i = 0; i < train.dim(n); ++i) {
-      if (next < observed.size() && observed[next] == i) {
-        ++next;
-        continue;
-      }
-      auto row = t.factors[n].row(i);
-      std::fill(row.begin(), row.end(), 0.0);
+    la::Matrix& f = t.factors.emplace_back(train.dim(n), options.ranks[n]);
+    for (std::size_t k = 0; k < observed[n].size(); ++k) {
+      const auto src = kept[n].row(k);
+      std::copy(src.begin(), src.end(), f.row(observed[n][k]).begin());
     }
   }
   t.core = tensor::DenseTensor(

@@ -37,6 +37,10 @@
 // chosen row subset: the delta-ingestion / stochastic-refresh path of
 // ROADMAP item 2 re-solves only the rows a delta touched through the same
 // entry point.
+//
+// Completion trains whole I_n x R_n factors (a decomposition with no row
+// lists, core/tucker.hpp): unobserved rows are zeroed at init and stay
+// zero, but the masked updates index factors by global row.
 #pragma once
 
 #include <cstdint>

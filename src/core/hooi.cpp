@@ -13,6 +13,7 @@ namespace ht::core {
 void validate_hooi_options(const CooTensor& x, const HooiOptions& options) {
   if (x.nnz() == 0) throw InvalidArgument("HOOI needs a nonempty tensor");
   if (x.order() < 2) throw InvalidArgument("HOOI needs an order >= 2 tensor");
+  x.validate_values();
   if (options.ranks.size() != x.order()) {
     throw InvalidArgument("need one rank per tensor mode");
   }
@@ -53,12 +54,7 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options,
   if (!same_tensor) {
     throw InvalidArgument("CSF forest was built for another tensor");
   }
-  // Each tree's level 0 is its mode's compact rows, increasing.
-  std::vector<std::span<const index_t>> rows;
-  for (std::size_t n = 0; n < order; ++n) {
-    rows.emplace_back(forest.modes[n].idx[0]);
-  }
-  return hooi_one_rank(x, options, rows,
+  return hooi_one_rank(x, options, forest.nonempty_rows(),
                        [&](const std::vector<la::Matrix>& factors,
                            std::size_t mode, la::Matrix& y) {
                          ttmc_mode(x, factors, mode, forest.modes[mode], y);

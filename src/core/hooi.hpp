@@ -93,8 +93,9 @@ HooiResult hooi(const CooTensor& x, const HooiOptions& options);
 HooiResult hooi(const CooTensor& x, const HooiOptions& options,
                 const tensor::CsfTensor& forest);
 
-/// Validate options against the tensor (nonempty, order >= 2, one rank in
-/// 1..I_n per mode, at least one iteration); throws ht::InvalidArgument.
+/// Validate options against the tensor (nonempty, order >= 2, finite
+/// values with a finite positive squared norm, one rank in 1..I_n per mode,
+/// at least one iteration); throws ht::InvalidArgument.
 void validate_hooi_options(const CooTensor& x, const HooiOptions& options);
 
 }  // namespace ht::core

@@ -21,12 +21,23 @@ struct ChainTensor {
   std::vector<double> values;             // entries * block
 };
 
-ChainTensor lift(const CooTensor& x) {
+// The chain's first tensor: x with each coordinate replaced by its compact
+// id, its position among the mode's non-empty rows `rows[n]` (the rows of
+// the compact factors the chain multiplies with). The map is monotone, so
+// every sort below orders entries as global ids would.
+ChainTensor lift(const CooTensor& x,
+                 const std::vector<std::vector<index_t>>& rows) {
   ChainTensor s;
+  std::vector<index_t> compact;
   for (std::size_t n = 0; n < x.order(); ++n) {
     s.modes.push_back(n);
-    const auto src = x.indices(n);
-    s.idx.emplace_back(src.begin(), src.end());
+    compact.assign(x.dim(n), 0);
+    for (std::size_t k = 0; k < rows[n].size(); ++k) {
+      compact[rows[n][k]] = static_cast<index_t>(k);
+    }
+    std::vector<index_t>& ids = s.idx.emplace_back();
+    ids.reserve(x.nnz());
+    for (const index_t g : x.indices(n)) ids.push_back(compact[g]);
   }
   s.values.assign(x.values().begin(), x.values().end());
   return s;
@@ -97,17 +108,14 @@ HooiResult hooi_met_baseline(const CooTensor& x, const HooiOptions& options) {
   validate_hooi_options(x, options);
   const std::size_t order = x.order();
   // The chain's last contraction leaves one entry per non-empty row, in
-  // increasing order: Y(n)'s compact rows.
+  // increasing order: Y(n)'s compact rows, and the compact factors' rows.
   std::vector<std::vector<index_t>> nonempty(order);
   std::vector<std::span<const index_t>> rows;
   for (std::size_t n = 0; n < order; ++n) {
-    const auto counts = x.slice_nnz(n);
-    for (index_t g = 0; g < x.dim(n); ++g) {
-      if (counts[g] > 0) nonempty[n].push_back(g);
-    }
+    nonempty[n] = x.nonempty_rows(n);
     rows.emplace_back(nonempty[n]);
   }
-  const ChainTensor lifted = lift(x);
+  const ChainTensor lifted = lift(x, nonempty);
   return hooi_one_rank(
       x, options, rows,
       [&](const std::vector<la::Matrix>& factors, std::size_t n,

@@ -103,10 +103,9 @@ void contract_entity(std::span<const double> core,
 
 double score_slice(std::span<const double> slice,
                    const tensor::Shape& core_shape, std::size_t entity,
-                   std::span<const la::Matrix> factors,
-                   std::span<const index_t> idx, ReconstructWorkspace& ws) {
+                   FactorRows rows, ReconstructWorkspace& ws) {
   const std::size_t order = core_shape.size();
-  HT_CHECK(entity < order && factors.size() == order && idx.size() == order);
+  HT_CHECK(entity < order && rows.size() == order);
   double* buf = load_slice(slice, core_shape, entity, ws);
   // Remaining modes in increasing order; dims tracks them positionally.
   std::vector<index_t>& dims = ws.dims;
@@ -120,9 +119,9 @@ double score_slice(std::span<const double> slice,
       if (n == entity) continue;
       if (seen++ == pos) { mode = n; break; }
     }
-    contract_at(buf, dims, pos, factors[mode].row(idx[mode]));
+    contract_at(buf, dims, pos, rows[mode]);
   }
-  const auto row = factors[first_mode].row(idx[first_mode]);
+  const std::span<const double> row = rows[first_mode];
   double acc = 0.0;
   for (std::size_t r = 0; r < dims[0]; ++r) acc += row[r] * buf[r];
   return acc;
@@ -130,13 +129,11 @@ double score_slice(std::span<const double> slice,
 
 void slice_mode_vector(std::span<const double> slice,
                        const tensor::Shape& core_shape, std::size_t entity,
-                       std::size_t target,
-                       std::span<const la::Matrix> factors,
-                       std::span<const index_t> idx, ReconstructWorkspace& ws,
-                       std::span<double> out) {
+                       std::size_t target, FactorRows rows,
+                       ReconstructWorkspace& ws, std::span<double> out) {
   const std::size_t order = core_shape.size();
   HT_CHECK(entity < order && target < order && target != entity);
-  HT_CHECK(factors.size() == order && idx.size() == order);
+  HT_CHECK(rows.size() == order);
   HT_CHECK(out.size() == core_shape[target]);
   double* buf = load_slice(slice, core_shape, entity, ws);
   std::vector<index_t>& dims = ws.dims;
@@ -157,24 +154,23 @@ void slice_mode_vector(std::span<const double> slice,
     for (std::size_t k = 0; k < j; ++k) {
       if (modes[k] != std::size_t(-1)) ++pos;
     }
-    contract_at(buf, dims, pos, factors[mode].row(idx[mode]));
+    contract_at(buf, dims, pos, rows[mode]);
     modes[j] = std::size_t(-1);  // removed
   }
   for (std::size_t r = 0; r < out.size(); ++r) out[r] = buf[r];
 }
 
-double reconstruct_at(const tensor::DenseTensor& core,
-                      std::span<const la::Matrix> factors,
-                      std::span<const index_t> idx, ReconstructWorkspace& ws) {
+double reconstruct_at(const tensor::DenseTensor& core, FactorRows rows,
+                      ReconstructWorkspace& ws) {
   const tensor::Shape& shape = core.shape();
-  HT_CHECK(idx.size() == shape.size() && factors.size() == shape.size());
+  HT_CHECK(rows.size() == shape.size());
   if (shape.empty()) return 0.0;
   const std::size_t s = slice_size(shape, 0);
   if (ws.entity.size() < s) ws.entity.resize(s);
   std::span<double> slice{ws.entity.data(), s};
   // The mode-0 unfolding of the core is its flat buffer.
-  contract_unfolding(core.flat(), factors[0].row(idx[0]), slice);
-  return score_slice(slice, shape, /*entity=*/0, factors, idx, ws);
+  contract_unfolding(core.flat(), rows[0], slice);
+  return score_slice(slice, shape, /*entity=*/0, rows, ws);
 }
 
 }  // namespace ht::core

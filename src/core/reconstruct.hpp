@@ -22,6 +22,11 @@
 // a sequential one, and a view-backed (mmap'd) model answers bit-identically
 // to the owned model it was saved from.
 //
+// The kernels take the query's factor rows, one per mode, resolved by the
+// caller: TuckerDecomposition::factor_row looks a global index up in a
+// compact factor and stands a zero row in for an absent one, so compact
+// and whole factors run the same arithmetic on the same rows.
+//
 // All kernels are allocation-free given a caller-provided (or thread-local)
 // ReconstructWorkspace whose buffers grow monotonically and are reused
 // across calls — reconstruct_at is the serving hot path and must not touch
@@ -46,6 +51,8 @@ struct ReconstructWorkspace {
   std::vector<double> entity;      // step-1 entity-slice buffer
   std::vector<index_t> dims;       // live mode sizes of `slice`
   std::vector<double> vec;         // top-k mode-vector scratch
+  std::vector<std::span<const double>> rows;  // one factor row per mode
+  std::vector<double> zero;        // all zeros: the absent-row stand-in
 
   /// Thread-local instance used by the workspace-free convenience
   /// overloads (TuckerDecomposition::reconstruct_at and fit_exact).
@@ -73,33 +80,31 @@ void contract_entity(std::span<const double> core,
                      const tensor::Shape& core_shape, std::size_t mode,
                      std::span<const double> row, std::span<double> out);
 
-/// Steps 2+3: collapse an entity slice to a scalar. `idx` are the FULL
-/// query coordinates (order entries); the entity coordinate idx[entity] is
-/// ignored. Contracts the remaining modes trailing-first against the
-/// corresponding factor rows, then dots with the first remaining mode's
-/// row.
+/// One factor row per mode at a query's coordinates: rows[n] = U_n(i_n, :).
+using FactorRows = std::span<const std::span<const double>>;
+
+/// Steps 2+3: collapse an entity slice to a scalar. `rows` holds a row for
+/// every mode (the entity's is not read). Contracts the remaining modes
+/// trailing-first against their rows, then dots with the first remaining
+/// mode's row.
 double score_slice(std::span<const double> slice,
                    const tensor::Shape& core_shape, std::size_t entity,
-                   std::span<const la::Matrix> factors,
-                   std::span<const index_t> idx, ReconstructWorkspace& ws);
+                   FactorRows rows, ReconstructWorkspace& ws);
 
 /// Steps 2+3 stopping one mode short: collapse an entity slice to a vector
 /// over mode `target`'s rank by contracting every remaining mode except
 /// `target` (trailing-first, same order as score_slice). The top-k kernel:
-/// the score of item i is then dot(out, U_target.row(i)), bit-identical to
+/// the score of item i is then dot(out, U_target(i, :)), bit-identical to
 /// score_slice at the same coordinates when `target` is the first
-/// remaining mode. idx[entity] and idx[target] are ignored.
+/// remaining mode. rows[entity] and rows[target] are not read.
 void slice_mode_vector(std::span<const double> slice,
                        const tensor::Shape& core_shape, std::size_t entity,
-                       std::size_t target,
-                       std::span<const la::Matrix> factors,
-                       std::span<const index_t> idx, ReconstructWorkspace& ws,
-                       std::span<double> out);
+                       std::size_t target, FactorRows rows,
+                       ReconstructWorkspace& ws, std::span<double> out);
 
 /// Full point query via steps 1-3 (entity mode 0). The implementation
 /// behind TuckerDecomposition::reconstruct_at and the uncached serve path.
-double reconstruct_at(const tensor::DenseTensor& core,
-                      std::span<const la::Matrix> factors,
-                      std::span<const index_t> idx, ReconstructWorkspace& ws);
+double reconstruct_at(const tensor::DenseTensor& core, FactorRows rows,
+                      ReconstructWorkspace& ws);
 
 }  // namespace ht::core

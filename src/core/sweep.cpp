@@ -167,29 +167,53 @@ class DistYOperator final : public la::TrsvdOperator {
 };
 
 // Complete a solve with fewer than `rank` directions or unconverged: sum
-// the disjoint owned rows over ranks into the whole factor (the one-rank
-// scatter), orthonormalize its columns and keep the owned rows; the expand
-// exchange then updates replicas. A lone whole factor completes in place.
+// the disjoint owned rows over ranks into the whole I_n x R_n factor (the
+// one-rank scatter), orthonormalize its columns and keep the owned rows;
+// the expand exchange then updates replicas. A completion may fill rows
+// outside J_n, which no rank's factor holds: `completed` keeps the whole
+// factor's non-zero rows and `completed_rows` their global ids. The whole
+// factor is held column-major, the layout la::orthonormalize_columns runs
+// in, so it is the one I_n x R_n buffer. A factor that already holds every
+// row (one rank, no empty rows) completes in place.
 void complete_factor(smp::Communicator& comm, const SweepMode& mode,
                      std::size_t rank, la::Matrix& factor,
-                     la::Matrix& completed) {
+                     la::Matrix& completed,
+                     std::vector<index_t>& completed_rows) {
   if (comm.size() == 1 && factor.rows() == mode.dim) {
     la::orthonormalize_columns(factor);
     return;
   }
-  la::Matrix full(mode.dim, rank);
+  const std::size_t dim = mode.dim;
+  std::vector<double> full(dim * rank, 0.0);  // column j at full[j * dim]
   for (std::size_t i = 0; i < mode.owned.size(); ++i) {
     const auto src = factor.row(mode.factor_rows[mode.owned[i]]);
-    std::copy(src.begin(), src.end(), full.row(mode.owned_rows[i]).begin());
+    for (std::size_t j = 0; j < rank; ++j) {
+      full[j * dim + mode.owned_rows[i]] = src[j];
+    }
   }
-  comm.allreduce_sum(full.flat());
-  la::orthonormalize_columns(full);
+  comm.allreduce_sum(full);
+  la::orthonormalize_columns(full, dim, rank);
   for (std::size_t i = 0; i < mode.owned.size(); ++i) {
-    const auto src = full.row(mode.owned_rows[i]);
-    std::copy(src.begin(), src.end(),
-              factor.row(mode.factor_rows[mode.owned[i]]).begin());
+    const auto dst = factor.row(mode.factor_rows[mode.owned[i]]);
+    for (std::size_t j = 0; j < rank; ++j) {
+      dst[j] = full[j * dim + mode.owned_rows[i]];
+    }
   }
-  completed = std::move(full);
+  completed_rows.clear();
+  for (std::size_t g = 0; g < dim; ++g) {
+    for (std::size_t j = 0; j < rank; ++j) {
+      if (full[j * dim + g] != 0.0) {
+        completed_rows.push_back(static_cast<index_t>(g));
+        break;
+      }
+    }
+  }
+  completed = la::Matrix(completed_rows.size(), rank);
+  for (std::size_t k = 0; k < completed_rows.size(); ++k) {
+    for (std::size_t j = 0; j < rank; ++j) {
+      completed(k, j) = full[j * dim + completed_rows[k]];
+    }
+  }
 }
 
 }  // namespace
@@ -205,6 +229,7 @@ SweepResult hooi_sweeps(smp::Communicator& comm, const TtmcStep& ttmc,
   out.trsvd_rounds.assign(order, 0);
   out.expand_bytes.assign(order, 0);
   out.completed.resize(order);
+  out.completed_rows.resize(order);
   // |J_n|: kAuto's warm rule and the solvable count read global sizes, so
   // every rank solves alike.
   std::vector<std::size_t> compact_rows(order);
@@ -261,10 +286,12 @@ SweepResult hooi_sweeps(smp::Communicator& comm, const TtmcStep& ttmc,
                     factor.row(mode.factor_rows[mode.owned[i]]).begin());
       }
       out.completed[n] = la::Matrix();
+      out.completed_rows[n].clear();
       if (solvable < rank || !solved.converged) {
         // HOOI's fit formula needs orthonormal columns; every rank sees
         // the same condition.
-        complete_factor(comm, mode, rank, factor, out.completed[n]);
+        complete_factor(comm, mode, rank, factor, out.completed[n],
+                        out.completed_rows[n]);
       }
       if (mode.lists != nullptr) {
         const smp::CommStats before = comm.stats();
@@ -306,17 +333,22 @@ HooiResult hooi_one_rank(const CooTensor& x, const HooiOptions& options,
                          const std::vector<std::span<const index_t>>& rows,
                          const TtmcStep& ttmc) {
   parallel::ThreadScope threads(options.num_threads);
+  const std::size_t order = x.order();
+  // Compact factors: row k of factor n is global row rows[n][k], cut from
+  // the whole initial factors.
   std::vector<la::Matrix> factors =
       options.init == HooiInit::kRandom
-          ? random_orthonormal_factors(x.shape(), options.ranks, options.seed)
-          : randomized_range_factors(x, options.ranks, options.seed);
-  std::vector<std::vector<std::uint32_t>> every_row(x.order());
-  std::vector<SweepMode> modes(x.order());
-  for (std::size_t n = 0; n < x.order(); ++n) {
-    every_row[n].resize(rows[n].size());
-    std::iota(every_row[n].begin(), every_row[n].end(), 0u);
-    modes[n] = {.factor_rows = rows[n],
-                .owned = every_row[n],
+          ? random_orthonormal_factors(x.shape(), options.ranks, options.seed,
+                                       rows)
+          : randomized_range_factors(x, options.ranks, options.seed,
+                                     kRangeOversample, rows);
+  std::vector<std::vector<index_t>> positions(order);
+  std::vector<SweepMode> modes(order);
+  for (std::size_t n = 0; n < order; ++n) {
+    positions[n].resize(rows[n].size());
+    std::iota(positions[n].begin(), positions[n].end(), index_t{0});
+    modes[n] = {.factor_rows = positions[n],
+                .owned = positions[n],
                 .owned_rows = rows[n],
                 .dim = x.dim(n)};
   }
@@ -324,7 +356,17 @@ HooiResult hooi_one_rank(const CooTensor& x, const HooiOptions& options,
   smp::Communicator comm(world, 0);
   SweepResult sweep =
       hooi_sweeps(comm, ttmc, modes, x.norm2_squared(), options, factors);
-  sweep.result.decomposition.factors = std::move(factors);
+  TuckerDecomposition& dec = sweep.result.decomposition;
+  dec.rows.resize(order);
+  for (std::size_t n = 0; n < order; ++n) {
+    std::vector<index_t> kept(rows[n].begin(), rows[n].end());
+    if (!sweep.completed[n].empty()) {
+      factors[n] = std::move(sweep.completed[n]);
+      kept = std::move(sweep.completed_rows[n]);
+    }
+    if (kept.size() < x.dim(n)) dec.rows[n] = std::move(kept);
+  }
+  dec.factors = std::move(factors);
   return std::move(sweep.result);
 }
 

@@ -63,10 +63,12 @@ struct SweepResult {
   /// Per mode, summed over sweeps: TRSVD communication rounds, and the
   /// bytes the factor update's expand exchange sent plus received.
   std::vector<std::uint64_t> trsvd_rounds, expand_bytes;
-  /// Per mode, the whole factor the last solve was completed to when the
-  /// rank's factor is a slice of it (else empty): a completion may fill
-  /// rows outside J_n, which no slice holds.
+  /// Per mode, when the last solve was completed over the whole factor
+  /// (the rank's factor is a slice of it), that factor's non-zero rows and
+  /// their sorted global ids (else empty): a completion may fill rows
+  /// outside J_n, which no slice holds.
   std::vector<la::Matrix> completed;
+  std::vector<std::vector<index_t>> completed_rows;
 };
 
 /// Run HOOI sweeps on this rank of `comm`, updating `factors` (the rank's,
@@ -80,7 +82,11 @@ SweepResult hooi_sweeps(smp::Communicator& comm, const TtmcStep& ttmc,
 
 /// HOOI over `x` (validated options) at one rank in the calling thread,
 /// from options.init's factors: rows[n], the non-empty rows of mode n in
-/// increasing order, are Y(n)'s rows.
+/// increasing order, are Y(n)'s rows and the rows of the compact factor
+/// the sweep trains (row k is global row rows[n][k]; the TTMc step indexes
+/// factors by compact id). The result keeps, per mode, those rows — or a
+/// completed factor's non-zero rows — with their ids in
+/// decomposition.rows (no list when every row is kept).
 HooiResult hooi_one_rank(const CooTensor& x, const HooiOptions& options,
                          const std::vector<std::span<const index_t>>& rows,
                          const TtmcStep& ttmc);

@@ -335,12 +335,19 @@ void check_inputs(const CooTensor& x, const std::vector<la::Matrix>& factors,
   }
 }
 
+// The CSF walk indexes compact factors: mode t's has |J_t| rows.
 void check_inputs(const CooTensor& x, const std::vector<la::Matrix>& factors,
                   std::size_t mode, const tensor::CsfTree& tree) {
-  check_inputs(x, factors, mode);
+  HT_CHECK_MSG(factors.size() == x.order(), "factor arity mismatch");
   HT_CHECK_MSG(tree.levels() == x.order() && tree.root_mode() == mode &&
                    tree.num_leaves() == x.nnz(),
                "CSF tree was not built from this tensor and mode");
+  for (std::size_t t = 0; t < x.order(); ++t) {
+    HT_CHECK_MSG(factors[t].rows() == tree.compact_rows[t],
+                 "factor " << t << " has " << factors[t].rows()
+                           << " rows, mode " << t << " has "
+                           << tree.compact_rows[t] << " non-empty rows");
+  }
 }
 
 // Debug-only: dist_hooi calls the subset entry point once per mode per

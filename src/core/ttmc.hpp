@@ -20,12 +20,14 @@
 //                   Root subtrees are dispatched in nnz-balanced tiles so
 //                   skewed rows cannot serialize a thread. ttmc_mode_subset
 //                   computes only listed rows (the coarse grain's owned
-//                   rows).
+//                   rows). It reads compact factors (|J_t| x R_t), indexed
+//                   by the trees' compact ids.
 //   per-nnz (ModeSymbolic): the paper's Algorithm 2 over the symbolic
 //                   update lists; every nonzero pays the full Kronecker-row
 //                   expansion (R_a*R_b flops for 3-mode, R_a*R_b*R_c for
-//                   4-mode). It is the reference the CSF walk is tested
-//                   and benchmarked against.
+//                   4-mode). It reads dense I_t x R_t factors by global
+//                   row. It is the reference the CSF walk is tested and
+//                   benchmarked against.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +54,9 @@ void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
 
 /// Compute the compact Y(n) with the CSF walk: row r corresponds to global
 /// row tree.idx[0][r]. `tree` must be rooted at `mode` and built from `x`
-/// (it reads the values the tree copied, not x's).
+/// (it reads the values the tree copied, not x's). The factors are compact:
+/// factors[t] has tree.compact_rows[t] rows, row k being mode t's k-th
+/// non-empty row (tree t's idx[0][k]).
 void ttmc_mode(const CooTensor& x, const std::vector<la::Matrix>& factors,
                std::size_t mode, const tensor::CsfTree& tree, la::Matrix& y);
 

@@ -1,5 +1,6 @@
 #include "core/tucker.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/reconstruct.hpp"
@@ -14,13 +15,51 @@ std::vector<index_t> TuckerDecomposition::ranks() const {
   return r;
 }
 
+std::span<const double> TuckerDecomposition::factor_row(
+    std::size_t mode, index_t i, std::span<const double> zero) const {
+  const la::Matrix& f = factors[mode];
+  const std::span<const index_t> ids = row_ids(mode);
+  if (ids.empty()) return i < f.rows() ? f.row(i) : zero.first(f.cols());
+  const auto it = std::lower_bound(ids.begin(), ids.end(), i);
+  return it != ids.end() && *it == i
+             ? f.row(static_cast<std::size_t>(it - ids.begin()))
+             : zero.first(f.cols());
+}
+
+la::Matrix TuckerDecomposition::dense_factor(std::size_t mode,
+                                             index_t dim) const {
+  const la::Matrix& f = factors[mode];
+  const std::span<const index_t> ids = row_ids(mode);
+  if (ids.empty()) {
+    HT_CHECK_MSG(f.rows() == dim, "factor " << mode << " has " << f.rows()
+                                            << " rows, mode size is " << dim);
+    return f;
+  }
+  HT_CHECK_MSG(ids.back() < dim, "factor " << mode << " keeps row "
+                                           << ids.back() << " past " << dim);
+  la::Matrix out(dim, f.cols());
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const auto src = f.row(k);
+    std::copy(src.begin(), src.end(), out.row(ids[k]).begin());
+  }
+  return out;
+}
+
 double TuckerDecomposition::reconstruct_at(std::span<const index_t> idx) const {
   HT_CHECK(idx.size() == order());
   // Sequential-contraction kernel with thread-local scratch: no per-call
   // allocation (this is the serving hot path), bit-identical to the
   // serve-layer cached/batched paths which share the same kernels.
-  return core::reconstruct_at(core, factors, idx,
-                              ReconstructWorkspace::tls());
+  ReconstructWorkspace& ws = ReconstructWorkspace::tls();
+  const tensor::Shape& ranks = core.shape();
+  const std::size_t widest =
+      ranks.empty() ? 0 : *std::max_element(ranks.begin(), ranks.end());
+  if (ws.zero.size() < widest) ws.zero.resize(widest, 0.0);
+  ws.rows.resize(order());
+  for (std::size_t n = 0; n < order(); ++n) {
+    ws.rows[n] = factor_row(n, idx[n], ws.zero);
+  }
+  return core::reconstruct_at(core, ws.rows, ws);
 }
 
 tensor::DenseTensor TuckerDecomposition::reconstruct_dense() const {
@@ -28,6 +67,9 @@ tensor::DenseTensor TuckerDecomposition::reconstruct_dense() const {
   // entity slice per mode-0 index (reused across the whole hyperslice,
   // exactly like the serve layer's per-user cache), then score_slice per
   // remaining coordinate (test sizes only).
+  HT_CHECK_MSG(std::all_of(rows.begin(), rows.end(),
+                           [](const auto& ids) { return ids.empty(); }),
+               "reconstruct_dense needs whole factors");
   tensor::Shape shape;
   for (const auto& f : factors) {
     shape.push_back(static_cast<index_t>(f.rows()));
@@ -39,6 +81,7 @@ tensor::DenseTensor TuckerDecomposition::reconstruct_dense() const {
   const std::size_t s = core::slice_size(ranks, 0);
   std::vector<double> slice(s);
   std::vector<index_t> idx(order(), 0);
+  std::vector<std::span<const double>> row(order());
   auto flat = x.flat();
   // Odometer, last mode fastest (the flat layout); mode 0 is slowest, so
   // the entity slice is recomputed exactly shape[0] times.
@@ -48,7 +91,8 @@ tensor::DenseTensor TuckerDecomposition::reconstruct_dense() const {
     if (off % hyperslice == 0) {
       core::contract_unfolding(core.flat(), factors[0].row(idx[0]), slice);
     }
-    flat[off] = core::score_slice(slice, ranks, 0, factors, idx, ws);
+    for (std::size_t n = 0; n < order(); ++n) row[n] = factors[n].row(idx[n]);
+    flat[off] = core::score_slice(slice, ranks, 0, row, ws);
     for (std::size_t n = order(); n-- > 0;) {
       if (++idx[n] < shape[n]) break;
       idx[n] = 0;

@@ -2,19 +2,26 @@
 // loose HooiResult/TuckerDecomposition field access.
 //
 // A TuckerModel bundles everything a downstream consumer (the CLI, the
-// examples, the future tuckerd serving daemon) needs to answer queries
-// without re-deriving context from the training call site: the
-// decomposition itself, the original tensor dimensions, the achieved fit,
-// and build provenance (which build produced it, from util/version.hpp).
+// examples, the tuckerd serving daemon) needs to answer queries without
+// re-deriving context from the training call site: the decomposition
+// itself, the original tensor dimensions, the achieved fit, and build
+// provenance (which build produced it, from util/version.hpp).
+//
+// Row-list contract: the decomposition's factors are compact
+// (core/tucker.hpp). Mode n's factor holds the rows decomposition.rows[n]
+// — sorted, strictly increasing global ids below dims[n], one per factor
+// row — or, with no list, all dims[n] rows. `dims` is always the training
+// tensor's global shape, so a global index is valid when it is below
+// dims[n], and an index the list skips reads as a zero row.
 // The training tensor's preprocessing (its CSF forest, tensor::CsfTensor)
 // is not part of a model: it is rebuilt from the tensor whenever training
 // runs.
 //
 // Models round-trip through the versioned binary bundle format of
-// storage/bundle.hpp: save_bundle() writes every array verbatim,
-// load_bundle() restores them either heap-owned (LoadMode::kCopy) or as
-// zero-copy views into an mmap'd file (LoadMode::kMap) — bit-identical
-// either way.
+// storage/bundle.hpp: save_bundle() writes every array verbatim (each row
+// list in its own section), load_bundle() restores them either heap-owned
+// (LoadMode::kCopy) or as zero-copy views into an mmap'd file
+// (LoadMode::kMap) — bit-identical either way.
 #pragma once
 
 #include <string>

@@ -83,39 +83,58 @@ void validate_plans(const CooTensor& x, const DistHooiOptions& options,
   }
 }
 
-// After the last sweep, rank 0 assembles the full dim x R factors from
-// every rank's owned rows. A mode whose last solve was completed takes the
-// completed factor instead: a rank-deficient completion may fill rows
-// outside J_n, which no rank holds. Returns the factors on rank 0 only.
-std::vector<la::Matrix> assemble_factors(
+// After the last sweep, rank 0 assembles the compact factors, as
+// core::hooi keeps them: every rank's owned rows, merged into J_n's sorted
+// order, with the row ids in dec.rows (no list for a mode with no empty
+// rows). A mode whose last solve was completed takes the completed
+// factor's non-zero rows instead: a rank-deficient completion may fill
+// rows outside J_n, which no rank holds. Fills `dec` on rank 0 only.
+void assemble_factors(
     smp::Communicator& comm, const std::vector<RankPlan>& rplans,
     const std::vector<std::vector<std::uint32_t>>& owned_pos,
-    const std::vector<la::Matrix>& factors,
-    std::vector<la::Matrix>& completed, const tensor::Shape& dims) {
-  std::vector<la::Matrix> full(factors.size());
-  for (std::size_t n = 0; n < factors.size(); ++n) {
-    if (!completed[n].empty()) {
-      if (comm.rank() == 0) full[n] = std::move(completed[n]);
-      continue;
-    }
-    const std::size_t width = factors[n].cols();
-    std::vector<double> mine(owned_pos[n].size() * width);
-    for (std::size_t i = 0; i < owned_pos[n].size(); ++i) {
-      const auto src = factors[n].row(owned_pos[n][i]);
-      std::copy(src.begin(), src.end(), mine.begin() + static_cast<long>(i * width));
-    }
-    const std::vector<double> all = comm.allgatherv(mine);  // in rank order
-    if (comm.rank() != 0) continue;
-    full[n] = la::Matrix(dims[n], width);
-    std::size_t k = 0;
-    for (const RankPlan& rp : rplans) {
-      for (index_t g : rp.modes[n].owned_rows) {
-        std::copy_n(all.begin() + static_cast<long>(k++ * width), width,
-                    full[n].row(g).begin());
+    const std::vector<la::Matrix>& factors, core::SweepResult& sweep,
+    const tensor::Shape& dims, core::TuckerDecomposition& dec) {
+  const std::size_t order = factors.size();
+  if (comm.rank() == 0) {
+    dec.factors.resize(order);
+    dec.rows.resize(order);
+  }
+  for (std::size_t n = 0; n < order; ++n) {
+    std::vector<index_t> kept;
+    la::Matrix merged;
+    if (!sweep.completed[n].empty()) {
+      if (comm.rank() != 0) continue;
+      merged = std::move(sweep.completed[n]);
+      kept = std::move(sweep.completed_rows[n]);
+    } else {
+      const std::size_t width = factors[n].cols();
+      std::vector<double> mine(owned_pos[n].size() * width);
+      for (std::size_t i = 0; i < owned_pos[n].size(); ++i) {
+        const auto src = factors[n].row(owned_pos[n][i]);
+        std::copy(src.begin(), src.end(),
+                  mine.begin() + static_cast<long>(i * width));
+      }
+      const std::vector<double> all = comm.allgatherv(mine);  // in rank order
+      if (comm.rank() != 0) continue;
+      // (global row, block of `all`) in rank order; the ranks' owned rows
+      // are disjoint, so sorting puts them in J_n's order.
+      std::vector<std::pair<index_t, std::size_t>> blocks;
+      for (const RankPlan& rp : rplans) {
+        for (const index_t g : rp.modes[n].owned_rows) {
+          blocks.emplace_back(g, blocks.size());
+        }
+      }
+      std::sort(blocks.begin(), blocks.end());
+      merged = la::Matrix(blocks.size(), width);
+      for (std::size_t k = 0; k < blocks.size(); ++k) {
+        kept.push_back(blocks[k].first);
+        std::copy_n(all.begin() + static_cast<long>(blocks[k].second * width),
+                    width, merged.row(k).begin());
       }
     }
+    dec.factors[n] = std::move(merged);
+    if (kept.size() < dims[n]) dec.rows[n] = std::move(kept);
   }
-  return full;
 }
 
 }  // namespace
@@ -275,11 +294,13 @@ DistHooiResult dist_hooi(const CooTensor& x, const DistHooiOptions& options,
     reduced.core = comm.allreduce_max(sweep.result.timers.core);
     const double max_loop = comm.allreduce_max(loop_seconds);
 
-    std::vector<la::Matrix> full = assemble_factors(
-        comm, rplans, owned_pos, factors, sweep.completed, x.shape());
+    core::TuckerDecomposition assembled;
+    assemble_factors(comm, rplans, owned_pos, factors, sweep, x.shape(),
+                     assembled);
     if (rank == 0) {
       static_cast<core::HooiResult&>(result) = std::move(sweep.result);
-      result.decomposition.factors = std::move(full);
+      result.decomposition.factors = std::move(assembled.factors);
+      result.decomposition.rows = std::move(assembled.rows);
       result.timers = reduced;
       result.seconds_per_iteration =
           result.iterations > 0 ? max_loop / result.iterations : 0.0;

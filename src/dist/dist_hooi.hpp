@@ -22,9 +22,11 @@
 //         is completed over the whole factor, assembled on every rank);
 //         after the last mode, an allreduce'd core tensor G = U_N^T Y(N)
 //         gives the exact fit.
-// Rank 0 assembles the full factors once, after the last sweep. With
-// num_ranks = 1 every collective degenerates to the identity and the run
-// reproduces core::hooi bit for bit.
+// Rank 0 assembles the compact factors once, after the last sweep: the
+// owned rows of every rank, in J_n's order, with their row ids, as
+// core::hooi keeps them (core/tucker.hpp). With num_ranks = 1 every
+// collective degenerates to the identity and the run reproduces core::hooi
+// bit for bit.
 //
 // Per-mode/per-rank computation and communication loads (paper Table III)
 // are reported in DistStats. The modeled volumes come from the partition's

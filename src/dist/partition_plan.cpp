@@ -252,9 +252,14 @@ std::vector<RankPlan> build_rank_plans(const CooTensor& x,
   }
 
   // Global initial factors: a function of (shape, ranks, seed) only, shared
-  // with core::hooi so distributed runs start from the same factors.
+  // with core::hooi so distributed runs start from the same factors. Only
+  // the non-empty rows J_n are cut from them: no rank holds another row.
+  std::vector<std::vector<index_t>> nonempty(order);
+  for (std::size_t n = 0; n < order; ++n) nonempty[n] = x.nonempty_rows(n);
+  const std::vector<std::span<const index_t>> keep(nonempty.begin(),
+                                                   nonempty.end());
   const std::vector<la::Matrix> init =
-      core::random_orthonormal_factors(x.shape(), ranks, seed);
+      core::random_orthonormal_factors(x.shape(), ranks, seed, keep);
 
   // Nonzero ordinals per rank, in ascending ordinal order (this preserves
   // the relative nonzero order inside every slice, which keeps local TTMc
@@ -325,13 +330,17 @@ std::vector<RankPlan> build_rank_plans(const CooTensor& x,
       }
     }
 
-    // Initial factor slices, padded like the local shape.
+    // Initial factor slices, one row per local row. Local rows are
+    // non-empty, so each is a row of the compact init: walk both sorted
+    // lists together.
     rp.initial_factors.resize(order);
     for (std::size_t n = 0; n < order; ++n) {
       const auto& lr = rp.modes[n].local_rows;
-      la::Matrix f(local_shape[n], init[n].cols());
+      la::Matrix f(lr.size(), init[n].cols());
+      std::size_t k = 0;
       for (std::size_t i = 0; i < lr.size(); ++i) {
-        const auto src = init[n].row(lr[i]);
+        while (nonempty[n][k] != lr[i]) ++k;
+        const auto src = init[n].row(k);
         std::copy(src.begin(), src.end(), f.row(i).begin());
       }
       rp.initial_factors[n] = std::move(f);

@@ -108,10 +108,11 @@ struct RankPlan {
   /// owned slices over all modes (each nonzero stored once per rank).
   CooTensor local;
   std::vector<ModePlan> modes;
-  /// Local slices (rows = local_rows) of the deterministic global initial
-  /// factors for the given seed — depends only on (shape, ranks, seed), not
-  /// on the partition, so plans built from differently-seeded GlobalPlans
-  /// still start HOOI from the same point.
+  /// Local slices (rows = local_rows, so none for a mode with no local
+  /// rows) of the deterministic global initial factors for the given seed —
+  /// depends only on (shape, ranks, seed), not on the partition, so plans
+  /// built from differently-seeded GlobalPlans still start HOOI from the
+  /// same point.
   std::vector<la::Matrix> initial_factors;
 };
 

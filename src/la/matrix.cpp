@@ -32,8 +32,13 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
   // vector::resize never shrinks capacity: repeated reshapes between mode
-  // widths settle at the largest size and stop allocating.
-  store_.vec().resize(rows * cols);
+  // widths settle at the largest size and stop allocating. Growing past the
+  // capacity drops the old buffer before allocating the new one (the
+  // contents are unspecified anyway), so the two are never live together:
+  // HOOI's Y(n) grows from a small mode's rows to a large mode's.
+  std::vector<double>& v = store_.vec();
+  if (rows * cols > v.capacity()) v = std::vector<double>();
+  v.resize(rows * cols);
   refresh();
 }
 

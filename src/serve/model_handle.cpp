@@ -59,6 +59,9 @@ ModelHandle::FileSig ModelHandle::file_signature(const std::string& path) {
 
 void ModelHandle::start_watch(const std::string& path, double interval_s,
                               bool verify) {
+  if (!(interval_s > 0.0 && interval_s <= kMaxWatchIntervalSeconds)) {
+    throw InvalidArgument("watch interval must be in (0, 1e9] seconds");
+  }
   if (watcher_.joinable()) return;
   {
     std::lock_guard<std::mutex> lock(watch_mutex_);

@@ -37,6 +37,11 @@
 
 namespace ht::serve {
 
+/// Longest watcher poll interval: past about 9.2e9 s the wait's conversion
+/// to the clock's nanosecond count overflows, and the watcher would poll
+/// without waiting.
+inline constexpr double kMaxWatchIntervalSeconds = 1e9;
+
 class ModelHandle {
  public:
   ModelHandle() = default;
@@ -68,6 +73,8 @@ class ModelHandle {
   /// Start the background watcher on `path`. Polls every `interval_s`
   /// seconds; a change triggers load_and_publish, and a failed reload
   /// keeps the old model (see last_error()). No-op if already watching.
+  /// Throws ht::InvalidArgument, starting no thread, for an interval
+  /// outside (0, kMaxWatchIntervalSeconds].
   void start_watch(const std::string& path, double interval_s,
                    bool verify = true);
   void stop_watch();

@@ -81,10 +81,22 @@ std::vector<Scored> QueryEngine::topk(index_t entity, std::size_t k,
   std::span<double> v{ws.vec.data(), rank};
   model_->mode_vector_from_slice(*slice, kItemMode, idx, ws, v);
 
-  // Score every item (a tall gemv over the item factor), then select.
+  // Score every item (a tall gemv over the item factor), then select. A
+  // compact factor is walked alongside its sorted row list: an item the
+  // list skips scores against the zero row, as a whole factor's zero row
+  // would.
+  const la::Matrix& f = model_->factor(kItemMode);
+  const std::span<const index_t> ids = model_->row_ids(kItemMode);
+  const std::span<const double> zero = model_->zero_row();
   std::vector<Scored> scored(items);
+  std::size_t next = 0;  // next kept row
   for (index_t i = 0; i < items; ++i) {
-    const auto row = model_->factor_row(kItemMode, i);
+    std::span<const double> row = zero;
+    if (ids.empty()) {
+      row = f.row(i);
+    } else if (next < ids.size() && ids[next] == i) {
+      row = f.row(next++);
+    }
     double acc = 0.0;
     for (std::size_t r = 0; r < rank; ++r) acc += row[r] * v[r];
     scored[i] = {i, acc};

@@ -19,6 +19,11 @@
 //   - queries delegate to the core::reconstruct kernels, the same
 //     single implementation behind TuckerDecomposition::reconstruct_at, so
 //     a served answer is bit-identical to the train-time one.
+//   - factors are compact (core/tucker.hpp): a mode keeps only its listed
+//     rows. factor_row maps a global index to its kept row, or to the one
+//     zero row the model holds for every absent index, so an absent row
+//     scores exactly as the all-zero row of a whole factor does. Bundles
+//     with whole factors (no lists) serve unchanged.
 //
 // Layering: serve sits above core and storage; nothing below ever depends
 // on it.
@@ -39,8 +44,8 @@ using tensor::index_t;
 
 class ServeModel {
  public:
-  /// Wrap a loaded model (validates shapes; factors/core may be owned or
-  /// mmap-backed views — both serve identically).
+  /// Wrap a loaded model (validates shapes and row lists; factors/core may
+  /// be owned or mmap-backed views — both serve identically).
   explicit ServeModel(core::TuckerModel model);
 
   /// Load a bundle for serving: mmap'd zero-copy views (LoadMode::kMap).
@@ -90,15 +95,34 @@ class ServeModel {
                               core::ReconstructWorkspace& ws,
                               std::span<double> out) const;
 
-  /// Factor row for the final top-k dot products.
+  /// U_mode(i, :) in global numbering: the kept row, or the model's zero
+  /// row when the mode does not keep row i.
   [[nodiscard]] std::span<const double> factor_row(std::size_t mode,
                                                    index_t i) const {
-    return model_.decomposition.factors[mode].row(i);
+    return model_.decomposition.factor_row(mode, i, zero_row_);
   }
 
+  /// Sorted global ids of mode `mode`'s kept rows (row k of its compact
+  /// factor); empty when the factor holds every row.
+  [[nodiscard]] std::span<const index_t> row_ids(std::size_t mode) const {
+    return model_.decomposition.row_ids(mode);
+  }
+  [[nodiscard]] const la::Matrix& factor(std::size_t mode) const {
+    return model_.decomposition.factors[mode];
+  }
+  /// The shared stand-in for every absent row (max rank zeros).
+  [[nodiscard]] std::span<const double> zero_row() const { return zero_row_; }
+
  private:
+  /// ws.rows[n] := factor_row(n, idx[n]) for modes n >= `first`; the
+  /// entries below it (the entity's, for a query from its slice) are left
+  /// empty: the kernels do not read them.
+  void resolve_rows(std::span<const index_t> idx, std::size_t first,
+                    core::ReconstructWorkspace& ws) const;
+
   core::TuckerModel model_;
   tensor::Shape ranks_;
+  std::vector<double> zero_row_;
 };
 
 }  // namespace ht::serve

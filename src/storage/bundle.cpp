@@ -30,6 +30,7 @@ const char* section_kind_name(SectionKind kind) {
     case SectionKind::kRanks: return "ranks";
     case SectionKind::kFactor: return "factor";
     case SectionKind::kCore: return "core";
+    case SectionKind::kFactorRows: return "factor_rows";
   }
   return "unknown";
 }
@@ -278,6 +279,33 @@ tensor::Shape load_shape(const BundleReader& r, const SectionEntry& e) {
   return tensor::Shape(p, p + e.bytes / sizeof(tensor::index_t));
 }
 
+// kFactorRows: a view (kMap) or copy (kCopy) of a compact factor's row
+// ids, validated as untrusted input against the mode size and the
+// factor's row count.
+Span<tensor::index_t> load_factor_rows(const BundleReader& r,
+                                       const SectionEntry& e, std::size_t mode,
+                                       tensor::index_t dim,
+                                       std::uint64_t factor_rows) {
+  if (e.elem_bytes != sizeof(tensor::index_t) || e.cols != 1) {
+    throw IoError("bundle row list of mode " + std::to_string(mode) +
+                  " has the wrong element size");
+  }
+  if (e.rows == 0 || e.rows != factor_rows) {
+    throw IoError("bundle row list of mode " + std::to_string(mode) +
+                  " lists " + std::to_string(e.rows) + " rows, its factor has " +
+                  std::to_string(factor_rows));
+  }
+  Span<tensor::index_t> ids = r.load<tensor::index_t>(e);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    if ((k > 0 && ids[k] <= ids[k - 1]) || ids[k] >= dim) {
+      throw IoError("bundle row list of mode " + std::to_string(mode) +
+                    " is not strictly increasing inside " +
+                    std::to_string(dim) + " rows");
+    }
+  }
+  return ids;
+}
+
 la::Matrix load_factor(const BundleReader& r, const SectionEntry& e) {
   Span<double> s = r.load<double>(e);
   const auto rows = static_cast<std::size_t>(e.rows);
@@ -308,9 +336,16 @@ void save_bundle(const core::TuckerModel& m, const std::string& path) {
 
     for (std::size_t n = 0; n < m.order(); ++n) {
       const la::Matrix& u = m.decomposition.factors[n];
-      w.add_section(SectionKind::kFactor, static_cast<std::uint32_t>(n), 0,
-                    sizeof(double), u.data(), u.size() * sizeof(double),
-                    u.rows(), u.cols());
+      const auto mode = static_cast<std::uint32_t>(n);
+      w.add_section(SectionKind::kFactor, mode, 0, sizeof(double), u.data(),
+                    u.size() * sizeof(double), u.rows(), u.cols());
+      const std::span<const tensor::index_t> ids =
+          m.decomposition.row_ids(n);
+      if (!ids.empty()) {
+        HT_CHECK_MSG(ids.size() == u.rows(),
+                     "row list of mode " << n << " does not match its factor");
+        w.add_array(SectionKind::kFactorRows, mode, 0, ids.data(), ids.size());
+      }
     }
     const std::span<const double> core = m.decomposition.core.flat();
     w.add_section(SectionKind::kCore, 0, 0, sizeof(double), core.data(),
@@ -344,13 +379,21 @@ core::TuckerModel load_bundle(const std::string& path, LoadMode mode) {
   HT_CHECK_MSG(ranks.size() == order, "bundle ranks/dims order mismatch");
 
   m.decomposition.factors.reserve(order);
+  std::vector<Span<tensor::index_t>> rows(order);
+  bool compact = false;
   for (std::size_t n = 0; n < order; ++n) {
-    const SectionEntry& fe =
-        r.require(SectionKind::kFactor, static_cast<std::uint32_t>(n));
-    HT_CHECK_MSG(fe.rows == m.dims[n] && fe.cols == ranks[n],
+    const auto mode = static_cast<std::uint32_t>(n);
+    const SectionEntry& fe = r.require(SectionKind::kFactor, mode);
+    const SectionEntry* re = r.find(SectionKind::kFactorRows, mode);
+    if (re != nullptr) {
+      rows[n] = load_factor_rows(r, *re, n, m.dims[n], fe.rows);
+      compact = true;
+    }
+    HT_CHECK_MSG((re != nullptr || fe.rows == m.dims[n]) && fe.cols == ranks[n],
                  "bundle factor " << n << " shape mismatch");
     m.decomposition.factors.push_back(load_factor(r, fe));
   }
+  if (compact) m.decomposition.rows = std::move(rows);
 
   const SectionEntry& ce = r.require(SectionKind::kCore);
   Span<double> core = r.load<double>(ce);

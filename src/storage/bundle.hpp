@@ -1,8 +1,8 @@
 // Versioned, checksummed binary model-bundle container.
 //
 // A bundle is one self-describing file holding every array of a trained
-// core::TuckerModel — factor matrices, core tensor, dims/ranks, and
-// provenance metadata.
+// core::TuckerModel — factor matrices and their row lists, core tensor,
+// dims/ranks, and provenance metadata.
 // The layout is designed for the two ways a model is consumed:
 //
 //   - LoadMode::kCopy: every payload is read into fresh heap vectors (each
@@ -28,7 +28,13 @@
 //   SectionEntry { kind, a, b, elem_bytes, offset, bytes, rows, cols,
 //                  checksum }
 //
-// `a`/`b` disambiguate repeated kinds: for kFactor, a = mode. Payloads are
+// `a`/`b` disambiguate repeated kinds: for kFactor and kFactorRows, a =
+// mode. A compact factor (core/tucker.hpp) is followed by its kFactorRows
+// section, the sorted global ids of its rows; a factor that holds every
+// row has none, so a model with no row lists writes exactly the sections
+// (and bytes) it did before kFactorRows existed. The reader treats a list
+// as untrusted: it must be strictly increasing, inside the mode's size,
+// and as long as the factor has rows. Payloads are
 // 64-byte aligned so an mmap'd view of any element type is correctly
 // aligned (mmap bases are page-aligned, so offset alignment is file-offset
 // alignment).
@@ -72,6 +78,8 @@ enum class SectionKind : std::uint32_t {
   // trees (6-11) and ALTO linearization (12-18) there. Nothing reads them;
   // the reader skips them like any kind it does not know, so those bundles
   // still load.
+  kFactorRows = 19,     // index_t[rows]: a compact factor's global row ids,
+                        // strictly increasing; a = mode
 };
 
 /// 64-byte on-disk header. Plain-old-data, written/read by memcpy.

@@ -1,6 +1,7 @@
 #include "tensor/coo_tensor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <sstream>
 
@@ -111,11 +112,42 @@ double CooTensor::norm2_squared() const {
   return s;
 }
 
+void CooTensor::validate_values() const {
+  for (nnz_t t = 0; t < nnz(); ++t) {
+    if (std::isfinite(values_[t])) continue;
+    std::ostringstream os;
+    os << "nonzero " << t << " at (";
+    for (std::size_t m = 0; m < order(); ++m) {
+      os << (m > 0 ? ", " : "") << indices_[m][t];
+    }
+    os << ") has a non-finite value " << values_[t];
+    throw InvalidArgument(os.str());
+  }
+  const double norm2 = norm2_squared();
+  if (!std::isfinite(norm2)) {
+    throw InvalidArgument("the squared norm of the values overflows");
+  }
+  if (!(norm2 > 0.0)) {
+    throw InvalidArgument("every value is zero: the fit is undefined");
+  }
+}
+
 std::vector<nnz_t> CooTensor::slice_nnz(std::size_t mode) const {
   HT_CHECK(mode < order());
   std::vector<nnz_t> hist(shape_[mode], 0);
   for (index_t i : indices_[mode]) ++hist[i];
   return hist;
+}
+
+std::vector<index_t> CooTensor::nonempty_rows(std::size_t mode) const {
+  HT_CHECK(mode < order());
+  std::vector<char> occurs(shape_[mode], 0);
+  for (index_t i : indices_[mode]) occurs[i] = 1;
+  std::vector<index_t> rows;
+  for (index_t g = 0; g < shape_[mode]; ++g) {
+    if (occurs[g]) rows.push_back(g);
+  }
+  return rows;
 }
 
 CooTensor CooTensor::select(std::span<const nnz_t> ordinals) const {

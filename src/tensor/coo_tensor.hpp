@@ -91,12 +91,20 @@ class CooTensor {
   /// the coarse-grain partitioners balance on this.
   [[nodiscard]] std::vector<nnz_t> slice_nnz(std::size_t mode) const;
 
+  /// The non-empty mode-n slices (J_n), in increasing order.
+  [[nodiscard]] std::vector<index_t> nonempty_rows(std::size_t mode) const;
+
   /// Subset of nonzeros selected by ordinal; keeps shape. Used to build
   /// per-rank local tensors from a fine-grain partition.
   [[nodiscard]] CooTensor select(std::span<const nnz_t> ordinals) const;
 
   /// Validate all indices are within shape; throws ht::InvalidArgument.
   void validate() const;
+
+  /// Validate the values a decomposition can fit: every value finite, and
+  /// norm2_squared() finite and positive. Throws ht::InvalidArgument naming
+  /// the first non-finite nonzero, or the norm.
+  void validate_values() const;
 
   /// Human-readable one-line summary, e.g. "3-mode 100x80x60, 5000 nnz".
   [[nodiscard]] std::string summary() const;

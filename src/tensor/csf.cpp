@@ -24,36 +24,60 @@ double CsfTree::prefix_sharing_ratio() const {
          static_cast<double>(levels() - 1) / static_cast<double>(stored);
 }
 
-CsfTree CsfTree::build(const CooTensor& x, std::size_t root) {
-  const std::size_t order = x.order();
-  HT_CHECK_MSG(order >= 2, "CSF needs at least 2 modes");
-  HT_CHECK(root < order);
+namespace {
 
+// Per mode m, the compact numbering of its coordinates: id[m][g] is global
+// row g's position among the non-empty rows J_m (unused for empty rows),
+// and count[m] = |J_m|. The map is monotone, so sorting by compact ids
+// would order the nonzeros exactly as sorting by global ids does.
+struct CompactIds {
+  std::vector<std::vector<index_t>> id;
+  std::vector<std::size_t> count;
+};
+
+CompactIds number_rows(const CooTensor& x) {
+  const std::size_t order = x.order();
+  CompactIds c;
+  c.id.resize(order);
+  c.count.resize(order);
+  const auto modes = static_cast<int>(order);
+#pragma omp parallel for schedule(dynamic, 1)
+  for (int mi = 0; mi < modes; ++mi) {
+    const auto m = static_cast<std::size_t>(mi);
+    std::vector<index_t>& id = c.id[m];
+    id.assign(x.dim(m), 0);
+    for (const index_t i : x.indices(m)) id[i] = 1;
+    index_t next = 0;
+    for (index_t& v : id) {
+      const index_t occurs = v;
+      v = next;
+      next += occurs;
+    }
+    c.count[m] = next;
+  }
+  return c;
+}
+
+// The tree rooted at `root`, with x's values in leaf order: global ids at
+// level 0, compact ids below.
+CsfTree build_tree(const CooTensor& x, std::size_t root,
+                   const CompactIds& ids) {
+  const std::size_t order = x.order();
   CsfTree t;
+  t.compact_rows = ids.count;
   t.level_modes.push_back(root);
   for (std::size_t m = 0; m < order; ++m) {
     if (m != root) t.level_modes.push_back(m);
   }
   // Shortest-mode-first below the root: modes with few distinct indices
   // placed high maximize the prefix runs each stored node amortizes.
-  // Counting the indices that occur (rather than the declared mode size)
-  // makes the tree invariant under relabelings that drop empty slices, such
-  // as a rank-local reindexing. stable_sort keeps ties in increasing mode
-  // order.
-  std::vector<std::size_t> distinct(order, 0);
-  for (std::size_t m = 0; m < order; ++m) {
-    if (m == root) continue;
-    std::vector<bool> seen(x.dim(m), false);
-    for (const index_t i : x.indices(m)) {
-      if (!seen[i]) {
-        seen[i] = true;
-        ++distinct[m];
-      }
-    }
-  }
+  // Counting the indices that occur (|J_m|, rather than the declared mode
+  // size) makes the tree invariant under relabelings that drop empty
+  // slices, such as a rank-local reindexing. stable_sort keeps ties in
+  // increasing mode order.
   std::stable_sort(t.level_modes.begin() + 1, t.level_modes.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return distinct[a] < distinct[b];
+                     return ids.count[a] < ids.count[b];
                    });
 
   const std::size_t L = order;
@@ -85,14 +109,17 @@ CsfTree CsfTree::build(const CooTensor& x, std::size_t root) {
     // Nodes at level d, and the CSR split of level-d nodes by their
     // level-(d-1) parent. Parent starts are a subset of child starts
     // (break_level <= d-1 implies <= d), so one pass emits both.
-    std::vector<index_t>& ids = t.idx[d];
+    std::vector<index_t>& out = t.idx[d];
     std::vector<nnz_t>& parent_ptr = t.ptr[d];
+    const index_t* compact = d == 0 ? nullptr : ids.id[t.level_modes[d]].data();
     for (std::size_t s = 0; s < nslots; ++s) {
       const bool starts = d + 1 == L || break_level[s] <= d;
-      if (d >= 1 && break_level[s] <= d - 1) parent_ptr.push_back(ids.size());
-      if (starts) ids.push_back(coord[d][perm[s]]);
+      if (d >= 1 && break_level[s] <= d - 1) parent_ptr.push_back(out.size());
+      if (!starts) continue;
+      const index_t g = coord[d][perm[s]];
+      out.push_back(compact == nullptr ? g : compact[g]);
     }
-    if (d >= 1) parent_ptr.push_back(ids.size());
+    if (d >= 1) parent_ptr.push_back(out.size());
   }
 
   // Values in leaf order: the walk streams them, so the permutation itself
@@ -110,8 +137,11 @@ CsfTree CsfTree::build(const CooTensor& x, std::size_t root) {
   return t;
 }
 
+}  // namespace
+
 CsfTensor CsfTensor::build(const CooTensor& x) {
   HT_CHECK_MSG(x.order() >= 2, "CSF needs at least 2 modes");
+  const CompactIds ids = number_rows(x);
   CsfTensor c;
   c.modes.resize(x.order());
   // Per-root builds are independent (each sorts its own ordinal
@@ -121,7 +151,7 @@ CsfTensor CsfTensor::build(const CooTensor& x) {
 #pragma omp parallel for schedule(dynamic, 1)
   for (int n = 0; n < order; ++n) {
     c.modes[static_cast<std::size_t>(n)] =
-        CsfTree::build(x, static_cast<std::size_t>(n));
+        build_tree(x, static_cast<std::size_t>(n), ids);
   }
   return c;
 }

@@ -16,12 +16,20 @@
 // rank), at any order >= 2; a tensor with no nonzeros (a rank-local slice
 // can be one) builds trees with no nodes.
 //
+// Compact ids: CsfTensor::build numbers each mode's non-empty rows J_m
+// 0..|J_m|-1 in increasing order, once per tensor. Level 0 of tree n keeps
+// J_n in global ids — it is the forest's one compact-to-global map of mode
+// n — and every deeper level stores compact ids. So the walk indexes
+// compact |J_m| x R_m factors, the only factors HOOI trains. The map is
+// monotone: the sort order, and with it the tree, is the one global ids
+// would give.
+//
 // Internal level order (the mode-permutation heuristic): below the root the
-// remaining modes are sorted shortest-mode-first (ascending count of
-// distinct indices that occur, ties by mode id). Short modes near the root
-// have few distinct indices, so upper-level runs are long and more nonzeros
-// share each stored prefix. The count ignores empty slices, so a tensor and
-// its reindexed rank-local copy build the same tree. The
+// remaining modes are sorted shortest-mode-first (ascending |J_m|, the
+// count of distinct indices that occur, ties by mode id). Short modes near
+// the root have few distinct indices, so upper-level runs are long and more
+// nonzeros share each stored prefix. The count ignores empty slices, so a
+// tensor and its reindexed rank-local copy build the same tree. The
 // kernel un-permutes at the root: a served row is produced in tree Kronecker
 // order and scattered once into ttmc_mode's increasing-mode layout.
 //
@@ -39,6 +47,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "tensor/coo_tensor.hpp"
@@ -52,9 +61,10 @@ struct CsfTree {
   /// are the remaining modes shortest-first. Size = tensor order.
   std::vector<std::size_t> level_modes;
   /// idx[d][k]: coordinate (along level_modes[d]) of node k at level d.
-  /// Level 0 enumerates the non-empty root-mode rows in increasing order —
-  /// node k IS compact row k of core::ModeSymbolic for the root mode. The
-  /// deepest level has one entry per nonzero, in tree order.
+  /// Level 0 enumerates the non-empty root-mode rows in increasing order,
+  /// in global ids — node k IS compact row k of the root mode. Levels
+  /// d >= 1 hold compact ids (rows of mode level_modes[d]'s compact
+  /// factor). The deepest level has one entry per nonzero, in tree order.
   std::vector<std::vector<index_t>> idx;
   /// ptr[d] (d >= 1, size num_nodes(d-1) + 1): node k at level d-1 owns the
   /// level-d children [ptr[d][k], ptr[d][k+1]). ptr[0] is empty.
@@ -64,6 +74,9 @@ struct CsfTree {
   std::vector<nnz_t> root_leaf_ptr;
   /// Tensor values in leaf order.
   std::vector<double> values;
+  /// Per tensor mode m, |J_m|: the row count of mode m's compact factor,
+  /// which the compact ids of mode m's level index.
+  std::vector<std::size_t> compact_rows;
 
   [[nodiscard]] std::size_t levels() const { return level_modes.size(); }
   [[nodiscard]] std::size_t root_mode() const { return level_modes[0]; }
@@ -91,10 +104,6 @@ struct CsfTree {
   [[nodiscard]] nnz_t root_nnz(std::size_t k) const {
     return root_leaf_ptr[k + 1] - root_leaf_ptr[k];
   }
-
-  /// Build the tree rooted at `root` with `x`'s values in leaf order.
-  /// Requires order >= 2, root < order.
-  static CsfTree build(const CooTensor& x, std::size_t root);
 };
 
 /// One CSF tree per root mode. Built once per tensor and shared across
@@ -104,7 +113,16 @@ struct CsfTensor {
 
   [[nodiscard]] std::size_t order() const { return modes.size(); }
 
-  /// Build all per-mode trees (modes in parallel).
+  /// Per mode n, J_n in global ids (tree n's level 0): row k of mode n's
+  /// compact factor is global row nonempty_rows()[n][k].
+  [[nodiscard]] std::vector<std::span<const index_t>> nonempty_rows() const {
+    std::vector<std::span<const index_t>> rows;
+    for (const CsfTree& t : modes) rows.emplace_back(t.idx[0]);
+    return rows;
+  }
+
+  /// Number each mode's non-empty rows and build all per-mode trees
+  /// (modes in parallel). Requires order >= 2.
   static CsfTensor build(const CooTensor& x);
 };
 

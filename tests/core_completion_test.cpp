@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/completion.hpp"
@@ -324,6 +326,34 @@ TEST(CompletionTest, ValidationRejectsBadInput) {
   EXPECT_THROW(
       ht::core::tucker_complete(x, &wrong_shape, basic_options({3, 3, 3})),
       ht::InvalidArgument);
+}
+
+// Values completion cannot fit are rejected up front, as HOOI rejects
+// them: a non-finite value (named by its nonzero), a squared norm that
+// overflows, and all-zero values.
+TEST(CompletionTest, ValidationRejectsValuesItCannotFit) {
+  const auto cube = [](const std::vector<double>& values) {
+    CooTensor x(Shape{3, 3, 3});
+    for (index_t k = 0; k < values.size(); ++k) {
+      x.push_back(std::vector<index_t>{k % 3, (k + 1) % 3, k / 3}, values[k]);
+    }
+    return x;
+  };
+  const CompletionOptions opt = basic_options({1, 1, 1}, 2);
+  for (const auto& [values, needle] :
+       std::vector<std::pair<std::vector<double>, std::string>>{
+           {{1.0, INFINITY, 2.0}, "nonzero 1 at (1, 2, 0)"},
+           {{1e308, 1e308}, "overflows"},
+           {{1.0, 2.0, NAN}, "nonzero 2 at (2, 0, 0)"},
+           {{0.0, 0.0, 0.0}, "zero"}}) {
+    try {
+      ht::core::tucker_complete(cube(values), opt);
+      ADD_FAILURE() << "trained on values it cannot fit (" << needle << ")";
+    } catch (const ht::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/hooi.hpp"
@@ -384,9 +385,11 @@ TEST(HooiTest, ValidationRejectsBadInput) {
                ht::InvalidArgument);
 }
 
-// Factor rows outside J_n, the mode's non-empty slices, stay zero: the
-// sweep writes only the compact rows. Mode 0 has ~4000 non-empty rows of
-// 10000, so at rank 5 the update takes its parallel path.
+// Factor rows outside J_n, the mode's non-empty slices, are zero: the
+// sweep trains only the compact rows, so the decomposition keeps exactly
+// J_n, listed by global id, and looks every other row up as a zero row.
+// Mode 0 has ~4000 non-empty rows of 10000, so at rank 5 the update takes
+// its parallel path.
 TEST(HooiTest, RowsOutsideNonemptySlicesAreZero) {
   const CooTensor src =
       ht::tensor::random_uniform(Shape{5000, 20, 20}, 20000, 23);
@@ -401,13 +404,71 @@ TEST(HooiTest, RowsOutsideNonemptySlicesAreZero) {
   const HooiResult r = ht::core::hooi(x, opt);
   const auto rows = ht::core::build_mode_symbolic(x, 0).rows;
   ASSERT_GE(rows.size() * 5, std::size_t{1} << 14);
-  const Matrix& u = r.decomposition.factors[0];
+  const TuckerDecomposition& t = r.decomposition;
+  ASSERT_TRUE(std::ranges::equal(t.row_ids(0), rows));
+  ASSERT_EQ(t.factors[0].rows(), rows.size());
+  // Modes 1 and 2 have no empty rows: whole factors, no lists.
+  EXPECT_TRUE(t.row_ids(1).empty());
+  EXPECT_TRUE(t.row_ids(2).empty());
+  const std::vector<double> zero(5, 0.0);
+  const Matrix u = t.dense_factor(0, x.dim(0));
   for (index_t i = 0; i < x.dim(0); ++i) {
-    if (std::binary_search(rows.begin(), rows.end(), i)) continue;
+    const auto row = t.factor_row(0, i, zero);
+    const bool kept = std::binary_search(rows.begin(), rows.end(), i);
+    ASSERT_EQ(row.data() == zero.data(), !kept) << "row " << i;
     for (std::size_t j = 0; j < u.cols(); ++j) {
-      ASSERT_EQ(u(i, j), 0.0) << "row " << i;
+      ASSERT_EQ(u(i, j), row[j]) << "row " << i;
+      if (!kept) {
+        ASSERT_EQ(u(i, j), 0.0) << "row " << i;
+      }
     }
   }
+}
+
+// Values HOOI cannot fit are rejected up front, naming the first bad
+// nonzero: before, inf trained to fit 1 with a NaN core, two 1e308 values
+// overflowed ||X||^2 to fit NaN, and a NaN value or all-zero values
+// stopped in an internal check of the fit.
+CooTensor cube_with_values(const std::vector<double>& values) {
+  CooTensor x(Shape{3, 3, 3});
+  for (index_t k = 0; k < values.size(); ++k) {
+    x.push_back(std::vector<index_t>{k % 3, (k + 1) % 3, k / 3}, values[k]);
+  }
+  return x;
+}
+
+void expect_rejected(const CooTensor& x, const std::string& needle) {
+  for (const auto& train : {+[](const CooTensor& t) {
+                              ht::core::hooi(t, basic_options({1, 1, 1}));
+                            },
+                            +[](const CooTensor& t) {
+                              ht::core::hooi_met_baseline(
+                                  t, basic_options({1, 1, 1}));
+                            }}) {
+    try {
+      train(x);
+      ADD_FAILURE() << "trained on values it cannot fit (" << needle << ")";
+    } catch (const ht::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(HooiTest, InfiniteValueIsRejected) {
+  expect_rejected(cube_with_values({1.0, INFINITY, 2.0}), "nonzero 1 at (1, 2, 0)");
+}
+
+TEST(HooiTest, OverflowingNormIsRejected) {
+  expect_rejected(cube_with_values({1e308, 1e308}), "overflows");
+}
+
+TEST(HooiTest, NanValueIsRejected) {
+  expect_rejected(cube_with_values({1.0, 2.0, NAN}), "nonzero 2 at (2, 0, 0)");
+}
+
+TEST(HooiTest, AllZeroValuesAreRejected) {
+  expect_rejected(cube_with_values({0.0, 0.0, 0.0}), "zero");
 }
 
 }  // namespace

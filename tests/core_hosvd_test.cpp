@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "core/hosvd.hpp"
 #include "core/rank_sweep.hpp"
 #include "la/blas.hpp"
@@ -41,6 +44,35 @@ TEST(RandomInitTest, FactorsAreOrthonormalAndDeterministic) {
   }
   const auto c = ht::core::random_orthonormal_factors(shape, ranks, 8);
   EXPECT_FALSE(a[0].approx_equal(c[0], 1e-3));
+}
+
+// The rows `keep` lists are the whole factor's rows bit for bit: each mode
+// is still drawn and orthonormalized whole (HOOI trains compact factors
+// cut this way and stays bit-identical to training the whole ones).
+TEST(RandomInitTest, KeptRowsAreTheWholeFactorsRows) {
+  const Shape shape{40, 30, 20};
+  const std::vector<index_t> ranks{5, 4, 3};
+  const std::vector<std::vector<index_t>> keep = {
+      {0, 3, 4, 17, 39}, {1, 2, 29}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 19}};
+  const std::vector<std::span<const index_t>> spans(keep.begin(), keep.end());
+  const auto whole = ht::core::random_orthonormal_factors(shape, ranks, 7);
+  const auto kept =
+      ht::core::random_orthonormal_factors(shape, ranks, 7, spans);
+  const CooTensor x = ht::tensor::random_uniform(shape, 1500, 11);
+  const auto range_whole = ht::core::randomized_range_factors(x, ranks, 13);
+  const auto range_kept = ht::core::randomized_range_factors(
+      x, ranks, 13, ht::core::kRangeOversample, spans);
+  for (std::size_t n = 0; n < shape.size(); ++n) {
+    ASSERT_EQ(kept[n].rows(), keep[n].size());
+    ASSERT_EQ(range_kept[n].rows(), keep[n].size());
+    for (std::size_t k = 0; k < keep[n].size(); ++k) {
+      for (std::size_t j = 0; j < ranks[n]; ++j) {
+        EXPECT_EQ(kept[n](k, j), whole[n](keep[n][k], j)) << "mode " << n;
+        EXPECT_EQ(range_kept[n](k, j), range_whole[n](keep[n][k], j))
+            << "mode " << n;
+      }
+    }
+  }
 }
 
 TEST(RandomInitTest, RejectsBadRanks) {

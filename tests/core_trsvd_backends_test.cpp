@@ -54,7 +54,11 @@ void expect_last_factor_captures_gram_energy(
     const CooTensor& x, const ht::core::HooiResult& r,
     const std::string& what) {
   const std::size_t last = x.order() - 1;
-  const auto& factors = r.decomposition.factors;
+  // The per-nnz kernel reads whole factors by global row.
+  std::vector<Matrix> factors;
+  for (std::size_t n = 0; n < x.order(); ++n) {
+    factors.push_back(r.decomposition.dense_factor(n, x.dim(n)));
+  }
   const ht::core::ModeSymbolic sym = ht::core::build_mode_symbolic(x, last);
   Matrix y, u;
   ht::core::ttmc_mode(x, factors, last, sym, y);

@@ -13,6 +13,7 @@
 #include "core/rank_sweep.hpp"
 #include "core/sweep.hpp"
 #include "core/symbolic.hpp"
+#include "core/trsvd.hpp"
 #include "core/ttmc.hpp"
 #include "dist/dist_hooi.hpp"
 #include "la/matrix.hpp"
@@ -50,6 +51,17 @@ std::vector<Matrix> random_factors(const Shape& shape,
   return f;
 }
 
+// The compact factors the CSF walk reads: each mode's non-empty rows
+// (its tree's level 0) of the whole factors the per-nnz kernel reads.
+std::vector<Matrix> compact(const std::vector<Matrix>& whole,
+                            const CsfTensor& csf) {
+  std::vector<Matrix> out(whole.size());
+  for (std::size_t m = 0; m < whole.size(); ++m) {
+    ht::core::gather_rows(whole[m], csf.modes[m].idx[0], out[m]);
+  }
+  return out;
+}
+
 // The CSF walk reassociates additions (and may reorder the Kronecker
 // digits), so equivalence is to a tight absolute tolerance.
 constexpr double kTol = 1e-11;
@@ -77,6 +89,17 @@ std::vector<CsfCase> equivalence_cases() {
   cases.push_back({"order5_fibered",
                    ht::tensor::random_fibered(Shape{8, 7, 6, 5, 20}, 150, 4, 23),
                    {2, 2, 2, 2, 3}});
+  // Every odd row of every mode empty: the trees' compact ids below the
+  // root differ from the global ones.
+  const CooTensor src =
+      ht::tensor::random_uniform(Shape{15, 12, 10, 40}, 700, 29);
+  CooTensor spread(Shape{30, 24, 20, 80});
+  std::vector<index_t> idx(4);
+  for (nnz_t e = 0; e < src.nnz(); ++e) {
+    for (std::size_t m = 0; m < 4; ++m) idx[m] = 2 * src.index(m, e) + 1;
+    spread.push_back(idx, src.value(e));
+  }
+  cases.push_back({"order4_empty_slices", std::move(spread), {3, 2, 4, 3}});
   return cases;
 }
 
@@ -98,16 +121,25 @@ std::vector<CsfCase> edge_order_cases() {
 }
 
 // HOOI with the per-nnz reference TTMc step: the sweep hooi runs, over the
-// update lists instead of the forest.
+// update lists instead of the forest. The sweep trains compact factors;
+// the step scatters them into the whole factors the lists index.
 ht::core::HooiResult per_nnz_hooi(const CooTensor& x,
                                   const ht::core::HooiOptions& options) {
   const SymbolicTtmc sym = SymbolicTtmc::build(x);
   std::vector<std::span<const index_t>> rows;
   for (const ModeSymbolic& m : sym.modes) rows.emplace_back(m.rows);
+  std::vector<Matrix> whole(x.order());
   return ht::core::hooi_one_rank(
       x, options, rows,
       [&](const std::vector<Matrix>& factors, std::size_t mode, Matrix& y) {
-        ht::core::ttmc_mode(x, factors, mode, sym.modes[mode], y);
+        for (std::size_t m = 0; m < x.order(); ++m) {
+          whole[m].resize_zero(x.dim(m), factors[m].cols());
+          for (std::size_t k = 0; k < rows[m].size(); ++k) {
+            const auto src = factors[m].row(k);
+            std::copy(src.begin(), src.end(), whole[m].row(rows[m][k]).begin());
+          }
+        }
+        ht::core::ttmc_mode(x, whole, mode, sym.modes[mode], y);
       });
 }
 
@@ -187,9 +219,14 @@ TEST(CsfTreeTest, StructureInvariantsHoldPerMode) {
               std::upper_bound(cp.begin(), cp.end(), node[d + 1]) -
               cp.begin() - 1);
         }
+        // Level 0 holds global ids; deeper levels compact ids, which mode
+        // m's own tree maps back through its level 0.
         std::vector<index_t> coords(L);
-        for (std::size_t d = 0; d < L; ++d) {
-          coords[t.level_modes[d]] = t.idx[d][node[d]];
+        coords[n] = t.idx[0][node[0]];
+        for (std::size_t d = 1; d < L; ++d) {
+          const std::size_t m = t.level_modes[d];
+          ASSERT_LT(t.idx[d][node[d]], t.compact_rows[m]);
+          coords[m] = csf.modes[m].idx[0][t.idx[d][node[d]]];
         }
         paths.emplace_back(std::move(coords), t.values[s]);
       }
@@ -217,7 +254,7 @@ TEST(CsfTtmcTest, MatchesOtherKernelsFullMode) {
     for (std::size_t n = 0; n < x.order(); ++n) {
       Matrix y_nnz, y_csf;
       ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_nnz);
-      ht::core::ttmc_mode(x, factors, n, csf.modes[n], y_csf);
+      ht::core::ttmc_mode(x, compact(factors, csf), n, csf.modes[n], y_csf);
       ASSERT_EQ(y_nnz.rows(), y_csf.rows());
       ASSERT_EQ(y_nnz.cols(), y_csf.cols());
       EXPECT_TRUE(y_nnz.approx_equal(y_csf, kTol))
@@ -240,8 +277,8 @@ TEST(CsfTtmcTest, MatchesPerNnzSubsetPath) {
       }
       Matrix y_nnz, y_csf;
       ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_nnz);
-      ht::core::ttmc_mode_subset(x, factors, n, csf.modes[n], positions,
-                                 y_csf);
+      ht::core::ttmc_mode_subset(x, compact(factors, csf), n, csf.modes[n],
+                                 positions, y_csf);
       EXPECT_TRUE(select_rows(y_nnz, positions).approx_equal(y_csf, kTol))
           << c.name << " mode " << n;
     }
@@ -265,12 +302,12 @@ TEST(CsfTtmcTest, MatchesPerNnzOnEveryOrder) {
       }
       Matrix y_nnz;
       ht::core::ttmc_mode(x, factors, n, sym.modes[n], y_nnz);
+      const std::vector<Matrix> cf = compact(factors, csf);
       Matrix y1, y4, sub1, sub4;
       for (const int threads : {1, 4}) {
         ht::parallel::ThreadScope scope(threads);
-        ht::core::ttmc_mode(x, factors, n, csf.modes[n],
-                            threads == 1 ? y1 : y4);
-        ht::core::ttmc_mode_subset(x, factors, n, csf.modes[n], positions,
+        ht::core::ttmc_mode(x, cf, n, csf.modes[n], threads == 1 ? y1 : y4);
+        ht::core::ttmc_mode_subset(x, cf, n, csf.modes[n], positions,
                                    threads == 1 ? sub1 : sub4);
       }
       ASSERT_EQ(y1.rows(), y_nnz.rows()) << c.name << " mode " << n;
@@ -311,11 +348,12 @@ TEST(CsfTtmcTest, DeterministicAcrossThreadCounts) {
   for (std::uint32_t p = 1; p < sym.modes[0].num_rows(); p += 3) {
     positions.push_back(p);
   }
+  const std::vector<Matrix> cf = compact(factors, csf);
   Matrix y1, y4, sub1, sub4, nnz1, nnz4;
   for (const int threads : {1, 4}) {
     ht::parallel::ThreadScope scope(threads);
-    ht::core::ttmc_mode(x, factors, 0, csf.modes[0], threads == 1 ? y1 : y4);
-    ht::core::ttmc_mode_subset(x, factors, 0, csf.modes[0], positions,
+    ht::core::ttmc_mode(x, cf, 0, csf.modes[0], threads == 1 ? y1 : y4);
+    ht::core::ttmc_mode_subset(x, cf, 0, csf.modes[0], positions,
                                threads == 1 ? sub1 : sub4);
     ht::core::ttmc_mode(x, factors, 0, sym.modes[0],
                         threads == 1 ? nnz1 : nnz4);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -463,6 +464,9 @@ void expect_same_run(const HooiResult& shared, const DistHooiResult& dist,
     EXPECT_TRUE(a.rows() == b.rows() && a.cols() == b.cols() &&
                 same_bits(a.flat(), b.flat()))
         << what << ": factor " << n;
+    EXPECT_TRUE(std::ranges::equal(shared.decomposition.row_ids(n),
+                                   dist.decomposition.row_ids(n)))
+        << what << ": row list " << n;
   }
   EXPECT_TRUE(same_bits(shared.decomposition.core.flat(),
                         dist.decomposition.core.flat()))

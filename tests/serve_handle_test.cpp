@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -124,6 +125,27 @@ TEST(ModelHandleTest, WatcherPicksUpReplacedBundle) {
   const auto snap = handle.snapshot();
   const std::vector<index_t> idx = {3, 5, 7};
   EXPECT_EQ(snap->score(idx), retrained.reconstruct_at(idx));
+}
+
+// An interval outside (0, 1e9] seconds is rejected before any thread
+// starts: past about 9.2e9 s the wait's conversion to nanoseconds
+// overflowed and the watcher polled without waiting.
+TEST(ModelHandleTest, WatchRejectsIntervalsOutsideItsRange) {
+  TempFile file("interval.htb");
+  ht::storage::save_bundle(train(7, 4), file.path());
+  ModelHandle handle;
+  handle.load_and_publish(file.path());
+  for (const double interval : {0.0, -1.0, std::nan(""), 1e10}) {
+    EXPECT_THROW(handle.start_watch(file.path(), interval),
+                 ht::InvalidArgument)
+        << interval;
+    EXPECT_FALSE(handle.watching()) << interval;
+  }
+  EXPECT_LE(ht::serve::kMaxWatchIntervalSeconds, 9.2e9);
+  handle.start_watch(file.path(), ht::serve::kMaxWatchIntervalSeconds);
+  EXPECT_TRUE(handle.watching());
+  handle.stop_watch();
+  EXPECT_FALSE(handle.watching());
 }
 
 TEST(ModelHandleTest, WatcherSurvivesBadBundleAndKeepsServing) {

@@ -3,7 +3,8 @@
 // TuckerDecomposition::reconstruct_at on both the mmap and heap load
 // paths, and the slice decomposition identities every serving query relies
 // on (entity_slice + score_from_slice == score; mode_vector dot factor row
-// == point score).
+// == point score), and identical answers from a compact bundle and the
+// same model saved with whole factors.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +15,8 @@
 #include "core/hooi.hpp"
 #include "core/reconstruct.hpp"
 #include "core/tucker_model.hpp"
+#include "serve/dispatcher.hpp"
+#include "serve/model_handle.hpp"
 #include "serve/serve_model.hpp"
 #include "storage/bundle.hpp"
 #include "tensor/generators.hpp"
@@ -162,11 +165,83 @@ TEST(ServeModelTest, ReconstructAtIsAllocationFreeAfterWarmup) {
   auto& ws = ReconstructWorkspace::tls();
   const std::size_t slice_cap = ws.slice.capacity();
   const std::size_t entity_cap = ws.entity.capacity();
+  const std::size_t rows_cap = ws.rows.capacity();
+  const std::size_t zero_cap = ws.zero.capacity();
   for (int rep = 0; rep < 100; ++rep) {
     EXPECT_EQ(model.reconstruct_at(idx), first);
   }
   EXPECT_EQ(ws.slice.capacity(), slice_cap);
   EXPECT_EQ(ws.entity.capacity(), entity_cap);
+  EXPECT_EQ(ws.rows.capacity(), rows_cap);
+  EXPECT_EQ(ws.zero.capacity(), zero_cap);
+}
+
+// Every mode index doubled into a twice-as-large mode: every odd row of
+// every mode is empty.
+CooTensor with_empty_slices(const CooTensor& src) {
+  ht::tensor::Shape shape;
+  for (const index_t d : src.shape()) shape.push_back(2 * d);
+  CooTensor x(shape);
+  std::vector<index_t> idx(src.order());
+  for (ht::tensor::nnz_t e = 0; e < src.nnz(); ++e) {
+    for (std::size_t n = 0; n < src.order(); ++n) idx[n] = 2 * src.index(n, e);
+    x.push_back(idx, src.value(e));
+  }
+  return x;
+}
+
+// A model trained on a tensor with empty slices in every mode answers from
+// its compact bundle exactly as from the same model saved with whole
+// factors: every SCORE and TOPK line, absent rows in every mode included,
+// down to the %.17g text on the wire.
+TEST(ServeModelTest, CompactAndWholeBundlesAnswerIdentically) {
+  CooTensor src = ht::tensor::random_zipf({12, 10, 8}, 400,
+                                          {0.5, 0.5, 0.5}, 31);
+  ht::tensor::plant_low_rank_values(src, 2, 0.1, 32);
+  const CooTensor x = with_empty_slices(src);
+  ht::core::HooiOptions options;
+  options.ranks = {3, 3, 2};
+  options.max_iterations = 3;
+  const TuckerModel compact =
+      TuckerModel::from_hooi(x, ht::core::hooi(x, options));
+  TuckerModel whole = compact;
+  for (std::size_t n = 0; n < x.order(); ++n) {
+    ASSERT_FALSE(compact.decomposition.row_ids(n).empty()) << "mode " << n;
+    whole.decomposition.factors[n] =
+        compact.decomposition.dense_factor(n, x.dim(n));
+  }
+  whole.decomposition.rows.clear();
+  TempFile compact_file("compact.htb"), whole_file("whole.htb");
+  ht::storage::save_bundle(compact, compact_file.path());
+  ht::storage::save_bundle(whole, whole_file.path());
+
+  ht::serve::ModelHandle compact_handle, whole_handle;
+  compact_handle.load_and_publish(compact_file.path());
+  whole_handle.load_and_publish(whole_file.path());
+  ASSERT_FALSE(compact_handle.snapshot()->row_ids(0).empty());
+  ASSERT_TRUE(whole_handle.snapshot()->row_ids(0).empty());
+  ht::serve::Dispatcher from_compact(compact_handle, {});
+  ht::serve::Dispatcher from_whole(whole_handle, {});
+  const auto same_answer = [&](const std::string& line) {
+    const std::string answer = from_compact.handle_line(line);
+    EXPECT_EQ(answer, from_whole.handle_line(line)) << line;
+    return answer;
+  };
+  for (index_t i = 0; i < x.dim(0); ++i) {
+    for (index_t j = 0; j < x.dim(1); ++j) {
+      for (index_t k = 0; k < x.dim(2); ++k) {
+        same_answer("SCORE " + std::to_string(i) + " " + std::to_string(j) +
+                    " " + std::to_string(k));
+      }
+    }
+    for (index_t k = 0; k < x.dim(2); ++k) {
+      same_answer("TOPK " + std::to_string(i) + " 5 " + std::to_string(k));
+    }
+  }
+  // Row 1 of mode 0 is empty: its entity slice is zero, so every item
+  // scores 0 and ties break by item index.
+  EXPECT_EQ(same_answer("TOPK 1 5 0"), "OK 0:0 1:0 2:0 3:0 4:0");
+  EXPECT_EQ(same_answer("SCORE 2 3 5"), "OK 0");
 }
 
 TEST(ServeModelTest, TwoModeAndFourModeModels) {

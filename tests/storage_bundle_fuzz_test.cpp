@@ -1,7 +1,8 @@
 // Seeded mutation test for the .htb model-bundle reader.
 //
-// Mutants of a small saved model (byte flips, truncations, splices and
-// perturbed length fields) must each either load or throw ht::Error, through
+// Mutants of a small saved model, with whole factors and with compact ones
+// and their row lists (byte flips, truncations, splices and perturbed
+// length fields) must each either load or throw ht::Error, through
 // LoadMode::kCopy and through LoadMode::kMap followed by verify_all(): no
 // crash and no other exception type. Half of the mutants are re-sealed —
 // header size and every checksum recomputed over the mutated bytes — so they
@@ -61,11 +62,21 @@ void write_file(const std::string& path, const Bytes& bytes) {
 }
 
 // A small trained model: every section kind save_bundle writes, in a file
-// of about two kilobytes.
-Bytes saved_model() {
-  ht::tensor::CooTensor x =
+// of about two kilobytes. With `compact`, every mode index is doubled, so
+// every odd row is empty and each factor is saved with its row list.
+Bytes saved_model(bool compact) {
+  ht::tensor::CooTensor src =
       ht::tensor::random_zipf({12, 10, 8}, 300, {0.8, 0.9, 0.5}, 5);
-  ht::tensor::plant_low_rank_values(x, 2, 0.1, 9);
+  ht::tensor::plant_low_rank_values(src, 2, 0.1, 9);
+  ht::tensor::CooTensor x = src;
+  if (compact) {
+    x = ht::tensor::CooTensor({24, 20, 16});
+    std::vector<ht::tensor::index_t> idx(3);
+    for (ht::tensor::nnz_t e = 0; e < src.nnz(); ++e) {
+      for (std::size_t n = 0; n < 3; ++n) idx[n] = 2 * src.index(n, e);
+      x.push_back(idx, src.value(e));
+    }
+  }
   ht::core::HooiOptions options;
   options.ranks = {3, 3, 2};
   options.max_iterations = 2;
@@ -202,10 +213,11 @@ class Mutator {
         store_at(b, at + offsetof(SectionEntry, elem_bytes),
                  static_cast<std::uint32_t>(perturb(e.elem_bytes)));
         break;
-      case 5:
-        store_at(b, at + offsetof(SectionEntry, kind),
-                 static_cast<std::uint32_t>(1 + pick(6)));
+      case 5: {
+        constexpr std::uint32_t kKinds[] = {1, 2, 3, 4, 5, 6, 19};
+        store_at(b, at + offsetof(SectionEntry, kind), kKinds[pick(7)]);
         break;
+      }
       default:
         store_at(b, at + offsetof(SectionEntry, a), static_cast<std::uint32_t>(pick(4)));
         break;
@@ -225,7 +237,11 @@ void expect_consistent(const TuckerModel& m) {
   double sum = 0;
   for (std::size_t n = 0; n < m.order(); ++n) {
     const auto& u = m.decomposition.factors[n];
-    EXPECT_EQ(u.rows(), m.dims[n]);
+    const auto ids = m.decomposition.row_ids(n);
+    EXPECT_EQ(u.rows(), ids.empty() ? m.dims[n] : ids.size());
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      EXPECT_TRUE((k == 0 || ids[k - 1] < ids[k]) && ids[k] < m.dims[n]);
+    }
     EXPECT_EQ(u.cols(), ranks[n]);
     for (std::size_t k = 0; k < u.size(); ++k) sum += std::abs(u.data()[k]);
     core_size *= ranks[n];
@@ -254,36 +270,41 @@ bool loads(const std::string& path, LoadMode mode) {
 }
 
 TEST(BundleFuzzTest, ResealedBaseLoads) {
-  const Bytes base = saved_model();
-  Bytes resealed = base;
-  reseal(resealed);
-  EXPECT_EQ(resealed, base);
-  const TempFile file("resealed.htb");
-  write_file(file.path(), resealed);
-  EXPECT_TRUE(loads(file.path(), LoadMode::kCopy));
-  EXPECT_TRUE(loads(file.path(), LoadMode::kMap));
+  for (const bool compact : {false, true}) {
+    const Bytes base = saved_model(compact);
+    Bytes resealed = base;
+    reseal(resealed);
+    EXPECT_EQ(resealed, base);
+    const TempFile file("resealed.htb");
+    write_file(file.path(), resealed);
+    EXPECT_TRUE(loads(file.path(), LoadMode::kCopy));
+    EXPECT_TRUE(loads(file.path(), LoadMode::kMap));
+  }
 }
 
 TEST(BundleFuzzTest, MutantsLoadOrThrowHtError) {
-  const Bytes base = saved_model();
-  const TempFile file("mutant.htb");
-  Mutator mutate(/*seed=*/2016);
-  std::size_t loaded = 0;
-  constexpr int kMutants = 3000;
-  for (int i = 0; i < kMutants; ++i) {
-    const Bytes mutant = mutate(base);
-    write_file(file.path(), mutant);
-    for (const LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
-      if (loads(file.path(), mode)) ++loaded;
+  for (const bool compact : {false, true}) {
+    const Bytes base = saved_model(compact);
+    const TempFile file("mutant.htb");
+    Mutator mutate(/*seed=*/compact ? 2017 : 2016);
+    std::size_t loaded = 0;
+    constexpr int kMutants = 3000;
+    for (int i = 0; i < kMutants; ++i) {
+      const Bytes mutant = mutate(base);
+      write_file(file.path(), mutant);
+      for (const LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+        if (loads(file.path(), mode)) ++loaded;
+      }
+      if (HasFailure()) {
+        ADD_FAILURE() << (compact ? "compact" : "whole") << " mutant " << i
+                      << " (" << mutant.size() << " bytes)";
+        break;
+      }
     }
-    if (HasFailure()) {
-      ADD_FAILURE() << "mutant " << i << " (" << mutant.size() << " bytes)";
-      break;
-    }
+    // Both outcomes occur, so the mutations neither all break nor all miss.
+    EXPECT_GT(loaded, 0u);
+    EXPECT_LT(loaded, 2u * kMutants);
   }
-  // Both outcomes occur, so the mutations neither all break nor all miss.
-  EXPECT_GT(loaded, 0u);
-  EXPECT_LT(loaded, 2u * kMutants);
 }
 
 }  // namespace

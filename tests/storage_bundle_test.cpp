@@ -1,13 +1,17 @@
 // Model bundle container: bit-exact save/load round trips on the heap and
-// mmap paths, zero-copy verification through the CopyStats hook, reserved
-// section kinds skipped on load, and rejection of corrupt, truncated and
-// inconsistently shaped files.
+// mmap paths (compact factors and their row lists included), zero-copy
+// verification through the CopyStats hook, the unchanged bytes of a model
+// with no row lists, reserved section kinds skipped on load, and rejection
+// of corrupt, truncated and inconsistently shaped files and row lists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hooi.hpp"
@@ -61,6 +65,35 @@ const TuckerModel& trained_model() {
   return model;
 }
 
+// Every mode index doubled into a twice-as-large mode: every odd row of
+// every mode is empty.
+CooTensor with_empty_slices(const CooTensor& src) {
+  ht::tensor::Shape shape;
+  for (const index_t d : src.shape()) shape.push_back(2 * d);
+  CooTensor x(shape);
+  std::vector<index_t> idx(src.order());
+  for (ht::tensor::nnz_t e = 0; e < src.nnz(); ++e) {
+    for (std::size_t n = 0; n < src.order(); ++n) idx[n] = 2 * src.index(n, e);
+    x.push_back(idx, src.value(e));
+  }
+  return x;
+}
+
+// A trained model with a row list in every mode.
+const TuckerModel& compact_model() {
+  static const TuckerModel model = [] {
+    CooTensor src = ht::tensor::random_zipf({30, 24, 18}, 1500,
+                                            {0.8, 0.9, 0.5}, 7);
+    ht::tensor::plant_low_rank_values(src, 3, 0.1, 11);
+    const CooTensor x = with_empty_slices(src);
+    ht::core::HooiOptions options;
+    options.ranks = {5, 4, 3};
+    options.max_iterations = 4;
+    return TuckerModel::from_hooi(x, ht::core::hooi(x, options));
+  }();
+  return model;
+}
+
 // The sections save_bundle writes for `m`, through the raw writer, so a
 // test can add sections of its own after them.
 void add_model_sections(BundleWriter& w, const TuckerModel& m) {
@@ -80,6 +113,11 @@ void add_model_sections(BundleWriter& w, const TuckerModel& m) {
     w.add_section(SectionKind::kFactor, static_cast<std::uint32_t>(n), 0,
                   sizeof(double), u.data(), u.size() * sizeof(double),
                   u.rows(), u.cols());
+    const auto ids = m.decomposition.row_ids(n);
+    if (!ids.empty()) {
+      w.add_array(SectionKind::kFactorRows, static_cast<std::uint32_t>(n), 0,
+                  ids.data(), ids.size());
+    }
   }
   const auto core = m.decomposition.core.flat();
   w.add_section(SectionKind::kCore, 0, 0, sizeof(double), core.data(),
@@ -106,6 +144,11 @@ void expect_models_bit_exact(const TuckerModel& a, const TuckerModel& b) {
   ASSERT_EQ(ca.size(), cb.size());
   EXPECT_EQ(std::memcmp(ca.data(), cb.data(), ca.size() * sizeof(double)), 0)
       << "core not bit-exact";
+  for (std::size_t n = 0; n < a.order(); ++n) {
+    EXPECT_TRUE(std::ranges::equal(a.decomposition.row_ids(n),
+                                   b.decomposition.row_ids(n)))
+        << "row list " << n;
+  }
 }
 
 
@@ -153,27 +196,119 @@ TEST(BundleRoundTrip, HeapLoadRecordsCopies) {
   EXPECT_GE(CopyStats::bytes(), payload * sizeof(double));
 }
 
+// A compact model keeps a row list per mode; both paths bring the lists
+// back, the map path as views into the file (no byte copied).
+TEST(BundleRoundTrip, CompactModelRoundTripsOnBothPaths) {
+  TempFile tmp("compact.htb");
+  const TuckerModel& m = compact_model();
+  for (std::size_t n = 0; n < m.order(); ++n) {
+    ASSERT_FALSE(m.decomposition.row_ids(n).empty()) << "mode " << n;
+    ASSERT_LT(m.decomposition.factors[n].rows(), m.dims[n]) << "mode " << n;
+  }
+  save_bundle(m, tmp.path());
+  CopyStats::reset();
+  const TuckerModel mapped = load_bundle(tmp.path(), LoadMode::kMap);
+  EXPECT_EQ(CopyStats::bytes(), 0u);
+  for (const auto& ids : mapped.decomposition.rows) EXPECT_TRUE(ids.is_view());
+  expect_models_bit_exact(m, mapped);
+  const TuckerModel copied = load_bundle(tmp.path(), LoadMode::kCopy);
+  for (const auto& ids : copied.decomposition.rows) EXPECT_FALSE(ids.is_view());
+  expect_models_bit_exact(m, copied);
+  const std::string text =
+      ht::storage::describe_bundle(ht::storage::inspect_bundle(tmp.path()));
+  EXPECT_NE(text.find("factor_rows"), std::string::npos);
+}
+
+// A model with no row lists writes the sections, and the bytes, that
+// writers from before row lists existed wrote for it (the hash is theirs).
+TEST(BundleFormat, WholeFactorModelKeepsItsBytes) {
+  TempFile tmp("golden.htb");
+  TuckerModel m;
+  m.dims = {4, 3, 2};
+  m.fit = 0.75;
+  m.provenance = {{"trainer", "golden"}};
+  m.decomposition.core = ht::tensor::DenseTensor(ht::tensor::Shape{2, 2, 1});
+  for (std::size_t i = 0; i < 4; ++i) {
+    m.decomposition.core.flat()[i] = 0.5 + static_cast<double>(i);
+  }
+  ht::la::Matrix u0(4, 2), u1(3, 2), u2(2, 1);
+  u0(0, 0) = 1.0;  // rows 1 and 3 are zero, written as such
+  u0(2, 1) = -1.0;
+  u1(0, 0) = 0.6;
+  u1(1, 0) = 0.8;
+  u1(2, 1) = 1.0;
+  u2(1, 0) = 1.0;
+  m.decomposition.factors = {u0, u1, u2};
+  save_bundle(m, tmp.path());
+  std::ifstream in(tmp.path(), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.size(), 1024u);
+  EXPECT_EQ(ht::storage::fnv1a64(bytes.data(), bytes.size()),
+            0xa40786955a001716ull);
+}
+
 // Older writers stored the training tensor's CSF trees and its linearized
 // index as section kinds 6-18. Those kinds are reserved: the loader
 // skips them, and the model comes back bit for bit on both paths.
 TEST(BundleRoundTrip, ReservedStructureSectionsAreSkipped) {
-  TempFile tmp("reserved.htb");
-  const TuckerModel& m = trained_model();
-  {
-    BundleWriter w(tmp.path());
-    add_model_sections(w, m);
-    const std::vector<std::uint64_t> level_modes{0, 2, 1};
-    w.add_array(static_cast<SectionKind>(6), 0, 0, level_modes.data(),
-                level_modes.size());
-    const std::vector<std::uint64_t> keys{3, 1, 4, 1, 5};
-    w.add_array(static_cast<SectionKind>(12), 0, 0, keys.data(), keys.size());
-    w.finish();
+  for (const TuckerModel* m : {&trained_model(), &compact_model()}) {
+    TempFile tmp("reserved.htb");
+    {
+      BundleWriter w(tmp.path());
+      add_model_sections(w, *m);
+      const std::vector<std::uint64_t> level_modes{0, 2, 1};
+      w.add_array(static_cast<SectionKind>(6), 0, 0, level_modes.data(),
+                  level_modes.size());
+      const std::vector<std::uint64_t> keys{3, 1, 4, 1, 5};
+      w.add_array(static_cast<SectionKind>(12), 0, 0, keys.data(),
+                  keys.size());
+      w.add_array(static_cast<SectionKind>(18), 1, 0, keys.data(),
+                  keys.size());
+      w.finish();
+    }
+    for (const LoadMode mode : {LoadMode::kMap, LoadMode::kCopy}) {
+      const TuckerModel loaded = load_bundle(tmp.path(), mode);
+      expect_models_bit_exact(*m, loaded);
+    }
+    EXPECT_NO_THROW(BundleReader(tmp.path(), LoadMode::kMap).verify_all());
   }
-  for (const LoadMode mode : {LoadMode::kMap, LoadMode::kCopy}) {
-    const TuckerModel loaded = load_bundle(tmp.path(), mode);
-    expect_models_bit_exact(m, loaded);
+}
+
+// A row list is untrusted input: one that is unsorted, repeats a row,
+// reaches the mode size, or does not match its factor's row count is
+// rejected on both load paths.
+TEST(BundleIntegrity, RejectsBadRowLists) {
+  const TuckerModel& m = compact_model();
+  const std::vector<index_t> good(m.decomposition.row_ids(1).begin(),
+                                  m.decomposition.row_ids(1).end());
+  ASSERT_GE(good.size(), 3u);
+  std::vector<index_t> unsorted = good;
+  std::swap(unsorted[0], unsorted[1]);
+  std::vector<index_t> repeated = good;
+  repeated[1] = repeated[0];
+  std::vector<index_t> past_end = good;
+  past_end.back() = m.dims[1];
+  std::vector<index_t> too_short(good.begin(), good.end() - 1);
+  for (const auto& [name, ids] :
+       std::vector<std::pair<std::string, std::vector<index_t>>>{
+           {"unsorted", unsorted},
+           {"repeated", repeated},
+           {"past the mode size", past_end},
+           {"shorter than the factor", too_short}}) {
+    TuckerModel bad = m;
+    bad.decomposition.rows[1] = ht::storage::Span<index_t>(ids);
+    TempFile tmp("badrows.htb");
+    {
+      BundleWriter w(tmp.path());
+      add_model_sections(w, bad);
+      w.finish();
+    }
+    for (const LoadMode mode : {LoadMode::kMap, LoadMode::kCopy}) {
+      EXPECT_THROW(load_bundle(tmp.path(), mode), ht::Error)
+          << name << (mode == LoadMode::kMap ? " (map)" : " (copy)");
+    }
   }
-  EXPECT_NO_THROW(BundleReader(tmp.path(), LoadMode::kMap).verify_all());
 }
 
 TEST(BundleInspect, ReportsSectionsAndMeta) {

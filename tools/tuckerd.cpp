@@ -122,10 +122,9 @@ int main(int argc, char** argv) {
       opt.cache_entries = number_or_exit<std::size_t>(
           arg, next(), 0, std::numeric_limits<std::size_t>::max());
     } else if (arg == "--reload-interval") {
-      // Past 1e9 s the watcher's wait overflows the clock's nanosecond
-      // count and it polls without waiting.
-      opt.reload_interval = number_or_exit(
-          arg, next(), std::numeric_limits<double>::min(), 1e9);
+      opt.reload_interval =
+          number_or_exit(arg, next(), std::numeric_limits<double>::min(),
+                         ht::serve::kMaxWatchIntervalSeconds);
     } else if (arg == "--no-verify") {
       opt.verify = false;
     } else if (arg == "--print-port") {
